@@ -5,7 +5,12 @@ event-handler pseudocode in the VBA idiom (Form_BeforeUpdate for the
 domain row, <fn>_BeforeUpdate for each interior chain position), with the
 lookups written as DLookup calls over nested IN subqueries. GENERIC_SQL
 emits portable BEFORE-trigger statements (SQLite-compatible) performing
-the same comparison via two chain-walk subqueries.
+the same comparison via two chain-walk subqueries. Each GENERIC_SQL
+link-check unit starts with one `CREATE INDEX IF NOT EXISTS` per link
+column its triggers walk backwards, the SQL twin of the store's reverse
+index. An index is named `[SET.function]`: identifiers hold only
+alphanumerics and `_`, so the dot keeps names distinct, and units that
+walk the same column share its index.
 
 Row-source queries come in one flavor only: a three-column query over the
 right-join ladder of the chain's tables for chains of two or more
@@ -25,6 +30,7 @@ from .model import (
     ChainSpec,
     ConstraintKind,
     DiagramConstraint,
+    FunctionDef,
     ScalarType,
     Schema,
     Side,
@@ -246,11 +252,13 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     return insert_trigger + "\n\n" + update_trigger
 
 
-def _sql_forward_walk(chain: ChainSpec, innermost_value: str) -> str:
-    """Scalar subquery expression composing the chain from a known start."""
-    expr = innermost_value
-    for position in range(chain.length - 1, 0, -1):
-        fn = chain.functions[position - 1]
+def _sql_forward_walk(chain: ChainSpec, start: str, position: int | None = None) -> str:
+    """Scalar subquery expression composing the chain outward from `start`,
+    the value at `position` (default: the innermost function)."""
+    if position is None:
+        position = chain.length
+    expr = start
+    for fn in reversed(chain.functions[: position - 1]):
         expr = f"(SELECT {_b(fn.name)} FROM {_b(fn.domain)} WHERE [x] = {expr})"
     return expr
 
@@ -267,10 +275,14 @@ def gen_link_checks(
 
     Both sides contribute one block per chain position below the
     innermost; blocks landing on the same target (a function used by both
-    chains) are concatenated into a single body, left side first.
+    chains) are concatenated into a single body, left side first. A
+    GENERIC_SQL body starts with one `CREATE INDEX IF NOT EXISTS
+    [SET.function]` per column its triggers' reverse walks read, so every
+    unit installs on its own, in any order and next to units that share
+    an index.
     """
     grouped: dict[tuple[str, str], list[str]] = {}
-    order: list[tuple[str, str]] = []
+    walked: dict[tuple[str, str], dict[FunctionDef, None]] = {}
     for side in (Side.LEFT, Side.RIGHT):
         chain = constraint.chain(side)
         for position in range(1, chain.length):
@@ -280,14 +292,13 @@ def gen_link_checks(
                 block = _paper_link_block(schema, constraint, side, position)
             else:
                 block = _sql_link_trigger(constraint, side, position)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(block)
+                walked.setdefault(key, {}).update(
+                    dict.fromkeys(_reverse_walk(chain, position))
+                )
+            grouped.setdefault(key, []).append(block)
     units: list[EmittedUnit] = []
-    for key in order:
+    for key, blocks in grouped.items():
         set_name, fn_name = key
-        blocks = grouped[key]
         if dialect is Dialect.PAPER_STYLE:
             body = "\n".join(
                 [
@@ -298,7 +309,8 @@ def gen_link_checks(
                 ]
             )
         else:
-            body = "\n\n".join(blocks)
+            indexes = "\n".join(_sql_index(fn) for fn in walked[key])
+            body = "\n\n".join([indexes, *blocks])
         units.append(
             EmittedUnit(
                 constraint.id, set_name, fn_name, dialect, "link-check", body
@@ -307,15 +319,24 @@ def gen_link_checks(
     return units
 
 
+def _reverse_walk(chain: ChainSpec, position: int) -> tuple[FunctionDef, ...]:
+    """Link columns an affected-row predicate reads walking back from
+    `position` to the domain set, outermost first."""
+    return chain.functions[position:]
+
+
+def _sql_index(fn: FunctionDef) -> str:
+    name = _b(f"{fn.domain}.{fn.name}")
+    return f"CREATE INDEX IF NOT EXISTS {name} ON {_b(fn.domain)} ({_b(fn.name)});"
+
+
 def _paper_affected_where(chain: ChainSpec, position: int) -> str:
     """Nested reverse-reachability predicate on the domain set, with the
     current row id spliced in as `" & x & "`."""
-    inner_fn = chain.functions[position].name
-    predicate = f'{inner_fn} =" & x & "'
-    for j in range(position + 2, chain.length + 1):
-        fn = chain.functions[j - 1]
-        previous_domain = chain.functions[j - 2].domain
-        predicate = f"{fn.name} IN (SELECT x FROM {previous_domain} WHERE {predicate})"
+    walk = _reverse_walk(chain, position)
+    predicate = f'{walk[0].name} =" & x & "'
+    for previous, fn in zip(walk, walk[1:]):
+        predicate = f"{fn.name} IN (SELECT x FROM {previous.domain} WHERE {predicate})"
     return predicate
 
 
@@ -423,32 +444,11 @@ def _paper_link_block(
 
 def _sql_affected_pred(chain: ChainSpec, position: int) -> str:
     """Reverse-reachability predicate on alias d, anchored at NEW.x."""
-    n = chain.length
-    fn_n = _b(chain.innermost.name)
-    if position == n - 1:
-        return f"d.{fn_n} = NEW.[x]"
-    inner = chain.functions[position]
-    nested = f"SELECT [x] FROM {_b(inner.domain)} WHERE {_b(inner.name)} = NEW.[x]"
-    for j in range(position + 2, n):
-        fn = chain.functions[j - 1]
-        nested = f"SELECT [x] FROM {_b(fn.domain)} WHERE {_b(fn.name)} IN ({nested})"
-    return f"d.{fn_n} IN ({nested})"
-
-
-def _sql_other_expr(chain: ChainSpec) -> str:
-    expr = f"d.{_b(chain.innermost.name)}"
-    for position in range(chain.length - 1, 0, -1):
-        fn = chain.functions[position - 1]
-        expr = f"(SELECT {_b(fn.name)} FROM {_b(fn.domain)} WHERE [x] = {expr})"
-    return expr
-
-
-def _sql_head_expr(chain: ChainSpec, position: int) -> str:
-    expr = f"NEW.{_b(chain.functions[position - 1].name)}"
-    for j in range(position - 1, 0, -1):
-        fn = chain.functions[j - 1]
-        expr = f"(SELECT {_b(fn.name)} FROM {_b(fn.domain)} WHERE [x] = {expr})"
-    return expr
+    *outer, innermost = _reverse_walk(chain, position)
+    predicate = "= NEW.[x]"
+    for fn in outer:
+        predicate = f"IN (SELECT [x] FROM {_b(fn.domain)} WHERE {_b(fn.name)} {predicate})"
+    return f"d.{_b(innermost.name)} {predicate}"
 
 
 def _sql_link_trigger(
@@ -461,6 +461,8 @@ def _sql_link_trigger(
     name = f"{cid}_{fn.domain}_{fn.name}_{side.value}{position}"
     message = _sql_string(_emitted_message(constraint))
     cmp = _comparison_op(constraint.kind)
+    other_value = _sql_forward_walk(other, f"d.{_b(other.innermost.name)}")
+    head = _sql_forward_walk(chain, f"NEW.{_b(fn.name)}", position)
     lines = [
         f"CREATE TRIGGER {name} BEFORE UPDATE OF {_b(fn.name)} ON {_b(fn.domain)}",
         "FOR EACH ROW",
@@ -470,7 +472,7 @@ def _sql_link_trigger(
         "    WHERE EXISTS (",
         f"        SELECT 1 FROM {_b(chain.domain_set)} d",
         f"        WHERE {_sql_affected_pred(chain, position)}",
-        f"          AND ({_sql_other_expr(other)}) {cmp} ({_sql_head_expr(chain, position)})",
+        f"          AND ({other_value}) {cmp} ({head})",
         "    );",
         "END;",
     ]

@@ -30,6 +30,7 @@ from .model import (
     SetDef,
     Side,
     classify_constraint,
+    message_template_problem,
     refusal_issue,
     validate_diagram,
 )
@@ -288,7 +289,7 @@ class _RawConstraintDecl:
     domain_pos: Token
     left: _RawChainDecl | None = None
     right: _RawChainDecl | None = None
-    message: str | None = None
+    message: Token | None = None
 
 
 class _Parser:
@@ -495,7 +496,7 @@ class _SchemaParser(_Parser):
                 if decl.message is not None:
                     self.error("duplicate 'message'", msg_tok)
                 else:
-                    decl.message = text.value
+                    decl.message = text
                 self.expect("SEMI", "';'")
             else:
                 self.error(
@@ -628,6 +629,12 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
             )
             continue
         seen_constraints[raw_c.id] = raw_c.pos
+        message = None
+        if raw_c.message is not None:
+            message = raw_c.message.value
+            problem = message_template_problem(message)
+            if problem is not None:
+                diag(IssueCode.BAD_MESSAGE_TEMPLATE, problem, raw_c.message)
         assert raw_c.left is not None and raw_c.right is not None
         raw_constraint = RawConstraint(
             raw_c.id,
@@ -635,7 +642,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
             raw_c.domain,
             RawChain(tuple(raw_c.left.names), raw_c.left.identity),
             RawChain(tuple(raw_c.right.names), raw_c.right.identity),
-            raw_c.message,
+            message,
         )
         resolved, issues = validate_diagram(schema, raw_constraint)
         for issue in issues:

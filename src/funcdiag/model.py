@@ -16,6 +16,7 @@ common domain and applied first.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,6 +79,7 @@ class IssueCode(Enum):
     UNBOUND_HANDLE = "unbound-handle"
     DUPLICATE_HANDLE = "duplicate-handle"
     TYPE_MISMATCH = "type-mismatch"
+    BAD_MESSAGE_TEMPLATE = "bad-message-template"
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,33 @@ class DiagramConstraint:
             f"value of {self.left.render()} {verb} value of {self.right.render()}"
             " (left={left}, right={right})"
         )
+
+
+MESSAGE_FIELDS = frozenset(
+    ("left", "right", "left_chain", "right_chain", "witness", "constraint")
+)
+"""Replacement fields a violation message template may use."""
+
+
+def message_template_problem(template: str) -> str | None:
+    """Why `template` cannot format a violation message, or None if it can.
+
+    Every replacement field must be one of MESSAGE_FIELDS written bare,
+    as `{left}`: no attribute or index access, conversion or format spec,
+    so formatting the message can never fail.
+    """
+    try:
+        parsed = list(string.Formatter().parse(template))
+    except ValueError as exc:
+        return f"malformed message template: {exc}"
+    allowed = ", ".join(f"{{{name}}}" for name in sorted(MESSAGE_FIELDS))
+    for _, name, spec, conversion in parsed:
+        if name is not None and (name not in MESSAGE_FIELDS or spec or conversion):
+            field = name + (f"!{conversion}" if conversion else "") + (
+                f":{spec}" if spec else ""
+            )
+            return f"message template field {{{field}}} is not one of {allowed}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -177,10 +177,15 @@ class Database:
         return normalized
 
     def validate_delete(self, row: RowId) -> None:
+        """Refuse (RESTRICT) deleting a row that another row links to.
+
+        A row's links to itself do not count: deleting it leaves no
+        dangling reference, as in SQLite's foreign-key check.
+        """
         self._row(row)
         referencing: list[RowId] = []
         for fn in self.schema.links_into(row.set_name):
-            referencing.extend(sorted(self.inverse(fn.domain, fn.name, row)))
+            referencing.extend(sorted(self.inverse(fn.domain, fn.name, row) - {row}))
         if referencing:
             listed = ", ".join(repr(r) for r in referencing[:5])
             more = "" if len(referencing) <= 5 else f" and {len(referencing) - 5} more"

@@ -14,6 +14,8 @@ from funcdiag.codegen import (
 from funcdiag.dsl import parse_schema
 from funcdiag.model import ScalarType, Side
 
+from conftest import fixture_text
+
 GOLDEN_MOUNTAIN_ROW_SOURCE = """
 SELECT MOUNTAINS.x, [MOUNTAIN_RANGES].[Range] & ", " &
   [MOUNT_SUBRANGES].[Subrange] & ", " & [MountGroup] & ", " &
@@ -278,3 +280,35 @@ def test_emitted_bodies_are_deterministic(geography_schema):
         geography_schema, geography_schema.constraints, "all", Dialect.GENERIC_SQL
     )
     assert [u.body for u in first] == [u.body for u in second]
+
+
+@pytest.mark.parametrize("fixture", ["geography", "neighbors"])
+@pytest.mark.parametrize("dialect", list(Dialect))
+def test_emitted_text_matches_golden_apart_from_index_lines(fixture, dialect):
+    """Every unit is pinned byte for byte; a generic-sql link-check unit
+    may only add its block of index lines ahead of the triggers."""
+    schema, diagnostics = parse_schema(fixture_text(f"{fixture}.fd"))
+    assert schema is not None, diagnostics
+    parts = []
+    for unit in emit_units(schema, schema.constraints, "all", dialect):
+        body = unit.body
+        if unit.dialect is Dialect.GENERIC_SQL and unit.role == "link-check":
+            indexes, body = body.split("\n\n", 1)
+            for line in indexes.splitlines():
+                assert line.startswith("CREATE INDEX IF NOT EXISTS [")
+        parts.append(f"-- {unit.filename} ({unit.role})\n{body}\n\n")
+    assert "".join(parts) == fixture_text(f"emitted/{fixture}.{dialect.value}.txt")
+
+
+def test_sql_link_check_units_carry_their_reverse_walk_indexes(geography_schema):
+    units = gen_link_checks(geography_schema, geo(geography_schema), Dialect.GENERIC_SQL)
+    walk = [
+        "CREATE INDEX IF NOT EXISTS [MOUNT_SUBRANGES.Range] ON [MOUNT_SUBRANGES] ([Range]);",
+        "CREATE INDEX IF NOT EXISTS [MOUNT_GROUPS.Subrange] ON [MOUNT_GROUPS] ([Subrange]);",
+        "CREATE INDEX IF NOT EXISTS [MOUNTAINS.Group] ON [MOUNTAINS] ([Group]);",
+        "CREATE INDEX IF NOT EXISTS [RIVERS.Mountain] ON [RIVERS] ([Mountain]);",
+    ]
+    for position, unit in enumerate(units, 1):
+        indexes = unit.body.split("\n\n", 1)[0]
+        assert indexes.splitlines() == walk[position - 1 :]
+

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,3 +247,29 @@ def test_mutilated_sources_keep_diagnostics_in_bounds(data):
     for d in diagnostics:
         assert 1 <= d.line <= len(lines)
         assert 1 <= d.column <= len(lines[d.line - 1]) + 1
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "bad {left.x}",
+        "bad {left[a]}",
+        "{right!r}",
+        "{witness:>8}",
+        "{} and {0}",
+        "{mountain}",
+        "unclosed {left",
+        "stray } brace",
+    ],
+)
+def test_bad_message_template_is_a_positioned_diagnostic(template):
+    literal = f'"{template}"'
+    source = re.sub(r'"The mountain[^"]*"', lambda _: literal, GEOGRAPHY)
+    schema, diagnostics = parse_schema(source)
+    assert schema is None
+    [d] = errors(diagnostics)
+    assert d.code is IssueCode.BAD_MESSAGE_TEMPLATE
+    lines = source.splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if literal in text)
+    assert (d.line, d.column) == (line, lines[line - 1].index(literal) + 1)
+

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from funcdiag.dsl import Action, Binding, Mutation, parse_script
+from funcdiag.dsl import Action, Binding, HandleRef, Mutation, parse_schema, parse_script
 from funcdiag.engine import (
     Outcome,
     ViolationKind,
@@ -16,7 +18,7 @@ from funcdiag.engine import (
     eval_chain,
     eval_prefix,
 )
-from funcdiag.model import Side
+from funcdiag.model import Side, message_template_problem
 from funcdiag.oracle import full_check
 from funcdiag.store import Database, RowId
 
@@ -480,3 +482,64 @@ def test_script_replay_matches_expectations(geography_schema):
         if m.expectation is not None:
             wanted_accept = m.expectation.value == "accept"
             assert wanted_accept == verdict.applied, (m, verdict.violations)
+
+
+# -- message templates ---------------------------------------------------------
+
+
+RHONE = Mutation(
+    Action.INSERT,
+    set_name="RIVERS",
+    bindings=(
+        Binding("River", "Rhone"),
+        Binding("Continent", HandleRef("asia")),
+        Binding("Mountain", HandleRef("montblanc")),
+    ),
+)
+
+
+def test_every_message_field_formats_in_a_violation():
+    template = "{constraint} {witness}: {left_chain}={left} vs {right_chain}={right} {{x}}"
+    source = fixture_text("geography.fd").replace(
+        "The mountain a river springs from must lie on the river's own continent"
+        " (left={left}, right={right})",
+        template,
+    )
+    schema, diagnostics = parse_schema(source)
+    assert schema is not None, diagnostics
+    db, handles = seeded_geography(schema)
+    verdict = apply_mutation(db, RHONE, handles)
+    assert verdict.rejected
+    [violation] = verdict.violations
+    assert violation.message == (
+        f"GeoContinent {violation.witness!r}:"
+        f" Continent . Range . Subrange . Group . Mountain={handles['europe']!r}"
+        f" vs Continent={handles['asia']!r} {{x}}"
+    )
+
+
+TEMPLATE_FIELDS = st.builds(
+    "{{{}{}}}".format,
+    st.sampled_from(["left", "right", "witness", "left_chain", "", "0", "river"]),
+    st.sampled_from(["", ".x", "[0]", "!r", ":>3", ":d", ":"]),
+)
+TEMPLATES = st.lists(
+    st.one_of(TEMPLATE_FIELDS, st.sampled_from([" ", "text", "{{", "}}", "{", "}"])),
+    max_size=6,
+).map("".join)
+
+
+@given(TEMPLATES)
+def test_accepted_message_templates_never_crash_the_engine(geography_schema, template):
+    # a template such as "{left.x}" used to raise AttributeError here at
+    # the first violation; parse_schema now refuses every template this
+    # check rejects
+    if message_template_problem(template) is not None:
+        return
+    constraint = replace(geography_schema.constraints[0], message=template)
+    db, handles = seeded_geography(geography_schema)
+    rhone = db.insert_row(
+        "RIVERS",
+        {"River": "Rhone", "Continent": handles["asia"], "Mountain": handles["montblanc"]},
+    )
+    [violation] = check_domain_row(db, constraint, rhone)

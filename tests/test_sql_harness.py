@@ -9,11 +9,12 @@ same statements and end up with identical contents.
 from __future__ import annotations
 
 import sqlite3
+from collections import Counter
 
 import pytest
 
-from funcdiag.codegen import Dialect, emit_units
-from funcdiag.dsl import Action, parse_script
+from funcdiag.codegen import Dialect, EmittedUnit, emit_units
+from funcdiag.dsl import Action, parse_schema, parse_script
 from funcdiag.engine import apply_mutation, resolve_mutation
 from funcdiag.model import ScalarType, Schema
 from funcdiag.store import Database, RowId
@@ -54,17 +55,20 @@ def sqlite_ddl(schema: Schema) -> str:
     return "\n".join(statements)
 
 
-def install(connection: sqlite3.Connection, schema: Schema) -> None:
+def generic_sql_units(schema: Schema) -> list[EmittedUnit]:
+    """Domain and link checks in emission order; row sources are not SQL."""
+    units = emit_units(schema, schema.constraints, "all", Dialect.GENERIC_SQL)
+    return [u for u in units if u.dialect is Dialect.GENERIC_SQL]
+
+
+def install(
+    connection: sqlite3.Connection, schema: Schema, units: list[EmittedUnit]
+) -> sqlite3.Connection:
     connection.execute("PRAGMA foreign_keys = ON;")
     connection.executescript(sqlite_ddl(schema))
-    for unit in emit_units(
-        schema, schema.constraints, "domain-check", Dialect.GENERIC_SQL
-    ):
+    for unit in units:
         connection.executescript(unit.body)
-    for unit in emit_units(
-        schema, schema.constraints, "link-checks", Dialect.GENERIC_SQL
-    ):
-        connection.executescript(unit.body)
+    return connection
 
 
 def to_sql_value(value):
@@ -80,7 +84,7 @@ def replay(schema: Schema, script: str) -> None:
     db = Database(schema)
     handles: dict[str, RowId] = {}
     connection = sqlite3.connect(":memory:")
-    install(connection, schema)
+    install(connection, schema, generic_sql_units(schema))
 
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
@@ -162,7 +166,7 @@ def test_neighbors_replay_matches_engine(neighbors_schema):
 def test_emitted_triggers_install_cleanly(geography_schema, neighbors_schema):
     for schema in (geography_schema, neighbors_schema):
         connection = sqlite3.connect(":memory:")
-        install(connection, schema)
+        install(connection, schema, generic_sql_units(schema))
         names = [
             row[0]
             for row in connection.execute(
@@ -171,3 +175,160 @@ def test_emitted_triggers_install_cleanly(geography_schema, neighbors_schema):
         ]
         assert names
         connection.close()
+
+
+# -- self-referencing deletes -------------------------------------------------
+
+SELF_LINK_SCHEMA = """
+schema Tree ;
+set NODES { name Label : text ; Parent -> NODES ? ; Twin -> NODES ? ; }
+"""
+
+
+def test_delete_of_row_referencing_only_itself_matches_sqlite():
+    schema, diagnostics = parse_schema(SELF_LINK_SCHEMA)
+    assert schema is not None, diagnostics
+    replay(
+        schema,
+        'insert NODES (Label = "root") as root ;\n'
+        "update @root set Parent = @root, Twin = @root ;\n"
+        'insert NODES (Label = "leaf", Parent = @root) as leaf ;\n'
+        "delete @root expect reject ;\n"
+        "update @leaf set Parent = @leaf ;\n"
+        "delete @root expect accept ;\n"
+        "delete @leaf expect accept ;\n",
+    )
+
+
+# -- reverse-walk indexes -----------------------------------------------------
+
+WALKED_COLUMNS = {
+    "geography": {
+        ("MOUNT_SUBRANGES", "Range"),
+        ("MOUNT_GROUPS", "Subrange"),
+        ("MOUNTAINS", "Group"),
+        ("RIVERS", "Mountain"),
+    },
+    # both sides' triggers live in the one unit on COUNTRIES.FrontierColor
+    "neighbors": {("NEIGHBOR_COUNTRIES", "Country"), ("NEIGHBOR_COUNTRIES", "Neighbor")},
+}
+
+
+def indexed_columns(connection: sqlite3.Connection) -> Counter:
+    """(table, column) of every index made by CREATE INDEX, with its count."""
+    columns: Counter = Counter()
+    tables = connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    for (table,) in tables.fetchall():
+        for _, index, _, origin, _ in connection.execute(f"PRAGMA index_list([{table}])"):
+            if origin == "c":
+                for _, _, column in connection.execute(f"PRAGMA index_info([{index}])"):
+                    columns[(table, column)] += 1
+    return columns
+
+
+@pytest.mark.parametrize("fixture", sorted(WALKED_COLUMNS))
+def test_one_index_per_walked_column_in_any_install_order(fixture):
+    schema, _ = parse_schema(fixture_text(f"{fixture}.fd"))
+    units = generic_sql_units(schema)
+    expected = Counter(WALKED_COLUMNS[fixture])
+    for order in (units, units[::-1]):
+        connection = install(sqlite3.connect(":memory:"), schema, order)
+        assert indexed_columns(connection) == expected
+        # reinstalling after dropping the triggers adds no second index
+        triggers = connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'trigger'"
+        ).fetchall()
+        for (name,) in triggers:
+            connection.execute(f"DROP TRIGGER [{name}]")
+        for unit in order:
+            connection.executescript(unit.body)
+        assert indexed_columns(connection) == expected
+        connection.close()
+
+
+def test_each_link_check_unit_installs_alone_with_its_own_indexes(geography_schema):
+    walk = [
+        ("MOUNT_SUBRANGES", "Range"),
+        ("MOUNT_GROUPS", "Subrange"),
+        ("MOUNTAINS", "Group"),
+        ("RIVERS", "Mountain"),
+    ]
+    units = [u for u in generic_sql_units(geography_schema) if u.role == "link-check"]
+    assert len(units) == len(walk)
+    for position, unit in enumerate(units, 1):
+        connection = install(sqlite3.connect(":memory:"), geography_schema, [unit])
+        assert indexed_columns(connection) == Counter(walk[position - 1 :])
+        connection.close()
+
+
+def test_index_names_stay_distinct_when_underscores_could_collide():
+    # A_B.C and A.B_C would both be "A_B_C" if joined with "_"
+    schema, diagnostics = parse_schema(
+        "schema T ;\n"
+        "set P { name N : text ; }\n"
+        "set A_B { name N : text ; C -> P ; }\n"
+        "set A { name N : text ; B_C -> P ; }\n"
+        "set D { name N : text ; Y -> A_B ; Z -> A ; }\n"
+        "constraint c commutative on D { left = N . C . Y ; right = N . B_C . Z ; }\n"
+    )
+    assert schema is not None, diagnostics
+    connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
+    assert indexed_columns(connection) == Counter(
+        [("A_B", "C"), ("A", "B_C"), ("D", "Y"), ("D", "Z")]
+    )
+    connection.close()
+
+
+# -- link-trigger work does not grow with the table ---------------------------
+
+
+def vm_steps_of_regroup(schema: Schema, fillers: int) -> dict[str, int]:
+    """VM steps SQLite spends on two accepted interior-link updates over
+    one mountain with three rivers, next to `fillers` unrelated mountains
+    and rivers."""
+    connection = sqlite3.connect(":memory:", isolation_level=None)
+    connection.executescript(sqlite_ddl(schema))
+    connection.executescript(
+        "INSERT INTO CONTINENTS VALUES (1, 'Europe');"
+        "INSERT INTO MOUNTAIN_RANGES VALUES (1, 'Alps', 1);"
+        "INSERT INTO MOUNT_SUBRANGES VALUES (1, 'Western Alps', 1), (2, 'Eastern Alps', 1);"
+        "INSERT INTO MOUNT_GROUPS VALUES (1, 'Mont Blanc massif', 1), (2, 'Fillers', 1);"
+        "INSERT INTO MOUNTAINS VALUES (1, 'Mont Blanc', 1);"
+        "INSERT INTO RIVERS VALUES (1, 'Arve', 1, 1), (2, 'Dora', 1, 1), (3, 'Isere', 1, 1);"
+    )
+    connection.executemany(
+        "INSERT INTO MOUNTAINS VALUES (?, ?, 2)",
+        [(x, f"m{x}") for x in range(2, fillers + 2)],
+    )
+    connection.executemany(
+        "INSERT INTO RIVERS VALUES (?, ?, 1, ?)",
+        [(x, f"r{x}", x - 2) for x in range(4, fillers + 4)],
+    )
+    for unit in generic_sql_units(schema):
+        connection.executescript(unit.body)
+    steps = 0
+
+    def count() -> int:
+        nonlocal steps
+        steps += 1
+        return 0
+
+    connection.set_progress_handler(count, 1)
+    result = {}
+    for label, statement in (
+        ("regroup mountain", "UPDATE MOUNTAINS SET [Group] = 2 WHERE x = 1"),
+        ("move group", "UPDATE MOUNT_GROUPS SET [Subrange] = 2 WHERE x = 1"),
+    ):
+        steps = 0
+        assert connection.execute(statement).rowcount == 1
+        result[label] = steps
+    connection.close()
+    return result
+
+
+def test_link_trigger_steps_do_not_grow_with_the_tables(geography_schema):
+    small = vm_steps_of_regroup(geography_schema, 200)
+    large = vm_steps_of_regroup(geography_schema, 2000)
+    for label, steps in small.items():
+        # a full scan of RIVERS or MOUNTAINS would grow ~10x
+        assert large[label] < 2 * steps, (label, steps, large[label])

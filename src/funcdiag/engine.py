@@ -1,20 +1,22 @@
 """Incremental enforcement of diagram constraints on mutations.
 
-Every mutation is staged against a read-only hypothetical view of the
-store; constraint checks run on that view, and only a fully clean check
-commits anything, so a rejected mutation leaves the database bit-identical
-to its pre-mutation state.
+Every mutation is written to the store first, through the store's own
+validation, and then checked on the written state; on any violation the
+store takes the write back (Database.undo_write), so a rejected mutation
+leaves the database bit-identical to its pre-mutation state. This is the
+shape of the paper's generated handlers, which check the row as the user
+edited it and cancel and undo on a violation.
 
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
 column: it evaluates both chains for that row. A link-update check fires
-when an interior chain function changes at some row r: it recomputes the
-new composed head once (the prefix walk), collects the exact set of
-domain rows whose chain passes through r (the reverse-reachability walk
-over the staged indexes), and compares the head against the other chain's
-value at each of those rows. A null anywhere in a chain makes the
-instance vacuously satisfied, so checks drop out as early as possible on
-nulls.
+when an interior chain function changes at some row r: it computes the
+new composed head once (the prefix walk from the written value), collects
+the exact set of domain rows whose chain passes through r (the
+reverse-reachability walk over the store's indexes), and compares the
+head against the other chain's value at each of those rows. A null
+anywhere in a chain makes the instance vacuously satisfied, so checks
+drop out as early as possible on nulls.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .model import (
     ChainSpec,
     ConstraintKind,
     DiagramConstraint,
+    Occurrence,
     Schema,
     Side,
 )
@@ -114,113 +117,14 @@ class Verdict:
         return self.outcome is Outcome.REJECTED
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    """One chain position of one constraint, keyed by (set, function)."""
-
-    constraint: DiagramConstraint
-    side: Side
-    position: int
-
-    @property
-    def chain(self) -> ChainSpec:
-        return self.constraint.chain(self.side)
-
-    @property
-    def function_name(self) -> str:
-        return self.chain.functions[self.position - 1].name
-
-    @property
-    def set_name(self) -> str:
-        return self.chain.functions[self.position - 1].domain
-
-
 def dispatch(schema: Schema) -> dict[tuple[str, str], tuple[Occurrence, ...]]:
     """Static placement of checks: (set, function) -> chain occurrences.
 
     Every chain position of every admitted constraint appears exactly
     once; a function used by both sides gets one occurrence per side.
+    The table is built once per schema and shared; do not mutate it.
     """
-    table: dict[tuple[str, str], list[Occurrence]] = {}
-    for constraint in schema.constraints:
-        for side in (Side.LEFT, Side.RIGHT):
-            chain = constraint.chain(side)
-            for position, fn in enumerate(chain.functions, start=1):
-                occ = Occurrence(constraint, side, position)
-                table.setdefault((fn.domain, fn.name), []).append(occ)
-    return {key: tuple(occs) for key, occs in table.items()}
-
-
-# ---------------------------------------------------------------------------
-# Hypothetical views
-# ---------------------------------------------------------------------------
-
-
-class _StagedView:
-    """Read-only overlay of a database with one mutation staged.
-
-    Lookups and reverse-index walks see the post-mutation state; the
-    underlying store is never written. Rows touched are charged to the
-    underlying store's counter, whichever layer answers.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        inserted: tuple[RowId, dict[str, Value]] | None = None,
-        updated: tuple[RowId, dict[str, Value], dict[str, Value]] | None = None,
-    ):
-        self._db = db
-        self.schema = db.schema
-        self._inserted = inserted
-        self._updated = updated
-
-    def row_exists(self, row: RowId) -> bool:
-        if self._inserted is not None and row == self._inserted[0]:
-            return True
-        return self._db.row_exists(row)
-
-    def rows(self, set_name: str) -> tuple[RowId, ...]:
-        base = self._db.rows(set_name)
-        if self._inserted is not None and self._inserted[0].set_name == set_name:
-            return base + (self._inserted[0],)
-        return base
-
-    def lookup(self, row: RowId, fn_name: str) -> Value:
-        if self._inserted is not None and row == self._inserted[0]:
-            self._db.counter.touch()
-            return self._inserted[1][fn_name]
-        if self._updated is not None and row == self._updated[0]:
-            new_values = self._updated[1]
-            if fn_name in new_values:
-                self._db.counter.touch()
-                return new_values[fn_name]
-        return self._db.lookup(row, fn_name)
-
-    def inverse(self, domain_set: str, fn_name: str, target: RowId) -> frozenset[RowId]:
-        result = set(self._db.inverse(domain_set, fn_name, target))
-        if self._updated is not None:
-            row, new_values, old_values = self._updated
-            if row.set_name == domain_set and fn_name in new_values:
-                if old_values[fn_name] == target:
-                    result.discard(row)
-                if new_values[fn_name] == target:
-                    result.add(row)
-        if self._inserted is not None:
-            row, values = self._inserted
-            if row.set_name == domain_set and values.get(fn_name) == target:
-                result.add(row)
-        return frozenset(result)
-
-
-def _bindings_view(db_or_view, row: RowId, bindings: Mapping[str, Value] | None):
-    if bindings is None:
-        return db_or_view
-    if isinstance(db_or_view, Database):
-        base = db_or_view.read_row(row)
-        base.update(bindings)
-        return _StagedView(db_or_view, updated=(row, dict(base), db_or_view.read_row(row)))
-    raise TypeError("hypothetical bindings require a plain Database")
+    return schema.occurrences
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +132,24 @@ def _bindings_view(db_or_view, row: RowId, bindings: Mapping[str, Value] | None)
 # ---------------------------------------------------------------------------
 
 
-def eval_chain(view, chain: ChainSpec, x: RowId) -> Value:
+def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
     """Composed chain value at x, innermost function first; null propagates."""
-    current: Value = x
-    for position in range(chain.length, 0, -1):
-        fn = chain.functions[position - 1]
-        assert isinstance(current, RowId)
-        current = view.lookup(current, fn.name)
-        if current is None:
-            return None
-    return current
+    return eval_prefix(db, chain, chain.length + 1, x)
 
 
-def eval_prefix(view, chain: ChainSpec, position: int, start: Value) -> Value:
+def eval_prefix(db: Database, chain: ChainSpec, position: int, start: Value) -> Value:
     """Apply the outer functions (position-1 .. 1) to a value already in
     the codomain of the function at `position`; null propagates."""
     current = start
     for j in range(position - 1, 0, -1):
         if current is None:
             return None
-        fn = chain.functions[j - 1]
         assert isinstance(current, RowId)
-        current = view.lookup(current, fn.name)
+        current = db.lookup(current, chain.functions[j - 1].name)
     return current
 
 
-def affected_rows(view, chain: ChainSpec, position: int, r: RowId) -> frozenset[RowId]:
+def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> frozenset[RowId]:
     """Rows of the domain set whose chain tail reaches r at `position`.
 
     Walks the reverse indexes outward through positions position+1 .. n;
@@ -264,7 +160,7 @@ def affected_rows(view, chain: ChainSpec, position: int, r: RowId) -> frozenset[
         fn = chain.functions[j - 1]
         gathered: set[RowId] = set()
         for target in frontier:
-            gathered.update(view.inverse(fn.domain, fn.name, target))
+            gathered.update(db.inverse(fn.domain, fn.name, target))
         frontier = frozenset(gathered)
         if not frontier:
             break
@@ -277,67 +173,72 @@ def affected_rows(view, chain: ChainSpec, position: int, r: RowId) -> frozenset[
 
 
 def check_domain_row(
-    view,
-    constraint: DiagramConstraint,
-    x: RowId,
-    bindings: Mapping[str, Value] | None = None,
+    db: Database, constraint: DiagramConstraint, x: RowId
 ) -> list[Violation]:
-    """Evaluate both chains at x (with optional hypothetical bindings).
+    """Evaluate both chains at x in the store's current state.
 
-    No violation when either side is null; commutative constraints are
-    violated by differing values, anti-commutative ones by equal values.
+    The engine calls this after writing the mutation, so it judges the
+    post-mutation state; the oracle calls it on whole databases. No
+    violation when either side is null.
     """
-    view = _bindings_view(view, x, bindings)
-    left = eval_chain(view, constraint.left, x)
+    left = eval_chain(db, constraint.left, x)
     if left is None:
         return []
-    right = eval_chain(view, constraint.right, x)
+    right = eval_chain(db, constraint.right, x)
     if right is None:
         return []
-    if constraint.kind is ConstraintKind.COMMUTATIVE:
-        violated = left != right
-    else:
-        violated = left == right
-    if not violated:
-        return []
-    return [_constraint_violation(constraint, x, left, right, None)]
+    violation = _judge(constraint, x, left, right, None)
+    return [] if violation is None else [violation]
 
 
 def check_link_update(
-    view, occurrence: Occurrence, r: RowId, new_value: Value
+    db: Database, occurrence: Occurrence, r: RowId, new_value: Value
 ) -> list[Violation]:
-    """Check every domain row affected by changing the link at r.
+    """Check every domain row affected by the link at r taking `new_value`.
 
-    The new composed head is computed once from the new value; each
+    The new composed head is computed once from `new_value`; each
     affected row is compared against the other chain's value in the
-    staged state. All violating rows are reported.
+    store's current state. All violating rows are reported.
     """
     constraint = occurrence.constraint
     chain = occurrence.chain
     assert occurrence.position < chain.length, "innermost positions are domain checks"
-    head = eval_prefix(view, chain, occurrence.position, new_value)
+    head = eval_prefix(db, chain, occurrence.position, new_value)
     if head is None:
         return []
     other = constraint.chain(occurrence.side.other)
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
     violations: list[Violation] = []
-    for x in sorted(affected_rows(view, chain, occurrence.position, r)):
-        other_value = eval_chain(view, other, x)
+    for x in sorted(affected_rows(db, chain, occurrence.position, r)):
+        other_value = eval_chain(db, other, x)
         if other_value is None:
             continue
-        if constraint.kind is ConstraintKind.COMMUTATIVE:
-            violated = other_value != head
+        if occurrence.side is Side.LEFT:
+            violation = _judge(constraint, x, head, other_value, changed)
         else:
-            violated = other_value == head
-        if violated:
-            if occurrence.side is Side.LEFT:
-                left, right = head, other_value
-            else:
-                left, right = other_value, head
-            violations.append(
-                _constraint_violation(constraint, x, left, right, changed)
-            )
+            violation = _judge(constraint, x, other_value, head, changed)
+        if violation is not None:
+            violations.append(violation)
     return violations
+
+
+def _judge(
+    constraint: DiagramConstraint,
+    x: RowId,
+    left: Value,
+    right: Value,
+    changed: ChangedLink | None,
+) -> Violation | None:
+    """The violation at x if the two non-null chain values break the
+    constraint: commutative ones by differing, anti-commutative ones by
+    being equal."""
+    if constraint.kind is ConstraintKind.COMMUTATIVE:
+        violated = left != right
+    else:
+        violated = left == right
+    if not violated:
+        return None
+    return _constraint_violation(constraint, x, left, right, changed)
 
 
 # ---------------------------------------------------------------------------
@@ -401,75 +302,55 @@ def apply_mutation(
     m: Mutation,
     handles: MutableMapping[str, RowId] | None = None,
 ) -> Verdict:
-    """Stage, check, and atomically apply or reject one mutation.
+    """Write one mutation, check the written state, and keep or undo it.
 
-    Store-level failures (missing required values, dangling references,
-    RESTRICT on delete, unresolved handles) reject with a store-error
-    violation; constraint failures reject with one violation per
-    offending witness row. Nothing is written unless the verdict is
-    APPLIED. On an applied insert carrying a handle, `handles` gains the
-    new row.
+    The store validates the write itself: store-level failures (missing
+    required values, dangling references, RESTRICT on delete, unresolved
+    handles) reject with a store-error violation, and nothing is written.
+    Otherwise the domain-row and link-update checks run on the written
+    state over the rows the write can affect; any violation rejects with
+    one violation per offending witness row, and the write is undone, so
+    a rejected mutation leaves the store as it was. On an applied insert
+    carrying a handle, `handles` gains the new row.
     """
     handles = handles if handles is not None else {}
     try:
         resolved = resolve_mutation(m, handles)
-    except MutationResolveError as exc:
-        return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
-
-    try:
-        if resolved.action is Action.INSERT:
-            assert resolved.set_name is not None
-            normalized = db.validate_insert(resolved.set_name, resolved.values)
-            row = RowId(resolved.set_name, db.peek_next_id(resolved.set_name))
-            view = _StagedView(db, inserted=(row, normalized))
-            changedimpl: set[str] = set(normalized)
-        elif resolved.action is Action.UPDATE:
-            assert resolved.row is not None
-            normalized = db.validate_update(resolved.row, resolved.values)
-            row = resolved.row
-            old_values = db.read_row(row)
-            normalized = {
-                name: value
-                for name, value in normalized.items()
-                if old_values[name] != value
-            }
-            view = _StagedView(db, updated=(row, normalized, old_values))
-            changedimpl = set(normalized)
-        else:
-            assert resolved.row is not None
-            db.validate_delete(resolved.row)
-            row = resolved.row
-            view = _StagedView(db)
-            changedimpl = set()
-    except StoreError as exc:
+        before = db.read_row(resolved.row) if resolved.action is Action.UPDATE else None
+        row = raw_apply(db, resolved)
+    except (MutationResolveError, StoreError) as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
     violations: list[Violation] = []
-    if resolved.action in (Action.INSERT, Action.UPDATE):
-        set_name = row.set_name
-        for constraint in db.schema.constraints_on(set_name):
-            if resolved.action is Action.INSERT or (
-                constraint.left.innermost.name in changedimpl
-                or constraint.right.innermost.name in changedimpl
+    if resolved.action is Action.INSERT:
+        for constraint in db.schema.constraints_on(row.set_name):
+            violations.extend(check_domain_row(db, constraint, row))
+    elif resolved.action is Action.UPDATE:
+        changed = {
+            name: value
+            for name, value in resolved.values.items()
+            if before[name] != value
+        }
+        for constraint in db.schema.constraints_on(row.set_name):
+            if (
+                constraint.left.innermost.name in changed
+                or constraint.right.innermost.name in changed
             ):
-                violations.extend(check_domain_row(view, constraint, row))
-        if resolved.action is Action.UPDATE:
-            table = dispatch(db.schema)
-            for fn_name in sorted(changedimpl):
-                for occ in table.get((set_name, fn_name), ()):
-                    if occ.position < occ.chain.length:
-                        violations.extend(
-                            check_link_update(view, occ, row, normalized[fn_name])
-                        )
+                violations.extend(check_domain_row(db, constraint, row))
+        table = dispatch(db.schema)
+        for fn_name in sorted(changed):
+            for occ in table.get((row.set_name, fn_name), ()):
+                if occ.position < occ.chain.length:
+                    violations.extend(
+                        check_link_update(db, occ, row, changed[fn_name])
+                    )
 
-    violations = _dedupe(violations)
     if violations:
-        return Verdict(Outcome.REJECTED, tuple(violations))
-
-    applied_row = raw_apply(db, resolved)
-    if m.action is Action.INSERT and m.handle and applied_row is not None:
-        handles[m.handle] = applied_row
-    return Verdict(Outcome.APPLIED, (), row=applied_row)
+        db.undo_write(row, before)
+        return Verdict(Outcome.REJECTED, tuple(_dedupe(violations)))
+    if m.action is Action.INSERT and m.handle:
+        handles[m.handle] = row
+    return Verdict(Outcome.APPLIED, (), row=row)
 
 
 def sort_violations(violations: Iterable[Violation]) -> list[Violation]:
@@ -516,10 +397,7 @@ def _constraint_violation(
         "witness": repr(witness),
         "constraint": constraint.id,
     }
-    try:
-        message = template.format(**context)
-    except (KeyError, IndexError, ValueError):
-        message = template
+    message = template.format(**context)
     return Violation(constraint.id, kind, witness, left, right, changed, message)
 
 

@@ -219,6 +219,27 @@ class DiagramConstraint:
         )
 
 
+@dataclass(frozen=True)
+class Occurrence:
+    """One chain position of one constraint, keyed by (set, function)."""
+
+    constraint: DiagramConstraint
+    side: Side
+    position: int
+
+    @property
+    def chain(self) -> ChainSpec:
+        return self.constraint.chain(self.side)
+
+    @property
+    def function_name(self) -> str:
+        return self.chain.functions[self.position - 1].name
+
+    @property
+    def set_name(self) -> str:
+        return self.chain.functions[self.position - 1].domain
+
+
 MESSAGE_FIELDS = frozenset(
     ("left", "right", "left_chain", "right_chain", "witness", "constraint")
 )
@@ -248,7 +269,13 @@ def message_template_problem(template: str) -> str | None:
 
 @dataclass(frozen=True)
 class Schema:
-    """An immutable, validated schema plus its admitted constraints."""
+    """An immutable, validated schema plus its admitted constraints.
+
+    Construction admits only GENERAL constraints whose message template
+    can always format (see message_template_problem); anything else raises
+    ValueError naming the constraint. The lookup tables, including the
+    per-(set, function) chain occurrences, are built once here.
+    """
 
     name: str
     sets: tuple[SetDef, ...]
@@ -257,6 +284,10 @@ class Schema:
     _sets_by_name: dict = field(default_factory=dict, repr=False, compare=False)
     _fns_by_set: dict = field(default_factory=dict, repr=False, compare=False)
     _links_into: dict = field(default_factory=dict, repr=False, compare=False)
+    _constraints_on: dict = field(default_factory=dict, repr=False, compare=False)
+    # (set, function) -> every chain position it holds, one per side;
+    # shared by every caller, do not mutate
+    occurrences: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_name = {s.name: s for s in self.sets}
@@ -266,11 +297,21 @@ class Schema:
             by_set.setdefault(fn.domain, {})[fn.name] = fn
             if fn.is_link:
                 links_into.setdefault(fn.codomain, []).append(fn)
+        constraints_on: dict[str, list[DiagramConstraint]] = {}
+        occurrences: dict[tuple[str, str], list[Occurrence]] = {}
+        for c in self.constraints:
+            _admit(c)
+            constraints_on.setdefault(c.domain_set, []).append(c)
+            for side in (Side.LEFT, Side.RIGHT):
+                for position, fn in enumerate(c.chain(side).functions, start=1):
+                    occurrences.setdefault((fn.domain, fn.name), []).append(
+                        Occurrence(c, side, position)
+                    )
         object.__setattr__(self, "_sets_by_name", by_name)
         object.__setattr__(self, "_fns_by_set", by_set)
-        object.__setattr__(
-            self, "_links_into", {k: tuple(v) for k, v in links_into.items()}
-        )
+        object.__setattr__(self, "_links_into", _tuples(links_into))
+        object.__setattr__(self, "_constraints_on", _tuples(constraints_on))
+        object.__setattr__(self, "occurrences", _tuples(occurrences))
 
     def set_def(self, name: str) -> SetDef | None:
         return self._sets_by_name.get(name)
@@ -298,17 +339,27 @@ class Schema:
         return None
 
     def constraints_on(self, domain_set: str) -> tuple[DiagramConstraint, ...]:
-        return tuple(c for c in self.constraints if c.domain_set == domain_set)
+        return self._constraints_on.get(domain_set, ())
 
     def with_constraints(self, constraints: tuple[DiagramConstraint, ...]) -> "Schema":
-        for c in constraints:
-            cls = classify_constraint(c)
-            if cls is not ConstraintClass.GENERAL:
-                raise ValueError(
-                    f"constraint {c.id!r} classifies as {cls.value}; "
-                    "only general diagram constraints are admitted"
-                )
         return Schema(self.name, self.sets, self.functions, constraints)
+
+
+def _admit(c: DiagramConstraint) -> None:
+    cls = classify_constraint(c)
+    if cls is not ConstraintClass.GENERAL:
+        raise ValueError(
+            f"constraint {c.id!r} classifies as {cls.value}; "
+            "only general diagram constraints are admitted"
+        )
+    if c.message is not None:
+        problem = message_template_problem(c.message)
+        if problem is not None:
+            raise ValueError(f"constraint {c.id!r}: {problem}")
+
+
+def _tuples(table: dict) -> dict:
+    return {key: tuple(values) for key, values in table.items()}
 
 
 @dataclass(frozen=True)
@@ -329,48 +380,6 @@ class RawConstraint:
     left: RawChain
     right: RawChain
     message: str | None = None
-
-
-def validate_schema(schema: Schema) -> list[Issue]:
-    """Check structural invariants of a programmatically built schema.
-
-    Duplicate set/function names cannot survive construction of the lookup
-    tables, so callers assembling schemas from text must check duplicates
-    before building (the DSL does, with source positions).
-    """
-    issues: list[Issue] = []
-    for s in schema.sets:
-        fn = schema.function(s.name, s.name_attribute)
-        if fn is None:
-            issues.append(
-                Issue(
-                    IssueCode.MISSING_NAME_ATTRIBUTE,
-                    f"set {s.name!r} designates missing attribute {s.name_attribute!r} as its name",
-                )
-            )
-        elif not fn.is_attribute:
-            issues.append(
-                Issue(
-                    IssueCode.BAD_NAME_ATTRIBUTE,
-                    f"name attribute {s.name_attribute!r} of set {s.name!r} must be an attribute function",
-                )
-            )
-    for fn in schema.functions:
-        if not schema.has_set(fn.domain):
-            issues.append(
-                Issue(
-                    IssueCode.UNKNOWN_SET,
-                    f"function {fn.name!r} is defined on unknown set {fn.domain!r}",
-                )
-            )
-        if fn.is_link and not schema.has_set(fn.codomain):
-            issues.append(
-                Issue(
-                    IssueCode.UNKNOWN_SET,
-                    f"link function {fn.name!r} on {fn.domain!r} targets unknown set {fn.codomain!r}",
-                )
-            )
-    return issues
 
 
 def resolve_chain(
@@ -529,25 +538,6 @@ def refusal_issue(candidate: DiagramConstraint, cls: ConstraintClass) -> Issue:
         f" {candidate.domain_set!r} (local constraint); it is enforced by the"
         " self-map constraint family, not by diagram checking",
     )
-
-
-def verify_resolved_chain(schema: Schema, chain: ChainSpec, domain_set: str) -> bool:
-    """Re-walk a resolved chain and confirm every structural invariant.
-
-    Used by tests and by defensive callers: composability of consecutive
-    entries, link-ness of every interior entry, and the declared domain.
-    """
-    if chain.is_identity:
-        return chain.identity_of == domain_set
-    if chain.functions[-1].domain != domain_set:
-        return False
-    for outer, inner in zip(chain.functions, chain.functions[1:]):
-        if not inner.is_link or inner.codomain != outer.domain:
-            return False
-    for fn in chain.functions:
-        if schema.function(fn.domain, fn.name) != fn:
-            return False
-    return True
 
 
 def _render_codomain(codomain: str | ScalarType) -> str:

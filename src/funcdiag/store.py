@@ -4,7 +4,9 @@ Rows live in per-set tables keyed by a surrogate integer that starts at 1,
 grows monotonically, and is never reused. Link values are stored as RowId
 references and mirrored in a reverse index (target row -> set of source
 rows) so preimages are a lookup, not a scan. Referential integrity and
-nullability are enforced on every write; deletes are RESTRICT-only.
+nullability are enforced on every write; deletes are RESTRICT-only. The
+latest insert or update can be taken back with undo_write, which trusts
+the pre-write state and so validates nothing.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -16,7 +18,7 @@ of the logical state captured by snapshot().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .model import FunctionDef, ScalarType, Schema
 
@@ -139,11 +141,6 @@ class Database:
         sources = index.get(target.x, ())
         return frozenset(RowId(domain_set, x) for x in sources)
 
-    def peek_next_id(self, set_name: str) -> int:
-        if set_name not in self._next_id:
-            raise UnknownSet(f"unknown set {set_name!r}")
-        return self._next_id[set_name]
-
     # -- validation (read-only, raises StoreError) ----------------------
 
     def validate_insert(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
@@ -198,48 +195,36 @@ class Database:
 
     def insert_row(self, set_name: str, values: Mapping[str, Value]) -> RowId:
         normalized = self.validate_insert(set_name, values)
-        x = self._next_id[set_name]
-        self._next_id[set_name] = x + 1
-        self._tables[set_name][x] = normalized
-        self.counter.touch()
-        for name, value in normalized.items():
-            if isinstance(value, RowId):
-                self._reverse[(set_name, name)].setdefault(value.x, set()).add(x)
-        return RowId(set_name, x)
-
-    def set_value(self, row: RowId, fn_name: str, value: Value) -> None:
-        self.set_values(row, {fn_name: value})
+        row = RowId(set_name, self._next_id[set_name])
+        self._next_id[set_name] = row.x + 1
+        self._tables[set_name][row.x] = dict.fromkeys(normalized)
+        self._write(row, normalized)
+        return row
 
     def set_values(self, row: RowId, values: Mapping[str, Value]) -> None:
         """Replace several values of one row; validates all before writing."""
-        normalized = self.validate_update(row, values)
-        stored = self._row(row)
-        self.counter.touch()
-        for name, value in normalized.items():
-            old = stored[name]
-            if isinstance(old, RowId):
-                index = self._reverse[(row.set_name, name)]
-                sources = index.get(old.x)
-                if sources is not None:
-                    sources.discard(row.x)
-                    if not sources:
-                        del index[old.x]
-            stored[name] = value
-            if isinstance(value, RowId):
-                self._reverse[(row.set_name, name)].setdefault(value.x, set()).add(row.x)
+        self._write(row, self.validate_update(row, values))
 
     def delete_row(self, row: RowId) -> None:
         self.validate_delete(row)
-        stored = self._tables[row.set_name].pop(row.x)
-        self.counter.touch()
-        for name, value in stored.items():
-            if isinstance(value, RowId):
-                index = self._reverse[(row.set_name, name)]
-                sources = index.get(value.x)
-                if sources is not None:
-                    sources.discard(row.x)
-                    if not sources:
-                        del index[value.x]
+        self._remove(row)
+
+    def undo_write(self, row: RowId, before: Mapping[str, Value] | None) -> None:
+        """Take back the latest write to the store, made to `row`.
+
+        `before` is the row's pre-write image as read_row returned it, or
+        None when the write was an insert. An undone insert removes the
+        row and its reverse-index entries and steps the set's next id
+        back, so a rejected insert burns no id; an undone update writes
+        the old values back and re-points the reverse index. Nothing is
+        validated and RESTRICT is not consulted: the pre-write state was
+        valid and only this write has changed it since.
+        """
+        if before is None:
+            self._remove(row)
+            self._next_id[row.set_name] = row.x
+        else:
+            self._write(row, before)
 
     # -- whole-store operations ------------------------------------------
 
@@ -272,19 +257,28 @@ class Database:
             },
         }
 
-    def dump_text(self) -> str:
-        """Line-oriented debugging dump; format is documented but not stable."""
-        lines: list[str] = []
-        for set_name in sorted(self._tables):
-            for x in sorted(self._tables[set_name]):
-                values = self._tables[set_name][x]
-                parts = " ".join(
-                    f"{name}={_render_value(values[name])}" for name in sorted(values)
-                )
-                lines.append(f"{set_name} x={x} {parts}".rstrip())
-        return "\n".join(lines)
-
     # -- internals ---------------------------------------------------------
+
+    def _write(self, row: RowId, values: Mapping[str, Value]) -> None:
+        """Store already-validated values and re-point the reverse index."""
+        stored = self._row(row)
+        self.counter.touch()
+        for name, value in values.items():
+            old = stored[name]
+            if isinstance(old, RowId):
+                index = self._reverse[(row.set_name, name)]
+                sources = index.get(old.x)
+                if sources is not None:
+                    sources.discard(row.x)
+                    if not sources:
+                        del index[old.x]
+            stored[name] = value
+            if isinstance(value, RowId):
+                self._reverse[(row.set_name, name)].setdefault(value.x, set()).add(row.x)
+
+    def _remove(self, row: RowId) -> None:
+        self._write(row, dict.fromkeys(self._row(row)))
+        del self._tables[row.set_name][row.x]
 
     def _row(self, row: RowId) -> dict[str, Value]:
         table = self._tables.get(row.set_name)
@@ -331,23 +325,3 @@ class Database:
                 )
         return value
 
-
-def brute_force_preimage(
-    db: Database, domain_set: str, fn_name: str, target: RowId
-) -> frozenset[RowId]:
-    """Reference implementation of inverse() by scanning every row."""
-    matches: list[RowId] = []
-    for row in db.rows(domain_set):
-        if db.lookup(row, fn_name) == target:
-            matches.append(row)
-    return frozenset(matches)
-
-
-def _render_value(value: Value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, RowId):
-        return repr(value)
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(value)

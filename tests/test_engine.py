@@ -138,9 +138,8 @@ def test_domain_row_mismatch_is_violation(geography_schema, geography_db):
     c = geo_constraint(geography_schema)
     danube = row_named(geography_db, "RIVERS", "River", "Danube")
     asia = row_named(geography_db, "CONTINENTS", "Continent", "Asia")
-    violations = check_domain_row(
-        geography_db, c, danube, bindings={"Continent": asia}
-    )
+    geography_db.set_values(danube, {"Continent": asia})
+    violations = check_domain_row(geography_db, c, danube)
     assert len(violations) == 1
     v = violations[0]
     assert v.kind is ViolationKind.COMMUTATIVE
@@ -152,7 +151,8 @@ def test_domain_row_mismatch_is_violation(geography_schema, geography_db):
 def test_domain_row_null_is_vacuous(geography_schema, geography_db):
     c = geo_constraint(geography_schema)
     danube = row_named(geography_db, "RIVERS", "River", "Danube")
-    assert check_domain_row(geography_db, c, danube, bindings={"Mountain": None}) == []
+    geography_db.set_values(danube, {"Mountain": None})
+    assert check_domain_row(geography_db, c, danube) == []
 
 
 def test_domain_row_anti_commutative_equal_is_violation(neighbors_schema):
@@ -317,7 +317,7 @@ def test_noop_update_is_applied_without_checks(geography_schema):
         ),
     )
     assert verdict.applied
-    # staging reads the row and validates the link target; no chain walks
+    # the write reads the row and validates the link target; no chain walks
     assert db.rows_inspected - before <= 4
 
 
@@ -341,6 +341,48 @@ def test_insert_runs_no_link_checks_and_fresh_rows_have_empty_affected(
     assert verdict.row is not None
     # nothing can reference a row created by this very mutation
     assert affected_rows(db, c.left, 1, verdict.row) == frozenset()
+
+
+def test_rejected_insert_burns_no_id(geography_schema):
+    db, handles = seeded_geography(geography_schema)
+    before = db.snapshot()
+    verdict = apply_mutation(db, RHONE, handles)
+    assert verdict.rejected
+    assert verdict.violations[0].kind is ViolationKind.COMMUTATIVE
+    assert db.snapshot() == before
+    verdict = apply_mutation(
+        db,
+        Mutation(
+            Action.INSERT,
+            set_name="RIVERS",
+            bindings=(Binding("River", "Rhone"), Binding("Continent", handles["europe"])),
+        ),
+    )
+    assert verdict.applied
+    assert verdict.row == RowId("RIVERS", before["next_ids"]["RIVERS"])
+
+
+def test_rejected_two_column_update_restores_both_link_targets(geography_schema):
+    db, handles = seeded_geography(geography_schema)
+    danube, montblanc, everest = handles["danube"], handles["montblanc"], handles["everest"]
+    before = db.snapshot()
+    old_sources = db.inverse("RIVERS", "Mountain", montblanc)
+    new_sources = db.inverse("RIVERS", "Mountain", everest)
+    assert danube in old_sources and danube not in new_sources
+    verdict = apply_mutation(
+        db,
+        Mutation(
+            Action.UPDATE,
+            row_ref=danube,
+            bindings=(Binding("River", "Donau"), Binding("Mountain", everest)),
+        ),
+    )
+    assert verdict.rejected
+    assert [v.witness for v in verdict.violations] == [danube]
+    assert db.inverse("RIVERS", "Mountain", montblanc) == old_sources
+    assert db.inverse("RIVERS", "Mountain", everest) == new_sources
+    assert db.lookup(danube, "River") == "Danube"
+    assert db.snapshot() == before
 
 
 def test_store_error_rejects_with_store_violation(geography_schema):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from funcdiag.model import (
     ConstraintKind,
     DiagramConstraint,
     FunctionDef,
+    Issue,
     IssueCode,
     RawChain,
     RawConstraint,
@@ -20,11 +22,70 @@ from funcdiag.model import (
     Side,
     classify_constraint,
     validate_diagram,
-    validate_schema,
-    verify_resolved_chain,
 )
 
 from randgen import make_schema
+
+
+def validate_schema(schema: Schema) -> list[Issue]:
+    """Check structural invariants of a programmatically built schema.
+
+    Duplicate set/function names cannot survive construction of the lookup
+    tables, so callers assembling schemas from text must check duplicates
+    before building (the DSL does, with source positions).
+    """
+    issues: list[Issue] = []
+    for s in schema.sets:
+        fn = schema.function(s.name, s.name_attribute)
+        if fn is None:
+            issues.append(
+                Issue(
+                    IssueCode.MISSING_NAME_ATTRIBUTE,
+                    f"set {s.name!r} designates missing attribute {s.name_attribute!r} as its name",
+                )
+            )
+        elif not fn.is_attribute:
+            issues.append(
+                Issue(
+                    IssueCode.BAD_NAME_ATTRIBUTE,
+                    f"name attribute {s.name_attribute!r} of set {s.name!r} must be an attribute function",
+                )
+            )
+    for fn in schema.functions:
+        if not schema.has_set(fn.domain):
+            issues.append(
+                Issue(
+                    IssueCode.UNKNOWN_SET,
+                    f"function {fn.name!r} is defined on unknown set {fn.domain!r}",
+                )
+            )
+        if fn.is_link and not schema.has_set(fn.codomain):
+            issues.append(
+                Issue(
+                    IssueCode.UNKNOWN_SET,
+                    f"link function {fn.name!r} on {fn.domain!r} targets unknown set {fn.codomain!r}",
+                )
+            )
+    return issues
+
+
+def verify_resolved_chain(schema: Schema, chain: ChainSpec, domain_set: str) -> bool:
+    """Re-walk a resolved chain and confirm every structural invariant.
+
+    Checks composability of consecutive entries, link-ness of every
+    interior entry, and the declared domain.
+    """
+    if chain.is_identity:
+        return chain.identity_of == domain_set
+    if chain.functions[-1].domain != domain_set:
+        return False
+    for outer, inner in zip(chain.functions, chain.functions[1:]):
+        if not inner.is_link or inner.codomain != outer.domain:
+            return False
+    for fn in chain.functions:
+        if schema.function(fn.domain, fn.name) != fn:
+            return False
+    return True
 
 
 def _raw(cid, kind, domain, left, right):
@@ -233,6 +294,17 @@ def test_schema_refuses_non_general_constraints():
     constraint, _ = validate_diagram(schema, raw)
     with pytest.raises(ValueError, match="local"):
         schema.with_constraints((constraint,))
+
+
+@pytest.mark.parametrize("template", ["bad {left.x}", "{left[a]}", "{right!r}", "unclosed {left"])
+def test_schema_refuses_a_message_template_that_cannot_format(geography_schema, template):
+    # built in code, not parsed: "{left.x}" used to reach apply_mutation
+    # and raise AttributeError at the first violation
+    constraint = replace(geography_schema.constraints[0], message=template)
+    with pytest.raises(ValueError, match="GeoContinent.*message template"):
+        geography_schema.with_constraints((constraint,))
+    with pytest.raises(ValueError, match="GeoContinent"):
+        Schema("G", geography_schema.sets, geography_schema.functions, (constraint,))
 
 
 @given(

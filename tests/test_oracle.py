@@ -36,7 +36,7 @@ def test_full_check_finds_seeded_violation(geography_schema):
 def test_full_check_vacuous_when_chain_nulled(geography_schema):
     db, handles = seeded_geography(geography_schema)
     for row in db.rows("RIVERS"):
-        db.set_value(row, "Mountain", None)
+        db.set_values(row, {"Mountain": None})
     db.insert_row(
         "RIVERS",
         {"River": "Free", "Continent": handles["asia"], "Mountain": None},

@@ -89,7 +89,7 @@ def replay(schema: Schema, script: str) -> None:
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
         if resolved.action is Action.INSERT:
-            next_x = db.peek_next_id(resolved.set_name)
+            next_x = db.snapshot()["next_ids"][resolved.set_name]
         verdict = apply_mutation(db, m, handles)
 
         try:

@@ -13,9 +13,43 @@ from funcdiag.store import (
     RowId,
     UnknownFunction,
     UnknownRow,
+    Value,
     ValueTypeMismatch,
-    brute_force_preimage,
 )
+
+
+def brute_force_preimage(
+    db: Database, domain_set: str, fn_name: str, target: RowId
+) -> frozenset[RowId]:
+    """Reference implementation of inverse() by scanning every row."""
+    matches: list[RowId] = []
+    for row in db.rows(domain_set):
+        if db.lookup(row, fn_name) == target:
+            matches.append(row)
+    return frozenset(matches)
+
+
+def dump_text(db: Database) -> str:
+    """Line-oriented debugging dump of every row, sorted by set and id."""
+    lines: list[str] = []
+    for set_name, table in sorted(db.snapshot()["tables"].items()):
+        for x in sorted(table):
+            values = table[x]
+            parts = " ".join(
+                f"{name}={_render_value(values[name])}" for name in sorted(values)
+            )
+            lines.append(f"{set_name} x={x} {parts}".rstrip())
+    return "\n".join(lines)
+
+
+def _render_value(value: Value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, RowId):
+        return repr(value)
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return str(value)
 
 
 @pytest.fixture()
@@ -84,7 +118,7 @@ def test_set_value_moves_reverse_index(db):
     toys = db.insert_row("CATEGORIES", {"Category": "toys"})
     item = db.insert_row("ITEMS", {"Item": "kite", "Category": tools})
     assert db.inverse("ITEMS", "Category", tools) == {item}
-    db.set_value(item, "Category", toys)
+    db.set_values(item, {"Category": toys})
     assert db.inverse("ITEMS", "Category", tools) == frozenset()
     assert db.inverse("ITEMS", "Category", toys) == {item}
 
@@ -100,7 +134,7 @@ def test_delete_restrict_lists_referencing_rows(db):
     with pytest.raises(RestrictViolation) as exc:
         db.delete_row(tools)
     assert exc.value.referencing == (item,)
-    db.set_value(item, "Category", None)
+    db.set_values(item, {"Category": None})
     db.delete_row(tools)
     assert not db.row_exists(tools)
 
@@ -114,7 +148,7 @@ def test_surrogates_never_reused_after_delete(db):
 
 def test_unknown_row_update(db):
     with pytest.raises(UnknownRow):
-        db.set_value(RowId("ITEMS", 4), "Item", "x")
+        db.set_values(RowId("ITEMS", 4), {"Item": "x"})
 
 
 def test_multi_value_update_validates_before_writing(db):
@@ -123,6 +157,22 @@ def test_multi_value_update_validates_before_writing(db):
     with pytest.raises(ValueTypeMismatch):
         db.set_values(item, {"Item": "hammer", "Stock": "oops"})
     assert db.lookup(item, "Item") == "saw"
+
+
+def test_undo_write_takes_back_an_update_and_an_insert(db):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    toys = db.insert_row("CATEGORIES", {"Category": "toys"})
+    item = db.insert_row("ITEMS", {"Item": "kite", "Category": tools})
+    before = db.snapshot()
+    image = db.read_row(item)
+    db.set_values(item, {"Item": "yo-yo", "Category": toys})
+    db.undo_write(item, image)
+    assert db.snapshot() == before
+    assert db.inverse("ITEMS", "Category", toys) == frozenset()
+    extra = db.insert_row("ITEMS", {"Item": "saw", "Category": toys})
+    db.undo_write(extra, None)
+    assert db.snapshot() == before
+    assert db.insert_row("ITEMS", {"Item": "saw"}) == extra
 
 
 def test_snapshot_equality_and_independence(db):
@@ -150,7 +200,7 @@ def test_clone_is_deep_and_shares_counter_by_default(db):
 def test_dump_text_mentions_rows(db):
     tools = db.insert_row("CATEGORIES", {"Category": "tools"})
     db.insert_row("ITEMS", {"Item": "saw", "Category": tools, "Stock": 3})
-    dump = db.dump_text()
+    dump = dump_text(db)
     assert 'CATEGORIES x=1 Category="tools"' in dump
     assert "Category=CATEGORIES#1" in dump and "Stock=3" in dump
 
@@ -184,8 +234,8 @@ def test_reverse_index_matches_brute_force_after_random_ops(schema, seed):
                     )
                 )
             elif op < 0.8 and items:
-                db.set_value(
-                    rng.choice(items), "Category", rng.choice(categories + [None])
+                db.set_values(
+                    rng.choice(items), {"Category": rng.choice(categories + [None])}
                 )
             elif items and rng.random() < 0.5:
                 victim = rng.choice(items)

@@ -4,13 +4,18 @@ Two dialects are supported for the check procedures. PAPER_STYLE emits
 event-handler pseudocode in the VBA idiom (Form_BeforeUpdate for the
 domain row, <fn>_BeforeUpdate for each interior chain position), with the
 lookups written as DLookup calls over nested IN subqueries. GENERIC_SQL
-emits portable BEFORE-trigger statements (SQLite-compatible) performing
-the same comparison via two chain-walk subqueries. Each GENERIC_SQL
-link-check unit starts with one `CREATE INDEX IF NOT EXISTS` per link
-column its triggers walk backwards, the SQL twin of the store's reverse
-index. An index is named `[SET.function]`: identifiers hold only
-alphanumerics and `_`, so the dot keeps names distinct, and units that
-walk the same column share its index.
+emits portable trigger statements (SQLite-compatible) performing the same
+comparison via two chain-walk subqueries over the written state. A
+trigger whose subqueries read the table it is defined on runs AFTER the
+write, because a BEFORE trigger would read the row being written with its
+old values; every other trigger runs BEFORE, where every row it reads is
+already in its post-state and a rejected write is never made.
+
+Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
+EXISTS` per link column its triggers walk backwards, the SQL twin of the
+store's reverse index. An index is named `[SET.function]`: identifiers
+hold only alphanumerics and `_`, so the dot keeps names distinct, and
+units that walk the same column share its index.
 
 Row-source queries come in one flavor only: a three-column query over the
 right-join ladder of the chain's tables for chains of two or more
@@ -124,23 +129,20 @@ def _ladder_query(schema: Schema, chain: ChainSpec) -> str:
     display = ' & ", " & '.join(pieces)
     alias = ", ".join(fn.name for fn in chain.functions[1:])
 
-    def ladder(j: int) -> str:
-        if j == k:
-            return tables[k - 1]
-        inner = ladder(j + 1)
-        if j + 1 < k:
-            inner = f"({inner})"
+    ladder = tables[k - 1]
+    for j in range(k - 1, 0, -1):
+        inner = f"({ladder})" if j + 1 < k else ladder
         joining_fn = chain.functions[j].name
         if j + 1 == k:
             cond = f"{tables[j]}.{joining_fn} = {tables[j - 1]}.x"
         else:
             cond = f"{tables[j - 1]}.x = {tables[j]}.{joining_fn}"
-        return f"{tables[j - 1]} RIGHT JOIN {inner} ON {cond}"
+        ladder = f"{tables[j - 1]} RIGHT JOIN {inner} ON {cond}"
 
     outer = chain.functions[0]
     lines = [
         f"SELECT {tables[-1]}.x, {display} AS [{alias}], {tables[0]}.{outer.name}",
-        f"FROM {ladder(1)}",
+        f"FROM {ladder}",
         f"ORDER BY {display};",
     ]
     return "\n".join(lines)
@@ -224,13 +226,16 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     right_expr = _sql_forward_walk(constraint.right, f"NEW.{_b(gm)}")
     cmp = _comparison_op(constraint.kind)
     message = _sql_string(_emitted_message(constraint))
+    timing = _timing(
+        domain, constraint.left.functions[:-1], constraint.right.functions[:-1]
+    )
     columns = _b(fn) if fn == gm else f"{_b(fn)}, {_b(gm)}"
     change_guard = f"NEW.{_b(fn)} IS NOT OLD.{_b(fn)}"
     if gm != fn:
         change_guard += f" OR NEW.{_b(gm)} IS NOT OLD.{_b(gm)}"
     insert_trigger = "\n".join(
         [
-            f"CREATE TRIGGER {cid}_{domain}_row_ins BEFORE INSERT ON {_b(domain)}",
+            f"CREATE TRIGGER {cid}_{domain}_row_ins {timing} INSERT ON {_b(domain)}",
             "FOR EACH ROW",
             "BEGIN",
             f"    SELECT RAISE(ABORT, {message})",
@@ -240,7 +245,7 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     )
     update_trigger = "\n".join(
         [
-            f"CREATE TRIGGER {cid}_{domain}_row_upd BEFORE UPDATE OF {columns} ON {_b(domain)}",
+            f"CREATE TRIGGER {cid}_{domain}_row_upd {timing} UPDATE OF {columns} ON {_b(domain)}",
             "FOR EACH ROW",
             f"WHEN {change_guard}",
             "BEGIN",
@@ -250,6 +255,14 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
         ]
     )
     return insert_trigger + "\n\n" + update_trigger
+
+
+def _timing(table: str, *walks: tuple[FunctionDef, ...]) -> str:
+    """AFTER when a trigger on `table` reads it through the link columns
+    of `walks`, BEFORE otherwise."""
+    if any(fn.domain == table for walk in walks for fn in walk):
+        return "AFTER"
+    return "BEFORE"
 
 
 def _sql_forward_walk(chain: ChainSpec, start: str, position: int | None = None) -> str:
@@ -463,8 +476,16 @@ def _sql_link_trigger(
     cmp = _comparison_op(constraint.kind)
     other_value = _sql_forward_walk(other, f"d.{_b(other.innermost.name)}")
     head = _sql_forward_walk(chain, f"NEW.{_b(fn.name)}", position)
+    # the head walk, the affected-row walk from the domain set, and the
+    # other chain's walk
+    timing = _timing(
+        fn.domain,
+        chain.functions[: position - 1],
+        _reverse_walk(chain, position),
+        other.functions[:-1],
+    )
     lines = [
-        f"CREATE TRIGGER {name} BEFORE UPDATE OF {_b(fn.name)} ON {_b(fn.domain)}",
+        f"CREATE TRIGGER {name} {timing} UPDATE OF {_b(fn.name)} ON {_b(fn.domain)}",
         "FOR EACH ROW",
         f"WHEN NEW.{_b(fn.name)} IS NOT NULL AND NEW.{_b(fn.name)} IS NOT OLD.{_b(fn.name)}",
         "BEGIN",

@@ -7,15 +7,19 @@ deletes with symbolic row handles and optional accept/reject expectations.
 
 Both parsers are all-or-nothing: they either return a fully validated
 result or every diagnostic found, each pointing at a source position.
-Identifiers are case-sensitive, strings are double-quoted with backslash
-escapes, `null` is a keyword literal, and `//` starts a line comment.
+They share one lexer: one compiled pattern with a named alternative per
+token class, read by a single `finditer` loop. Identifiers are
+case-sensitive and do not start with a decimal digit, `null` is a keyword
+literal, `//` starts a line comment, and strings are double-quoted with
+backslash escapes and end at the end of their line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .model import (
     ConstraintClass,
@@ -136,112 +140,78 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
     column: int
 
 
+# The first alternative that matches wins, so "-5" is an INT before "->"
+# is tried. `[^\W\d]` is a word character other than a decimal digit.
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in [
+            ("NEWLINE", r"\n"),
+            ("BLANK", r"[ \t\r]+"),
+            ("COMMENT", r"//[^\n]*"),
+            ("WORD", r"[^\W\d]\w*"),
+            ("INT", r"-?\d+"),
+            ("HANDLE", r"@\w+"),
+            ("AT", r"@"),
+            ("STRING", r'"(?:[^"\\\n]|\\.)*(?:(?P<CLOSE>")|\\?)'),
+            ("ARROW", r"->"),
+            ("PUNCT", r"[{}();:,=?.]"),
+            ("OTHER", r"."),
+        ]
+    )
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
 def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, column = 1, 1
-    i, n = 0, len(source)
+    line, line_start = 1, 0
 
-    def error(msg: str, at_line: int, at_col: int) -> None:
+    def error(message: str, column: int) -> None:
         diagnostics.append(
-            Diagnostic(Severity.ERROR, at_line, at_col, IssueCode.SYNTAX, msg)
+            Diagnostic(Severity.ERROR, line, column, IssueCode.SYNTAX, message)
         )
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
+        if kind == "BLANK" or kind == "COMMENT":
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+        text = m.group()
+        column = m.start() - line_start + 1
+        if kind == "WORD":
+            kind = text if text in _KEYWORDS else "IDENT"
+        elif kind == "PUNCT":
+            kind = _PUNCT[text]
+        elif kind == "HANDLE":
+            text = text[1:]
+        elif kind == "STRING":
+            if m["CLOSE"]:
+                text = text[1:-1]
+            else:
+                text = text[1:]
+                error("unterminated string literal", column)
+            if "\\" in text:
+                text = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
+        elif kind == "AT":
+            error("'@' must be followed by a handle name", column)
             continue
-        start_line, start_col = line, column
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = word if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
-            column += j - i
-            i = j
+        elif kind == "OTHER":
+            error(f"unexpected character {text!r}", column)
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], start_line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
-                error("'@' must be followed by a handle name", start_line, start_col)
-                i += 1
-                column += 1
-                continue
-            tokens.append(Token("HANDLE", source[i + 1 : j], start_line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            chars: list[str] = []
-            terminated = False
-            while j < n:
-                c = source[j]
-                if c == "\n":
-                    break
-                if c == '"':
-                    terminated = True
-                    j += 1
-                    break
-                if c == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                    continue
-                chars.append(c)
-                j += 1
-            if not terminated:
-                error("unterminated string literal", start_line, start_col)
-            tokens.append(Token("STRING", "".join(chars), start_line, start_col))
-            column += j - i
-            i = j
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token("ARROW", "->", start_line, start_col))
-            i += 2
-            column += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, start_line, start_col))
-            i += 1
-            column += 1
-            continue
-        error(f"unexpected character {ch!r}", start_line, start_col)
-        i += 1
-        column += 1
-
-    tokens.append(Token("EOF", "", line, column))
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens, diagnostics
 
 
@@ -967,7 +937,12 @@ def format_schema(schema: Schema) -> str:
 
 
 def format_script(mutations: list[Mutation]) -> str:
-    """Print mutations in canonical script form; parsing back is identity."""
+    """Print mutations in canonical script form; parsing the printout of a
+    parsed script gives the same mutations back.
+
+    Scripts name rows only through handles, so a mutation whose row or
+    value is a concrete `RowId` raises ValueError.
+    """
     lines = []
     for m in mutations:
         lines.append(_format_mutation(m))
@@ -978,33 +953,22 @@ def _format_mutation(m: Mutation) -> str:
     suffix = ""
     if m.expectation is not None:
         suffix = f" expect {m.expectation.value}"
+    bindings = ", ".join(f"{b.function} = {_render_value(b.value)}" for b in m.bindings)
     if m.action is Action.INSERT:
-        bindings = ", ".join(
-            f"{b.function} = {_render_binding_value(b.value)}" for b in m.bindings
-        )
         as_clause = f" as {m.handle}" if m.handle else ""
         return f"insert {m.set_name} ({bindings}){as_clause}{suffix} ;"
     if m.action is Action.UPDATE:
-        bindings = ", ".join(
-            f"{b.function} = {_render_binding_value(b.value)}" for b in m.bindings
-        )
-        return f"update {_render_ref(m.row_ref)} set {bindings}{suffix} ;"
-    return f"delete {_render_ref(m.row_ref)}{suffix} ;"
+        return f"update {_render_value(m.row_ref)} set {bindings}{suffix} ;"
+    return f"delete {_render_value(m.row_ref)}{suffix} ;"
 
 
-def _render_ref(ref: HandleRef | RowId | None) -> str:
-    if isinstance(ref, HandleRef):
-        return f"@{ref.name}"
-    return repr(ref)
-
-
-def _render_binding_value(value: BindingValue) -> str:
+def _render_value(value: BindingValue) -> str:
     if value is None:
         return "null"
     if isinstance(value, HandleRef):
         return f"@{value.name}"
     if isinstance(value, RowId):
-        return repr(value)
+        raise ValueError(f"row {value!r} has no handle; scripts name rows by handle")
     if isinstance(value, str):
         return _quote(value)
     return str(value)

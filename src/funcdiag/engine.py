@@ -209,7 +209,7 @@ def check_link_update(
     other = constraint.chain(occurrence.side.other)
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
     violations: list[Violation] = []
-    for x in sorted(affected_rows(db, chain, occurrence.position, r)):
+    for x in affected_rows(db, chain, occurrence.position, r):
         other_value = eval_chain(db, other, x)
         if other_value is None:
             continue

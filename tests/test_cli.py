@@ -1,0 +1,33 @@
+from __future__ import annotations
+
+from click.testing import CliRunner
+
+from funcdiag.cli import main
+
+from conftest import FIXTURES
+
+
+def test_run_reports_a_superscript_digit_as_a_positioned_diagnostic(tmp_path):
+    script = tmp_path / "sup.fdm"
+    script.write_text(
+        'insert CONTINENTS (Continent = "Europe") as c ;\n'
+        "update @c set Continent = ² ;\n",
+        encoding="utf-8",
+    )
+    schema = FIXTURES / "geography.fd"
+    result = CliRunner().invoke(main, ["run", str(schema), str(script)])
+    assert result.exit_code == 2, result.output
+    assert f"{script}:2:27: error [syntax] expected literal" in result.stderr
+
+
+def test_gen_emits_row_sources_for_a_1500_function_chain(tmp_path):
+    schema = tmp_path / "loop.fd"
+    schema.write_text(
+        "schema Loop ;\n"
+        "set A { name N : text ; f -> A ; }\n"
+        f"constraint c commutative on A {{ left = N{' . f' * 1500} ; right = N ; }}\n",
+        encoding="utf-8",
+    )
+    result = CliRunner().invoke(main, ["gen", str(schema), "--what", "row-sources"])
+    assert result.exit_code == 0, result.exception
+    assert result.output.count("RIGHT JOIN") == 1499

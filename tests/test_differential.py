@@ -1,24 +1,29 @@
-"""The engine against the oracle on randomized schemas and mutation streams.
+"""The engine, the oracle and the emitted SQL on randomized schemas and
+mutation streams.
 
 Each seed grows a schema with 1-3 constraints (chains may share
 functions, loop, and revisit sets), seeds a valid database, and feeds the
-same 60 random mutations to apply_mutation on one copy and oracle_apply
-on another.
+same 60 random mutations to apply_mutation on one copy, oracle_apply on
+another, and SQLite guarded by the emitted generic-sql triggers on a
+third.
 """
 
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
 from funcdiag.dsl import Action
-from funcdiag.engine import apply_mutation
+from funcdiag.engine import apply_mutation, resolve_mutation
 from funcdiag.oracle import oracle_apply
 
 from randgen import make_mutation, make_schema, seed_database
+from test_sql_harness import contents, generic_sql_units, install, sql_apply, sql_contents
 
-SEEDS = range(40)
+# 143-182 are seeds on which BEFORE triggers read a row's old values
+SEEDS = [*range(40), 143, 150, 167, 182]
 MUTATIONS = 60
 
 
@@ -32,9 +37,14 @@ def _keys(verdict) -> set:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engine_agrees_with_oracle(seed):
+    """Engine, oracle and SQLite: the same verdict after every step and the
+    same final tables."""
     rng = random.Random(seed)
-    db = seed_database(rng, _schema(rng))
+    schema = _schema(rng)
+    db = seed_database(rng, schema)
     reference = db.clone(share_counter=False)
+    connection = sqlite3.connect(":memory:")
+    install(connection, schema, generic_sql_units(schema), db)
     for step in range(MUTATIONS):
         m = make_mutation(rng, db)
         before = db.snapshot()
@@ -46,6 +56,11 @@ def test_engine_agrees_with_oracle(seed):
             assert _keys(verdict) == _keys(expected), where
             assert db.snapshot() == before, where
         assert db.snapshot() == reference.snapshot(), where
+        resolved = resolve_mutation(m, {})
+        next_x = before["next_ids"].get(resolved.set_name)
+        assert sql_apply(connection, resolved, next_x) == verdict.applied, where
+    assert contents(connection, schema) == sql_contents(db)
+    connection.close()
 
 
 def test_seeds_cover_revisiting_chains_and_multi_column_updates():

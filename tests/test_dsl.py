@@ -11,6 +11,7 @@ from funcdiag.dsl import (
     Binding,
     Expectation,
     HandleRef,
+    Mutation,
     Severity,
     format_schema,
     format_script,
@@ -18,6 +19,7 @@ from funcdiag.dsl import (
     parse_script,
 )
 from funcdiag.model import ConstraintKind, IssueCode, ScalarType
+from funcdiag.store import RowId
 
 from conftest import fixture_text
 from randgen import make_schema
@@ -134,6 +136,27 @@ def test_update_with_expectation_round_trips(geography_schema):
     assert reparsed == mutations
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        Mutation(
+            Action.UPDATE,
+            row_ref=RowId("CONTINENTS", 3),
+            bindings=(Binding("Continent", "x"),),
+        ),
+        Mutation(Action.DELETE, row_ref=RowId("CONTINENTS", 3)),
+        Mutation(
+            Action.INSERT,
+            set_name="MOUNTAIN_RANGES",
+            bindings=(Binding("Continent", RowId("CONTINENTS", 1)),),
+        ),
+    ],
+)
+def test_format_script_refuses_rows_without_a_handle(mutation):
+    with pytest.raises(ValueError, match="CONTINENTS#"):
+        format_script([mutation])
+
+
 def test_handle_must_be_bound_before_use(geography_schema):
     mutations, diagnostics = parse_script(
         "update @ghost set Continent = null ;", geography_schema
@@ -227,26 +250,79 @@ def test_schema_round_trip_on_random_models(seed):
     assert format_schema(reparsed) == printed
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_mutilated_sources_keep_diagnostics_in_bounds(data):
-    source = GEOGRAPHY
+def _mutilate(data, source: str) -> str:
     n_edits = data.draw(st.integers(min_value=1, max_value=6))
     for _ in range(n_edits):
         kind = data.draw(st.sampled_from(["delete", "insert", "replace"]))
         pos = data.draw(st.integers(min_value=0, max_value=max(len(source) - 1, 0)))
-        char = data.draw(st.sampled_from(list(' ;{}()->.@"xq5\n')))
+        char = data.draw(st.sampled_from([*' ;{}()->.@"xq5\n²é\\\r', "//"]))
         if kind == "delete":
             source = source[:pos] + source[pos + 1 :]
         elif kind == "insert":
             source = source[:pos] + char + source[pos:]
         else:
             source = source[:pos] + char + source[pos + 1 :]
-    _, diagnostics = parse_schema(source)
+    return source
+
+
+def _assert_in_bounds(source: str, diagnostics) -> None:
     lines = source.split("\n")
     for d in diagnostics:
         assert 1 <= d.line <= len(lines)
         assert 1 <= d.column <= len(lines[d.line - 1]) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutilated_sources_keep_diagnostics_in_bounds(data):
+    source = _mutilate(data, GEOGRAPHY)
+    _, diagnostics = parse_schema(source)
+    _assert_in_bounds(source, diagnostics)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutilated_scripts_keep_diagnostics_in_bounds(geography_schema, data):
+    source = _mutilate(data, fixture_text("geography_ac1.fdm"))
+    _, diagnostics = parse_script(source, geography_schema)
+    _assert_in_bounds(source, diagnostics)
+
+
+# -- lexer edge cases ---------------------------------------------------------
+
+
+def test_non_decimal_digit_is_a_word_not_an_integer(geography_schema):
+    source = (
+        'insert CONTINENTS (Continent = "Europe") as c ;\n'
+        "update @c set Continent = ² ;"
+    )
+    mutations, diagnostics = parse_script(source, geography_schema)
+    assert mutations is None
+    [d] = diagnostics
+    assert (d.line, d.column, d.code) == (2, 27, IssueCode.SYNTAX)
+    assert d.message == "expected literal, handle or 'null', found '²'"
+
+
+@pytest.mark.parametrize("next_line", [None, "; delete x ;"])
+def test_string_ends_at_its_line_and_keeps_a_final_backslash(geography_schema, next_line):
+    source = 'insert CONTINENTS "a\\'
+    expected = [
+        "1:19: error [syntax] unterminated string literal",
+        "1:19: error [syntax] expected '(', found 'a\\\\'",
+    ]
+    if next_line is not None:
+        # the newline after the backslash is not swallowed into the string
+        source += "\n" + next_line
+        expected.append("2:10: error [syntax] expected row handle, found 'x'")
+    _, diagnostics = parse_script(source, geography_schema)
+    assert [d.render() for d in diagnostics] == expected
+
+
+def test_end_of_input_column_counts_a_trailing_comment():
+    _, diagnostics = parse_schema("schema T // no semicolon")
+    [d] = diagnostics
+    assert (d.line, d.column) == (1, 25)
+    assert d.message == "expected ';', found end of input"
 
 
 @pytest.mark.parametrize(

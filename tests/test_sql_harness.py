@@ -15,7 +15,7 @@ import pytest
 
 from funcdiag.codegen import Dialect, EmittedUnit, emit_units
 from funcdiag.dsl import Action, parse_schema, parse_script
-from funcdiag.engine import apply_mutation, resolve_mutation
+from funcdiag.engine import ResolvedMutation, apply_mutation, resolve_mutation
 from funcdiag.model import ScalarType, Schema
 from funcdiag.store import Database, RowId
 
@@ -62,10 +62,24 @@ def generic_sql_units(schema: Schema) -> list[EmittedUnit]:
 
 
 def install(
-    connection: sqlite3.Connection, schema: Schema, units: list[EmittedUnit]
+    connection: sqlite3.Connection,
+    schema: Schema,
+    units: list[EmittedUnit],
+    db: Database | None = None,
 ) -> sqlite3.Connection:
-    connection.execute("PRAGMA foreign_keys = ON;")
+    """Create the tables, copy in `db`'s rows if given (foreign keys are
+    still off, so rows may name rows inserted after them), switch foreign
+    keys on and install `units`."""
     connection.executescript(sqlite_ddl(schema))
+    if db is not None:
+        for set_name, table in sql_contents(db).items():
+            marks = ", ".join("?" * (len(schema.functions_of(set_name)) + 1))
+            connection.executemany(
+                f"INSERT INTO [{set_name}] VALUES ({marks})",
+                [(x, *values) for x, values in table.items()],
+            )
+        connection.commit()
+    connection.execute("PRAGMA foreign_keys = ON;")
     for unit in units:
         connection.executescript(unit.body)
     return connection
@@ -77,49 +91,78 @@ def to_sql_value(value):
     return value
 
 
+def sql_contents(db: Database) -> dict[str, dict]:
+    """The engine's tables as SQLite rows: {set: {x: values in schema order}}."""
+    tables = {}
+    for set_name, table in db.snapshot()["tables"].items():
+        functions = db.schema.functions_of(set_name)
+        tables[set_name] = {
+            x: tuple(to_sql_value(values[fn.name]) for fn in functions)
+            for x, values in table.items()
+        }
+    return tables
+
+
+def contents(connection: sqlite3.Connection, schema: Schema) -> dict[str, dict]:
+    """Every SQLite table as {x: values in schema order}."""
+    tables = {}
+    for set_def in schema.sets:
+        names = ["x"] + [fn.name for fn in schema.functions_of(set_def.name)]
+        columns = ", ".join(f"[{n}]" for n in names)
+        tables[set_def.name] = {
+            row[0]: row[1:]
+            for row in connection.execute(f"SELECT {columns} FROM [{set_def.name}]")
+        }
+    return tables
+
+
+def sql_apply(
+    connection: sqlite3.Connection, resolved: ResolvedMutation, next_x: int | None
+) -> bool:
+    """Run one resolved mutation as its own transaction; False when SQLite
+    refuses it. An insert gets row id `next_x`, as the store would give."""
+    try:
+        with connection:
+            if resolved.action is Action.INSERT:
+                names = list(resolved.values)
+                columns = ", ".join(f"[{n}]" for n in ["x"] + names)
+                marks = ", ".join("?" for _ in range(len(names) + 1))
+                args = [next_x] + [to_sql_value(resolved.values[n]) for n in names]
+                connection.execute(
+                    f"INSERT INTO [{resolved.set_name}] ({columns}) VALUES ({marks})",
+                    args,
+                )
+            elif resolved.action is Action.UPDATE:
+                names = list(resolved.values)
+                assignments = ", ".join(f"[{n}] = ?" for n in names)
+                args = [to_sql_value(resolved.values[n]) for n in names]
+                connection.execute(
+                    f"UPDATE [{resolved.row.set_name}] SET {assignments} WHERE [x] = ?",
+                    args + [resolved.row.x],
+                )
+            else:
+                connection.execute(
+                    f"DELETE FROM [{resolved.row.set_name}] WHERE [x] = ?",
+                    (resolved.row.x,),
+                )
+        return True
+    except sqlite3.Error:
+        return False
+
+
 def replay(schema: Schema, script: str) -> None:
     mutations, diagnostics = parse_script(script, schema)
     assert mutations is not None, diagnostics
 
     db = Database(schema)
     handles: dict[str, RowId] = {}
-    connection = sqlite3.connect(":memory:")
-    install(connection, schema, generic_sql_units(schema))
+    connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
 
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
-        if resolved.action is Action.INSERT:
-            next_x = db.snapshot()["next_ids"][resolved.set_name]
+        next_x = db.snapshot()["next_ids"].get(resolved.set_name)
         verdict = apply_mutation(db, m, handles)
-
-        try:
-            with connection:
-                if resolved.action is Action.INSERT:
-                    names = list(resolved.values)
-                    columns = ", ".join(f"[{n}]" for n in ["x"] + names)
-                    marks = ", ".join("?" for _ in range(len(names) + 1))
-                    args = [next_x] + [to_sql_value(resolved.values[n]) for n in names]
-                    connection.execute(
-                        f"INSERT INTO [{resolved.set_name}] ({columns}) VALUES ({marks})",
-                        args,
-                    )
-                elif resolved.action is Action.UPDATE:
-                    names = list(resolved.values)
-                    assignments = ", ".join(f"[{n}] = ?" for n in names)
-                    args = [to_sql_value(resolved.values[n]) for n in names]
-                    connection.execute(
-                        f"UPDATE [{resolved.row.set_name}] SET {assignments} WHERE [x] = ?",
-                        args + [resolved.row.x],
-                    )
-                else:
-                    connection.execute(
-                        f"DELETE FROM [{resolved.row.set_name}] WHERE [x] = ?",
-                        (resolved.row.x,),
-                    )
-            sql_applied = True
-        except sqlite3.Error:
-            sql_applied = False
-
+        sql_applied = sql_apply(connection, resolved, next_x)
         assert sql_applied == verdict.applied, (
             f"statement {index} (line {m.line}): engine={verdict.outcome.value},"
             f" sqlite={'applied' if sql_applied else 'rejected'}"
@@ -127,20 +170,7 @@ def replay(schema: Schema, script: str) -> None:
         if m.expectation is not None:
             assert (m.expectation.value == "accept") == verdict.applied
 
-    for set_def in schema.sets:
-        fn_names = [fn.name for fn in schema.functions_of(set_def.name)]
-        column_list = ", ".join(f"[{n}]" for n in fn_names)
-        sql_rows = {
-            row[0]: row[1:]
-            for row in connection.execute(
-                f"SELECT [x], {column_list} FROM [{set_def.name}]"
-            )
-        }
-        engine_rows = {
-            row.x: tuple(to_sql_value(db.lookup(row, n)) for n in fn_names)
-            for row in db.rows(set_def.name)
-        }
-        assert sql_rows == engine_rows, set_def.name
+    assert contents(connection, schema) == sql_contents(db)
     connection.close()
 
 
@@ -159,6 +189,11 @@ def test_neighbors_replay_matches_engine(neighbors_schema):
         "insert NEIGHBOR_COUNTRIES (Pair = \"Germany-Spain\", Country = @germany,"
         " Neighbor = @spain) as de_es expect accept ;\n"
         "update @spain set FrontierColor = \"blue\" expect reject ;\n"
+        # a self-neighbour pair: the recolor's trigger must read the new colour
+        'insert COUNTRIES (Country = "Andorra") as andorra ;\n'
+        'insert NEIGHBOR_COUNTRIES (Pair = "Andorra-Andorra", Country = @andorra,'
+        " Neighbor = @andorra) expect accept ;\n"
+        'update @andorra set FrontierColor = "blue" expect reject ;\n'
     )
     replay(neighbors_schema, script)
 

@@ -792,7 +792,17 @@ class _ScriptParser(_Parser):
             return tok.value
         if tok.kind == "INT":
             self.advance()
-            return int(tok.value)
+            # Measure before converting: int() refuses very long strings.
+            digits = tok.value.lstrip("-").lstrip("0") or "0"
+            if len(digits) <= len(str(_INT_MAX)):
+                value = -int(digits) if tok.value.startswith("-") else int(digits)
+                if _INT_MIN <= value <= _INT_MAX:
+                    return value
+            self.error(
+                "integer literal outside the signed 64-bit range [-2^63, 2^63 - 1]",
+                tok,
+            )
+            return _NO_VALUE
         if tok.kind == "HANDLE":
             self.advance()
             self._resolve_handle(tok)
@@ -882,6 +892,9 @@ class _NoValue:
 
 
 _NO_VALUE = _NoValue()
+
+# Integer values are SQLite's: signed 64-bit.
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 
 
 def parse_script(

@@ -17,12 +17,17 @@ reverse-reachability walk over the store's indexes), and compares the
 head against the other chain's value at each of those rows. A null
 anywhere in a chain makes the instance vacuously satisfied, so checks
 drop out as early as possible on nulls.
+
+A violation keeps the constraint it breaks and formats its message when
+the message is first read, so a rejection with many witness rows costs
+one small record per witness until someone prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, MutableMapping
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
@@ -59,13 +64,34 @@ class ChangedLink:
 
 @dataclass(frozen=True)
 class Violation:
+    """One broken constraint at one witness row, or one store error.
+
+    `source` is the violated constraint, or the store error's text; the
+    message is formatted from it on first read.
+    """
+
     constraint: str | None
     kind: ViolationKind
     witness: RowId | None
     left: Value
     right: Value
     changed: ChangedLink | None
-    message: str
+    source: DiagramConstraint | str = field(compare=False, repr=False)
+
+    @cached_property
+    def message(self) -> str:
+        if isinstance(self.source, str):
+            return self.source
+        constraint = self.source
+        template = constraint.message or constraint.default_message()
+        return template.format(
+            left=_render_opt(self.left),
+            right=_render_opt(self.right),
+            left_chain=constraint.left.render(),
+            right_chain=constraint.right.render(),
+            witness=repr(self.witness),
+            constraint=constraint.id,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,11 +167,10 @@ def eval_prefix(db: Database, chain: ChainSpec, position: int, start: Value) -> 
     """Apply the outer functions (position-1 .. 1) to a value already in
     the codomain of the function at `position`; null propagates."""
     current = start
-    for j in range(position - 1, 0, -1):
+    for fn in reversed(chain.functions[: position - 1]):
         if current is None:
             return None
-        assert isinstance(current, RowId)
-        current = db.lookup(current, chain.functions[j - 1].name)
+        current = db.lookup(current, fn.name)
     return current
 
 
@@ -156,12 +181,10 @@ def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> fr
     for position == n the row is itself in the domain set.
     """
     frontier: frozenset[RowId] = frozenset((r,))
-    for j in range(position + 1, chain.length + 1):
-        fn = chain.functions[j - 1]
-        gathered: set[RowId] = set()
-        for target in frontier:
-            gathered.update(db.inverse(fn.domain, fn.name, target))
-        frontier = frozenset(gathered)
+    for fn in chain.functions[position:]:
+        frontier = frozenset().union(
+            *[db.inverse(fn.domain, fn.name, target) for target in frontier]
+        )
         if not frontier:
             break
     return frontier
@@ -185,10 +208,9 @@ def check_domain_row(
     if left is None:
         return []
     right = eval_chain(db, constraint.right, x)
-    if right is None:
+    if right is None or (left == right) is _holds_when_equal(constraint):
         return []
-    violation = _judge(constraint, x, left, right, None)
-    return [] if violation is None else [violation]
+    return [_constraint_violation(constraint, x, left, right, None)]
 
 
 def check_link_update(
@@ -208,37 +230,23 @@ def check_link_update(
         return []
     other = constraint.chain(occurrence.side.other)
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
+    head_is_left = occurrence.side is Side.LEFT
+    holds_when_equal = _holds_when_equal(constraint)
     violations: list[Violation] = []
     for x in affected_rows(db, chain, occurrence.position, r):
         other_value = eval_chain(db, other, x)
-        if other_value is None:
+        if other_value is None or (head == other_value) is holds_when_equal:
             continue
-        if occurrence.side is Side.LEFT:
-            violation = _judge(constraint, x, head, other_value, changed)
-        else:
-            violation = _judge(constraint, x, other_value, head, changed)
-        if violation is not None:
-            violations.append(violation)
+        left, right = (head, other_value) if head_is_left else (other_value, head)
+        violations.append(_constraint_violation(constraint, x, left, right, changed))
     return violations
 
 
-def _judge(
-    constraint: DiagramConstraint,
-    x: RowId,
-    left: Value,
-    right: Value,
-    changed: ChangedLink | None,
-) -> Violation | None:
-    """The violation at x if the two non-null chain values break the
-    constraint: commutative ones by differing, anti-commutative ones by
-    being equal."""
-    if constraint.kind is ConstraintKind.COMMUTATIVE:
-        violated = left != right
-    else:
-        violated = left == right
-    if not violated:
-        return None
-    return _constraint_violation(constraint, x, left, right, changed)
+def _holds_when_equal(constraint: DiagramConstraint) -> bool:
+    """Whether two non-null chain values satisfy the constraint exactly
+    when they are equal: commutative constraints need equal values,
+    anti-commutative ones different values."""
+    return constraint.kind is ConstraintKind.COMMUTATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +364,7 @@ def apply_mutation(
 def sort_violations(violations: Iterable[Violation]) -> list[Violation]:
     return sorted(
         violations,
-        key=lambda v: (
-            v.constraint or "",
-            v.witness.set_name if v.witness else "",
-            v.witness.x if v.witness else 0,
-        ),
+        key=lambda v: (v.constraint or "", v.witness or ("", 0)),
     )
 
 
@@ -388,17 +392,7 @@ def _constraint_violation(
         if constraint.kind is ConstraintKind.COMMUTATIVE
         else ViolationKind.ANTI_COMMUTATIVE
     )
-    template = constraint.message or constraint.default_message()
-    context = {
-        "left": _render_opt(left),
-        "right": _render_opt(right),
-        "left_chain": constraint.left.render(),
-        "right_chain": constraint.right.render(),
-        "witness": repr(witness),
-        "constraint": constraint.id,
-    }
-    message = template.format(**context)
-    return Violation(constraint.id, kind, witness, left, right, changed, message)
+    return Violation(constraint.id, kind, witness, left, right, changed, constraint)
 
 
 def _store_violation(message: str) -> Violation:

@@ -17,15 +17,17 @@ of the logical state captured by snapshot().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from itertools import repeat
+from typing import Mapping, NamedTuple, Union
 
 from .model import FunctionDef, ScalarType, Schema
 
 
-@dataclass(frozen=True, order=True)
-class RowId:
-    """Surrogate identifier of one row of one set."""
+class RowId(NamedTuple):
+    """Surrogate identifier of one row of one set.
+
+    A tuple, so hashing, equality and ordering by (set_name, x) run in C.
+    """
 
     set_name: str
     x: int
@@ -139,7 +141,7 @@ class Database:
             raise UnknownFunction(f"no link function {fn_name!r} on {domain_set!r}")
         self.counter.touch()
         sources = index.get(target.x, ())
-        return frozenset(RowId(domain_set, x) for x in sources)
+        return frozenset(map(RowId, repeat(domain_set), sources))
 
     # -- validation (read-only, raises StoreError) ----------------------
 
@@ -281,13 +283,12 @@ class Database:
         del self._tables[row.set_name][row.x]
 
     def _row(self, row: RowId) -> dict[str, Value]:
-        table = self._tables.get(row.set_name)
-        if table is None:
-            raise UnknownSet(f"unknown set {row.set_name!r}")
-        values = table.get(row.x)
-        if values is None:
-            raise UnknownRow(f"no row {row!r}")
-        return values
+        try:
+            return self._tables[row.set_name][row.x]
+        except KeyError:
+            if row.set_name not in self._tables:
+                raise UnknownSet(f"unknown set {row.set_name!r}") from None
+            raise UnknownRow(f"no row {row!r}") from None
 
     def _check_value(self, fn: FunctionDef, value: Value) -> Value:
         if value is None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from click.testing import CliRunner
 
 from funcdiag.cli import main
@@ -20,6 +21,19 @@ def test_run_reports_a_superscript_digit_as_a_positioned_diagnostic(tmp_path):
     assert f"{script}:2:27: error [syntax] expected literal" in result.stderr
 
 
+def test_run_reports_a_5000_digit_integer_as_a_positioned_diagnostic(tmp_path):
+    script = tmp_path / "long.fdm"
+    script.write_text(
+        'insert CONTINENTS (Continent = "Europe") as c ;\n'
+        f"update @c set Continent = {'1' * 5000} ;\n",
+        encoding="utf-8",
+    )
+    schema = FIXTURES / "geography.fd"
+    result = CliRunner().invoke(main, ["run", str(schema), str(script)])
+    assert result.exit_code == 2, result.output
+    assert f"{script}:2:27: error [syntax] integer literal outside" in result.stderr
+
+
 def test_gen_emits_row_sources_for_a_1500_function_chain(tmp_path):
     schema = tmp_path / "loop.fd"
     schema.write_text(
@@ -31,3 +45,16 @@ def test_gen_emits_row_sources_for_a_1500_function_chain(tmp_path):
     result = CliRunner().invoke(main, ["gen", str(schema), "--what", "row-sources"])
     assert result.exit_code == 0, result.exception
     assert result.output.count("RIGHT JOIN") == 1499
+
+
+@pytest.mark.parametrize(
+    "schema, script", [("geography", "geography_ac1"), ("neighbors", "neighbors_ac2")]
+)
+@pytest.mark.parametrize("suffix, flags", [("json", ["--json"]), ("txt", [])])
+def test_run_output_matches_golden(schema, script, suffix, flags):
+    """Messages, to_json_dict, render_line and rows_inspected, byte for byte."""
+    args = ["run", str(FIXTURES / f"{schema}.fd"), str(FIXTURES / f"{script}.fdm")]
+    result = CliRunner().invoke(main, args + flags)
+    assert result.exit_code == 0, result.output
+    golden = FIXTURES / "runs" / f"{script}.{suffix}"
+    assert result.stdout == golden.read_text(encoding="utf-8")

@@ -223,6 +223,36 @@ def test_comments_and_negative_integers(geography_schema):
     assert mutations[0].bindings[1].value == -42
 
 
+_DEPTH_SCHEMA = "schema T ;\nset A { name N : text ; Depth : integer ? ; }\n"
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 5000, str(2**63), str(-(2**63) - 1)],
+    ids=["5000-digits", "2^63", "-2^63-1"],
+)
+def test_integer_literal_outside_64_bits_is_a_positioned_diagnostic(literal):
+    schema, _ = parse_schema(_DEPTH_SCHEMA)
+    source = f'insert A (N = "x") ;\ninsert A (N = "y", Depth = {literal}) ;\n'
+    mutations, diagnostics = parse_script(source, schema)
+    assert mutations is None
+    [d] = diagnostics
+    assert (d.line, d.column, d.code) == (2, 28, IssueCode.SYNTAX)
+    assert "64-bit range" in d.message
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [(str(2**63 - 1), 2**63 - 1), (str(-(2**63)), -(2**63)), ("-" + "0" * 5000, 0)],
+    ids=["2^63-1", "-2^63", "5000-zeros"],
+)
+def test_integer_literal_at_the_64_bit_bounds_parses(literal, value):
+    schema, _ = parse_schema(_DEPTH_SCHEMA)
+    mutations, diagnostics = parse_script(f'insert A (N = "x", Depth = {literal}) ;', schema)
+    assert diagnostics == []
+    assert mutations[0].bindings[1].value == value
+
+
 def test_string_escapes_round_trip(geography_schema):
     source = 'insert CONTINENTS (Continent = "a\\"b\\\\c\\n") ;'
     mutations, diagnostics = parse_script(source, geography_schema)

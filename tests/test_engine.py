@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from funcdiag.dsl import Action, Binding, HandleRef, Mutation, parse_schema, parse_script
 from funcdiag.engine import (
     Outcome,
+    Violation,
     ViolationKind,
     affected_rows,
     apply_mutation,
@@ -557,6 +558,29 @@ def test_every_message_field_formats_in_a_violation():
         f"GeoContinent {violation.witness!r}:"
         f" Continent . Range . Subrange . Group . Mountain={handles['europe']!r}"
         f" vs Continent={handles['asia']!r} {{x}}"
+    )
+
+
+def test_violation_message_is_read_twice_alike_and_equality_ignores_source(
+    geography_schema,
+):
+    db, handles = seeded_geography(geography_schema)
+    [violation] = apply_mutation(db, RHONE, handles).violations
+    message = violation.message
+    assert violation.message == message
+    assert message.endswith(f"(left={violation.left!r}, right={violation.right!r})")
+    assert replace(violation, source="another text") == violation
+
+
+def test_store_error_violation_built_positionally_returns_its_text():
+    violation = Violation(
+        None, ViolationKind.STORE_ERROR, None, None, None, None, "no row 'S#3'"
+    )
+    assert violation.message == "no row 'S#3'"
+    assert violation.to_json_dict()["message"] == "no row 'S#3'"
+    assert violation.render_line() == (
+        "constraint=- kind=store-error witness=null left=null right=null"
+        " :: no row 'S#3'"
     )
 
 

@@ -71,6 +71,16 @@ def db(schema):
     return Database(schema)
 
 
+def test_row_id_sorts_by_set_then_x_and_prints_as_set_hash_x():
+    rows = [RowId("B", 1), RowId("A", 10), RowId("A", 2)]
+    assert sorted(rows) == [RowId("A", 2), RowId("A", 10), RowId("B", 1)]
+    assert repr(RowId("S", 3)) == "S#3"
+    assert RowId("A", 3) != RowId("B", 3)
+    assert len({RowId("A", 3), RowId("B", 3)}) == 2
+    # the hash of the (set_name, x) pair, so set iteration order is stable
+    assert hash(RowId("S", 3)) == hash(("S", 3))
+
+
 def test_first_surrogate_is_one(db):
     row = db.insert_row("CATEGORIES", {"Category": "tools"})
     assert row == RowId("CATEGORIES", 1)

@@ -14,7 +14,6 @@ from .codegen import (
     gen_domain_check,
     gen_link_checks,
     gen_row_source,
-    normalize_text,
 )
 from .dsl import (
     Action,
@@ -24,8 +23,6 @@ from .dsl import (
     HandleRef,
     Mutation,
     Severity,
-    format_schema,
-    format_script,
     parse_schema,
     parse_script,
 )
@@ -106,13 +103,10 @@ __all__ = [
     "emit_units",
     "eval_chain",
     "eval_prefix",
-    "format_schema",
-    "format_script",
     "full_check",
     "gen_domain_check",
     "gen_link_checks",
     "gen_row_source",
-    "normalize_text",
     "oracle_apply",
     "parse_schema",
     "parse_script",

@@ -78,14 +78,19 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
             click.echo(f"{script_path}:{d.render()}", err=True)
         sys.exit(2)
 
+    # Each record is written as soon as it is decided, through one stream;
+    # `--json` lays the report out exactly as json.dumps(report, indent=2).
+    out = click.get_text_stream("stdout")
+    if as_json:
+        out.write('{\n  "mutations": [')
     db = Database(schema)
     handles: dict[str, RowId] = {}
-    records = []
-    applied = rejected = expectation_failures = unguarded_store_errors = 0
+    count = applied = rejected = expectation_failures = unguarded_store_errors = 0
     for index, m in enumerate(mutations):
         before = db.rows_inspected
         verdict = engine.apply_mutation(db, m, handles)
         inspected = db.rows_inspected - before
+        count += 1
         if verdict.applied:
             applied += 1
         else:
@@ -101,43 +106,69 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
                 expectation_failures += 1
         elif store_error:
             unguarded_store_errors += 1
-        records.append(
-            {
+        set_name = m.set_name or (_ref_set(m, handles) or "")
+        if as_json:
+            record = {
                 "index": index,
                 "line": m.line,
                 "action": m.action.value,
-                "set": m.set_name or (_ref_set(m, handles) or ""),
+                "set": set_name,
                 "verdict": verdict.outcome.value,
                 "violations": [v.to_json_dict() for v in verdict.violations],
                 "expected": m.expectation.value if m.expectation else None,
                 "expectation_ok": expectation_ok,
                 "rows_inspected": inspected,
             }
-        )
-        if not as_json:
-            _echo_record(records[-1], verdict)
+            out.write(("\n    " if index == 0 else ",\n    ") + _nested_json(record, "    "))
+        else:
+            out.write(_text_record(index, m, set_name, verdict, expectation_ok))
         if stop_on_reject and verdict.rejected:
             break
 
-    report = {
-        "mutations": records,
-        "totals": {
-            "mutations": len(records),
+    if as_json:
+        totals = {
+            "mutations": count,
             "applied": applied,
             "rejected": rejected,
             "expectation_failures": expectation_failures,
             "store_errors": unguarded_store_errors,
-        },
-        "counters": {"rows_inspected": db.rows_inspected},
-    }
-    if as_json:
-        click.echo(json.dumps(report, indent=2))
-    else:
-        click.echo(
-            f"{len(records)} mutations: {applied} applied, {rejected} rejected,"
-            f" {expectation_failures} expectation failures"
+        }
+        counters = {"rows_inspected": db.rows_inspected}
+        out.write(
+            ("\n  ]," if count else "],")
+            + f'\n  "totals": {_nested_json(totals, "  ")},'
+            + f'\n  "counters": {_nested_json(counters, "  ")}\n}}\n'
         )
+    else:
+        out.write(
+            f"{count} mutations: {applied} applied, {rejected} rejected,"
+            f" {expectation_failures} expectation failures\n"
+        )
+    out.flush()
     sys.exit(1 if expectation_failures or unguarded_store_errors else 0)
+
+
+def _nested_json(value: dict, indent: str) -> str:
+    """`value` as json.dumps(report, indent=2) prints it where it sits
+    `indent` deep; the first line comes without its indent."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _text_record(
+    index: int,
+    m: dsl.Mutation,
+    set_name: str,
+    verdict: engine.Verdict,
+    expectation_ok: bool | None,
+) -> str:
+    expect = ""
+    if m.expectation is not None:
+        expect = f" expect {m.expectation.value}: {'ok' if expectation_ok else 'FAILED'}"
+    head = (
+        f"[{index}] line {m.line} {m.action.value} {set_name}"
+        f" -> {verdict.outcome.value.upper()}{expect}\n"
+    )
+    return head + "".join(f"    {v.render_line()}\n" for v in verdict.violations)
 
 
 def _ref_set(m: dsl.Mutation, handles: dict[str, RowId]) -> str | None:
@@ -148,22 +179,6 @@ def _ref_set(m: dsl.Mutation, handles: dict[str, RowId]) -> str | None:
         row = handles.get(ref.name)
         return row.set_name if row else None
     return None
-
-
-def _echo_record(record: dict, verdict: engine.Verdict) -> None:
-    tag = record["verdict"].upper()
-    expect = ""
-    if record["expected"] is not None:
-        expect = (
-            f" expect {record['expected']}:"
-            f" {'ok' if record['expectation_ok'] else 'FAILED'}"
-        )
-    click.echo(
-        f"[{record['index']}] line {record['line']}"
-        f" {record['action']} {record['set']} -> {tag}{expect}"
-    )
-    for violation in verdict.violations:
-        click.echo(f"    {violation.render_line()}")
 
 
 @main.command()

@@ -26,7 +26,6 @@ bodies.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -501,32 +500,8 @@ def _sql_link_trigger(
 
 
 # ---------------------------------------------------------------------------
-# Normalization and batch emission
+# Batch emission
 # ---------------------------------------------------------------------------
-
-_KEYWORDS_RE = re.compile(
-    r"\b(select|from|right|join|on|order|by|as|where|in|and|or|not|is|null"
-    r"|insert|into|values|update|set|delete|create|trigger|before|after|of"
-    r"|for|each|row|when|begin|end|exists|raise|abort|distinct)\b",
-    re.IGNORECASE,
-)
-
-_CONTINUATION_RE = re.compile(r"_[ \t]*\r?\n")
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_text(body: str) -> str:
-    """Canonical form for golden comparison of emitted text.
-
-    Removes trailing-underscore line continuations, strips square-bracket
-    identifier quoting, uppercases keywords, and collapses whitespace
-    runs. Idempotent.
-    """
-    text = _CONTINUATION_RE.sub(" ", body)
-    text = text.replace("[", "").replace("]", "")
-    text = _KEYWORDS_RE.sub(lambda m: m.group(0).upper(), text)
-    return _WS_RE.sub(" ", text).strip()
-
 
 def emit_units(
     schema: Schema,

@@ -7,19 +7,28 @@ deletes with symbolic row handles and optional accept/reject expectations.
 
 Both parsers are all-or-nothing: they either return a fully validated
 result or every diagnostic found, each pointing at a source position.
-They share one lexer: one compiled pattern with a named alternative per
-token class, read by a single `finditer` loop. Identifiers are
-case-sensitive and do not start with a decimal digit, `null` is a keyword
-literal, `//` starts a line comment, and strings are double-quoted with
-backslash escapes and end at the end of their line.
+
+They share one lexer. No token, string or comment spans a line: `//`
+starts a line comment and a string ends at the end of its line. So the
+lexer splits the source on newlines and reads each line with one `findall`
+of one compiled pattern, which skips blanks and comments and returns each
+token's source text. A token is that text and nothing more; beside the
+token list runs one list of line numbers. Keywords and punctuation are
+compared as text; identifiers, integers, strings and handles are told apart
+by their first character when the parser reads them, and a string's
+escapes are resolved then. A column is computed only for a diagnostic, by
+lexing that one line again. Identifiers are case-sensitive and do not start
+with a decimal digit, `null` is a keyword literal, and strings are
+double-quoted with backslash escapes.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Union
 
 from .model import (
     ConstraintClass,
@@ -126,108 +135,140 @@ _KEYWORDS = {
     "null",
 }
 
-_PUNCT = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ";": "SEMI",
-    ":": "COLON",
-    ",": "COMMA",
-    "=": "EQUALS",
-    "?": "QUESTION",
-    ".": "DOT",
-}
+_PUNCT = {"{", "}", "(", ")", ";", ":", ",", "=", "?", ".", "->"}
 
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-# The first alternative that matches wins, so "-5" is an INT before "->"
-# is tried. `[^\W\d]` is a word character other than a decimal digit.
+# One match per token of one line: blanks and `//` comments are a skipped
+# prefix, and group 1 holds the token's text. Group 1 also matches the
+# empty string at the end of the line, so a prefix that reaches the end
+# never gives back what it skipped to let a token match inside a comment.
+# A character no token starts with matches outside group 1, so `findall`
+# returns "" for it. No two token alternatives match at the same place, so
+# their order is only a speed choice; `[^\W\d]` is a word character other
+# than a decimal digit.
 _TOKEN_RE = re.compile(
-    "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in [
-            ("NEWLINE", r"\n"),
-            ("BLANK", r"[ \t\r]+"),
-            ("COMMENT", r"//[^\n]*"),
-            ("WORD", r"[^\W\d]\w*"),
-            ("INT", r"-?\d+"),
-            ("HANDLE", r"@\w+"),
-            ("AT", r"@"),
-            ("STRING", r'"(?:[^"\\\n]|\\.)*(?:(?P<CLOSE>")|\\?)'),
-            ("ARROW", r"->"),
-            ("PUNCT", r"[{}();:,=?.]"),
-            ("OTHER", r"."),
-        ]
-    )
+    r"(?:[ \t\r]+|//.*)*"
+    r"(?:("
+    r"[{}();:,=?.]"
+    r"|[^\W\d]\w*"
+    r"|@\w+"
+    r'|"(?:[^"\\]|\\.)*(?:"|\\)?'
+    r"|-?\d+"
+    r"|->"
+    r"|\Z"
+    r")|.)"
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
+def _lex(source: str) -> tuple[list[str], list[int], list[str], list[Diagnostic]]:
+    """Split `source` into token texts ending with the EOF token "".
+
+    Returns the tokens, the line of each token, the source lines and the
+    lexical diagnostics. Only a line with a lexical error, a string at its
+    end or a trailing comment is lexed a second time, to find its columns.
+    """
+    findall = _TOKEN_RE.findall
+    tokens: list[str] = []
+    lines: list[int] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0
+    source_lines = source.split("\n")
+    for n, text in enumerate(source_lines, 1):
+        # Trailing blanks (a CRLF's "\r" too) end no token, except inside
+        # an unterminated string, which is the last token of its line and
+        # makes the line be lexed again whole. The last match of `findall`
+        # is always the "" of the line's end; any other "" is an error or
+        # the end after a trailing comment.
+        toks = findall(text.rstrip(" \t\r"))
+        del toks[-1]
+        if "" in toks or (toks and toks[-1][0] == '"'):
+            toks = _lex_line(n, text, diagnostics)
+        tokens += toks
+        lines += [n] * len(toks)
+    tokens.append("")
+    lines.append(len(source_lines))
+    return tokens, lines, source_lines, diagnostics
 
-    def error(message: str, column: int) -> None:
-        diagnostics.append(
-            Diagnostic(Severity.ERROR, line, column, IssueCode.SYNTAX, message)
-        )
 
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
-        if kind == "BLANK" or kind == "COMMENT":
-            continue
-        text = m.group()
-        column = m.start() - line_start + 1
-        if kind == "WORD":
-            kind = text if text in _KEYWORDS else "IDENT"
-        elif kind == "PUNCT":
-            kind = _PUNCT[text]
-        elif kind == "HANDLE":
-            text = text[1:]
-        elif kind == "STRING":
-            if m["CLOSE"]:
-                text = text[1:-1]
-            else:
-                text = text[1:]
-                error("unterminated string literal", column)
-            if "\\" in text:
-                text = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
-        elif kind == "AT":
-            error("'@' must be followed by a handle name", column)
-            continue
-        elif kind == "OTHER":
-            error(f"unexpected character {text!r}", column)
-            continue
-        tokens.append(Token(kind, text, line, column))
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
-    return tokens, diagnostics
+def _lex_line(n: int, text: str, diagnostics: list[Diagnostic]) -> list[str]:
+    """The tokens of line `n`, reporting its lexical errors in column order."""
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m[1]
+        if tok is None:
+            char = text[m.end() - 1]
+            message = (
+                "'@' must be followed by a handle name"
+                if char == "@"
+                else f"unexpected character {char!r}"
+            )
+            diagnostics.append(
+                Diagnostic(Severity.ERROR, n, m.end(), IssueCode.SYNTAX, message)
+            )
+        elif tok:
+            if tok[0] == '"' and _unterminated(tok):
+                diagnostics.append(
+                    Diagnostic(
+                        Severity.ERROR,
+                        n,
+                        m.start(1) + 1,
+                        IssueCode.SYNTAX,
+                        "unterminated string literal",
+                    )
+                )
+            toks.append(tok)
+    return toks
+
+
+def _unterminated(tok: str) -> bool:
+    """Whether string token `tok` runs to the end of its line unclosed: a
+    final quote closes it only after an even run of backslashes."""
+    if len(tok) < 2 or tok[-1] != '"':
+        return True
+    if tok[-2] != "\\":
+        return False
+    body = tok[1:-1]
+    return (len(body) - len(body.rstrip("\\"))) % 2 == 1
+
+
+def _string_value(tok: str) -> str:
+    text = tok[1:] if _unterminated(tok) else tok[1:-1]
+    if "\\" in text:
+        text = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
+    return text
+
+
+def _kind(tok: str) -> str:
+    """The class of a token, read from its first character: "EOF",
+    "STRING", "HANDLE", "INT" or "IDENT", or the token itself for a
+    keyword or punctuation."""
+    if not tok:
+        return "EOF"
+    first = tok[0]
+    if first == '"':
+        return "STRING"
+    if first == "@":
+        return "HANDLE"
+    if tok in _KEYWORDS or tok in _PUNCT:
+        return tok
+    if first == "-" or first.isdecimal():
+        return "INT"
+    return "IDENT"
 
 
 # ---------------------------------------------------------------------------
-# Raw declarations (token positions preserved for semantic diagnostics)
+# Raw declarations (token indexes kept for semantic diagnostics)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _RawMember:
     name: str
-    pos: Token
+    pos: int
     is_name: bool = False
     scalar: ScalarType | None = None
     target: str | None = None
-    target_pos: Token | None = None
+    target_pos: int | None = None
     nullable: bool = False
 
     @property
@@ -238,7 +279,7 @@ class _RawMember:
 @dataclass
 class _RawSet:
     name: str
-    pos: Token
+    pos: int
     members: list[_RawMember] = field(default_factory=list)
 
 
@@ -246,74 +287,97 @@ class _RawSet:
 class _RawChainDecl:
     identity: bool
     names: list[str]
-    positions: list[Token]
-    pos: Token
+    positions: list[int]
+    pos: int
 
 
 @dataclass
 class _RawConstraintDecl:
     id: str
-    pos: Token
+    pos: int
     kind: ConstraintKind
     domain: str
-    domain_pos: Token
+    domain_pos: int
     left: _RawChainDecl | None = None
     right: _RawChainDecl | None = None
-    message: Token | None = None
+    message: int | None = None
 
 
 class _Parser:
-    """Shared token-stream plumbing with statement-level recovery."""
+    """Shared token-stream plumbing with statement-level recovery.
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.diagnostics: list[Diagnostic] = []
+    `tok` is the current token's text and `i` its index; tokens are named
+    by index, and a diagnostic turns the index into a line and column.
+    """
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, source: str):
+        self.tokens, self.lines, self.source_lines, self.diagnostics = _lex(source)
+        self.i = 0
+        self.tok = self.tokens[0]
 
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """Step past the current token, never past EOF; return its index."""
+        i = self.i
+        if self.tok:
+            self.i = i + 1
+            self.tok = self.tokens[i + 1]
+        return i
 
-    def match(self, *kinds: str) -> bool:
-        return self.current.kind in kinds
+    def accept(self, text: str) -> bool:
+        """Step past the current token if it is keyword or punctuation `text`."""
+        if self.tok != text:
+            return False
+        self.i += 1
+        self.tok = self.tokens[self.i]
+        return True
 
-    def accept(self, kind: str) -> Token | None:
-        if self.current.kind == kind:
+    def expect(self, text: str) -> bool:
+        """Accept keyword or punctuation `text`, or report it missing."""
+        if self.accept(text):
+            return True
+        self.error(f"expected '{text}', found {_describe(self.tok)}")
+        return False
+
+    def expect_kind(self, kind: str, what: str) -> int | None:
+        """Accept a token of class `kind` and return its index."""
+        if _kind(self.tok) == kind:
             return self.advance()
+        self.error(f"expected {what}, found {_describe(self.tok)}")
         return None
 
-    def expect(self, kind: str, what: str) -> Token | None:
-        tok = self.accept(kind)
-        if tok is None:
-            self.error(f"expected {what}, found {_describe(self.current)}")
-        return tok
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`, found by lexing its line again."""
+        line = self.lines[i]
+        text = self.source_lines[line - 1]
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(text) if m[1]]
+        starts.append(len(text))
+        return line, starts[i - bisect_left(self.lines, line)] + 1
 
-    def error(self, message: str, tok: Token | None = None) -> None:
-        tok = tok or self.current
-        self.diagnostics.append(
-            Diagnostic(Severity.ERROR, tok.line, tok.column, IssueCode.SYNTAX, message)
-        )
+    def error(
+        self, message: str, i: int | None = None, code: IssueCode = IssueCode.SYNTAX
+    ) -> None:
+        line, column = self.position(self.i if i is None else i)
+        self.diagnostics.append(Diagnostic(Severity.ERROR, line, column, code, message))
 
-    def skip_to(self, *kinds: str) -> None:
-        while not self.match("EOF", *kinds):
+    def skip_to(self, *texts: str) -> None:
+        while self.tok and self.tok not in texts:
             self.advance()
 
-    def skip_past(self, *kinds: str) -> None:
-        self.skip_to(*kinds)
-        if not self.match("EOF"):
-            self.advance()
+    def skip_past(self, *texts: str) -> None:
+        self.skip_to(*texts)
+        self.advance()
 
 
-def _describe(tok: Token) -> str:
-    if tok.kind == "EOF":
+def _describe(tok: str) -> str:
+    """A token as a diagnostic names it: by its value, or as end of input."""
+    kind = _kind(tok)
+    if kind == "EOF":
         return "end of input"
-    return repr(tok.value)
+    if kind == "STRING":
+        return repr(_string_value(tok))
+    if kind == "HANDLE":
+        return repr(tok[1:])
+    return repr(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -325,156 +389,141 @@ class _SchemaParser(_Parser):
     def parse(self) -> tuple[str | None, list[_RawSet], list[_RawConstraintDecl]]:
         schema_name: str | None = None
         if self.accept("schema"):
-            tok = self.expect("IDENT", "schema name")
-            if tok is not None:
-                schema_name = tok.value
-            self.expect("SEMI", "';'")
+            name = self.expect_kind("IDENT", "schema name")
+            if name is not None:
+                schema_name = self.tokens[name]
+            self.expect(";")
         else:
-            self.diagnostics.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    self.current.line,
-                    self.current.column,
-                    IssueCode.NO_SCHEMA,
-                    "no schema declared",
-                )
-            )
+            self.error("no schema declared", code=IssueCode.NO_SCHEMA)
         sets: list[_RawSet] = []
         constraints: list[_RawConstraintDecl] = []
-        while not self.match("EOF"):
-            if self.match("set"):
+        while self.tok:
+            if self.tok == "set":
                 decl = self._set_decl()
                 if decl is not None:
                     sets.append(decl)
-            elif self.match("constraint"):
+            elif self.tok == "constraint":
                 decl = self._constraint_decl()
                 if decl is not None:
                     constraints.append(decl)
             else:
-                self.error(
-                    f"expected 'set' or 'constraint', found {_describe(self.current)}"
-                )
+                self.error(f"expected 'set' or 'constraint', found {_describe(self.tok)}")
                 self.advance()
                 self.skip_to("set", "constraint")
         return schema_name, sets, constraints
 
     def _set_decl(self) -> _RawSet | None:
         self.advance()
-        name_tok = self.expect("IDENT", "set name")
-        if name_tok is None or self.expect("LBRACE", "'{'") is None:
-            self.skip_past("RBRACE")
+        name = self.expect_kind("IDENT", "set name")
+        if name is None or not self.expect("{"):
+            self.skip_past("}")
             return None
-        decl = _RawSet(name_tok.value, name_tok)
-        while not self.match("RBRACE", "EOF"):
+        decl = _RawSet(self.tokens[name], name)
+        while self.tok and self.tok != "}":
             member = self._member()
             if member is not None:
                 decl.members.append(member)
-        self.expect("RBRACE", "'}'")
+        self.expect("}")
         return decl
 
     def _member(self) -> _RawMember | None:
-        is_name = self.accept("name") is not None
-        name_tok = self.expect("IDENT", "function name")
-        if name_tok is None:
-            self.skip_past("SEMI")
+        is_name = self.accept("name")
+        name = self.expect_kind("IDENT", "function name")
+        if name is None:
+            self.skip_past(";")
             return None
-        member = _RawMember(name_tok.value, name_tok, is_name=is_name)
-        if self.accept("COLON"):
-            if self.match("text"):
+        member = _RawMember(self.tokens[name], name, is_name=is_name)
+        if self.accept(":"):
+            if self.accept("text"):
                 member.scalar = ScalarType.TEXT
-                self.advance()
-            elif self.match("integer"):
+            elif self.accept("integer"):
                 member.scalar = ScalarType.INTEGER
-                self.advance()
             else:
-                self.error(
-                    f"expected 'text' or 'integer', found {_describe(self.current)}"
-                )
-                self.skip_past("SEMI")
+                self.error(f"expected 'text' or 'integer', found {_describe(self.tok)}")
+                self.skip_past(";")
                 return None
-        elif self.accept("ARROW"):
-            target_tok = self.expect("IDENT", "target set name")
-            if target_tok is None:
-                self.skip_past("SEMI")
+        elif self.accept("->"):
+            target = self.expect_kind("IDENT", "target set name")
+            if target is None:
+                self.skip_past(";")
                 return None
-            member.target = target_tok.value
-            member.target_pos = target_tok
+            member.target = self.tokens[target]
+            member.target_pos = target
         else:
-            self.error(f"expected ':' or '->', found {_describe(self.current)}")
-            self.skip_past("SEMI")
+            self.error(f"expected ':' or '->', found {_describe(self.tok)}")
+            self.skip_past(";")
             return None
-        if self.accept("QUESTION"):
+        if self.accept("?"):
             member.nullable = True
-        if self.expect("SEMI", "';'") is None:
-            self.skip_past("SEMI")
+        if not self.expect(";"):
+            self.skip_past(";")
         return member
 
     def _constraint_decl(self) -> _RawConstraintDecl | None:
         self.advance()
-        id_tok = self.expect("IDENT", "constraint name")
-        if id_tok is None:
-            self.skip_past("RBRACE")
+        name = self.expect_kind("IDENT", "constraint name")
+        if name is None:
+            self.skip_past("}")
             return None
-        if self.match("commutative"):
+        if self.accept("commutative"):
             kind = ConstraintKind.COMMUTATIVE
-            self.advance()
-        elif self.match("anticommutative"):
+        elif self.accept("anticommutative"):
             kind = ConstraintKind.ANTI_COMMUTATIVE
-            self.advance()
         else:
             self.error(
                 "expected 'commutative' or 'anticommutative',"
-                f" found {_describe(self.current)}"
+                f" found {_describe(self.tok)}"
             )
-            self.skip_past("RBRACE")
+            self.skip_past("}")
             return None
-        if self.expect("on", "'on'") is None:
-            self.skip_past("RBRACE")
+        if not self.expect("on"):
+            self.skip_past("}")
             return None
-        domain_tok = self.expect("IDENT", "domain set name")
-        if domain_tok is None or self.expect("LBRACE", "'{'") is None:
-            self.skip_past("RBRACE")
+        domain = self.expect_kind("IDENT", "domain set name")
+        if domain is None or not self.expect("{"):
+            self.skip_past("}")
             return None
         decl = _RawConstraintDecl(
-            id_tok.value, id_tok, kind, domain_tok.value, domain_tok
+            self.tokens[name], name, kind, self.tokens[domain], domain
         )
-        while not self.match("RBRACE", "EOF"):
-            if self.match("left", "right"):
-                side_tok = self.advance()
-                if self.expect("EQUALS", "'='") is None:
-                    self.skip_past("SEMI")
+        while self.tok and self.tok != "}":
+            if self.tok in ("left", "right"):
+                side = self.tok
+                side_pos = self.advance()
+                if not self.expect("="):
+                    self.skip_past(";")
                     continue
                 chain = self._chain()
                 if chain is None:
                     continue
-                previous = decl.left if side_tok.kind == "left" else decl.right
+                previous = decl.left if side == "left" else decl.right
                 if previous is not None:
-                    self.error(f"duplicate '{side_tok.kind}' chain", side_tok)
-                elif side_tok.kind == "left":
+                    self.error(f"duplicate '{side}' chain", side_pos)
+                elif side == "left":
                     decl.left = chain
                 else:
                     decl.right = chain
-            elif self.match("message"):
-                msg_tok = self.advance()
-                if self.expect("EQUALS", "'='") is None:
-                    self.skip_past("SEMI")
+            elif self.tok == "message":
+                message_pos = self.advance()
+                if not self.expect("="):
+                    self.skip_past(";")
                     continue
-                text = self.expect("STRING", "string literal")
+                text = self.expect_kind("STRING", "string literal")
                 if text is None:
-                    self.skip_past("SEMI")
+                    self.skip_past(";")
                     continue
                 if decl.message is not None:
-                    self.error("duplicate 'message'", msg_tok)
+                    self.error("duplicate 'message'", message_pos)
                 else:
                     decl.message = text
-                self.expect("SEMI", "';'")
+                self.expect(";")
             else:
                 self.error(
                     "expected 'left', 'right' or 'message',"
-                    f" found {_describe(self.current)}"
+                    f" found {_describe(self.tok)}"
                 )
-                self.skip_past("SEMI")
-        self.expect("RBRACE", "'}'")
+                self.skip_past(";")
+        self.expect("}")
         if decl.left is None:
             self.error(f"constraint {decl.id!r} declares no left chain", decl.pos)
             return None
@@ -484,27 +533,22 @@ class _SchemaParser(_Parser):
         return decl
 
     def _chain(self) -> _RawChainDecl | None:
-        start = self.current
+        start = self.i
         if self.accept("identity"):
-            self.expect("SEMI", "';'")
+            self.expect(";")
             return _RawChainDecl(True, [], [], start)
-        names: list[str] = []
-        positions: list[Token] = []
-        tok = self.expect("IDENT", "function name or 'identity'")
-        if tok is None:
-            self.skip_past("SEMI")
-            return None
-        names.append(tok.value)
-        positions.append(tok)
-        while self.accept("DOT"):
-            tok = self.expect("IDENT", "function name")
-            if tok is None:
-                self.skip_past("SEMI")
+        positions: list[int] = []
+        while True:
+            what = "function name" if positions else "function name or 'identity'"
+            name = self.expect_kind("IDENT", what)
+            if name is None:
+                self.skip_past(";")
                 return None
-            names.append(tok.value)
-            positions.append(tok)
-        self.expect("SEMI", "';'")
-        return _RawChainDecl(False, names, positions, start)
+            positions.append(name)
+            if not self.accept("."):
+                break
+        self.expect(";")
+        return _RawChainDecl(False, [self.tokens[i] for i in positions], positions, start)
 
 
 def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
@@ -513,25 +557,22 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     Returns (schema, []) on success, with every constraint admitted and
     classified GENERAL, or (None, diagnostics) listing every problem.
     """
-    tokens, diagnostics = _lex(source)
-    parser = _SchemaParser(tokens)
+    parser = _SchemaParser(source)
     schema_name, raw_sets, raw_constraints = parser.parse()
-    diagnostics.extend(parser.diagnostics)
+    diagnostics = parser.diagnostics
 
-    def diag(code: IssueCode, message: str, tok: Token) -> None:
-        diagnostics.append(
-            Diagnostic(Severity.ERROR, tok.line, tok.column, code, message)
-        )
+    def diag(code: IssueCode, message: str, i: int) -> None:
+        parser.error(message, i, code)
 
     sets: list[SetDef] = []
     functions: list[FunctionDef] = []
-    seen_sets: dict[str, Token] = {}
+    seen_sets: dict[str, int] = {}
     for raw in raw_sets:
         if raw.name in seen_sets:
             diag(IssueCode.DUPLICATE_SET, f"duplicate set {raw.name!r}", raw.pos)
             continue
         seen_sets[raw.name] = raw.pos
-        seen_members: dict[str, Token] = {}
+        seen_members: dict[str, int] = {}
         name_attr: str | None = None
         for member in raw.members:
             if member.name in seen_members:
@@ -580,7 +621,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
                 diag(
                     IssueCode.UNKNOWN_SET,
                     f"link {member.name!r} targets unknown set {member.target!r}",
-                    member.target_pos or member.pos,
+                    member.target_pos,
                 )
 
     functions = [
@@ -589,7 +630,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     schema = Schema(schema_name or "", tuple(sets), tuple(functions))
 
     constraints: list[DiagramConstraint] = []
-    seen_constraints: dict[str, Token] = {}
+    seen_constraints: dict[str, int] = {}
     for raw_c in raw_constraints:
         if raw_c.id in seen_constraints:
             diag(
@@ -601,7 +642,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
         seen_constraints[raw_c.id] = raw_c.pos
         message = None
         if raw_c.message is not None:
-            message = raw_c.message.value
+            message = _string_value(parser.tokens[raw_c.message])
             problem = message_template_problem(message)
             if problem is not None:
                 diag(IssueCode.BAD_MESSAGE_TEMPLATE, problem, raw_c.message)
@@ -645,26 +686,26 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
 
 
 class _ScriptParser(_Parser):
-    def __init__(self, tokens: list[Token], schema: Schema):
-        super().__init__(tokens)
+    def __init__(self, source: str, schema: Schema):
+        super().__init__(source)
         self.schema = schema
         self.handles: dict[str, str] = {}
 
     def parse(self) -> list[Mutation]:
         mutations: list[Mutation] = []
-        while not self.match("EOF"):
-            if self.match("insert"):
+        while self.tok:
+            if self.tok == "insert":
                 m = self._insert()
-            elif self.match("update"):
+            elif self.tok == "update":
                 m = self._update()
-            elif self.match("delete"):
+            elif self.tok == "delete":
                 m = self._delete()
             else:
                 self.error(
                     "expected 'insert', 'update' or 'delete',"
-                    f" found {_describe(self.current)}"
+                    f" found {_describe(self.tok)}"
                 )
-                self.skip_past("SEMI")
+                self.skip_past(";")
                 continue
             if m is not None:
                 mutations.append(m)
@@ -672,144 +713,144 @@ class _ScriptParser(_Parser):
 
     def _insert(self) -> Mutation | None:
         start = self.advance()
-        set_tok = self.expect("IDENT", "set name")
-        if set_tok is None or self.expect("LPAREN", "'('") is None:
-            self.skip_past("SEMI")
+        set_pos = self.expect_kind("IDENT", "set name")
+        if set_pos is None or not self.expect("("):
+            self.skip_past(";")
             return None
-        set_known = self.schema.has_set(set_tok.value)
+        set_name = self.tokens[set_pos]
+        set_known = self.schema.has_set(set_name)
         if not set_known:
-            self.error_code(
-                IssueCode.UNKNOWN_SET, f"unknown set {set_tok.value!r}", set_tok
-            )
+            self.error(f"unknown set {set_name!r}", set_pos, IssueCode.UNKNOWN_SET)
         bindings: list[Binding] = []
-        if not self.match("RPAREN"):
+        if self.tok != ")":
             while True:
-                binding = self._binding(set_tok.value if set_known else None)
+                binding = self._binding(set_name if set_known else None)
                 if binding is None:
-                    self.skip_past("SEMI")
+                    self.skip_past(";")
                     return None
                 bindings.append(binding)
-                if not self.accept("COMMA"):
+                if not self.accept(","):
                     break
-        if self.expect("RPAREN", "')'") is None:
-            self.skip_past("SEMI")
+        if not self.expect(")"):
+            self.skip_past(";")
             return None
         handle: str | None = None
         if self.accept("as"):
-            handle_tok = self.expect("IDENT", "handle name")
-            if handle_tok is None:
-                self.skip_past("SEMI")
+            handle_pos = self.expect_kind("IDENT", "handle name")
+            if handle_pos is None:
+                self.skip_past(";")
                 return None
-            if handle_tok.value in self.handles:
-                self.error_code(
+            name = self.tokens[handle_pos]
+            if name in self.handles:
+                self.error(
+                    f"handle {name!r} is already bound",
+                    handle_pos,
                     IssueCode.DUPLICATE_HANDLE,
-                    f"handle {handle_tok.value!r} is already bound",
-                    handle_tok,
                 )
             else:
-                handle = handle_tok.value
-                self.handles[handle] = set_tok.value
+                handle = name
+                self.handles[handle] = set_name
         expectation = self._expectation()
-        self.expect("SEMI", "';'")
+        self.expect(";")
         self._check_duplicate_bindings(bindings, start)
         return Mutation(
             Action.INSERT,
-            set_name=set_tok.value,
+            set_name=set_name,
             bindings=tuple(bindings),
             handle=handle,
             expectation=expectation,
-            line=start.line,
+            line=self.lines[start],
         )
 
     def _update(self) -> Mutation | None:
         start = self.advance()
-        target = self.expect("HANDLE", "row handle")
-        if target is None or self.expect("set", "'set'") is None:
-            self.skip_past("SEMI")
+        target = self.expect_kind("HANDLE", "row handle")
+        if target is None or not self.expect("set"):
+            self.skip_past(";")
             return None
         target_set = self._resolve_handle(target)
         bindings: list[Binding] = []
         while True:
             binding = self._binding(target_set)
             if binding is None:
-                self.skip_past("SEMI")
+                self.skip_past(";")
                 return None
             bindings.append(binding)
-            if not self.accept("COMMA"):
+            if not self.accept(","):
                 break
         expectation = self._expectation()
-        self.expect("SEMI", "';'")
+        self.expect(";")
         self._check_duplicate_bindings(bindings, start)
         return Mutation(
             Action.UPDATE,
-            row_ref=HandleRef(target.value),
+            row_ref=HandleRef(self.tokens[target][1:]),
             bindings=tuple(bindings),
             expectation=expectation,
-            line=start.line,
+            line=self.lines[start],
         )
 
     def _delete(self) -> Mutation | None:
         start = self.advance()
-        target = self.expect("HANDLE", "row handle")
+        target = self.expect_kind("HANDLE", "row handle")
         if target is None:
-            self.skip_past("SEMI")
+            self.skip_past(";")
             return None
         self._resolve_handle(target)
         expectation = self._expectation()
-        self.expect("SEMI", "';'")
+        self.expect(";")
         return Mutation(
             Action.DELETE,
-            row_ref=HandleRef(target.value),
+            row_ref=HandleRef(self.tokens[target][1:]),
             expectation=expectation,
-            line=start.line,
+            line=self.lines[start],
         )
 
     def _binding(self, set_name: str | None) -> Binding | None:
-        fn_tok = self.expect("IDENT", "function name")
-        if fn_tok is None or self.expect("EQUALS", "'='") is None:
+        fn_pos = self.expect_kind("IDENT", "function name")
+        if fn_pos is None or not self.expect("="):
             return None
-        fn = self.schema.function(set_name, fn_tok.value) if set_name else None
+        fn_name = self.tokens[fn_pos]
+        fn = self.schema.function(set_name, fn_name) if set_name else None
         if set_name is not None and fn is None:
-            self.error_code(
+            self.error(
+                f"no function {fn_name!r} on set {set_name!r}",
+                fn_pos,
                 IssueCode.UNKNOWN_FUNCTION,
-                f"no function {fn_tok.value!r} on set {set_name!r}",
-                fn_tok,
             )
-        value_tok = self.current
+        value_pos = self.i
         value = self._literal()
         if value is _NO_VALUE:
             return None
         if fn is not None:
-            self._check_value_kind(fn, value, value_tok)
-        return Binding(fn_tok.value, value)
+            self._check_value_kind(fn, value, value_pos)
+        return Binding(fn_name, value)
 
     def _literal(self) -> BindingValue:
-        if self.accept("null"):
+        tok = self.tok
+        kind = _kind(tok)
+        if kind == "STRING":
+            self.advance()
+            return _string_value(tok)
+        if kind == "HANDLE":
+            self._resolve_handle(self.advance())
+            return HandleRef(tok[1:])
+        if kind == "null":
+            self.advance()
             return None
-        tok = self.current
-        if tok.kind == "STRING":
-            self.advance()
-            return tok.value
-        if tok.kind == "INT":
-            self.advance()
+        if kind == "INT":
+            pos = self.advance()
             # Measure before converting: int() refuses very long strings.
-            digits = tok.value.lstrip("-").lstrip("0") or "0"
+            digits = tok.lstrip("-").lstrip("0") or "0"
             if len(digits) <= len(str(_INT_MAX)):
-                value = -int(digits) if tok.value.startswith("-") else int(digits)
+                value = -int(digits) if tok.startswith("-") else int(digits)
                 if _INT_MIN <= value <= _INT_MAX:
                     return value
             self.error(
                 "integer literal outside the signed 64-bit range [-2^63, 2^63 - 1]",
-                tok,
+                pos,
             )
             return _NO_VALUE
-        if tok.kind == "HANDLE":
-            self.advance()
-            self._resolve_handle(tok)
-            return HandleRef(tok.value)
-        self.error(
-            f"expected literal, handle or 'null', found {_describe(self.current)}"
-        )
+        self.error(f"expected literal, handle or 'null', found {_describe(tok)}")
         return _NO_VALUE
 
     def _expectation(self) -> Expectation | None:
@@ -819,72 +860,60 @@ class _ScriptParser(_Parser):
             return Expectation.ACCEPT
         if self.accept("reject"):
             return Expectation.REJECT
-        self.error(f"expected 'accept' or 'reject', found {_describe(self.current)}")
+        self.error(f"expected 'accept' or 'reject', found {_describe(self.tok)}")
         return None
 
-    def _resolve_handle(self, tok: Token) -> str | None:
-        set_name = self.handles.get(tok.value)
+    def _resolve_handle(self, pos: int) -> str | None:
+        name = self.tokens[pos][1:]
+        set_name = self.handles.get(name)
         if set_name is None:
-            self.error_code(
+            self.error(
+                f"handle {name!r} is not bound by any earlier insert",
+                pos,
                 IssueCode.UNBOUND_HANDLE,
-                f"handle {tok.value!r} is not bound by any earlier insert",
-                tok,
             )
         return set_name
 
-    def _check_value_kind(
-        self, fn: FunctionDef, value: BindingValue, tok: Token
-    ) -> None:
+    def _check_value_kind(self, fn: FunctionDef, value: BindingValue, pos: int) -> None:
         if value is None:
             return
         if isinstance(value, HandleRef):
             if not fn.is_link:
-                self.error_code(
-                    IssueCode.TYPE_MISMATCH,
+                self.error(
                     f"attribute {fn.name!r} cannot take a row handle",
-                    tok,
+                    pos,
+                    IssueCode.TYPE_MISMATCH,
                 )
                 return
             handle_set = self.handles.get(value.name)
             if handle_set is not None and handle_set != fn.codomain:
-                self.error_code(
-                    IssueCode.TYPE_MISMATCH,
+                self.error(
                     f"link {fn.name!r} targets {fn.codomain!r} but handle"
                     f" {value.name!r} holds a row of {handle_set!r}",
-                    tok,
+                    pos,
+                    IssueCode.TYPE_MISMATCH,
                 )
             return
         if fn.is_link:
-            self.error_code(
-                IssueCode.TYPE_MISMATCH,
+            self.error(
                 f"link {fn.name!r} takes a row handle or null, not a literal",
-                tok,
+                pos,
+                IssueCode.TYPE_MISMATCH,
             )
             return
         if fn.codomain is ScalarType.TEXT and not isinstance(value, str):
-            self.error_code(
-                IssueCode.TYPE_MISMATCH,
-                f"attribute {fn.name!r} holds text",
-                tok,
-            )
+            self.error(f"attribute {fn.name!r} holds text", pos, IssueCode.TYPE_MISMATCH)
         elif fn.codomain is ScalarType.INTEGER and not isinstance(value, int):
-            self.error_code(
-                IssueCode.TYPE_MISMATCH,
-                f"attribute {fn.name!r} holds integers",
-                tok,
+            self.error(
+                f"attribute {fn.name!r} holds integers", pos, IssueCode.TYPE_MISMATCH
             )
 
-    def _check_duplicate_bindings(self, bindings: list[Binding], tok: Token) -> None:
+    def _check_duplicate_bindings(self, bindings: list[Binding], start: int) -> None:
         seen: set[str] = set()
         for binding in bindings:
             if binding.function in seen:
-                self.error(f"duplicate binding for {binding.function!r}", tok)
+                self.error(f"duplicate binding for {binding.function!r}", start)
             seen.add(binding.function)
-
-    def error_code(self, code: IssueCode, message: str, tok: Token) -> None:
-        self.diagnostics.append(
-            Diagnostic(Severity.ERROR, tok.line, tok.column, code, message)
-        )
 
 
 class _NoValue:
@@ -905,93 +934,10 @@ def parse_script(
     Handles resolve forward-only: a handle must be bound by an earlier
     insert in the same script before it can be referenced.
     """
-    tokens, diagnostics = _lex(source)
-    parser = _ScriptParser(tokens, schema)
+    parser = _ScriptParser(source, schema)
     mutations = parser.parse()
-    diagnostics.extend(parser.diagnostics)
+    diagnostics = parser.diagnostics
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
     return mutations, []
-
-
-# ---------------------------------------------------------------------------
-# Canonical printers (round-trip support)
-# ---------------------------------------------------------------------------
-
-
-def format_schema(schema: Schema) -> str:
-    """Print a schema in canonical DSL form; parsing it back is identity."""
-    lines = [f"schema {schema.name} ;", ""]
-    for s in schema.sets:
-        lines.append(f"set {s.name} {{")
-        for fn in schema.functions_of(s.name):
-            marker = "name " if fn.name == s.name_attribute else ""
-            suffix = " ?" if fn.nullable else ""
-            if fn.is_link:
-                lines.append(f"    {marker}{fn.name} -> {fn.codomain}{suffix} ;")
-            else:
-                assert isinstance(fn.codomain, ScalarType)
-                lines.append(f"    {marker}{fn.name} : {fn.codomain.value}{suffix} ;")
-        lines.append("}")
-        lines.append("")
-    for c in schema.constraints:
-        kind = (
-            "commutative" if c.kind is ConstraintKind.COMMUTATIVE else "anticommutative"
-        )
-        lines.append(f"constraint {c.id} {kind} on {c.domain_set} {{")
-        lines.append(f"    left = {c.left.render()} ;")
-        lines.append(f"    right = {c.right.render()} ;")
-        if c.message is not None:
-            lines.append(f"    message = {_quote(c.message)} ;")
-        lines.append("}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def format_script(mutations: list[Mutation]) -> str:
-    """Print mutations in canonical script form; parsing the printout of a
-    parsed script gives the same mutations back.
-
-    Scripts name rows only through handles, so a mutation whose row or
-    value is a concrete `RowId` raises ValueError.
-    """
-    lines = []
-    for m in mutations:
-        lines.append(_format_mutation(m))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _format_mutation(m: Mutation) -> str:
-    suffix = ""
-    if m.expectation is not None:
-        suffix = f" expect {m.expectation.value}"
-    bindings = ", ".join(f"{b.function} = {_render_value(b.value)}" for b in m.bindings)
-    if m.action is Action.INSERT:
-        as_clause = f" as {m.handle}" if m.handle else ""
-        return f"insert {m.set_name} ({bindings}){as_clause}{suffix} ;"
-    if m.action is Action.UPDATE:
-        return f"update {_render_value(m.row_ref)} set {bindings}{suffix} ;"
-    return f"delete {_render_value(m.row_ref)}{suffix} ;"
-
-
-def _render_value(value: BindingValue) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, HandleRef):
-        return f"@{value.name}"
-    if isinstance(value, RowId):
-        raise ValueError(f"row {value!r} has no handle; scripts name rows by handle")
-    if isinstance(value, str):
-        return _quote(value)
-    return str(value)
-
-
-def _quote(text: str) -> str:
-    escaped = (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'

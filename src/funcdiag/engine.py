@@ -18,17 +18,16 @@ head against the other chain's value at each of those rows. A null
 anywhere in a chain makes the instance vacuously satisfied, so checks
 drop out as early as possible on nulls.
 
-A violation keeps the constraint it breaks and formats its message when
-the message is first read, so a rejection with many witness rows costs
-one small record per witness until someone prints it.
+A violation keeps the constraint it breaks and formats its message only
+when the message is read, so a rejection with many witness rows costs one
+small tuple per witness until someone prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Mapping, MutableMapping
+from typing import Iterable, Mapping, MutableMapping, NamedTuple
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
 from .model import (
@@ -62,12 +61,12 @@ class ChangedLink:
     row: RowId
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken constraint at one witness row, or one store error.
 
     `source` is the violated constraint, or the store error's text; the
-    message is formatted from it on first read.
+    message is formatted from it each time it is read. Being a tuple, a
+    violation compares and hashes all seven fields, `source` included.
     """
 
     constraint: str | None
@@ -76,9 +75,9 @@ class Violation:
     left: Value
     right: Value
     changed: ChangedLink | None
-    source: DiagramConstraint | str = field(compare=False, repr=False)
+    source: DiagramConstraint | str
 
-    @cached_property
+    @property
     def message(self) -> str:
         if isinstance(self.source, str):
             return self.source

@@ -116,9 +116,6 @@ class Database:
             raise UnknownSet(f"unknown set {set_name!r}")
         return tuple(RowId(set_name, x) for x in table)
 
-    def row_count(self, set_name: str) -> int:
-        return len(self._tables.get(set_name, {}))
-
     def row_exists(self, row: RowId) -> bool:
         return row.x in self._tables.get(row.set_name, {})
 

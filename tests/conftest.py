@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from funcdiag.dsl import parse_schema, parse_script
 from funcdiag.engine import apply_mutation
@@ -53,3 +54,19 @@ def geography_db(geography_schema):
 @pytest.fixture()
 def geography_handles(geography_schema):
     return seeded_geography(geography_schema)
+
+
+def mutilate(data, source: str) -> str:
+    """`source` after one to six random one-character edits drawn from `data`."""
+    n_edits = data.draw(st.integers(min_value=1, max_value=6))
+    for _ in range(n_edits):
+        kind = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+        pos = data.draw(st.integers(min_value=0, max_value=max(len(source) - 1, 0)))
+        char = data.draw(st.sampled_from([*' ;{}()->.@"xq5\n²é\\\r', "//"]))
+        if kind == "delete":
+            source = source[:pos] + source[pos + 1 :]
+        elif kind == "insert":
+            source = source[:pos] + char + source[pos:]
+        else:
+            source = source[:pos] + char + source[pos + 1 :]
+    return source

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from funcdiag.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_text, mutilate
 
 
 def test_run_reports_a_superscript_digit_as_a_positioned_diagnostic(tmp_path):
@@ -58,3 +63,43 @@ def test_run_output_matches_golden(schema, script, suffix, flags):
     assert result.exit_code == 0, result.output
     golden = FIXTURES / "runs" / f"{script}.{suffix}"
     assert result.stdout == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("flags", [["--json"], ["--json", "--stop-on-reject"]])
+def test_streamed_json_report_is_laid_out_as_json_dumps(tmp_path, flags):
+    empty = tmp_path / "empty.fdm"
+    empty.write_text("// nothing to do\n", encoding="utf-8")
+    for script in (FIXTURES / "geography_ac1.fdm", empty):
+        args = ["run", str(FIXTURES / "geography.fd"), str(script), *flags]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
+
+
+COMMANDS = [
+    ["validate", "{fd}"],
+    ["run", "{fd}", "{fdm}"],
+    ["run", "{fd}", "{fdm}", "--json", "--stop-on-reject"],
+    ["check", "{fd}", "{fdm}"],
+    ["gen", "{fd}"],
+    ["gen", "{fd}", "--dialect", "generic-sql", "--what", "link-checks"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(COMMANDS), which=st.sampled_from(["fd", "fdm"]))
+def test_cli_on_mutilated_input_exits_cleanly(data, command, which):
+    sources = {"fd": fixture_text("geography.fd"), "fdm": fixture_text("geography_ac1.fdm")}
+    sources[which] = mutilate(data, sources[which])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in sources.items():
+            paths[name] = Path(tmp) / f"input.{name}"
+            paths[name].write_text(text, encoding="utf-8")
+        args = [arg.format(**paths) for arg in command]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exc_info
+    )
+    assert "Traceback" not in result.output

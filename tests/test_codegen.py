@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,12 +11,34 @@ from funcdiag.codegen import (
     gen_domain_check,
     gen_link_checks,
     gen_row_source,
-    normalize_text,
 )
 from funcdiag.dsl import parse_schema
 from funcdiag.model import ScalarType, Side
 
 from conftest import fixture_text
+
+_KEYWORDS_RE = re.compile(
+    r"\b(select|from|right|join|on|order|by|as|where|in|and|or|not|is|null"
+    r"|insert|into|values|update|set|delete|create|trigger|before|after|of"
+    r"|for|each|row|when|begin|end|exists|raise|abort|distinct)\b",
+    re.IGNORECASE,
+)
+
+_CONTINUATION_RE = re.compile(r"_[ \t]*\r?\n")
+_WS_RE = re.compile(r"\s+")
+
+
+def normalize_text(body: str) -> str:
+    """Canonical form for golden comparison of emitted text.
+
+    Removes trailing-underscore line continuations, strips square-bracket
+    identifier quoting, uppercases keywords, and collapses whitespace
+    runs. Idempotent.
+    """
+    text = _CONTINUATION_RE.sub(" ", body)
+    text = text.replace("[", "").replace("]", "")
+    text = _KEYWORDS_RE.sub(lambda m: m.group(0).upper(), text)
+    return _WS_RE.sub(" ", text).strip()
 
 GOLDEN_MOUNTAIN_ROW_SOURCE = """
 SELECT MOUNTAINS.x, [MOUNTAIN_RANGES].[Range] & ", " &

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import random
 import re
 
@@ -13,18 +14,98 @@ from funcdiag.dsl import (
     HandleRef,
     Mutation,
     Severity,
-    format_schema,
-    format_script,
+    _lex,
+    _TOKEN_RE,
     parse_schema,
     parse_script,
 )
-from funcdiag.model import ConstraintKind, IssueCode, ScalarType
+from funcdiag.model import ConstraintKind, IssueCode, ScalarType, Schema
 from funcdiag.store import RowId
 
-from conftest import fixture_text
+from conftest import fixture_text, mutilate
 from randgen import make_schema
 
 GEOGRAPHY = fixture_text("geography.fd")
+
+
+# -- canonical printers, for round-trip tests ---------------------------------
+
+
+def format_schema(schema: Schema) -> str:
+    """Print a schema in canonical DSL form; parsing it back is identity."""
+    lines = [f"schema {schema.name} ;", ""]
+    for s in schema.sets:
+        lines.append(f"set {s.name} {{")
+        for fn in schema.functions_of(s.name):
+            marker = "name " if fn.name == s.name_attribute else ""
+            suffix = " ?" if fn.nullable else ""
+            if fn.is_link:
+                lines.append(f"    {marker}{fn.name} -> {fn.codomain}{suffix} ;")
+            else:
+                assert isinstance(fn.codomain, ScalarType)
+                lines.append(f"    {marker}{fn.name} : {fn.codomain.value}{suffix} ;")
+        lines.append("}")
+        lines.append("")
+    for c in schema.constraints:
+        kind = (
+            "commutative" if c.kind is ConstraintKind.COMMUTATIVE else "anticommutative"
+        )
+        lines.append(f"constraint {c.id} {kind} on {c.domain_set} {{")
+        lines.append(f"    left = {c.left.render()} ;")
+        lines.append(f"    right = {c.right.render()} ;")
+        if c.message is not None:
+            lines.append(f"    message = {_quote(c.message)} ;")
+        lines.append("}")
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"
+
+
+def format_script(mutations: list[Mutation]) -> str:
+    """Print mutations in canonical script form; parsing the printout of a
+    parsed script gives the same mutations back.
+
+    Scripts name rows only through handles, so a mutation whose row or
+    value is a concrete `RowId` raises ValueError.
+    """
+    lines = []
+    for m in mutations:
+        lines.append(_format_mutation(m))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _format_mutation(m: Mutation) -> str:
+    suffix = ""
+    if m.expectation is not None:
+        suffix = f" expect {m.expectation.value}"
+    bindings = ", ".join(f"{b.function} = {_render_value(b.value)}" for b in m.bindings)
+    if m.action is Action.INSERT:
+        as_clause = f" as {m.handle}" if m.handle else ""
+        return f"insert {m.set_name} ({bindings}){as_clause}{suffix} ;"
+    if m.action is Action.UPDATE:
+        return f"update {_render_value(m.row_ref)} set {bindings}{suffix} ;"
+    return f"delete {_render_value(m.row_ref)}{suffix} ;"
+
+
+def _render_value(value: BindingValue) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, HandleRef):
+        return f"@{value.name}"
+    if isinstance(value, RowId):
+        raise ValueError(f"row {value!r} has no handle; scripts name rows by handle")
+    if isinstance(value, str):
+        return _quote(value)
+    return str(value)
+
+
+def _quote(text: str) -> str:
+    escaped = (
+        text.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\t", "\\t")
+    )
+    return f'"{escaped}"'
 
 
 def errors(diagnostics):
@@ -280,42 +361,48 @@ def test_schema_round_trip_on_random_models(seed):
     assert format_schema(reparsed) == printed
 
 
-def _mutilate(data, source: str) -> str:
-    n_edits = data.draw(st.integers(min_value=1, max_value=6))
-    for _ in range(n_edits):
-        kind = data.draw(st.sampled_from(["delete", "insert", "replace"]))
-        pos = data.draw(st.integers(min_value=0, max_value=max(len(source) - 1, 0)))
-        char = data.draw(st.sampled_from([*' ;{}()->.@"xq5\n²é\\\r', "//"]))
-        if kind == "delete":
-            source = source[:pos] + source[pos + 1 :]
-        elif kind == "insert":
-            source = source[:pos] + char + source[pos:]
-        else:
-            source = source[:pos] + char + source[pos + 1 :]
-    return source
-
-
-def _assert_in_bounds(source: str, diagnostics) -> None:
+def _assert_points_at_offending_text(source: str, diagnostics) -> None:
+    """Each diagnostic is in bounds and sits where its message says: at the
+    token it found, at the end of input, or at the bad character."""
     lines = source.split("\n")
     for d in diagnostics:
-        assert 1 <= d.line <= len(lines)
-        assert 1 <= d.column <= len(lines[d.line - 1]) + 1
+        assert 1 <= d.line <= len(lines), d
+        text = lines[d.line - 1]
+        assert 1 <= d.column <= len(text) + 1, d
+        rest = text[d.column - 1 :]
+        found = re.search(r"found (end of input|'.*')$", d.message)
+        if found and found[1] == "end of input":
+            assert (d.line, d.column) == (len(lines), len(text) + 1), d
+        elif found:
+            value = ast.literal_eval(found[1])
+            assert rest.startswith((value, "@" + value, '"')), (d, rest)
+            if rest.startswith('"'):
+                assert _TOKEN_RE.match(rest)[1].startswith('"'), (d, rest)
+        elif d.message.startswith("unexpected character"):
+            assert rest[:1] == ast.literal_eval(d.message.split(" ", 2)[2]), (d, rest)
+        elif d.message.startswith("'@' must be followed"):
+            assert rest.startswith("@") and _TOKEN_RE.match(rest)[1] is None, (d, rest)
+        elif d.message == "unterminated string literal":
+            assert rest.startswith('"'), (d, rest)
+        else:
+            starts = {m.start(1) + 1 for m in _TOKEN_RE.finditer(text) if m[1]}
+            assert d.column in starts or d.code is IssueCode.NO_SCHEMA, (d, rest)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutilated_sources_keep_diagnostics_in_bounds(data):
-    source = _mutilate(data, GEOGRAPHY)
+    source = mutilate(data, GEOGRAPHY)
     _, diagnostics = parse_schema(source)
-    _assert_in_bounds(source, diagnostics)
+    _assert_points_at_offending_text(source, diagnostics)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutilated_scripts_keep_diagnostics_in_bounds(geography_schema, data):
-    source = _mutilate(data, fixture_text("geography_ac1.fdm"))
+    source = mutilate(data, fixture_text("geography_ac1.fdm"))
     _, diagnostics = parse_script(source, geography_schema)
-    _assert_in_bounds(source, diagnostics)
+    _assert_points_at_offending_text(source, diagnostics)
 
 
 # -- lexer edge cases ---------------------------------------------------------
@@ -353,6 +440,76 @@ def test_end_of_input_column_counts_a_trailing_comment():
     [d] = diagnostics
     assert (d.line, d.column) == (1, 25)
     assert d.message == "expected ';', found end of input"
+
+
+_ASIA = 'insert CONTINENTS (Continent = "Asia") as asia ;'
+
+
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_trailing_comment_at_end_of_input_is_skipped(geography_schema, end):
+    schema, diagnostics = parse_schema(GEOGRAPHY.rstrip("\n") + " // tail" + end)
+    assert diagnostics == [] and schema == geography_schema
+    mutations, diagnostics = parse_script(_ASIA + " // tail" + end, geography_schema)
+    assert diagnostics == []
+    assert [(m.action, m.line) for m in mutations] == [(Action.INSERT, 1)]
+
+
+@pytest.mark.parametrize("tail", [" ", "\t", "\r", "  \t\r", "\r\n", "\n  \r"])
+def test_trailing_blanks_and_carriage_returns_end_no_token(geography_schema, tail):
+    mutations, diagnostics = parse_script(_ASIA + tail, geography_schema)
+    assert diagnostics == []
+    assert len(mutations) == 1
+
+
+def test_crlf_script_parses_like_lf(geography_schema):
+    source = fixture_text("geography_ac1.fdm")
+    lf, _ = parse_script(source, geography_schema)
+    crlf, diagnostics = parse_script(source.replace("\n", "\r\n"), geography_schema)
+    assert diagnostics == []
+    assert crlf == lf
+    assert [m.line for m in crlf] == [m.line for m in lf]
+
+
+@pytest.mark.parametrize("end, position", [("\n", "3:1"), ("", "2:99")])
+def test_comment_inside_a_statement_runs_to_the_end_of_its_line(
+    geography_schema, end, position
+):
+    # A skipped prefix that backtracks at the end of input would lex
+    # "= @asia, ..." out of the comment.
+    source = (
+        f"{_ASIA}\n"
+        'insert RIVERS (River = "R", Continent = @asia,'
+        " Continen//= @asia, Mountain = null) expect accept ;" + end
+    )
+    _, diagnostics = parse_script(source, geography_schema)
+    assert [d.render() for d in diagnostics] == [
+        f"{position}: error [syntax] expected '=', found end of input"
+    ]
+
+
+def test_an_unterminated_string_keeps_its_trailing_blanks(geography_schema):
+    _, diagnostics = parse_script(
+        'insert CONTINENTS (Continent = "Asia \r', geography_schema
+    )
+    assert [d.render() for d in diagnostics] == [
+        "1:32: error [syntax] unterminated string literal",
+        "1:39: error [syntax] expected ')', found end of input",
+    ]
+
+
+@pytest.mark.parametrize(
+    "tail", ["", " // c", "\n", "  \t", "\r", "\r\n", " // c  \r\n\r\n  ", " $"]
+)
+def test_exactly_one_eof_at_the_end_of_the_last_line(tail):
+    source = "schema T" + tail
+    tokens, lines, _, _ = _lex(source)
+    assert tokens.count("") == 1 and tokens[-1] == ""
+    assert lines[-1] == source.count("\n") + 1
+    _, diagnostics = parse_schema(source)
+    [at_end] = [d for d in diagnostics if d.message.endswith("found end of input")]
+    assert at_end.message == "expected ';', found end of input"
+    last = source.split("\n")[-1]
+    assert (at_end.line, at_end.column) == (lines[-1], len(last) + 1)
 
 
 @pytest.mark.parametrize(

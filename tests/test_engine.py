@@ -561,7 +561,7 @@ def test_every_message_field_formats_in_a_violation():
     )
 
 
-def test_violation_message_is_read_twice_alike_and_equality_ignores_source(
+def test_violation_message_is_read_twice_alike_and_equality_compares_source(
     geography_schema,
 ):
     db, handles = seeded_geography(geography_schema)
@@ -569,7 +569,9 @@ def test_violation_message_is_read_twice_alike_and_equality_ignores_source(
     message = violation.message
     assert violation.message == message
     assert message.endswith(f"(left={violation.left!r}, right={violation.right!r})")
-    assert replace(violation, source="another text") == violation
+    assert violation._replace(source="another text") != violation
+    assert violation._replace() == violation
+    assert hash(violation._replace()) == hash(violation)
 
 
 def test_store_error_violation_built_positionally_returns_its_text():

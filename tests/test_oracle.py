@@ -18,7 +18,7 @@ def test_full_check_empty_database(geography_schema):
 def test_full_check_counts_domain_rows(geography_schema):
     db, _ = seeded_geography(geography_schema)
     report = full_check(db)
-    assert report.rows_scanned == db.row_count("RIVERS")
+    assert report.rows_scanned == len(db.rows("RIVERS"))
     assert report.violations == ()
 
 

@@ -22,7 +22,6 @@ from .dsl import (
     Expectation,
     HandleRef,
     Mutation,
-    Severity,
     parse_schema,
     parse_script,
 )
@@ -41,7 +40,6 @@ from .engine import (
 )
 from .model import (
     ChainSpec,
-    ConstraintClass,
     ConstraintKind,
     DiagramConstraint,
     FunctionDef,
@@ -54,7 +52,6 @@ from .model import (
     Schema,
     SetDef,
     Side,
-    classify_constraint,
     validate_diagram,
 )
 from .oracle import OracleReport, full_check, oracle_apply
@@ -66,7 +63,6 @@ __all__ = [
     "Action",
     "Binding",
     "ChainSpec",
-    "ConstraintClass",
     "ConstraintKind",
     "Database",
     "Diagnostic",
@@ -88,7 +84,6 @@ __all__ = [
     "ScalarType",
     "Schema",
     "SetDef",
-    "Severity",
     "Side",
     "StoreError",
     "Verdict",
@@ -98,7 +93,6 @@ __all__ = [
     "apply_mutation",
     "check_domain_row",
     "check_link_update",
-    "classify_constraint",
     "dispatch",
     "emit_units",
     "eval_chain",

@@ -40,11 +40,7 @@ def _load_schema(schema_path: str):
     if schema is None:
         for d in diagnostics:
             click.echo(f"{schema_path}:{d.render()}", err=True)
-        only_refusals = all(
-            d.code in _REFUSAL_CODES
-            for d in diagnostics
-            if d.severity is dsl.Severity.ERROR
-        )
+        only_refusals = all(d.code in _REFUSAL_CODES for d in diagnostics)
         sys.exit(1 if only_refusals else 2)
     return schema
 

@@ -31,7 +31,6 @@ from enum import Enum
 from typing import Union
 
 from .model import (
-    ConstraintClass,
     ConstraintKind,
     DiagramConstraint,
     FunctionDef,
@@ -42,29 +41,23 @@ from .model import (
     Schema,
     SetDef,
     Side,
-    classify_constraint,
     message_template_problem,
-    refusal_issue,
     validate_diagram,
 )
 from .store import RowId
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: Severity
+    """An error at a source position; every diagnostic is an error."""
+
     line: int
     column: int
     code: IssueCode
     message: str
 
     def render(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity.value} [{self.code.value}] {self.message}"
+        return f"{self.line}:{self.column}: error [{self.code.value}] {self.message}"
 
 
 class Action(Enum):
@@ -202,14 +195,11 @@ def _lex_line(n: int, text: str, diagnostics: list[Diagnostic]) -> list[str]:
                 if char == "@"
                 else f"unexpected character {char!r}"
             )
-            diagnostics.append(
-                Diagnostic(Severity.ERROR, n, m.end(), IssueCode.SYNTAX, message)
-            )
+            diagnostics.append(Diagnostic(n, m.end(), IssueCode.SYNTAX, message))
         elif tok:
             if tok[0] == '"' and _unterminated(tok):
                 diagnostics.append(
                     Diagnostic(
-                        Severity.ERROR,
                         n,
                         m.start(1) + 1,
                         IssueCode.SYNTAX,
@@ -284,22 +274,14 @@ class _RawSet:
 
 
 @dataclass
-class _RawChainDecl:
-    identity: bool
-    names: list[str]
-    positions: list[int]
-    pos: int
-
-
-@dataclass
 class _RawConstraintDecl:
     id: str
     pos: int
     kind: ConstraintKind
     domain: str
     domain_pos: int
-    left: _RawChainDecl | None = None
-    right: _RawChainDecl | None = None
+    # each side's chain, beside the token index of each of its names
+    chains: dict[Side, tuple[RawChain, list[int]]] = field(default_factory=dict)
     message: int | None = None
 
 
@@ -357,7 +339,7 @@ class _Parser:
         self, message: str, i: int | None = None, code: IssueCode = IssueCode.SYNTAX
     ) -> None:
         line, column = self.position(self.i if i is None else i)
-        self.diagnostics.append(Diagnostic(Severity.ERROR, line, column, code, message))
+        self.diagnostics.append(Diagnostic(line, column, code, message))
 
     def skip_to(self, *texts: str) -> None:
         while self.tok and self.tok not in texts:
@@ -488,7 +470,7 @@ class _SchemaParser(_Parser):
         )
         while self.tok and self.tok != "}":
             if self.tok in ("left", "right"):
-                side = self.tok
+                side = Side(self.tok)
                 side_pos = self.advance()
                 if not self.expect("="):
                     self.skip_past(";")
@@ -496,13 +478,10 @@ class _SchemaParser(_Parser):
                 chain = self._chain()
                 if chain is None:
                     continue
-                previous = decl.left if side == "left" else decl.right
-                if previous is not None:
-                    self.error(f"duplicate '{side}' chain", side_pos)
-                elif side == "left":
-                    decl.left = chain
+                if side in decl.chains:
+                    self.error(f"duplicate '{side.value}' chain", side_pos)
                 else:
-                    decl.right = chain
+                    decl.chains[side] = chain
             elif self.tok == "message":
                 message_pos = self.advance()
                 if not self.expect("="):
@@ -524,19 +503,19 @@ class _SchemaParser(_Parser):
                 )
                 self.skip_past(";")
         self.expect("}")
-        if decl.left is None:
-            self.error(f"constraint {decl.id!r} declares no left chain", decl.pos)
-            return None
-        if decl.right is None:
-            self.error(f"constraint {decl.id!r} declares no right chain", decl.pos)
-            return None
+        for side in Side:
+            if side not in decl.chains:
+                self.error(
+                    f"constraint {decl.id!r} declares no {side.value} chain", decl.pos
+                )
+                return None
         return decl
 
-    def _chain(self) -> _RawChainDecl | None:
-        start = self.i
+    def _chain(self) -> tuple[RawChain, list[int]] | None:
+        """A chain and the token index of each of its names."""
         if self.accept("identity"):
             self.expect(";")
-            return _RawChainDecl(True, [], [], start)
+            return RawChain(identity=True), []
         positions: list[int] = []
         while True:
             what = "function name" if positions else "function name or 'identity'"
@@ -548,14 +527,15 @@ class _SchemaParser(_Parser):
             if not self.accept("."):
                 break
         self.expect(";")
-        return _RawChainDecl(False, [self.tokens[i] for i in positions], positions, start)
+        return RawChain(tuple(self.tokens[i] for i in positions)), positions
 
 
 def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     """Parse and validate a schema file.
 
-    Returns (schema, []) on success, with every constraint admitted and
-    classified GENERAL, or (None, diagnostics) listing every problem.
+    Returns (schema, []) on success, with every constraint resolved and
+    admitted by validate_diagram, or (None, diagnostics) listing every
+    problem.
     """
     parser = _SchemaParser(source)
     schema_name, raw_sets, raw_constraints = parser.parse()
@@ -646,14 +626,9 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
             problem = message_template_problem(message)
             if problem is not None:
                 diag(IssueCode.BAD_MESSAGE_TEMPLATE, problem, raw_c.message)
-        assert raw_c.left is not None and raw_c.right is not None
+        (left, _), (right, _) = raw_c.chains[Side.LEFT], raw_c.chains[Side.RIGHT]
         raw_constraint = RawConstraint(
-            raw_c.id,
-            raw_c.kind,
-            raw_c.domain,
-            RawChain(tuple(raw_c.left.names), raw_c.left.identity),
-            RawChain(tuple(raw_c.right.names), raw_c.right.identity),
-            message,
+            raw_c.id, raw_c.kind, raw_c.domain, left, right, message
         )
         resolved, issues = validate_diagram(schema, raw_constraint)
         for issue in issues:
@@ -661,21 +636,12 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
             if issue.code is IssueCode.UNKNOWN_SET:
                 tok = raw_c.domain_pos
             elif issue.side is not None and issue.position is not None:
-                chain_decl = raw_c.left if issue.side is Side.LEFT else raw_c.right
-                if chain_decl is not None and chain_decl.positions:
-                    tok = chain_decl.positions[issue.position - 1]
+                tok = raw_c.chains[issue.side][1][issue.position - 1]
             diag(issue.code, issue.message, tok)
-        if resolved is None:
-            continue
-        cls = classify_constraint(resolved)
-        if cls is not ConstraintClass.GENERAL:
-            issue = refusal_issue(resolved, cls)
-            diag(issue.code, issue.message, raw_c.pos)
-            continue
-        constraints.append(resolved)
+        if resolved is not None:
+            constraints.append(resolved)
 
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
+    if diagnostics:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
     return schema.with_constraints(tuple(constraints)), []
 
@@ -937,7 +903,6 @@ def parse_script(
     parser = _ScriptParser(source, schema)
     mutations = parser.parse()
     diagnostics = parser.diagnostics
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
+    if diagnostics:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
     return mutations, []

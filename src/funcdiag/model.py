@@ -12,6 +12,12 @@ values be equal for every row (commutative) or differ for every row
 (anti-commutative). Chains are stored outermost-first: the entry at index
 0 is applied last, the entry at index n-1 is the function defined on the
 common domain and applied first.
+
+Only general diagram constraints are admitted. validate_diagram is where a
+declared constraint is judged: it refuses a chain compared against the
+identity of its domain (a local constraint) and a pair of single functions
+(a homogeneous binary function product, HBFP), so neither ever takes the
+DiagramConstraint shape.
 """
 
 from __future__ import annotations
@@ -31,21 +37,6 @@ class ScalarType(Enum):
 class ConstraintKind(Enum):
     COMMUTATIVE = "commutative"
     ANTI_COMMUTATIVE = "anti-commutative"
-
-
-class ConstraintClass(Enum):
-    """Taxonomy of diagram constraints.
-
-    GENERAL constraints (at least one side composes two or more functions,
-    neither side is the identity) are the only class this engine enforces.
-    HBFP (both sides are single functions) and LOCAL (one side is the
-    identity of the domain) belong to other enforcement families and are
-    refused with a classification so callers can point users there.
-    """
-
-    GENERAL = "general"
-    HBFP = "hbfp"
-    LOCAL = "local"
 
 
 class Side(Enum):
@@ -71,7 +62,6 @@ class IssueCode(Enum):
     UNKNOWN_SET = "unknown-set"
     UNKNOWN_FUNCTION = "unknown-function"
     BROKEN_COMPOSITION = "broken-composition"
-    DOMAIN_MISMATCH = "domain-mismatch"
     CODOMAIN_MISMATCH = "codomain-mismatch"
     DEGENERATE_IDENTITY = "degenerate-identity"
     REFUSED_HBFP = "refused-hbfp"
@@ -130,26 +120,17 @@ class FunctionDef:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """An ordered composition of functions, outermost first.
+    """An ordered composition of at least one function, outermost first.
 
     `functions[0]` is applied last and determines the codomain;
     `functions[-1]` is defined on the common domain and applied first.
-    The reserved identity chain carries no functions and names the set it
-    is the identity of.
     """
 
     functions: tuple[FunctionDef, ...]
-    identity_of: str | None = None
 
     def __post_init__(self) -> None:
-        if self.identity_of is None and not self.functions:
-            raise ValueError("a non-identity chain needs at least one function")
-        if self.identity_of is not None and self.functions:
-            raise ValueError("an identity chain carries no functions")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.identity_of is not None
+        if not self.functions:
+            raise ValueError("a chain needs at least one function")
 
     @property
     def length(self) -> int:
@@ -157,14 +138,10 @@ class ChainSpec:
 
     @property
     def domain_set(self) -> str:
-        if self.identity_of is not None:
-            return self.identity_of
         return self.functions[-1].domain
 
     @property
     def codomain(self) -> str | ScalarType:
-        if self.identity_of is not None:
-            return self.identity_of
         return self.functions[0].codomain
 
     @property
@@ -176,8 +153,6 @@ class ChainSpec:
         return self.functions[0]
 
     def render(self) -> str:
-        if self.is_identity:
-            return "identity"
         return " . ".join(f.name for f in self.functions)
 
 
@@ -185,9 +160,9 @@ class ChainSpec:
 class DiagramConstraint:
     """A resolved two-chain diagram constraint.
 
-    Only GENERAL constraints are admitted into a Schema; candidates of the
-    refused classes still take this shape so that classification and
-    refusal messages can be produced uniformly.
+    Both sides are compositions, and at least one composes two or more
+    functions; validate_diagram builds nothing else, and a Schema admits
+    nothing else.
     """
 
     id: str
@@ -271,9 +246,10 @@ def message_template_problem(template: str) -> str | None:
 class Schema:
     """An immutable, validated schema plus its admitted constraints.
 
-    Construction admits only GENERAL constraints whose message template
-    can always format (see message_template_problem); anything else raises
-    ValueError naming the constraint. The lookup tables, including the
+    Construction admits only constraints with a side that composes two or
+    more functions and a message template that can always format (see
+    message_template_problem); anything else raises ValueError naming the
+    constraint. The lookup tables, including the
     per-(set, function) chain occurrences, are built once here.
     """
 
@@ -346,10 +322,9 @@ class Schema:
 
 
 def _admit(c: DiagramConstraint) -> None:
-    cls = classify_constraint(c)
-    if cls is not ConstraintClass.GENERAL:
+    if c.left.length == 1 and c.right.length == 1:
         raise ValueError(
-            f"constraint {c.id!r} classifies as {cls.value}; "
+            f"constraint {c.id!r} classifies as hbfp; "
             "only general diagram constraints are admitted"
         )
     if c.message is not None:
@@ -364,7 +339,8 @@ def _tuples(table: dict) -> dict:
 
 @dataclass(frozen=True)
 class RawChain:
-    """An unresolved chain: function names outermost-first, or identity."""
+    """An unresolved chain as written: function names outermost-first, or
+    the identity of the constraint's domain set."""
 
     names: tuple[str, ...] = ()
     identity: bool = False
@@ -394,11 +370,9 @@ def resolve_chain(
     than an unknown name. All entries except the outermost must be link
     functions. Every problem is reported; resolution continues past a
     broken entry only when a unique same-named function elsewhere lets the
-    walk proceed meaningfully, otherwise it stops.
+    walk proceed meaningfully, otherwise it stops. `raw` is not the
+    identity.
     """
-    if raw.identity:
-        return ChainSpec((), identity_of=domain_set), []
-
     issues: list[Issue] = []
     resolved: list[FunctionDef | None] = [None] * len(raw.names)
     current = domain_set
@@ -454,90 +428,73 @@ def resolve_chain(
 def validate_diagram(
     schema: Schema, raw: RawConstraint
 ) -> tuple[DiagramConstraint | None, list[Issue]]:
-    """Resolve a raw constraint against a validated schema.
+    """Judge a declared constraint against a validated schema.
 
-    Returns the fully resolved constraint, or every diagnostic found
-    (unknown names, composition breaks, codomain disagreement). A resolved
-    constraint is not yet admitted: classification decides that.
+    Returns the resolved constraint, or every issue found: an unknown
+    domain set, identity on both sides, unknown names and composition
+    breaks, codomain disagreement (an identity side ends where it starts),
+    and then the refused classes, a local constraint (exactly one side is
+    the identity) and an HBFP (both sides are single functions). Both
+    chains are resolved from `raw.domain_set`, so any pair that resolves
+    starts on the same set.
     """
-    issues: list[Issue] = []
     if not schema.has_set(raw.domain_set):
-        issues.append(
+        return None, [
             Issue(
                 IssueCode.UNKNOWN_SET,
                 f"constraint {raw.id!r} is declared on unknown set {raw.domain_set!r}",
             )
-        )
-        return None, issues
+        ]
     if raw.left.identity and raw.right.identity:
-        issues.append(
+        return None, [
             Issue(
                 IssueCode.DEGENERATE_IDENTITY,
                 f"constraint {raw.id!r} declares identity on both sides",
             )
-        )
+        ]
+
+    # None stands for the identity from here on
+    chains: list[ChainSpec | None] = []
+    issues: list[Issue] = []
+    for side, raw_chain in ((Side.LEFT, raw.left), (Side.RIGHT, raw.right)):
+        chain = None
+        if not raw_chain.identity:
+            chain, chain_issues = resolve_chain(schema, raw.domain_set, raw_chain, side)
+            issues.extend(chain_issues)
+        chains.append(chain)
+    if issues:
         return None, issues
 
-    left, left_issues = resolve_chain(schema, raw.domain_set, raw.left, Side.LEFT)
-    right, right_issues = resolve_chain(schema, raw.domain_set, raw.right, Side.RIGHT)
-    issues.extend(left_issues)
-    issues.extend(right_issues)
-    if left is None or right is None:
-        return None, issues
-
-    if left.domain_set != right.domain_set:
-        issues.append(
-            Issue(
-                IssueCode.DOMAIN_MISMATCH,
-                f"chains start on different sets: {left.domain_set!r} vs {right.domain_set!r}",
-            )
-        )
-    lcod, rcod = left.codomain, right.codomain
+    left, right = chains
+    lcod = raw.domain_set if left is None else left.codomain
+    rcod = raw.domain_set if right is None else right.codomain
     if lcod != rcod:
-        issues.append(
+        return None, [
             Issue(
                 IssueCode.CODOMAIN_MISMATCH,
                 f"chains end in different codomains: {_render_codomain(lcod)}"
                 f" vs {_render_codomain(rcod)}",
             )
-        )
-    if issues:
-        return None, issues
+        ]
+    if left is None or right is None:
+        return None, [
+            Issue(
+                IssueCode.REFUSED_LOCAL,
+                f"constraint {raw.id!r} compares a chain against the identity of"
+                f" {raw.domain_set!r} (local constraint); it is enforced by the"
+                " self-map constraint family, not by diagram checking",
+            )
+        ]
+    if left.length == 1 and right.length == 1:
+        return None, [
+            Issue(
+                IssueCode.REFUSED_HBFP,
+                f"constraint {raw.id!r} composes a single function on each side"
+                " (homogeneous binary function product); it is enforced by the"
+                " paired-function reflexivity family, not by diagram checking",
+            )
+        ]
     return DiagramConstraint(raw.id, raw.kind, left, right, raw.message), []
-
-
-def classify_constraint(candidate: DiagramConstraint) -> ConstraintClass:
-    """Place a resolved constraint in the taxonomy.
-
-    LOCAL when exactly one side is the identity chain; HBFP when both
-    sides are single functions; GENERAL otherwise. Identity detection is
-    syntactic: only the reserved identity chain counts, a chain that
-    merely ends where it started does not.
-    """
-    left_id = candidate.left.is_identity
-    right_id = candidate.right.is_identity
-    if left_id != right_id:
-        return ConstraintClass.LOCAL
-    if candidate.left.length == 1 and candidate.right.length == 1:
-        return ConstraintClass.HBFP
-    return ConstraintClass.GENERAL
-
-
-def refusal_issue(candidate: DiagramConstraint, cls: ConstraintClass) -> Issue:
-    """The diagnostic produced when a non-GENERAL constraint is declared."""
-    if cls is ConstraintClass.HBFP:
-        return Issue(
-            IssueCode.REFUSED_HBFP,
-            f"constraint {candidate.id!r} composes a single function on each side"
-            " (homogeneous binary function product); it is enforced by the"
-            " paired-function reflexivity family, not by diagram checking",
-        )
-    return Issue(
-        IssueCode.REFUSED_LOCAL,
-        f"constraint {candidate.id!r} compares a chain against the identity of"
-        f" {candidate.domain_set!r} (local constraint); it is enforced by the"
-        " self-map constraint family, not by diagram checking",
-    )
 
 
 def _render_codomain(codomain: str | ScalarType) -> str:

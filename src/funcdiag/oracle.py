@@ -2,8 +2,12 @@
 
 full_check re-evaluates every constraint at every domain row, with the
 same comparison and null semantics the engine uses. oracle_apply judges a
-mutation by cloning the database, applying it raw, and asking whether any
-new violation appeared. Deliberately O(rows x chain length) per check;
+mutation with the engine's definition of "violated": it applies the
+mutation raw to a clone, finds every cell whose value changed by comparing
+the two states, and checks every domain row whose post-state chain, on
+either side, reads a changed cell. A row that violates but reads no
+changed cell is not blamed on the mutation; a row that reads one is, even
+if it violated before. Deliberately O(rows x chain length) per check;
 tests lean on it, production paths do not.
 """
 
@@ -24,7 +28,8 @@ from .engine import (
     resolve_mutation,
     sort_violations,
 )
-from .store import Database, RowId, StoreError
+from .model import ChainSpec
+from .store import Database, RowId, StoreError, Value
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,10 @@ def oracle_apply(
     m: Mutation,
     handles: MutableMapping[str, RowId] | None = None,
 ) -> Verdict:
-    """Decide a mutation by scratch application plus full re-check.
+    """Decide a mutation by scratch application plus a re-check of every
+    domain row whose chains read a cell the mutation changed.
 
-    Violations already present before the mutation are not re-attributed
-    to it (keyed by constraint and witness), so seeded-invalid databases
-    can still be mutated anywhere the change itself is clean. On
-    REJECTED, `db` is untouched.
+    On REJECTED, `db` is untouched.
     """
     handles = handles if handles is not None else {}
     try:
@@ -62,19 +65,23 @@ def oracle_apply(
     except MutationResolveError as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
-    baseline = _violation_keys(full_check(db).violations)
     scratch = db.clone()
     try:
         raw_apply(scratch, resolved)
     except StoreError as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
-    post = full_check(scratch)
-    new = tuple(
-        v for v in post.violations if (v.constraint, v.witness) not in baseline
-    )
-    if new:
-        return Verdict(Outcome.REJECTED, new)
+    changed = _changed_cells(db.snapshot(), scratch.snapshot())
+    violations = [
+        v
+        for constraint in scratch.schema.constraints
+        for x in scratch.rows(constraint.domain_set)
+        if _reads_any(scratch, constraint.left, x, changed)
+        or _reads_any(scratch, constraint.right, x, changed)
+        for v in check_domain_row(scratch, constraint, x)
+    ]
+    if violations:
+        return Verdict(Outcome.REJECTED, tuple(sort_violations(violations)))
 
     applied_row = raw_apply(db, resolved)
     if m.action is Action.INSERT and m.handle and applied_row is not None:
@@ -82,5 +89,27 @@ def oracle_apply(
     return Verdict(Outcome.APPLIED, (), row=applied_row)
 
 
-def _violation_keys(violations: tuple[Violation, ...]) -> set:
-    return {(v.constraint, v.witness) for v in violations}
+def _changed_cells(before: dict, after: dict) -> set[tuple[RowId, str]]:
+    """The (row, function) cells whose value differs between two snapshots;
+    a row in only one of them differs in every cell."""
+    changed = set()
+    for set_name, table in after["tables"].items():
+        old_table = before["tables"][set_name]
+        for x in old_table.keys() | table.keys():
+            old, new = old_table.get(x), table.get(x)
+            for name in old or new:
+                if old is None or new is None or old[name] != new[name]:
+                    changed.add((RowId(set_name, x), name))
+    return changed
+
+
+def _reads_any(db: Database, chain: ChainSpec, x: RowId, cells: set) -> bool:
+    """Whether evaluating `chain` at x reads one of `cells`."""
+    current: Value = x
+    for fn in reversed(chain.functions):
+        if current is None:
+            return False
+        if (current, fn.name) in cells:
+            return True
+        current = db.lookup(current, fn.name)
+    return False

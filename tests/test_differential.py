@@ -5,7 +5,8 @@ Each seed grows a schema with 1-3 constraints (chains may share
 functions, loop, and revisit sets), seeds a valid database, and feeds the
 same 60 random mutations to apply_mutation on one copy, oracle_apply on
 another, and SQLite guarded by the emitted generic-sql triggers on a
-third.
+third. A second run starts the three from a database that random raw
+writes have left violating some constraints.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import sqlite3
 import pytest
 
 from funcdiag.dsl import Action
-from funcdiag.engine import apply_mutation, resolve_mutation
+from funcdiag.engine import apply_mutation, raw_apply, resolve_mutation
 from funcdiag.oracle import oracle_apply
+from funcdiag.store import StoreError
 
 from randgen import make_mutation, make_schema, seed_database
 from test_sql_harness import contents, generic_sql_units, install, sql_apply, sql_contents
@@ -25,6 +27,10 @@ from test_sql_harness import contents, generic_sql_units, install, sql_apply, sq
 # 143-182 are seeds on which BEFORE triggers read a row's old values
 SEEDS = [*range(40), 143, 150, 167, 182]
 MUTATIONS = 60
+# 53-293 are seeds on which an oracle that forgave standing violations
+# applied an update the engine and SQLite reject
+INCONSISTENT_SEEDS = [*range(10), 53, 167, 238, 261, 272, 286, 293]
+RAW_WRITES = 15
 
 
 def _schema(rng: random.Random):
@@ -46,7 +52,29 @@ def test_engine_agrees_with_oracle(seed):
     same final tables."""
     rng = random.Random(seed)
     schema = _schema(rng)
+    _three_ways(rng, seed_database(rng, schema), seed)
+
+
+@pytest.mark.parametrize("seed", INCONSISTENT_SEEDS)
+def test_engine_agrees_with_oracle_from_an_inconsistent_state(seed):
+    """As above, from a database that raw writes, which no check guards,
+    have left violating: a write is judged by the rows it touches, and a
+    touched row that still violates rejects it."""
+    rng = random.Random(seed)
+    schema = _schema(rng)
     db = seed_database(rng, schema)
+    for _ in range(RAW_WRITES):
+        try:
+            raw_apply(db, resolve_mutation(make_mutation(rng, db), {}))
+        except StoreError:
+            pass
+    _three_ways(rng, db, seed)
+
+
+def _three_ways(rng: random.Random, db, seed: int) -> None:
+    """Feed MUTATIONS random mutations to `db` through the engine, to a copy
+    through the oracle and to SQLite, asserting they agree throughout."""
+    schema = db.schema
     reference = db.clone(share_counter=False)
     connection = sqlite3.connect(":memory:")
     install(connection, schema, generic_sql_units(schema), db)

@@ -13,7 +13,6 @@ from funcdiag.dsl import (
     Expectation,
     HandleRef,
     Mutation,
-    Severity,
     _lex,
     _TOKEN_RE,
     parse_schema,
@@ -108,10 +107,6 @@ def _quote(text: str) -> str:
     return f'"{escaped}"'
 
 
-def errors(diagnostics):
-    return [d for d in diagnostics if d.severity is Severity.ERROR]
-
-
 def test_geography_fixture_parses(geography_schema):
     assert geography_schema.name == "Geography"
     assert [s.name for s in geography_schema.sets] == [
@@ -143,7 +138,7 @@ def test_empty_source_reports_no_schema():
 def test_hbfp_constraint_refused_with_classification():
     schema, diagnostics = parse_schema(fixture_text("hbfp.fd"))
     assert schema is None
-    [d] = errors(diagnostics)
+    [d] = diagnostics
     assert d.code is IssueCode.REFUSED_HBFP
     assert "SameGuide" in d.message
 
@@ -151,7 +146,7 @@ def test_hbfp_constraint_refused_with_classification():
 def test_local_constraint_refused_with_classification():
     schema, diagnostics = parse_schema(fixture_text("local.fd"))
     assert schema is None
-    [d] = errors(diagnostics)
+    [d] = diagnostics
     assert d.code is IssueCode.REFUSED_LOCAL
     assert "identity" in d.message
 
@@ -530,7 +525,7 @@ def test_bad_message_template_is_a_positioned_diagnostic(template):
     source = re.sub(r'"The mountain[^"]*"', lambda _: literal, GEOGRAPHY)
     schema, diagnostics = parse_schema(source)
     assert schema is None
-    [d] = errors(diagnostics)
+    [d] = diagnostics
     assert d.code is IssueCode.BAD_MESSAGE_TEMPLATE
     lines = source.splitlines()
     line = next(i for i, text in enumerate(lines, 1) if literal in text)

@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 
 from funcdiag.model import (
     ChainSpec,
-    ConstraintClass,
     ConstraintKind,
     DiagramConstraint,
     FunctionDef,
-    Issue,
     IssueCode,
     RawChain,
     RawConstraint,
@@ -20,53 +18,10 @@ from funcdiag.model import (
     Schema,
     SetDef,
     Side,
-    classify_constraint,
     validate_diagram,
 )
 
 from randgen import make_schema
-
-
-def validate_schema(schema: Schema) -> list[Issue]:
-    """Check structural invariants of a programmatically built schema.
-
-    Duplicate set/function names cannot survive construction of the lookup
-    tables, so callers assembling schemas from text must check duplicates
-    before building (the DSL does, with source positions).
-    """
-    issues: list[Issue] = []
-    for s in schema.sets:
-        fn = schema.function(s.name, s.name_attribute)
-        if fn is None:
-            issues.append(
-                Issue(
-                    IssueCode.MISSING_NAME_ATTRIBUTE,
-                    f"set {s.name!r} designates missing attribute {s.name_attribute!r} as its name",
-                )
-            )
-        elif not fn.is_attribute:
-            issues.append(
-                Issue(
-                    IssueCode.BAD_NAME_ATTRIBUTE,
-                    f"name attribute {s.name_attribute!r} of set {s.name!r} must be an attribute function",
-                )
-            )
-    for fn in schema.functions:
-        if not schema.has_set(fn.domain):
-            issues.append(
-                Issue(
-                    IssueCode.UNKNOWN_SET,
-                    f"function {fn.name!r} is defined on unknown set {fn.domain!r}",
-                )
-            )
-        if fn.is_link and not schema.has_set(fn.codomain):
-            issues.append(
-                Issue(
-                    IssueCode.UNKNOWN_SET,
-                    f"link function {fn.name!r} on {fn.domain!r} targets unknown set {fn.codomain!r}",
-                )
-            )
-    return issues
 
 
 def verify_resolved_chain(schema: Schema, chain: ChainSpec, domain_set: str) -> bool:
@@ -75,8 +30,6 @@ def verify_resolved_chain(schema: Schema, chain: ChainSpec, domain_set: str) -> 
     Checks composability of consecutive entries, link-ness of every
     interior entry, and the declared domain.
     """
-    if chain.is_identity:
-        return chain.identity_of == domain_set
     if chain.functions[-1].domain != domain_set:
         return False
     for outer, inner in zip(chain.functions, chain.functions[1:]):
@@ -251,8 +204,9 @@ def test_classification_general(geography_schema):
         ["Continent", "Range", "Subrange", "Group", "Mountain"],
         ["Continent"],
     )
-    constraint, _ = validate_diagram(geography_schema, raw)
-    assert classify_constraint(constraint) is ConstraintClass.GENERAL
+    constraint, issues = validate_diagram(geography_schema, raw)
+    assert issues == []
+    assert geography_schema.with_constraints((constraint,)).constraints == (constraint,)
 
 
 def test_classification_hbfp():
@@ -268,8 +222,15 @@ def test_classification_hbfp():
     )
     raw = _raw("pair", ConstraintKind.COMMUTATIVE, "A", ["f"], ["g"])
     constraint, issues = validate_diagram(schema, raw)
-    assert issues == []
-    assert classify_constraint(constraint) is ConstraintClass.HBFP
+    assert constraint is None
+    [issue] = issues
+    assert issue.code is IssueCode.REFUSED_HBFP
+    assert (issue.side, issue.position) == (None, None)
+    assert issue.message == (
+        "constraint 'pair' composes a single function on each side"
+        " (homogeneous binary function product); it is enforced by the"
+        " paired-function reflexivity family, not by diagram checking"
+    )
 
 
 def test_classification_local():
@@ -282,18 +243,26 @@ def test_classification_local():
         IDENTITY,
     )
     constraint, issues = validate_diagram(schema, raw)
-    assert issues == []
-    assert classify_constraint(constraint) is ConstraintClass.LOCAL
+    assert constraint is None
+    [issue] = issues
+    assert issue.code is IssueCode.REFUSED_LOCAL
+    assert (issue.side, issue.position) == (None, None)
+    assert issue.message == (
+        "constraint 'cap' compares a chain against the identity of 'STATES'"
+        " (local constraint); it is enforced by the self-map constraint"
+        " family, not by diagram checking"
+    )
 
 
 def test_schema_refuses_non_general_constraints():
-    schema = _capitals_schema()
-    raw = _raw(
-        "cap", ConstraintKind.COMMUTATIVE, "STATES", ["State", "StateCapital"], IDENTITY
+    # built in code, not declared: two single functions never pass
+    # validate_diagram, so Schema guards them itself
+    pair = DiagramConstraint(
+        "pair", ConstraintKind.COMMUTATIVE, _synthetic_chain(1, "f"), _synthetic_chain(1, "g")
     )
-    constraint, _ = validate_diagram(schema, raw)
-    with pytest.raises(ValueError, match="local"):
-        schema.with_constraints((constraint,))
+    schema = _synthetic_schema(pair.left, pair.right)
+    with pytest.raises(ValueError, match="'pair' classifies as hbfp"):
+        schema.with_constraints((pair,))
 
 
 @pytest.mark.parametrize("template", ["bad {left.x}", "{left[a]}", "{right!r}", "unclosed {left"])
@@ -314,33 +283,54 @@ def test_schema_refuses_a_message_template_that_cannot_format(geography_schema, 
     right_identity=st.booleans(),
 )
 def test_classification_matches_direct_predicate(n, m, left_identity, right_identity):
-    if left_identity and right_identity:
-        return
-    candidate = DiagramConstraint(
+    # a chain compared against the identity ends where it starts
+    codomain = "D" if left_identity or right_identity else "C"
+    left = _synthetic_chain(n, "l", codomain)
+    right = _synthetic_chain(m, "r", codomain)
+    schema = _synthetic_schema(left, right)
+    raw = _raw(
         "c",
         ConstraintKind.COMMUTATIVE,
-        _synthetic_chain(n, left_identity),
-        _synthetic_chain(m, right_identity),
+        "D",
+        IDENTITY if left_identity else [fn.name for fn in left.functions],
+        IDENTITY if right_identity else [fn.name for fn in right.functions],
     )
-    got = classify_constraint(candidate)
-    if left_identity != right_identity:
-        expected = ConstraintClass.LOCAL
+    constraint, issues = validate_diagram(schema, raw)
+    if left_identity and right_identity:
+        expected = [IssueCode.DEGENERATE_IDENTITY]
+    elif left_identity != right_identity:
+        expected = [IssueCode.REFUSED_LOCAL]
     elif n == 1 and m == 1:
-        expected = ConstraintClass.HBFP
+        expected = [IssueCode.REFUSED_HBFP]
     else:
-        expected = ConstraintClass.GENERAL
-    assert got is expected
+        expected = []
+    assert [i.code for i in issues] == expected
+    if expected:
+        assert constraint is None
+    else:
+        assert (constraint.left, constraint.right) == (left, right)
+        schema.with_constraints((constraint,))
 
 
-def _synthetic_chain(length: int, identity: bool) -> ChainSpec:
-    if identity:
-        return ChainSpec((), identity_of="D")
+def _synthetic_chain(length: int, prefix: str = "h", codomain: str = "C") -> ChainSpec:
+    """`length` links from D to `codomain`, through sets of their own."""
     fns = []
     for i in range(length, 0, -1):
-        domain = "D" if i == length else f"T{i}"
-        codomain = "C" if i == 1 else f"T{i - 1}"
-        fns.append(FunctionDef(f"h{i}", domain, codomain))
+        domain = "D" if i == length else f"{prefix}T{i}"
+        target = codomain if i == 1 else f"{prefix}T{i - 1}"
+        fns.append(FunctionDef(f"{prefix}{i}", domain, target))
     return ChainSpec(tuple(reversed(fns)))
+
+
+def _synthetic_schema(*chains: ChainSpec) -> Schema:
+    """The sets and functions `chains` use, each set named by an attribute."""
+    fns = [fn for chain in chains for fn in chain.functions]
+    names = sorted({"D", "C", *(fn.domain for fn in fns), *(fn.codomain for fn in fns)})
+    return Schema(
+        "S",
+        tuple(SetDef(name, "Name") for name in names),
+        tuple(FunctionDef("Name", name, ScalarType.TEXT) for name in names) + tuple(fns),
+    )
 
 
 def test_chainspec_rejects_empty_non_identity():
@@ -348,21 +338,19 @@ def test_chainspec_rejects_empty_non_identity():
         ChainSpec(())
 
 
-def test_validate_schema_catches_bad_name_attribute():
-    schema = Schema(
-        "Bad",
-        (SetDef("A", "missing"),),
-        (FunctionDef("a", "A", ScalarType.TEXT),),
-    )
-    issues = validate_schema(schema)
-    assert [i.code for i in issues] == [IssueCode.MISSING_NAME_ATTRIBUTE]
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_random_schemas_resolve_and_rewalk(seed):
     schema = make_schema(random.Random(seed))
     for constraint in schema.constraints:
-        assert classify_constraint(constraint) is ConstraintClass.GENERAL
+        raw = RawConstraint(
+            constraint.id,
+            constraint.kind,
+            constraint.domain_set,
+            RawChain(tuple(fn.name for fn in constraint.left.functions)),
+            RawChain(tuple(fn.name for fn in constraint.right.functions)),
+            constraint.message,
+        )
+        assert validate_diagram(schema, raw) == (constraint, [])
         assert verify_resolved_chain(schema, constraint.left, constraint.domain_set)
         assert verify_resolved_chain(schema, constraint.right, constraint.domain_set)
         assert constraint.left.codomain == constraint.right.codomain

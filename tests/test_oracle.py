@@ -123,6 +123,26 @@ def test_oracle_ignores_preexisting_violations(geography_schema):
     assert verdict.outcome is Outcome.REJECTED
 
 
+def test_oracle_rejects_a_write_that_leaves_a_touched_row_violating(geography_schema):
+    db, handles = seeded_geography(geography_schema)
+    oceania = db.insert_row("CONTINENTS", {"Continent": "Oceania"})
+    # violating already, behind the engine's back: montblanc is in europe
+    rogue = db.insert_row(
+        "RIVERS",
+        {"River": "Rogue", "Continent": handles["asia"], "Mountain": handles["montblanc"]},
+    )
+    m = Mutation(Action.UPDATE, row_ref=rogue, bindings=(Binding("Continent", oceania),))
+    engine_db = db.clone(share_counter=False)
+    before = db.snapshot()
+    verdict = oracle_apply(db, m)
+    assert apply_mutation(engine_db, m).outcome is Outcome.REJECTED
+    assert verdict.outcome is Outcome.REJECTED
+    assert [(v.witness, v.left, v.right) for v in verdict.violations] == [
+        (rogue, handles["europe"], oceania)
+    ]
+    assert db.snapshot() == before
+
+
 def test_oracle_and_engine_agree_on_fixture_scenarios(geography_schema):
     engine_db, handles_e = seeded_geography(geography_schema)
     oracle_db = engine_db.clone(share_counter=False)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 semantic failure (failed expectations, store
 errors in unguarded statements, refused constraint classes, standing
-violations found by check), 2 I/O or parse failure.
+violations found by check), 2 I/O or parse failure, including an input
+file that is not UTF-8 and a `gen --out` path that cannot be made a
+directory or written into.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -26,12 +29,18 @@ def main() -> None:
     standing checks, and check-code generation."""
 
 
+def _fail(message: str) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: {exc}")
 
 
 def _load_schema(schema_path: str):
@@ -244,10 +253,13 @@ def gen(
     units = codegen.emit_units(schema, constraints, what, codegen.Dialect(dialect))
     if out_dir is not None:
         target = Path(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        for unit in units:
-            (target / unit.filename).write_text(unit.body + "\n", encoding="utf-8")
-            click.echo(str(target / unit.filename))
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+            for unit in units:
+                (target / unit.filename).write_text(unit.body + "\n", encoding="utf-8")
+                click.echo(str(target / unit.filename))
+        except OSError as exc:
+            _fail(str(exc))
     else:
         for index, unit in enumerate(units):
             if index:

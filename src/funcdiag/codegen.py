@@ -1,15 +1,28 @@
 """Text emission: combo row-source queries and trigger-style check code.
 
 Two dialects are supported for the check procedures. PAPER_STYLE emits
-event-handler pseudocode in the VBA idiom (Form_BeforeUpdate for the
-domain row, <fn>_BeforeUpdate for each interior chain position), with the
-lookups written as DLookup calls over nested IN subqueries. GENERIC_SQL
-emits portable trigger statements (SQLite-compatible) performing the same
-comparison via two chain-walk subqueries over the written state. A
-trigger whose subqueries read the table it is defined on runs AFTER the
-write, because a BEFORE trigger would read the row being written with its
-old values; every other trigger runs BEFORE, where every row it reads is
-already in its post-state and a rejected write is never made.
+event-handler code in the VBA idiom: Form_BeforeUpdate for the domain
+row, and <fn>_BeforeUpdate for each interior chain position. Every
+handler is one ladder of nested `If` guards: the controls it reads are
+set, each looked-up value is not Null, and the innermost test finds the
+violation, cancels the update and shows the message. A link handler's
+values come from two walks written as DLookup calls over nested IN
+subqueries. The forward walk composes a chain outward to its outermost
+function. The reverse walk selects the domain rows whose chain reaches a
+given value. A commutative block compares the other chain's value at an
+affected row with the new head; an anti-commutative block looks for an
+affected row whose other chain already reaches the new head. A line
+break in a message is spliced into its VBA literal as `" & vbLf & "`
+(`" & vbCr & "` for a carriage return), because a VBA string literal
+cannot span lines.
+
+GENERIC_SQL emits portable trigger statements (SQLite-compatible)
+performing the same comparison via two chain-walk subqueries over the
+written state. A trigger whose subqueries read the table it is defined
+on runs AFTER the write, because a BEFORE trigger would read the row
+being written with its old values; every other trigger runs BEFORE,
+where every row it reads is already in its post-state and a rejected
+write is never made.
 
 Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
 EXISTS` per link column its triggers walk backwards, the SQL twin of the
@@ -179,36 +192,39 @@ def _paper_domain_check(constraint: DiagramConstraint) -> str:
     gm = constraint.right.innermost.name
     left_expr = f"{fn}.Column(2)" if constraint.left.length > 1 else fn
     right_expr = f"{gm}.Column(2)" if constraint.right.length > 1 else gm
-    guards = [f"Not IsNull({fn})", f"Not IsNull({gm})"]
-    value_guards = []
-    if constraint.left.length > 1:
-        value_guards.append(f"Not IsNull({left_expr})")
-    if constraint.right.length > 1:
-        value_guards.append(f"Not IsNull({right_expr})")
-    message = _vba_string(_emitted_message(constraint))
-    lines = [
-        "Sub Form_BeforeUpdate(Cancel As Integer)",
-        f"' enforces {constraint.id}: {constraint.render()}",
-        f"If Not Cancel And {' And '.join(guards)} Then",
+    value_guards = [
+        f"Not IsNull({expr})"
+        for expr, chain in ((left_expr, constraint.left), (right_expr, constraint.right))
+        if chain.length > 1
     ]
-    indent = "    "
-    close = 1
+    steps = [(None, f"Not Cancel And Not IsNull({fn}) And Not IsNull({gm})")]
     if value_guards:
-        lines.append(f"{indent}If {' And '.join(value_guards)} Then")
-        indent += "    "
-        close += 1
-    lines.extend(
+        steps.append((None, " And ".join(value_guards)))
+    steps.append((None, f"{left_expr} {_comparison_op(constraint.kind)} {right_expr}"))
+    message = _vba_string(_emitted_message(constraint))
+    return "\n".join(
         [
-            f"{indent}If {left_expr} {_comparison_op(constraint.kind)} {right_expr} Then",
-            f"{indent}    Cancel = True",
-            f"{indent}    MsgBox {message}",
-            f"{indent}End If",
+            "Sub Form_BeforeUpdate(Cancel As Integer)",
+            f"' enforces {constraint.id}: {constraint.render()}",
+            *_vba_ifs(steps, ["Cancel = True", f"MsgBox {message}"]),
+            "End Sub",
         ]
     )
-    for level in range(close, 0, -1):
-        lines.append("    " * (level - 1) + "End If")
-    lines.append("End Sub")
-    return "\n".join(lines)
+
+
+def _vba_ifs(steps: list[tuple[str | None, str]], body: list[str]) -> list[str]:
+    """Nested `If` blocks, one per step, each one level deeper: a step's
+    statement (if any) runs just before its `If condition Then`; `body`
+    runs innermost, and each block closes at its own indentation."""
+    lines: list[str] = []
+    for depth, (statement, condition) in enumerate(steps):
+        pad = "    " * depth
+        if statement is not None:
+            lines.append(pad + statement)
+        lines.append(f"{pad}If {condition} Then")
+    lines.extend("    " * len(steps) + line for line in body)
+    lines.extend("    " * depth + "End If" for depth in reversed(range(len(steps))))
+    return lines
 
 
 def _b(identifier: str) -> str:
@@ -218,12 +234,10 @@ def _b(identifier: str) -> str:
 
 def _sql_domain_check(constraint: DiagramConstraint) -> str:
     domain = constraint.domain_set
-    cid = constraint.id
     fn = constraint.left.innermost.name
     gm = constraint.right.innermost.name
     left_expr = _sql_forward_walk(constraint.left, f"NEW.{_b(fn)}")
     right_expr = _sql_forward_walk(constraint.right, f"NEW.{_b(gm)}")
-    cmp = _comparison_op(constraint.kind)
     message = _sql_string(_emitted_message(constraint))
     timing = _timing(
         domain, constraint.left.functions[:-1], constraint.right.functions[:-1]
@@ -232,28 +246,27 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     change_guard = f"NEW.{_b(fn)} IS NOT OLD.{_b(fn)}"
     if gm != fn:
         change_guard += f" OR NEW.{_b(gm)} IS NOT OLD.{_b(gm)}"
-    insert_trigger = "\n".join(
+    create = f"CREATE TRIGGER {constraint.id}_{domain}_row"
+    action = "\n".join(
         [
-            f"CREATE TRIGGER {cid}_{domain}_row_ins {timing} INSERT ON {_b(domain)}",
-            "FOR EACH ROW",
             "BEGIN",
             f"    SELECT RAISE(ABORT, {message})",
-            f"    WHERE ({left_expr}) {cmp} ({right_expr});",
+            f"    WHERE ({left_expr}) {_comparison_op(constraint.kind)} ({right_expr});",
             "END;",
         ]
     )
-    update_trigger = "\n".join(
+    return "\n".join(
         [
-            f"CREATE TRIGGER {cid}_{domain}_row_upd {timing} UPDATE OF {columns} ON {_b(domain)}",
+            f"{create}_ins {timing} INSERT ON {_b(domain)}",
+            "FOR EACH ROW",
+            action,
+            "",
+            f"{create}_upd {timing} UPDATE OF {columns} ON {_b(domain)}",
             "FOR EACH ROW",
             f"WHEN {change_guard}",
-            "BEGIN",
-            f"    SELECT RAISE(ABORT, {message})",
-            f"    WHERE ({left_expr}) {cmp} ({right_expr});",
-            "END;",
+            action,
         ]
     )
-    return insert_trigger + "\n\n" + update_trigger
 
 
 def _timing(table: str, *walks: tuple[FunctionDef, ...]) -> str:
@@ -293,36 +306,35 @@ def gen_link_checks(
     unit installs on its own, in any order and next to units that share
     an index.
     """
-    grouped: dict[tuple[str, str], list[str]] = {}
-    walked: dict[tuple[str, str], dict[FunctionDef, None]] = {}
+    targets: dict[tuple[str, str], list[tuple[Side, int]]] = {}
     for side in (Side.LEFT, Side.RIGHT):
         chain = constraint.chain(side)
         for position in range(1, chain.length):
             fn = chain.functions[position - 1]
-            key = (fn.domain, fn.name)
-            if dialect is Dialect.PAPER_STYLE:
-                block = _paper_link_block(schema, constraint, side, position)
-            else:
-                block = _sql_link_trigger(constraint, side, position)
-                walked.setdefault(key, {}).update(
-                    dict.fromkeys(_reverse_walk(chain, position))
-                )
-            grouped.setdefault(key, []).append(block)
+            targets.setdefault((fn.domain, fn.name), []).append((side, position))
     units: list[EmittedUnit] = []
-    for key, blocks in grouped.items():
-        set_name, fn_name = key
+    for (set_name, fn_name), places in targets.items():
         if dialect is Dialect.PAPER_STYLE:
             body = "\n".join(
                 [
                     f"Sub {fn_name}_BeforeUpdate(Cancel As Integer)",
                     "Dim v As Variant, w As Variant",
-                    "\n".join(blocks),
+                    *(_paper_link_block(schema, constraint, *place) for place in places),
                     "End Sub",
                 ]
             )
         else:
-            indexes = "\n".join(_sql_index(fn) for fn in walked[key])
-            body = "\n\n".join([indexes, *blocks])
+            walked = dict.fromkeys(
+                fn
+                for side, position in places
+                for fn in _reverse_walk(constraint.chain(side), position)
+            )
+            body = "\n\n".join(
+                [
+                    "\n".join(map(_sql_index, walked)),
+                    *(_sql_link_trigger(constraint, *place) for place in places),
+                ]
+            )
         units.append(
             EmittedUnit(
                 constraint.id, set_name, fn_name, dialect, "link-check", body
@@ -342,58 +354,29 @@ def _sql_index(fn: FunctionDef) -> str:
     return f"CREATE INDEX IF NOT EXISTS {name} ON {_b(fn.domain)} ({_b(fn.name)});"
 
 
-def _paper_affected_where(chain: ChainSpec, position: int) -> str:
-    """Nested reverse-reachability predicate on the domain set, with the
-    current row id spliced in as `" & x & "`."""
+def _paper_reverse_where(chain: ChainSpec, position: int, value: str) -> str:
+    """Predicate on the domain set selecting the rows whose chain, walked
+    back from `position`, reaches the VBA variable `value`."""
     walk = _reverse_walk(chain, position)
-    predicate = f'{walk[0].name} =" & x & "'
+    predicate = f'{walk[0].name} =" & {value} & "'
     for previous, fn in zip(walk, walk[1:]):
         predicate = f"{fn.name} IN (SELECT x FROM {previous.domain} WHERE {predicate})"
     return predicate
 
 
-def _paper_head_expr(chain: ChainSpec, position: int) -> str:
-    """New composed head from the control's new value (prefix walk).
-
-    The select nearest the spliced value applies the function just above
-    the updated position; each wrap walks one step further out, and the
-    outermost function becomes the DLookup column.
-    """
-    fn_i = chain.functions[position - 1].name
-    if position == 1:
-        return fn_i
-    outer = chain.functions[0]
-    condition = f'x =" & {fn_i} & "'
-    for j in range(position - 1, 1, -1):
-        fn = chain.functions[j - 1]
+def _paper_forward_lookup(chain: ChainSpec, position: int, condition: str) -> str:
+    """DLookup of the chain's outermost value over the rows of the domain of
+    function `position` that match `condition`, composing functions
+    `position` .. 2 outward through nested IN subqueries."""
+    for fn in reversed(chain.functions[1:position]):
         condition = f"x IN (SELECT {fn.name} FROM {fn.domain} WHERE {condition})"
-    return f'DLookup("{outer.name}", "{outer.domain}", "{condition}")'
-
-
-def _paper_other_value_lookup(chain: ChainSpec, affected_where: str) -> str:
-    """First-match composed value of the opposite chain at an affected row."""
-    domain = chain.domain_set
-    if chain.length == 1:
-        return f'DLookup("{chain.functions[0].name}", "{domain}", "{affected_where}")'
-    select = f"SELECT {chain.innermost.name} FROM {domain} WHERE {affected_where}"
-    for j in range(chain.length - 1, 1, -1):
-        fn = chain.functions[j - 1]
-        select = f"SELECT {fn.name} FROM {fn.domain} WHERE x IN ({select})"
     outer = chain.functions[0]
-    return f'DLookup("{outer.name}", "{outer.domain}", "x IN ({select})")'
+    return _dlookup(outer.name, outer.domain, condition)
 
 
-def _paper_other_fold_where(chain: ChainSpec) -> str:
-    """Membership predicate on the domain set selecting rows whose opposite
-    chain value equals the already computed head `w`."""
-    g1 = chain.functions[0]
-    if chain.length == 1:
-        return f'{g1.name} =" & w & "'
-    select = f'SELECT x FROM {g1.domain} WHERE {g1.name} =" & w & "'
-    for j in range(2, chain.length):
-        fn = chain.functions[j - 1]
-        select = f"SELECT x FROM {fn.domain} WHERE {fn.name} IN ({select})"
-    return f"{chain.innermost.name} IN ({select})"
+def _dlookup(column: str, table: str, where: str) -> str:
+    # a splice that ends `where` leaves an empty literal behind; drop it
+    return f'DLookup("{column}", "{table}", "{where}")'.replace(' & "")', ")")
 
 
 def _paper_link_block(
@@ -403,55 +386,32 @@ def _paper_link_block(
     other = constraint.chain(side.other)
     fn_i = chain.functions[position - 1].name
     guard = (
-        f"If Not Cancel And Not NewRecord And {fn_i} <> {fn_i}.OldValue"
-        f" And Not IsNull({fn_i}) Then"
+        f"Not Cancel And Not NewRecord And {fn_i} <> {fn_i}.OldValue"
+        f" And Not IsNull({fn_i})"
     )
-    affected = _paper_affected_where(chain, position)
-    head = _trim_empty_concat(_paper_head_expr(chain, position))
+    head = fn_i
+    if position > 1:
+        head = _paper_forward_lookup(chain, position - 1, f'x =" & {fn_i} & "')
+    affected = _paper_reverse_where(chain, position, "x")
     message = _vba_string(_emitted_message(constraint))
     comment = (
         f"' {constraint.id}: {side.value} position {position} of {constraint.render()}"
     )
     if constraint.kind is ConstraintKind.COMMUTATIVE:
-        lookup = _trim_empty_concat(_paper_other_value_lookup(other, affected))
-        lines = [
-            comment,
-            guard,
-            f"    v = {lookup}",
-            "    If Not IsNull(v) Then",
-            f"        w = {head}",
-            "        If Not IsNull(w) Then",
-            "            If v <> w Then",
-            "                Cancel = True",
-            f"                MsgBox {message}",
-            "                Undo",
-            "            End If",
-            "        End If",
-            "    End If",
-            "End If",
+        lookup = _paper_forward_lookup(other, other.length, affected)
+        steps = [
+            (f"v = {lookup}", "Not IsNull(v)"),
+            (f"w = {head}", "Not IsNull(w)"),
+            (None, "v <> w"),
         ]
     else:
-        domain_name_attr = schema.set_def(chain.domain_set).name_attribute  # type: ignore[union-attr]
-        fold = _paper_other_fold_where(other)
-        lookup = _trim_empty_concat(
-            f'DLookup("{domain_name_attr}", "{chain.domain_set}",'
-            f' "{affected} AND {fold}")'
-        )
-        lines = [
-            comment,
-            guard,
-            f"    w = {head}",
-            "    If Not IsNull(w) Then",
-            f"        v = {lookup}",
-            "        If Not IsNull(v) Then",
-            "            Cancel = True",
-            f"            MsgBox {message}",
-            "            Undo",
-            "        End If",
-            "    End If",
-            "End If",
-        ]
-    return "\n".join(lines)
+        domain = schema.set_def(chain.domain_set)
+        assert domain is not None
+        fold = _paper_reverse_where(other, 0, "w")
+        lookup = _dlookup(domain.name_attribute, domain.name, f"{affected} AND {fold}")
+        steps = [(f"w = {head}", "Not IsNull(w)"), (f"v = {lookup}", "Not IsNull(v)")]
+    body = ["Cancel = True", f"MsgBox {message}", "Undo"]
+    return "\n".join([comment, *_vba_ifs([(None, guard), *steps], body)])
 
 
 def _sql_affected_pred(chain: ChainSpec, position: int) -> str:
@@ -526,13 +486,9 @@ def emit_units(
     return units
 
 
-def _trim_empty_concat(text: str) -> str:
-    """Drop the empty tail literal left when a splice ends a lookup string."""
-    return text.replace(' & "")', ")")
-
-
 def _vba_string(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"'
+    text = text.replace('"', '""').replace("\r", '" & vbCr & "')
+    return '"' + text.replace("\n", '" & vbLf & "') + '"'
 
 
 def _sql_string(text: str) -> str:

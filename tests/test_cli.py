@@ -103,3 +103,41 @@ def test_cli_on_mutilated_input_exits_cleanly(data, command, which):
         result.exc_info
     )
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{bad}"],
+        ["gen", "{bad}"],
+        ["run", "{bad}", "{fdm}"],
+        ["run", "{fd}", "{bad}"],
+        ["check", "{fd}", "{bad}"],
+    ],
+)
+def test_non_utf8_input_is_an_io_error(tmp_path, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"schema Caf\xe9 ;\n")
+    paths = {
+        "bad": bad,
+        "fd": FIXTURES / "geography.fd",
+        "fdm": FIXTURES / "geography_ac1.fdm",
+    }
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in command])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_gen_out_on_a_file_is_an_io_error(tmp_path, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / under if under else blocker
+    result = CliRunner().invoke(
+        main, ["gen", str(FIXTURES / "geography.fd"), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.stderr.startswith("error: ")
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,8 @@ from funcdiag.dsl import parse_schema
 from funcdiag.model import ScalarType, Side
 
 from conftest import fixture_text
+from randgen import make_schema
+from test_differential import SEEDS
 
 _KEYWORDS_RE = re.compile(
     r"\b(select|from|right|join|on|order|by|as|where|in|and|or|not|is|null"
@@ -336,3 +340,50 @@ def test_sql_link_check_units_carry_their_reverse_walk_indexes(geography_schema)
         indexes = unit.body.split("\n\n", 1)[0]
         assert indexes.splitlines() == walk[position - 1 :]
 
+
+
+def _assert_vba_handler_shape(body: str) -> None:
+    """A `Sub` ... `End Sub` whose every line sits four spaces deeper per
+    open `If`, whose every `If ... Then` closes with one `End If` at its own
+    indentation, and in which no string literal spans a line."""
+    lines = body.split("\n")
+    assert lines[0].startswith("Sub ") and lines[-1] == "End Sub", body
+    depth = 0
+    for line in lines[1:-1]:
+        assert line.count('"') % 2 == 0, line
+        statement = line.lstrip(" ")
+        if statement == "End If":
+            depth -= 1
+            assert depth >= 0, body
+        assert len(line) - len(statement) == 4 * depth, line
+        if statement.startswith("If "):
+            assert statement.endswith(" Then"), line
+            depth += 1
+    assert depth == 0, body
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_paper_handlers_on_random_schemas_are_well_formed(seed):
+    rng = random.Random(seed)
+    schema = make_schema(rng, rng.randint(1, 3))
+    handlers = [
+        u
+        for u in emit_units(schema, schema.constraints, "all", Dialect.PAPER_STYLE)
+        if u.role != "row-source"
+    ]
+    assert handlers
+    for unit in handlers:
+        _assert_vba_handler_shape(unit.body)
+
+
+@pytest.mark.parametrize("fixture", ["geography", "neighbors"])
+def test_paper_message_line_breaks_stay_inside_string_literals(fixture):
+    schema, diagnostics = parse_schema(fixture_text(f"{fixture}.fd"))
+    assert schema is not None, diagnostics
+    constraint = replace(schema.constraints[0], message='one\ntwo\r"three"')
+    for unit in emit_units(schema, (constraint,), "all", Dialect.PAPER_STYLE):
+        if unit.role == "row-source":
+            assert all(line.count('"') % 2 == 0 for line in unit.body.split("\n"))
+        else:
+            _assert_vba_handler_shape(unit.body)
+            assert 'MsgBox "one" & vbLf & "two" & vbCr & """three"""' in unit.body

@@ -9,8 +9,8 @@ directory or written into.
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import NoReturn
 
@@ -18,7 +18,7 @@ import click
 
 from . import codegen, dsl, engine, oracle
 from .model import IssueCode
-from .store import Database, RowId, StoreError
+from .store import Database, RowId, StoreError, Value
 
 _REFUSAL_CODES = {IssueCode.REFUSED_HBFP, IssueCode.REFUSED_LOCAL}
 
@@ -113,36 +113,24 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
             unguarded_store_errors += 1
         set_name = m.set_name or (_ref_set(m, handles) or "")
         if as_json:
-            record = {
-                "index": index,
-                "line": m.line,
-                "action": m.action.value,
-                "set": set_name,
-                "verdict": verdict.outcome.value,
-                "violations": [v.to_json_dict() for v in verdict.violations],
-                "expected": m.expectation.value if m.expectation else None,
-                "expectation_ok": expectation_ok,
-                "rows_inspected": inspected,
-            }
-            out.write(("\n    " if index == 0 else ",\n    ") + _nested_json(record, "    "))
+            out.write(
+                ("\n    " if index == 0 else ",\n    ")
+                + _json_record(index, m, set_name, verdict, expectation_ok, inspected)
+            )
         else:
             out.write(_text_record(index, m, set_name, verdict, expectation_ok))
         if stop_on_reject and verdict.rejected:
             break
 
     if as_json:
-        totals = {
-            "mutations": count,
-            "applied": applied,
-            "rejected": rejected,
-            "expectation_failures": expectation_failures,
-            "store_errors": unguarded_store_errors,
-        }
-        counters = {"rows_inspected": db.rows_inspected}
         out.write(
             ("\n  ]," if count else "],")
-            + f'\n  "totals": {_nested_json(totals, "  ")},'
-            + f'\n  "counters": {_nested_json(counters, "  ")}\n}}\n'
+            + f'\n  "totals": {{\n    "mutations": {count},'
+            + f'\n    "applied": {applied},'
+            + f'\n    "rejected": {rejected},'
+            + f'\n    "expectation_failures": {expectation_failures},'
+            + f'\n    "store_errors": {unguarded_store_errors}\n  }},'
+            + f'\n  "counters": {{\n    "rows_inspected": {db.rows_inspected}\n  }}\n}}\n'
         )
     else:
         out.write(
@@ -153,10 +141,99 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
     sys.exit(1 if expectation_failures or unguarded_store_errors else 0)
 
 
-def _nested_json(value: dict, indent: str) -> str:
-    """`value` as json.dumps(report, indent=2) prints it where it sits
-    `indent` deep; the first line comes without its indent."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+# The fixed shape of one "mutations" record of `run --json`, and of one
+# of its violations (Violation.to_json_dict), as json.dumps(report,
+# indent=2) lays them out; a record's first line comes without its indent.
+_JSON_RECORD = """{{
+      "index": {},
+      "line": {},
+      "action": {},
+      "set": {},
+      "verdict": {},
+      "violations": {},
+      "expected": {},
+      "expectation_ok": {},
+      "rows_inspected": {}
+    }}"""
+_JSON_VIOLATION = """{{
+          "constraint": {},
+          "kind": {},
+          "witness": {},
+          "left": {},
+          "right": {},
+          "changed": {},
+          "message": {}
+        }}"""
+_JSON_ROW = """{{
+            "set": {},
+            "x": {}
+          }}"""
+_JSON_CHANGED = """{{
+            "set": {},
+            "function": {},
+            "x": {}
+          }}"""
+
+
+def _json_record(
+    index: int,
+    m: dsl.Mutation,
+    set_name: str,
+    verdict: engine.Verdict,
+    expectation_ok: bool | None,
+    inspected: int,
+) -> str:
+    """One record of the run report. json.dumps runs its pure-Python
+    encoder whenever it indents, so the shape is laid out here and only
+    the strings go through the C encoder."""
+    if verdict.violations:
+        violations = (
+            "[\n        "
+            + ",\n        ".join([_json_violation(v) for v in verdict.violations])
+            + "\n      ]"
+        )
+    else:
+        violations = "[]"
+    return _JSON_RECORD.format(
+        index,
+        m.line,
+        _json_string(m.action.value),
+        _json_string(set_name),
+        _json_string(verdict.outcome.value),
+        violations,
+        _json_value(m.expectation.value if m.expectation else None),
+        _json_value(expectation_ok),
+        inspected,
+    )
+
+
+def _json_violation(v: engine.Violation) -> str:
+    changed = v.changed
+    return _JSON_VIOLATION.format(
+        _json_value(v.constraint),
+        _json_string(v.kind.value),
+        _json_value(v.witness),
+        _json_value(v.left),
+        _json_value(v.right),
+        "null"
+        if changed is None
+        else _JSON_CHANGED.format(
+            _json_string(changed.set_name), _json_string(changed.function), changed.row.x
+        ),
+        _json_string(v.message),
+    )
+
+
+def _json_value(value: Value | bool) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, RowId):
+        return _JSON_ROW.format(_json_string(value.set_name), value.x)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 def _text_record(

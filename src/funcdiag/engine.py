@@ -10,24 +10,29 @@ edited it and cancel and undo on a violation.
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
 column: it evaluates both chains for that row. A link-update check fires
-when an interior chain function changes at some row r: it computes the
-new composed head once (the prefix walk from the written value), collects
-the exact set of domain rows whose chain passes through r (the
-reverse-reachability walk over the store's indexes), and compares the
-head against the other chain's value at each of those rows. A null
-anywhere in a chain makes the instance vacuously satisfied, so checks
-drop out as early as possible on nulls.
+when an interior chain function changes at some row r, and works on sets,
+as the paper's handlers do with one query: it computes the new composed
+head once (the prefix walk from the written value), collects the ids of
+every domain row whose chain passes through r (the reverse-reachability
+walk over the store's indexes, one bulk read per level for the whole
+frontier), evaluates the other chain over all of those rows one level at
+a time, and compares each value with the head. A null anywhere in a chain
+makes the instance vacuously satisfied, so a row leaves the walk at the
+level where it reads null.
 
-A violation keeps the constraint it breaks and formats its message only
-when the message is read, so a rejection with many witness rows costs one
-small tuple per witness until someone prints it.
+A link check reports its witnesses sorted and each once, so a rejection
+that one check alone reports needs no merging; violations from two or
+more checks are merged, sorted and deduplicated. A violation keeps the
+constraint it breaks and formats its message only when the message is
+read, so a rejection with many witness rows costs one small tuple per
+witness until someone prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, MutableMapping, NamedTuple
+from typing import Collection, Iterable, Mapping, MutableMapping, NamedTuple
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
 from .model import (
@@ -173,20 +178,38 @@ def eval_prefix(db: Database, chain: ChainSpec, position: int, start: Value) -> 
     return current
 
 
-def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> frozenset[RowId]:
-    """Rows of the domain set whose chain tail reaches r at `position`.
+def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> list[int]:
+    """Ids, ascending, of the domain rows whose chain tail reaches r at
+    `position`.
 
-    Walks the reverse indexes outward through positions position+1 .. n;
-    for position == n the row is itself in the domain set.
+    Walks the reverse indexes outward through positions position+1 .. n
+    over row ids, one store call per level for the whole frontier; for
+    position == n the row is itself in the domain set.
     """
-    frontier: frozenset[RowId] = frozenset((r,))
+    frontier: Collection[int] = (r.x,)
     for fn in chain.functions[position:]:
-        frontier = frozenset().union(
-            *[db.inverse(fn.domain, fn.name, target) for target in frontier]
-        )
+        frontier = db.inverse_ids(fn.domain, fn.name, frontier)
         if not frontier:
             break
-    return frontier
+    return sorted(frontier)
+
+
+def _eval_chain_ids(
+    db: Database, chain: ChainSpec, xs: list[int]
+) -> tuple[list[int], list[Value]]:
+    """The chain's value at each domain row in `xs`, innermost function
+    first, one store call per level for all rows: the rows, in order,
+    whose chain reads no null, and their values. A row leaves the walk at
+    the level where it reads null."""
+    rows: list[int] = xs
+    values: list = xs
+    for depth, fn in enumerate(reversed(chain.functions)):
+        ids = values if depth == 0 else [value.x for value in values]
+        values = db.lookup_ids(fn.domain, fn.name, ids)
+        if None in values:
+            rows = [x for x, value in zip(rows, values) if value is not None]
+            values = [value for value in values if value is not None]
+    return rows, values
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +240,12 @@ def check_link_update(
 ) -> list[Violation]:
     """Check every domain row affected by the link at r taking `new_value`.
 
-    The new composed head is computed once from `new_value`; each
-    affected row is compared against the other chain's value in the
-    store's current state. All violating rows are reported.
+    The new composed head is computed once from `new_value`. The check
+    then works on sets: affected_rows gives the ids of every affected
+    row, the other chain is evaluated over all of them one level at a
+    time in the store's current state, and each is compared with the
+    head. All violating rows are reported, sorted by witness and each
+    once.
     """
     constraint = occurrence.constraint
     chain = occurrence.chain
@@ -227,18 +253,26 @@ def check_link_update(
     head = eval_prefix(db, chain, occurrence.position, new_value)
     if head is None:
         return []
-    other = constraint.chain(occurrence.side.other)
-    changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
-    head_is_left = occurrence.side is Side.LEFT
+    rows, values = _eval_chain_ids(
+        db,
+        constraint.chain(occurrence.side.other),
+        affected_rows(db, chain, occurrence.position, r),
+    )
     holds_when_equal = _holds_when_equal(constraint)
-    violations: list[Violation] = []
-    for x in affected_rows(db, chain, occurrence.position, r):
-        other_value = eval_chain(db, other, x)
-        if other_value is None or (head == other_value) is holds_when_equal:
-            continue
-        left, right = (head, other_value) if head_is_left else (other_value, head)
-        violations.append(_constraint_violation(constraint, x, left, right, changed))
-    return violations
+    bad = [(x, v) for x, v in zip(rows, values) if (head == v) is not holds_when_equal]
+    if not bad:
+        return []
+    cid, kind, domain_set = constraint.id, _violation_kind(constraint), constraint.domain_set
+    changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
+    if occurrence.side is Side.LEFT:
+        return [
+            Violation(cid, kind, RowId(domain_set, x), head, v, changed, constraint)
+            for x, v in bad
+        ]
+    return [
+        Violation(cid, kind, RowId(domain_set, x), v, head, changed, constraint)
+        for x, v in bad
+    ]
 
 
 def _holds_when_equal(constraint: DiagramConstraint) -> bool:
@@ -328,10 +362,12 @@ def apply_mutation(
     except (MutationResolveError, StoreError) as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
-    violations: list[Violation] = []
+    # One list per check run, sorted by witness and without repeats, so a
+    # verdict that one check alone reports needs no merge.
+    reports: list[list[Violation]] = []
     if resolved.action is Action.INSERT:
         for constraint in db.schema.constraints_on(row.set_name):
-            violations.extend(check_domain_row(db, constraint, row))
+            reports.append(check_domain_row(db, constraint, row))
     elif resolved.action is Action.UPDATE:
         changed = {
             name: value
@@ -343,18 +379,20 @@ def apply_mutation(
                 constraint.left.innermost.name in changed
                 or constraint.right.innermost.name in changed
             ):
-                violations.extend(check_domain_row(db, constraint, row))
+                reports.append(check_domain_row(db, constraint, row))
         table = dispatch(db.schema)
         for fn_name in sorted(changed):
             for occ in table.get((row.set_name, fn_name), ()):
                 if occ.position < occ.chain.length:
-                    violations.extend(
-                        check_link_update(db, occ, row, changed[fn_name])
-                    )
+                    reports.append(check_link_update(db, occ, row, changed[fn_name]))
 
-    if violations:
+    reports = [report for report in reports if report]
+    if reports:
         db.undo_write(row, before)
-        return Verdict(Outcome.REJECTED, tuple(_dedupe(violations)))
+        if len(reports) == 1:
+            return Verdict(Outcome.REJECTED, tuple(reports[0]))
+        merged = [violation for report in reports for violation in report]
+        return Verdict(Outcome.REJECTED, tuple(_dedupe(merged)))
     if m.action is Action.INSERT and m.handle:
         handles[m.handle] = row
     return Verdict(Outcome.APPLIED, (), row=row)
@@ -386,12 +424,13 @@ def _constraint_violation(
     right: Value,
     changed: ChangedLink | None,
 ) -> Violation:
-    kind = (
-        ViolationKind.COMMUTATIVE
-        if constraint.kind is ConstraintKind.COMMUTATIVE
-        else ViolationKind.ANTI_COMMUTATIVE
+    return Violation(
+        constraint.id, _violation_kind(constraint), witness, left, right, changed, constraint
     )
-    return Violation(constraint.id, kind, witness, left, right, changed, constraint)
+
+
+def _violation_kind(constraint: DiagramConstraint) -> ViolationKind:
+    return ViolationKind(constraint.kind.value)
 
 
 def _store_violation(message: str) -> Violation:

@@ -131,6 +131,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not self.functions:
             raise ValueError("a chain needs at least one function")
+        # Rendered once: every violation message may name both chains.
+        object.__setattr__(self, "_rendered", " . ".join(f.name for f in self.functions))
 
     @property
     def length(self) -> int:
@@ -153,7 +155,7 @@ class ChainSpec:
         return self.functions[0]
 
     def render(self) -> str:
-        return " . ".join(f.name for f in self.functions)
+        return self._rendered
 
 
 @dataclass(frozen=True)

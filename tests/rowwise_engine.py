@@ -1,0 +1,115 @@
+"""The row-at-a-time link check, kept as a reference for the engine's
+set-at-a-time one.
+
+check_link_update here walks the reverse indexes one target row at a
+time, through Database.inverse, and evaluates the other chain at each
+affected row on its own, through Database.lookup. apply_mutation merges
+every check's violations through dedupe, sorting them with a key.
+tests/test_differential.py asserts the engine gives the same verdicts,
+violation for violation, and counts the same rows_inspected.
+"""
+
+from __future__ import annotations
+
+from funcdiag.dsl import Action, Mutation
+from funcdiag.engine import (
+    ChangedLink,
+    MutationResolveError,
+    Outcome,
+    Verdict,
+    Violation,
+    _constraint_violation,
+    _holds_when_equal,
+    _store_violation,
+    check_domain_row,
+    dispatch,
+    eval_chain,
+    eval_prefix,
+    raw_apply,
+    resolve_mutation,
+    sort_violations,
+)
+from funcdiag.model import ChainSpec, Occurrence, Side
+from funcdiag.store import Database, RowId, StoreError, Value
+
+
+def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> frozenset[RowId]:
+    frontier: frozenset[RowId] = frozenset((r,))
+    for fn in chain.functions[position:]:
+        frontier = frozenset().union(
+            *[db.inverse(fn.domain, fn.name, target) for target in frontier]
+        )
+        if not frontier:
+            break
+    return frontier
+
+
+def check_link_update(
+    db: Database, occurrence: Occurrence, r: RowId, new_value: Value
+) -> list[Violation]:
+    constraint = occurrence.constraint
+    chain = occurrence.chain
+    head = eval_prefix(db, chain, occurrence.position, new_value)
+    if head is None:
+        return []
+    other = constraint.chain(occurrence.side.other)
+    changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
+    head_is_left = occurrence.side is Side.LEFT
+    holds_when_equal = _holds_when_equal(constraint)
+    violations: list[Violation] = []
+    for x in affected_rows(db, chain, occurrence.position, r):
+        other_value = eval_chain(db, other, x)
+        if other_value is None or (head == other_value) is holds_when_equal:
+            continue
+        left, right = (head, other_value) if head_is_left else (other_value, head)
+        violations.append(_constraint_violation(constraint, x, left, right, changed))
+    return violations
+
+
+def dedupe(violations: list[Violation]) -> list[Violation]:
+    seen: set[tuple[str | None, RowId | None]] = set()
+    unique: list[Violation] = []
+    for violation in sort_violations(violations):
+        key = (violation.constraint, violation.witness)
+        if key in seen:
+            continue
+        seen.add(key)
+        unique.append(violation)
+    return unique
+
+
+def apply_mutation(db: Database, m: Mutation) -> Verdict:
+    """engine.apply_mutation, with the checks above and no handles."""
+    try:
+        resolved = resolve_mutation(m, {})
+        before = db.read_row(resolved.row) if resolved.action is Action.UPDATE else None
+        row = raw_apply(db, resolved)
+    except (MutationResolveError, StoreError) as exc:
+        return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
+
+    violations: list[Violation] = []
+    if resolved.action is Action.INSERT:
+        for constraint in db.schema.constraints_on(row.set_name):
+            violations.extend(check_domain_row(db, constraint, row))
+    elif resolved.action is Action.UPDATE:
+        changed = {
+            name: value
+            for name, value in resolved.values.items()
+            if before[name] != value
+        }
+        for constraint in db.schema.constraints_on(row.set_name):
+            if (
+                constraint.left.innermost.name in changed
+                or constraint.right.innermost.name in changed
+            ):
+                violations.extend(check_domain_row(db, constraint, row))
+        table = dispatch(db.schema)
+        for fn_name in sorted(changed):
+            for occ in table.get((row.set_name, fn_name), ()):
+                if occ.position < occ.chain.length:
+                    violations.extend(check_link_update(db, occ, row, changed[fn_name]))
+
+    if violations:
+        db.undo_write(row, before)
+        return Verdict(Outcome.REJECTED, tuple(dedupe(violations)))
+    return Verdict(Outcome.APPLIED, (), row=row)

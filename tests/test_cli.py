@@ -8,7 +8,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from funcdiag import cli
 from funcdiag.cli import main
+from funcdiag.dsl import Action, Expectation, Mutation
+from funcdiag.engine import ChangedLink, Outcome, Verdict, Violation, ViolationKind
+from funcdiag.store import RowId
 
 from conftest import FIXTURES, fixture_text, mutilate
 
@@ -74,6 +78,57 @@ def test_streamed_json_report_is_laid_out_as_json_dumps(tmp_path, flags):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, result.output
         assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
+
+
+# Text that needs escaping: quotes, backslashes, control and non-ASCII
+# characters, astral ones included, beside whatever Hypothesis draws.
+JSON_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7féπ€\u2028😀') | st.characters())
+JSON_ROWS = st.builds(RowId, JSON_TEXT, st.integers(min_value=0))
+JSON_VALUES = st.none() | st.integers() | JSON_TEXT | JSON_ROWS
+JSON_VIOLATIONS = st.builds(
+    Violation,
+    st.none() | JSON_TEXT,
+    st.sampled_from(ViolationKind),
+    st.none() | JSON_ROWS,
+    JSON_VALUES,
+    JSON_VALUES,
+    st.none() | st.builds(ChangedLink, JSON_TEXT, JSON_TEXT, JSON_ROWS),
+    JSON_TEXT,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    index=st.integers(min_value=0),
+    line=st.integers(min_value=0),
+    action=st.sampled_from(Action),
+    set_name=JSON_TEXT,
+    outcome=st.sampled_from(Outcome),
+    violations=st.lists(JSON_VIOLATIONS, max_size=4),
+    expectation=st.none() | st.sampled_from(Expectation),
+    expectation_ok=st.none() | st.booleans(),
+    inspected=st.integers(min_value=0),
+)
+def test_json_record_is_laid_out_as_json_dumps(
+    index, line, action, set_name, outcome, violations, expectation, expectation_ok, inspected
+):
+    """A run record, byte for byte as json.dumps(report, indent=2) writes it
+    where it sits in the report, four spaces deep."""
+    m = Mutation(action, expectation=expectation, line=line)
+    verdict = Verdict(outcome, tuple(violations))
+    record = {
+        "index": index,
+        "line": line,
+        "action": action.value,
+        "set": set_name,
+        "verdict": outcome.value,
+        "violations": [v.to_json_dict() for v in violations],
+        "expected": expectation.value if expectation else None,
+        "expectation_ok": expectation_ok,
+        "rows_inspected": inspected,
+    }
+    expected = json.dumps(record, indent=2).replace("\n", "\n    ")
+    assert cli._json_record(index, m, set_name, verdict, expectation_ok, inspected) == expected
 
 
 COMMANDS = [

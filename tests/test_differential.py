@@ -1,12 +1,14 @@
 """The engine, the oracle and the emitted SQL on randomized schemas and
-mutation streams.
+mutation streams, and the engine against its row-at-a-time reference.
 
 Each seed grows a schema with 1-3 constraints (chains may share
 functions, loop, and revisit sets), seeds a valid database, and feeds the
 same 60 random mutations to apply_mutation on one copy, oracle_apply on
 another, and SQLite guarded by the emitted generic-sql triggers on a
 third. A second run starts the three from a database that random raw
-writes have left violating some constraints.
+writes have left violating some constraints. The same streams also go
+through rowwise_engine, the link check that walks one row at a time,
+which must agree violation for violation and count the same rows.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import pytest
 from funcdiag.dsl import Action
 from funcdiag.engine import apply_mutation, raw_apply, resolve_mutation
 from funcdiag.oracle import oracle_apply
-from funcdiag.store import StoreError
+from funcdiag.store import Database, StoreError
 
+import rowwise_engine
 from randgen import make_mutation, make_schema, seed_database
 from test_sql_harness import contents, generic_sql_units, install, sql_apply, sql_contents
 
@@ -50,9 +53,7 @@ def _contents(verdict) -> list:
 def test_engine_agrees_with_oracle(seed):
     """Engine, oracle and SQLite: the same verdict after every step and the
     same final tables."""
-    rng = random.Random(seed)
-    schema = _schema(rng)
-    _three_ways(rng, seed_database(rng, schema), seed)
+    _three_ways(*_start(seed, inconsistent=False), seed)
 
 
 @pytest.mark.parametrize("seed", INCONSISTENT_SEEDS)
@@ -60,15 +61,45 @@ def test_engine_agrees_with_oracle_from_an_inconsistent_state(seed):
     """As above, from a database that raw writes, which no check guards,
     have left violating: a write is judged by the rows it touches, and a
     touched row that still violates rejects it."""
+    _three_ways(*_start(seed, inconsistent=True), seed)
+
+
+@pytest.mark.parametrize(
+    "seed, inconsistent",
+    [(seed, False) for seed in SEEDS] + [(seed, True) for seed in INCONSISTENT_SEEDS],
+)
+def test_set_at_a_time_link_checks_match_the_row_at_a_time_reference(seed, inconsistent):
+    """The engine and the row-at-a-time reference give the same verdict,
+    violation for violation in the same order, `changed` included, and
+    count the same rows_inspected for every mutation."""
+    rng, db = _start(seed, inconsistent)
+    reference = db.clone(share_counter=False)
+    for step in range(MUTATIONS):
+        m = make_mutation(rng, db)
+        counted, reference_counted = db.rows_inspected, reference.rows_inspected
+        verdict = apply_mutation(db, m)
+        expected = rowwise_engine.apply_mutation(reference, m)
+        where = f"seed {seed} step {step}: {m}"
+        assert verdict.outcome is expected.outcome, where
+        assert verdict.violations == expected.violations, where
+        assert (
+            db.rows_inspected - counted == reference.rows_inspected - reference_counted
+        ), where
+
+
+def _start(seed: int, inconsistent: bool) -> tuple[random.Random, Database]:
+    """The seed's random stream and its seeded database; when
+    `inconsistent`, after RAW_WRITES unchecked random writes."""
     rng = random.Random(seed)
     schema = _schema(rng)
     db = seed_database(rng, schema)
-    for _ in range(RAW_WRITES):
-        try:
-            raw_apply(db, resolve_mutation(make_mutation(rng, db), {}))
-        except StoreError:
-            pass
-    _three_ways(rng, db, seed)
+    if inconsistent:
+        for _ in range(RAW_WRITES):
+            try:
+                raw_apply(db, resolve_mutation(make_mutation(rng, db), {}))
+            except StoreError:
+                pass
+    return rng, db
 
 
 def _three_ways(rng: random.Random, db, seed: int) -> None:

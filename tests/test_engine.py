@@ -107,7 +107,7 @@ def test_affected_rows_empty_when_nothing_chains(geography_schema, geography_db)
     lonely = geography_db.insert_row(
         "MOUNTAIN_RANGES", {"Range": "Pyrenees", "Continent": europe}
     )
-    assert affected_rows(geography_db, c.left, 1, lonely) == frozenset()
+    assert affected_rows(geography_db, c.left, 1, lonely) == []
 
 
 def test_affected_rows_exact_set(geography_schema, geography_db):
@@ -120,8 +120,8 @@ def test_affected_rows_exact_set(geography_schema, geography_db):
     )
     danube = row_named(geography_db, "RIVERS", "River", "Danube")
     got = affected_rows(geography_db, c.left, 1, alps)
-    assert got == {danube, rhone}
-    assert got == brute_affected(geography_db, c.left, 1, alps)
+    assert got == [danube.x, rhone.x]
+    assert got == sorted(x.x for x in brute_affected(geography_db, c.left, 1, alps))
 
 
 def test_affected_rows_innermost_position_is_row_itself(
@@ -129,7 +129,7 @@ def test_affected_rows_innermost_position_is_row_itself(
 ):
     c = geo_constraint(geography_schema)
     danube = row_named(geography_db, "RIVERS", "River", "Danube")
-    assert affected_rows(geography_db, c.left, 5, danube) == {danube}
+    assert affected_rows(geography_db, c.left, 5, danube) == [danube.x]
 
 
 # -- check_domain_row --------------------------------------------------------
@@ -341,7 +341,7 @@ def test_insert_runs_no_link_checks_and_fresh_rows_have_empty_affected(
     assert verdict.applied
     assert verdict.row is not None
     # nothing can reference a row created by this very mutation
-    assert affected_rows(db, c.left, 1, verdict.row) == frozenset()
+    assert affected_rows(db, c.left, 1, verdict.row) == []
 
 
 def test_rejected_insert_burns_no_id(geography_schema):
@@ -427,6 +427,45 @@ def test_delete_restrict_and_delete_free_row(geography_schema):
     verdict = apply_mutation(db, Mutation(Action.DELETE, row_ref=free))
     assert verdict.applied
     assert not db.row_exists(free)
+
+
+def test_recolor_reported_by_both_occurrences_lists_each_witness_once(neighbors_schema):
+    """A country that is `Country` in some clashing pairs, `Neighbor` in
+    others and both in a self-pair: each side's link check reports its
+    pairs, and the verdict merges them, each witness once, in witness
+    order."""
+    db = Database(neighbors_schema)
+    spain = db.insert_row("COUNTRIES", {"Country": "Spain", "FrontierColor": "red"})
+    italy = db.insert_row("COUNTRIES", {"Country": "Italy", "FrontierColor": "red"})
+    france = db.insert_row("COUNTRIES", {"Country": "France"})
+
+    def pair(name, country, neighbor):
+        return db.insert_row(
+            "NEIGHBOR_COUNTRIES", {"Pair": name, "Country": country, "Neighbor": neighbor}
+        )
+
+    fr_es = pair("fr-es", france, spain)
+    it_fr = pair("it-fr", italy, france)
+    fr_fr = pair("fr-fr", france, france)
+    fr_it = pair("fr-it", france, italy)
+    recolor = Mutation(
+        Action.UPDATE, row_ref=france, bindings=(Binding("FrontierColor", "red"),)
+    )
+    before = db.snapshot()
+
+    db.set_values(france, {"FrontierColor": "red"})
+    reported = {
+        occ.side: [v.witness for v in check_link_update(db, occ, france, "red")]
+        for occ in dispatch(neighbors_schema)[("COUNTRIES", "FrontierColor")]
+    }
+    assert reported == {Side.LEFT: [fr_es, fr_fr, fr_it], Side.RIGHT: [it_fr, fr_fr]}
+    db.set_values(france, {"FrontierColor": None})
+
+    verdict = apply_mutation(db, recolor)
+    assert verdict.rejected
+    assert [v.witness for v in verdict.violations] == [fr_es, it_fr, fr_fr, fr_it]
+    assert all(v.changed.row == france for v in verdict.violations)
+    assert db.snapshot() == before
 
 
 def test_anti_commutative_link_update(neighbors_schema):

@@ -13,6 +13,7 @@ from funcdiag.store import (
     RowId,
     UnknownFunction,
     UnknownRow,
+    UnknownSet,
     Value,
     ValueTypeMismatch,
 )
@@ -221,6 +222,43 @@ def test_counter_counts_lookups(db):
     db.lookup(tools, "Category")
     db.lookup(tools, "Category")
     assert db.rows_inspected == before + 2
+
+
+def test_bulk_reads_answer_and_count_as_the_per_row_reads(db):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    toys = db.insert_row("CATEGORIES", {"Category": "toys"})
+    saw = db.insert_row("ITEMS", {"Item": "saw", "Category": tools, "Stock": 3})
+    kite = db.insert_row("ITEMS", {"Item": "kite", "Category": toys})
+    drill = db.insert_row("ITEMS", {"Item": "drill", "Category": tools})
+    items = [drill.x, saw.x, kite.x]
+    before = db.rows_inspected
+    assert db.lookup_ids("ITEMS", "Stock", items) == [None, 3, None]
+    assert db.lookup_ids("ITEMS", "Category", items) == [tools, tools, toys]
+    assert db.rows_inspected == before + 6
+    assert db.inverse_ids("ITEMS", "Category", {tools.x, toys.x, 99}) == set(items)
+    assert db.inverse_ids("ITEMS", "Category", []) == set()
+    assert db.rows_inspected == before + 9
+
+
+@pytest.mark.parametrize(
+    "read, error, counted",
+    [
+        (lambda db: db.lookup_ids("ITEMS", "Stock", [1, 7, 2]), UnknownRow, 1),
+        (lambda db: db.lookup_ids("ITEMS", "Colour", [1, 2]), UnknownFunction, 1),
+        (lambda db: db.lookup_ids("SHOPS", "Item", [1]), UnknownSet, 0),
+        (lambda db: db.inverse_ids("ITEMS", "Stock", [1]), UnknownFunction, 0),
+    ],
+)
+def test_bulk_reads_fail_as_the_per_row_reads(db, read, error, counted):
+    """The first bad row raises lookup's error, after counting the rows
+    lookup reads before it."""
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    db.insert_row("ITEMS", {"Item": "kite"})
+    before = db.rows_inspected
+    with pytest.raises(error):
+        read(db)
+    assert db.rows_inspected == before + counted
 
 
 @pytest.mark.parametrize("seed", range(10))

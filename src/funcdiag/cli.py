@@ -5,6 +5,12 @@ errors in unguarded statements, refused constraint classes, standing
 violations found by check), 2 I/O or parse failure, including an input
 file that is not UTF-8 and a `gen --out` path that cannot be made a
 directory or written into.
+
+This module alone lays out the two report formats: the text line of a
+violation, which `run` and `check` both print (_render_line), and the
+records of `run --json` (_json_record). Engine and oracle hand it
+violations as plain data; each violation's message comes from its
+constraint (DiagramConstraint.format_message).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import NoReturn
 import click
 
 from . import codegen, dsl, engine, oracle
-from .model import IssueCode
+from .model import IssueCode, Schema, render_value
 from .store import Database, RowId, StoreError, Value
 
 _REFUSAL_CODES = {IssueCode.REFUSED_HBFP, IssueCode.REFUSED_LOCAL}
@@ -43,7 +49,7 @@ def _read(path: str) -> str:
         _fail(f"{path}: {exc}")
 
 
-def _load_schema(schema_path: str):
+def _load_schema(schema_path: str) -> Schema:
     source = _read(schema_path)
     schema, diagnostics = dsl.parse_schema(source)
     if schema is None:
@@ -52,6 +58,15 @@ def _load_schema(schema_path: str):
         only_refusals = all(d.code in _REFUSAL_CODES for d in diagnostics)
         sys.exit(1 if only_refusals else 2)
     return schema
+
+
+def _load_script(script_path: str, schema: Schema) -> list[dsl.Mutation]:
+    mutations, diagnostics = dsl.parse_script(_read(script_path), schema)
+    if mutations is None:
+        for d in diagnostics:
+            click.echo(f"{script_path}:{d.render()}", err=True)
+        sys.exit(2)
+    return mutations
 
 
 @main.command()
@@ -77,11 +92,7 @@ def validate(schema_path: str) -> None:
 def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool) -> None:
     """Apply a mutation script with full constraint enforcement."""
     schema = _load_schema(schema_path)
-    mutations, diagnostics = dsl.parse_script(_read(script_path), schema)
-    if mutations is None:
-        for d in diagnostics:
-            click.echo(f"{script_path}:{d.render()}", err=True)
-        sys.exit(2)
+    mutations = _load_script(script_path, schema)
 
     # Each record is written as soon as it is decided, through one stream;
     # `--json` lays the report out exactly as json.dumps(report, indent=2).
@@ -142,8 +153,8 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
 
 
 # The fixed shape of one "mutations" record of `run --json`, and of one
-# of its violations (Violation.to_json_dict), as json.dumps(report,
-# indent=2) lays them out; a record's first line comes without its indent.
+# of its violations, as json.dumps(report, indent=2) lays them out; a
+# record's first line comes without its indent.
 _JSON_RECORD = """{{
       "index": {},
       "line": {},
@@ -250,7 +261,21 @@ def _text_record(
         f"[{index}] line {m.line} {m.action.value} {set_name}"
         f" -> {verdict.outcome.value.upper()}{expect}\n"
     )
-    return head + "".join(f"    {v.render_line()}\n" for v in verdict.violations)
+    return head + "".join(f"    {_render_line(v)}\n" for v in verdict.violations)
+
+
+def _render_line(v: engine.Violation) -> str:
+    """One violation as `run` and `check` print it."""
+    parts = [
+        f"constraint={v.constraint or '-'}",
+        f"kind={v.kind.value}",
+        f"witness={render_value(v.witness)}",
+        f"left={render_value(v.left)}",
+        f"right={render_value(v.right)}",
+    ]
+    if v.changed is not None:
+        parts.append(f"changed={v.changed.set_name}.{v.changed.function}@{v.changed.row.x}")
+    return " ".join(parts) + f" :: {v.message}"
 
 
 def _ref_set(m: dsl.Mutation, handles: dict[str, RowId]) -> str | None:
@@ -270,11 +295,7 @@ def check(schema_path: str, script_path: str) -> None:
     """Apply a script raw (no constraint checks), then report every
     standing violation. Useful for seeding deliberately invalid states."""
     schema = _load_schema(schema_path)
-    mutations, diagnostics = dsl.parse_script(_read(script_path), schema)
-    if mutations is None:
-        for d in diagnostics:
-            click.echo(f"{script_path}:{d.render()}", err=True)
-        sys.exit(2)
+    mutations = _load_script(script_path, schema)
 
     db = Database(schema)
     handles: dict[str, RowId] = {}
@@ -293,7 +314,7 @@ def check(schema_path: str, script_path: str) -> None:
         f"{report.rows_scanned} rows scanned, {len(report.violations)} violations"
     )
     for violation in report.violations:
-        click.echo(f"    {violation.render_line()}")
+        click.echo(f"    {_render_line(violation)}")
     sys.exit(1 if report.violations else 0)
 
 

@@ -26,9 +26,11 @@ write is never made.
 
 Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
 EXISTS` per link column its triggers walk backwards, the SQL twin of the
-store's reverse index. An index is named `[SET.function]`: identifiers
-hold only alphanumerics and `_`, so the dot keeps names distinct, and
-units that walk the same column share its index.
+store's reverse index; units that walk the same column share its index.
+Every emitted name joins its parts with a dot, which no identifier holds,
+so names from different parts never collide: index `[SET.function]`,
+triggers `[constraint.SET.ins]` and `[constraint.SET.function.left1]`,
+and file names (EmittedUnit.filename).
 
 Row-source queries come in one flavor only: a three-column query over the
 right-join ladder of the chain's tables for chains of two or more
@@ -63,8 +65,9 @@ class Dialect(Enum):
 class EmittedUnit:
     """One generated text artifact aimed at a (set, function) target.
 
-    `target_function` is None for row-level (whole-row) checks. Bodies
-    are non-empty and deterministic for a given input.
+    `target_function` is None for row-level (whole-row) checks, and
+    `side` names the chain of a row source. Bodies are non-empty and
+    deterministic for a given input.
     """
 
     constraint_id: str
@@ -73,11 +76,21 @@ class EmittedUnit:
     dialect: Dialect
     role: str
     body: str
+    side: Side | None = None
 
     @property
     def filename(self) -> str:
-        fn = self.target_function or "row"
-        return f"{self.target_set}_{fn}_{self.constraint_id}.{self.dialect.value}.txt"
+        """The unit's parts joined by `.`; the role fixes which parts are
+        set, so no two units of one schema share a file name."""
+        parts = (
+            self.target_set,
+            self.target_function,
+            self.constraint_id,
+            self.side and self.side.value,
+            self.role,
+            self.dialect.value,
+        )
+        return ".".join(filter(None, parts)) + ".txt"
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +133,7 @@ def gen_row_source(
         Dialect.PAPER_STYLE,
         "row-source",
         body,
+        side,
     )
 
 
@@ -183,10 +197,6 @@ def _comparison_op(kind: ConstraintKind) -> str:
     return "<>" if kind is ConstraintKind.COMMUTATIVE else "="
 
 
-def _emitted_message(constraint: DiagramConstraint) -> str:
-    return constraint.message or constraint.default_message()
-
-
 def _paper_domain_check(constraint: DiagramConstraint) -> str:
     fn = constraint.left.innermost.name
     gm = constraint.right.innermost.name
@@ -201,7 +211,7 @@ def _paper_domain_check(constraint: DiagramConstraint) -> str:
     if value_guards:
         steps.append((None, " And ".join(value_guards)))
     steps.append((None, f"{left_expr} {_comparison_op(constraint.kind)} {right_expr}"))
-    message = _vba_string(_emitted_message(constraint))
+    message = _vba_string(constraint.template)
     return "\n".join(
         [
             "Sub Form_BeforeUpdate(Cancel As Integer)",
@@ -238,15 +248,15 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     gm = constraint.right.innermost.name
     left_expr = _sql_forward_walk(constraint.left, f"NEW.{_b(fn)}")
     right_expr = _sql_forward_walk(constraint.right, f"NEW.{_b(gm)}")
-    message = _sql_string(_emitted_message(constraint))
+    message = _sql_string(constraint.template)
     timing = _timing(
         domain, constraint.left.functions[:-1], constraint.right.functions[:-1]
     )
     columns = _b(fn) if fn == gm else f"{_b(fn)}, {_b(gm)}"
+    name = f"{constraint.id}.{domain}"
     change_guard = f"NEW.{_b(fn)} IS NOT OLD.{_b(fn)}"
     if gm != fn:
         change_guard += f" OR NEW.{_b(gm)} IS NOT OLD.{_b(gm)}"
-    create = f"CREATE TRIGGER {constraint.id}_{domain}_row"
     action = "\n".join(
         [
             "BEGIN",
@@ -257,11 +267,11 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     )
     return "\n".join(
         [
-            f"{create}_ins {timing} INSERT ON {_b(domain)}",
+            f"CREATE TRIGGER [{name}.ins] {timing} INSERT ON {_b(domain)}",
             "FOR EACH ROW",
             action,
             "",
-            f"{create}_upd {timing} UPDATE OF {columns} ON {_b(domain)}",
+            f"CREATE TRIGGER [{name}.upd] {timing} UPDATE OF {columns} ON {_b(domain)}",
             "FOR EACH ROW",
             f"WHEN {change_guard}",
             action,
@@ -393,7 +403,7 @@ def _paper_link_block(
     if position > 1:
         head = _paper_forward_lookup(chain, position - 1, f'x =" & {fn_i} & "')
     affected = _paper_reverse_where(chain, position, "x")
-    message = _vba_string(_emitted_message(constraint))
+    message = _vba_string(constraint.template)
     comment = (
         f"' {constraint.id}: {side.value} position {position} of {constraint.render()}"
     )
@@ -429,9 +439,8 @@ def _sql_link_trigger(
     chain = constraint.chain(side)
     other = constraint.chain(side.other)
     fn = chain.functions[position - 1]
-    cid = constraint.id
-    name = f"{cid}_{fn.domain}_{fn.name}_{side.value}{position}"
-    message = _sql_string(_emitted_message(constraint))
+    name = f"[{constraint.id}.{fn.domain}.{fn.name}.{side.value}{position}]"
+    message = _sql_string(constraint.template)
     cmp = _comparison_op(constraint.kind)
     other_value = _sql_forward_walk(other, f"d.{_b(other.innermost.name)}")
     head = _sql_forward_walk(chain, f"NEW.{_b(fn.name)}", position)

@@ -22,10 +22,12 @@ level where it reads null.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
-more checks are merged, sorted and deduplicated. A violation keeps the
-constraint it breaks and formats its message only when the message is
-read, so a rejection with many witness rows costs one small tuple per
-witness until someone prints it.
+more checks are merged, sorted and deduplicated. A violation is data: it
+keeps the constraint it breaks, and its message is formatted by that
+constraint (DiagramConstraint.format_message) only when it is read, so a
+rejection with many witness rows costs one small tuple per witness until
+someone prints it. How a violation is laid out in a report, as a text
+line or as JSON, is the command-line front end's business (cli.py).
 """
 
 from __future__ import annotations
@@ -86,50 +88,7 @@ class Violation(NamedTuple):
     def message(self) -> str:
         if isinstance(self.source, str):
             return self.source
-        constraint = self.source
-        template = constraint.message or constraint.default_message()
-        return template.format(
-            left=_render_opt(self.left),
-            right=_render_opt(self.right),
-            left_chain=constraint.left.render(),
-            right_chain=constraint.right.render(),
-            witness=repr(self.witness),
-            constraint=constraint.id,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "constraint": self.constraint,
-            "kind": self.kind.value,
-            "witness": _json_row(self.witness),
-            "left": _json_value(self.left),
-            "right": _json_value(self.right),
-            "changed": (
-                None
-                if self.changed is None
-                else {
-                    "set": self.changed.set_name,
-                    "function": self.changed.function,
-                    "x": self.changed.row.x,
-                }
-            ),
-            "message": self.message,
-        }
-
-    def render_line(self) -> str:
-        parts = [
-            f"constraint={self.constraint or '-'}",
-            f"kind={self.kind.value}",
-            f"witness={_render_opt(self.witness)}",
-            f"left={_render_opt(self.left)}",
-            f"right={_render_opt(self.right)}",
-        ]
-        if self.changed is not None:
-            parts.append(
-                f"changed={self.changed.set_name}.{self.changed.function}"
-                f"@{self.changed.row.x}"
-            )
-        return " ".join(parts) + f" :: {self.message}"
+        return self.source.format_message(self.left, self.right, self.witness)
 
 
 @dataclass(frozen=True)
@@ -435,23 +394,3 @@ def _violation_kind(constraint: DiagramConstraint) -> ViolationKind:
 
 def _store_violation(message: str) -> Violation:
     return Violation(None, ViolationKind.STORE_ERROR, None, None, None, None, message)
-
-
-def _render_opt(value: Value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, RowId):
-        return repr(value)
-    return str(value)
-
-
-def _json_value(value: Value):
-    if isinstance(value, RowId):
-        return {"set": value.set_name, "x": value.x}
-    return value
-
-
-def _json_row(row: RowId | None):
-    if row is None:
-        return None
-    return {"set": row.set_name, "x": row.x}

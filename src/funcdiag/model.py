@@ -18,6 +18,10 @@ declared constraint is judged: it refuses a chain compared against the
 identity of its domain (a local constraint) and a pair of single functions
 (a homogeneous binary function product, HBFP), so neither ever takes the
 DiagramConstraint shape.
+
+A constraint owns its violation message: `template` is the one text
+that the engine formats and that both emitted dialects embed, and
+format_message is the only code that fills its MESSAGE_FIELDS.
 """
 
 from __future__ import annotations
@@ -184,7 +188,12 @@ class DiagramConstraint:
         op = "=" if self.kind is ConstraintKind.COMMUTATIVE else "/="
         return f"{self.left.render()} {op} {self.right.render()} on {self.domain_set}"
 
-    def default_message(self) -> str:
+    @property
+    def template(self) -> str:
+        """The violation message template: the declared message, or a
+        default that names both chains and their values."""
+        if self.message:
+            return self.message
         verb = (
             "must equal"
             if self.kind is ConstraintKind.COMMUTATIVE
@@ -193,6 +202,19 @@ class DiagramConstraint:
         return (
             f"value of {self.left.render()} {verb} value of {self.right.render()}"
             " (left={left}, right={right})"
+        )
+
+    def format_message(self, left: object, right: object, witness: object) -> str:
+        """The message of a violation at `witness`, where the chains read
+        `left` and `right`: the template with every MESSAGE_FIELDS name
+        filled in, each value as render_value writes it."""
+        return self.template.format(
+            left=render_value(left),
+            right=render_value(right),
+            left_chain=self.left.render(),
+            right_chain=self.right.render(),
+            witness=render_value(witness),
+            constraint=self.id,
         )
 
 
@@ -221,6 +243,12 @@ MESSAGE_FIELDS = frozenset(
     ("left", "right", "left_chain", "right_chain", "witness", "constraint")
 )
 """Replacement fields a violation message template may use."""
+
+
+def render_value(value: object) -> str:
+    """A chain value or witness row as messages and reports write it:
+    null as `null`, anything else with str (a row id reads `SET#x`)."""
+    return "null" if value is None else str(value)
 
 
 def message_template_problem(template: str) -> str | None:

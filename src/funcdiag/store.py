@@ -178,19 +178,18 @@ class Database:
         if set_name not in self._tables:
             raise UnknownSet(f"unknown set {set_name!r}")
         normalized: dict[str, Value] = {}
-        declared = {fn.name: fn for fn in self.schema.functions_of(set_name)}
         for name, value in values.items():
-            fn = declared.get(name)
+            fn = self.schema.function(set_name, name)
             if fn is None:
                 raise UnknownFunction(f"no function {name!r} on {set_name!r}")
             normalized[name] = self._check_value(fn, value)
-        for name, fn in declared.items():
-            if name not in normalized:
+        for fn in self.schema.functions_of(set_name):
+            if fn.name not in normalized:
                 if not fn.nullable:
                     raise MissingRequired(
-                        f"insert into {set_name!r} misses required {name!r}"
+                        f"insert into {set_name!r} misses required {fn.name!r}"
                     )
-                normalized[name] = None
+                normalized[fn.name] = None
         return normalized
 
     def validate_update(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:

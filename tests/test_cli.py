@@ -10,11 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from funcdiag import cli
 from funcdiag.cli import main
-from funcdiag.dsl import Action, Expectation, Mutation
-from funcdiag.engine import ChangedLink, Outcome, Verdict, Violation, ViolationKind
+from funcdiag.dsl import Action, Binding, Expectation, Mutation
+from funcdiag.engine import (
+    ChangedLink,
+    Outcome,
+    Verdict,
+    Violation,
+    ViolationKind,
+    apply_mutation,
+)
 from funcdiag.store import RowId
 
-from conftest import FIXTURES, fixture_text, mutilate
+from conftest import FIXTURES, fixture_text, mutilate, seeded_geography
 
 
 def test_run_reports_a_superscript_digit_as_a_positioned_diagnostic(tmp_path):
@@ -61,11 +68,24 @@ def test_gen_emits_row_sources_for_a_1500_function_chain(tmp_path):
 )
 @pytest.mark.parametrize("suffix, flags", [("json", ["--json"]), ("txt", [])])
 def test_run_output_matches_golden(schema, script, suffix, flags):
-    """Messages, to_json_dict, render_line and rows_inspected, byte for byte."""
+    """Messages, both report layouts and rows_inspected, byte for byte."""
     args = ["run", str(FIXTURES / f"{schema}.fd"), str(FIXTURES / f"{script}.fdm")]
     result = CliRunner().invoke(main, args + flags)
     assert result.exit_code == 0, result.output
     golden = FIXTURES / "runs" / f"{script}.{suffix}"
+    assert result.stdout == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "schema, script",
+    [("geography", "geography_standing"), ("neighbors", "neighbors_standing")],
+)
+def test_check_output_matches_golden(schema, script):
+    """Standing violations of a raw-applied script, one line each."""
+    args = ["check", str(FIXTURES / f"{schema}.fd"), str(FIXTURES / f"{script}.fdm")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    golden = FIXTURES / "checks" / f"{script}.txt"
     assert result.stdout == golden.read_text(encoding="utf-8")
 
 
@@ -85,6 +105,33 @@ def test_streamed_json_report_is_laid_out_as_json_dumps(tmp_path, flags):
 JSON_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7féπ€\u2028😀') | st.characters())
 JSON_ROWS = st.builds(RowId, JSON_TEXT, st.integers(min_value=0))
 JSON_VALUES = st.none() | st.integers() | JSON_TEXT | JSON_ROWS
+
+
+def json_value(value):
+    """A value as the JSON report holds it: a row id is {"set", "x"}."""
+    if isinstance(value, RowId):
+        return {"set": value.set_name, "x": value.x}
+    return value
+
+
+def violation_dict(v: Violation) -> dict:
+    """One violation of the JSON report, as json.loads reads it back."""
+    changed = v.changed
+    return {
+        "constraint": v.constraint,
+        "kind": v.kind.value,
+        "witness": json_value(v.witness),
+        "left": json_value(v.left),
+        "right": json_value(v.right),
+        "changed": (
+            None
+            if changed is None
+            else {"set": changed.set_name, "function": changed.function, "x": changed.row.x}
+        ),
+        "message": v.message,
+    }
+
+
 JSON_VIOLATIONS = st.builds(
     Violation,
     st.none() | JSON_TEXT,
@@ -122,13 +169,43 @@ def test_json_record_is_laid_out_as_json_dumps(
         "action": action.value,
         "set": set_name,
         "verdict": outcome.value,
-        "violations": [v.to_json_dict() for v in violations],
+        "violations": [violation_dict(v) for v in violations],
         "expected": expectation.value if expectation else None,
         "expectation_ok": expectation_ok,
         "rows_inspected": inspected,
     }
     expected = json.dumps(record, indent=2).replace("\n", "\n    ")
     assert cli._json_record(index, m, set_name, verdict, expectation_ok, inspected) == expected
+
+
+def test_violation_json_shape(geography_schema):
+    db, handles = seeded_geography(geography_schema)
+    verdict = apply_mutation(
+        db,
+        Mutation(
+            Action.UPDATE,
+            row_ref=handles["alps"],
+            bindings=(Binding("Continent", handles["asia"]),),
+        ),
+    )
+    violation = verdict.violations[0]
+    payload = json.loads(cli._json_violation(violation))
+    assert payload == violation_dict(violation)
+    assert payload["constraint"] == "GeoContinent"
+    assert payload["kind"] == "commutative"
+    assert payload["witness"] == {"set": "RIVERS", "x": handles["danube"].x}
+    assert payload["changed"]["function"] == "Continent"
+
+
+def test_store_error_violation_reports_its_text():
+    violation = Violation(
+        None, ViolationKind.STORE_ERROR, None, None, None, None, "no row 'S#3'"
+    )
+    assert json.loads(cli._json_violation(violation)) == violation_dict(violation)
+    assert cli._render_line(violation) == (
+        "constraint=- kind=store-error witness=null left=null right=null"
+        " :: no row 'S#3'"
+    )
 
 
 COMMANDS = [

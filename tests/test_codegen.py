@@ -289,15 +289,26 @@ def test_emit_units_order_and_filenames(geography_schema):
     )
     names = [u.filename for u in units]
     assert names == [
-        "RIVERS_Mountain_GeoContinent.paper-style.txt",
-        "RIVERS_Continent_GeoContinent.paper-style.txt",
-        "RIVERS_row_GeoContinent.paper-style.txt",
-        "MOUNTAIN_RANGES_Continent_GeoContinent.paper-style.txt",
-        "MOUNT_SUBRANGES_Range_GeoContinent.paper-style.txt",
-        "MOUNT_GROUPS_Subrange_GeoContinent.paper-style.txt",
-        "MOUNTAINS_Group_GeoContinent.paper-style.txt",
+        "RIVERS.Mountain.GeoContinent.left.row-source.paper-style.txt",
+        "RIVERS.Continent.GeoContinent.right.row-source.paper-style.txt",
+        "RIVERS.GeoContinent.domain-check.paper-style.txt",
+        "MOUNTAIN_RANGES.Continent.GeoContinent.link-check.paper-style.txt",
+        "MOUNT_SUBRANGES.Range.GeoContinent.link-check.paper-style.txt",
+        "MOUNT_GROUPS.Subrange.GeoContinent.link-check.paper-style.txt",
+        "MOUNTAINS.Group.GeoContinent.link-check.paper-style.txt",
     ]
     assert all(u.body for u in units)
+
+
+def test_unit_filenames_are_distinct_on_random_schemas():
+    # both sides' row sources may serve one column, and a chain that
+    # revisits a set may put a link check on a row source's column
+    for seed in range(300):
+        rng = random.Random(seed)
+        schema = make_schema(rng, rng.randint(1, 3))
+        for dialect in Dialect:
+            units = emit_units(schema, schema.constraints, "all", dialect)
+            assert len({u.filename for u in units}) == len(units), seed
 
 
 def test_emitted_bodies_are_deterministic(geography_schema):

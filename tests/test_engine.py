@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -495,33 +494,6 @@ def test_anti_commutative_link_update(neighbors_schema):
     assert verdict.applied
 
 
-def test_violation_json_shape(geography_schema):
-    db, handles = seeded_geography(geography_schema)
-    verdict = apply_mutation(
-        db,
-        Mutation(
-            Action.UPDATE,
-            row_ref=handles["alps"],
-            bindings=(Binding("Continent", handles["asia"]),),
-        ),
-    )
-    payload = verdict.violations[0].to_json_dict()
-    assert set(payload) == {
-        "constraint",
-        "kind",
-        "witness",
-        "left",
-        "right",
-        "changed",
-        "message",
-    }
-    assert payload["constraint"] == "GeoContinent"
-    assert payload["kind"] == "commutative"
-    assert payload["witness"] == {"set": "RIVERS", "x": handles["danube"].x}
-    assert payload["changed"]["function"] == "Continent"
-    json.dumps(payload)
-
-
 def test_violations_sorted_by_witness(geography_schema):
     db, handles = seeded_geography(geography_schema)
     for i in range(3):
@@ -618,11 +590,6 @@ def test_store_error_violation_built_positionally_returns_its_text():
         None, ViolationKind.STORE_ERROR, None, None, None, None, "no row 'S#3'"
     )
     assert violation.message == "no row 'S#3'"
-    assert violation.to_json_dict()["message"] == "no row 'S#3'"
-    assert violation.render_line() == (
-        "constraint=- kind=store-error witness=null left=null right=null"
-        " :: no row 'S#3'"
-    )
 
 
 TEMPLATE_FIELDS = st.builds(

@@ -20,6 +20,7 @@ from funcdiag.model import (
     Side,
     validate_diagram,
 )
+from funcdiag.store import RowId
 
 from randgen import make_schema
 
@@ -274,6 +275,26 @@ def test_schema_refuses_a_message_template_that_cannot_format(geography_schema, 
         geography_schema.with_constraints((constraint,))
     with pytest.raises(ValueError, match="GeoContinent"):
         Schema("G", geography_schema.sets, geography_schema.functions, (constraint,))
+
+
+def test_template_falls_back_to_a_default_naming_both_chains(neighbors_schema):
+    declared = neighbors_schema.constraints[0]
+    assert declared.template == declared.message
+    for message in (None, ""):
+        default = replace(declared, message=message)
+        assert default.template == (
+            "value of FrontierColor . Country must never equal value of"
+            " FrontierColor . Neighbor (left={left}, right={right})"
+        )
+
+
+def test_format_message_fills_every_field_and_writes_null_as_null(geography_schema):
+    template = "{constraint}@{witness}: {left_chain}={left}, {right_chain}={right} {{x}}"
+    constraint = replace(geography_schema.constraints[0], message=template)
+    assert constraint.format_message(None, 3, RowId("RIVERS", 7)) == (
+        "GeoContinent@RIVERS#7: Continent . Range . Subrange . Group . Mountain=null,"
+        " Continent=3 {x}"
+    )
 
 
 @given(

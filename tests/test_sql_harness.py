@@ -212,6 +212,53 @@ def test_emitted_triggers_install_cleanly(geography_schema, neighbors_schema):
         connection.close()
 
 
+# -- emitted names -----------------------------------------------------------
+
+# Joined with "_", constraint x on Y_Z and constraint x_Y on Z both named
+# their insert trigger x_Y_Z_row_ins, and a row source for a function
+# named row took its domain check's file name.
+UNDERSCORE_SCHEMA = """
+schema Underscores ;
+set W { name Label : text ; }
+set Y_Z { name N : text ; row -> W ; Z -> Z ? ; }
+set Z { name M : text ; W -> W ; row -> W ; Y -> Y_Z ? ; }
+constraint x commutative on Y_Z { left = W . Z ; right = row ; }
+constraint x_Y commutative on Z { left = row . Y ; right = row ; }
+"""
+
+
+def test_names_built_from_identifiers_holding_underscores_do_not_collide():
+    schema, diagnostics = parse_schema(UNDERSCORE_SCHEMA)
+    assert schema is not None, diagnostics
+    for dialect in Dialect:
+        units = emit_units(schema, schema.constraints, "all", dialect)
+        assert len({unit.filename for unit in units}) == len(units) == 8
+    connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
+    triggers = connection.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")
+    assert sorted(name for (name,) in triggers) == [
+        "x.Y_Z.ins",
+        "x.Y_Z.upd",
+        "x.Z.W.left1",
+        "x_Y.Y_Z.row.left1",
+        "x_Y.Z.ins",
+        "x_Y.Z.upd",
+    ]
+    connection.close()
+    # every trigger of both constraints fires where the engine rejects
+    replay(
+        schema,
+        'insert W (Label = "a") as a ;\n'
+        'insert W (Label = "b") as b ;\n'
+        'insert Y_Z (N = "p", row = @a) as p ;\n'
+        'insert Z (M = "q", W = @a, row = @a, Y = @p) as q ;\n'
+        "update @p set Z = @q expect accept ;\n"
+        'insert Z (M = "r", W = @b, row = @a, Y = @p) expect accept ;\n'
+        'insert Z (M = "s", W = @b, row = @b, Y = @p) expect reject ;\n'
+        "update @p set row = @b expect reject ;\n"
+        "update @q set W = @b expect reject ;\n",
+    )
+
+
 # -- self-referencing deletes -------------------------------------------------
 
 SELF_LINK_SCHEMA = """

@@ -109,6 +109,17 @@ def test_insert_unknown_function(db):
         db.insert_row("CATEGORIES", {"Category": "x", "Price": 1})
 
 
+def test_insert_checks_bound_values_before_required_functions(db):
+    # "Item" is missing from both, but each bound value fails first
+    with pytest.raises(UnknownFunction, match="'Price'"):
+        db.insert_row("ITEMS", {"Stock": 1, "Price": 1})
+    with pytest.raises(DanglingReference):
+        db.insert_row("ITEMS", {"Category": RowId("CATEGORIES", 9)})
+    assert db.rows_inspected == 1
+    normalized = db.validate_insert("ITEMS", {"Stock": 2, "Item": "saw"})
+    assert list(normalized.items()) == [("Stock", 2), ("Item", "saw"), ("Category", None)]
+
+
 def test_value_type_checks(db):
     with pytest.raises(ValueTypeMismatch):
         db.insert_row("CATEGORIES", {"Category": 7})

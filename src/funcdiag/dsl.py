@@ -8,18 +8,29 @@ deletes with symbolic row handles and optional accept/reject expectations.
 Both parsers are all-or-nothing: they either return a fully validated
 result or every diagnostic found, each pointing at a source position.
 
-They share one lexer. No token, string or comment spans a line: `//`
-starts a line comment and a string ends at the end of its line. So the
-lexer splits the source on newlines and reads each line with one `findall`
-of one compiled pattern, which skips blanks and comments and returns each
-token's source text. A token is that text and nothing more; beside the
-token list runs one list of line numbers. Keywords and punctuation are
-compared as text; identifiers, integers, strings and handles are told apart
-by their first character when the parser reads them, and a string's
-escapes are resolved then. A column is computed only for a diagnostic, by
-lexing that one line again. Identifiers are case-sensitive and do not start
-with a decimal digit, `null` is a keyword literal, and strings are
-double-quoted with backslash escapes.
+A script is read by two paths. The fast path takes one line at a time: a
+line that holds one whole common statement (`insert`, `update` or
+`delete`, with an optional `expect` and a trailing comment) is taken in
+one match of one compiled pattern, and a line of blanks or a comment is
+skipped. It makes every check the token parser makes, and at the first
+line it cannot take, for any reason, it stops: the token parser reads the
+rest of the script, starting from the handles bound so far. Only the
+token parser writes diagnostics, so a script with an error gets exactly
+the diagnostics it would get if the token parser had read all of it.
+
+Schemas, and what the fast path leaves of a script, go through one lexer.
+No token, string or comment spans a line: `//` starts a line comment and a
+string ends at the end of its line. So the lexer splits the source on
+newlines and reads each line with one `findall` of one compiled pattern,
+which skips blanks and comments and returns each token's source text. A
+token is that text and nothing more; beside the token list runs one list
+of line numbers. Keywords and punctuation are compared as text;
+identifiers, integers, strings and handles are told apart by their first
+character when the parser reads them, and a string's escapes are resolved
+then. A column is computed only for a diagnostic, by lexing that one line
+again. Identifiers are case-sensitive and do not start with a decimal
+digit, `null` is a keyword literal, and strings are double-quoted with
+backslash escapes.
 """
 
 from __future__ import annotations
@@ -71,7 +82,13 @@ class Expectation(Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
+# The script records are slotted and not frozen: a frozen dataclass sets
+# each field through object.__setattr__, which made building the records a
+# quarter of parsing a script. Nothing changes a record once built, so they
+# hash by value; equality holds only between two records of one class.
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class HandleRef:
     """A symbolic reference to a row bound earlier in the same script."""
 
@@ -81,13 +98,13 @@ class HandleRef:
 BindingValue = Union[int, str, HandleRef, RowId, None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binding:
     function: str
     value: BindingValue
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mutation:
     """One parsed script statement, in source order."""
 
@@ -154,8 +171,11 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _lex(source: str) -> tuple[list[str], list[int], list[str], list[Diagnostic]]:
-    """Split `source` into token texts ending with the EOF token "".
+def _lex(
+    source: str, first: int = 0
+) -> tuple[list[str], list[int], list[str], list[Diagnostic]]:
+    """Split `source`, from its line `first + 1` on, into token texts ending
+    with the EOF token "".
 
     Returns the tokens, the line of each token, the source lines and the
     lexical diagnostics. Only a line with a lexical error, a string at its
@@ -166,7 +186,7 @@ def _lex(source: str) -> tuple[list[str], list[int], list[str], list[Diagnostic]
     lines: list[int] = []
     diagnostics: list[Diagnostic] = []
     source_lines = source.split("\n")
-    for n, text in enumerate(source_lines, 1):
+    for n, text in enumerate(source_lines[first:], first + 1):
         # Trailing blanks (a CRLF's "\r" too) end no token, except inside
         # an unterminated string, which is the last token of its line and
         # makes the line be lexed again whole. The last match of `findall`
@@ -222,7 +242,10 @@ def _unterminated(tok: str) -> bool:
 
 
 def _string_value(tok: str) -> str:
-    text = tok[1:] if _unterminated(tok) else tok[1:-1]
+    return _unescape(tok[1:] if _unterminated(tok) else tok[1:-1])
+
+
+def _unescape(text: str) -> str:
     if "\\" in text:
         text = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
     return text
@@ -292,8 +315,10 @@ class _Parser:
     by index, and a diagnostic turns the index into a line and column.
     """
 
-    def __init__(self, source: str):
-        self.tokens, self.lines, self.source_lines, self.diagnostics = _lex(source)
+    def __init__(self, source: str, first: int = 0):
+        self.tokens, self.lines, self.source_lines, self.diagnostics = _lex(
+            source, first
+        )
         self.i = 0
         self.tok = self.tokens[0]
 
@@ -652,10 +677,19 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
 
 
 class _ScriptParser(_Parser):
-    def __init__(self, source: str, schema: Schema):
-        super().__init__(source)
+    """The token parser: reads a script from its line `first + 1` on, with
+    `handles` bound by the lines before it."""
+
+    def __init__(
+        self,
+        source: str,
+        schema: Schema,
+        first: int = 0,
+        handles: dict[str, str] | None = None,
+    ):
+        super().__init__(source, first)
         self.schema = schema
-        self.handles: dict[str, str] = {}
+        self.handles: dict[str, str] = {} if handles is None else handles
 
     def parse(self) -> list[Mutation]:
         mutations: list[Mutation] = []
@@ -805,12 +839,9 @@ class _ScriptParser(_Parser):
             return None
         if kind == "INT":
             pos = self.advance()
-            # Measure before converting: int() refuses very long strings.
-            digits = tok.lstrip("-").lstrip("0") or "0"
-            if len(digits) <= len(str(_INT_MAX)):
-                value = -int(digits) if tok.startswith("-") else int(digits)
-                if _INT_MIN <= value <= _INT_MAX:
-                    return value
+            value = _int_value(tok)
+            if value is not None:
+                return value
             self.error(
                 "integer literal outside the signed 64-bit range [-2^63, 2^63 - 1]",
                 pos,
@@ -892,6 +923,125 @@ _NO_VALUE = _NoValue()
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 
 
+def _int_value(tok: str) -> int | None:
+    """The value of integer token `tok`, or None outside the 64-bit range."""
+    # Measure before converting: int() refuses very long strings.
+    digits = tok.lstrip("-").lstrip("0") or "0"
+    if len(digits) > len(str(_INT_MAX)):
+        return None
+    value = -int(digits) if tok[0] == "-" else int(digits)
+    return value if _INT_MIN <= value <= _INT_MAX else None
+
+
+# ---------------------------------------------------------------------------
+# Script fast path
+# ---------------------------------------------------------------------------
+
+# `_B` is the lexer's blanks. A keyword, name, handle or integer must end at
+# `\b`, so no match splits a token of the lexer in two ("as hexpect" is not
+# "as h expect"). A binding's literal is a closed string, a handle, an
+# integer or null.
+_B = r"[ \t\r]*"
+_NAME = r"[^\W\d]\w*\b"
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_BINDING = rf"{_NAME}{_B}={_B}(?:{_STRING}|@\w+\b|-?\d+\b|null\b)"
+_BINDING_RE = re.compile(
+    rf"({_NAME}){_B}={_B}(?:({_STRING})|@(\w+)\b|(-?\d+)\b|null\b)"
+)
+_BINDINGS = rf"({_BINDING}(?:{_B},{_B}{_BINDING})*)"
+_END = rf"(?:{_B}expect\b{_B}(accept|reject)\b)?{_B};{_B}(?://.*)?"
+_INSERT_RE = re.compile(
+    rf"{_B}insert\b{_B}({_NAME}){_B}\({_B}{_BINDINGS}?{_B}\)"
+    rf"(?:{_B}as\b{_B}({_NAME}))?{_END}"
+)
+_UPDATE_RE = re.compile(rf"{_B}update\b{_B}@(\w+)\b{_B}set\b{_B}{_BINDINGS}{_END}")
+_DELETE_RE = re.compile(rf"{_B}delete\b{_B}@(\w+)\b{_END}")
+_STATEMENT_RES = {"insert": _INSERT_RE, "update": _UPDATE_RE, "delete": _DELETE_RE}
+_BLANK_RE = re.compile(rf"{_B}(?://.*)?")
+_EXPECTATIONS = {None: None, "accept": Expectation.ACCEPT, "reject": Expectation.REJECT}
+
+
+def _parse_fast(
+    source_lines: list[str], schema: Schema
+) -> tuple[list[Mutation], dict[str, str], int]:
+    """Take the script's lines in order while each holds one whole common
+    statement, or only blanks and a comment.
+
+    Returns the mutations taken, the handles they bind and the index of the
+    first line not taken. A line is not taken when no pattern matches it
+    whole or when the token parser would report anything on it, so the
+    token parser started at that line reads the script as if from its start.
+    """
+    codomains = {
+        s.name: {fn.name: fn.codomain for fn in schema.functions_of(s.name)}
+        for s in schema.sets
+    }
+    handles: dict[str, str] = {}
+    mutations: list[Mutation] = []
+    for n, text in enumerate(source_lines):
+        pattern = _STATEMENT_RES.get(text.lstrip(" \t\r")[:6])
+        m = pattern.fullmatch(text) if pattern is not None else None
+        if m is None:
+            if _BLANK_RE.fullmatch(text):
+                continue
+            return mutations, handles, n
+        if pattern is _INSERT_RE:
+            set_name, body, handle, expect = m.groups()
+            if handle in handles or handle in _KEYWORDS:
+                return mutations, handles, n
+            action, row_ref, fns = Action.INSERT, None, codomains.get(set_name)
+        else:
+            # an update's groups are (handle, bindings, expect), a delete's
+            # (handle, expect)
+            ref, *rest, expect = m.groups()
+            action = Action.UPDATE if rest else Action.DELETE
+            set_name, body, handle = None, rest[0] if rest else None, None
+            row_ref, fns = HandleRef(ref), codomains.get(handles.get(ref))
+        if fns is None:
+            return mutations, handles, n
+        bindings = () if body is None else _fast_bindings(body, fns, handles)
+        if bindings is None:
+            return mutations, handles, n
+        if handle is not None:
+            handles[handle] = set_name
+        expectation = _EXPECTATIONS[expect]
+        mutations.append(
+            Mutation(action, set_name, row_ref, bindings, handle, expectation, n + 1)
+        )
+    return mutations, handles, len(source_lines)
+
+
+def _fast_bindings(
+    text: str, codomains: dict[str, str | ScalarType], handles: dict[str, str]
+) -> tuple[Binding, ...] | None:
+    """The bindings that `text` lists, on a set whose functions have
+    `codomains`, or None if the token parser would report one of them."""
+    bindings = []
+    for name, string, ref, integer in _BINDING_RE.findall(text):
+        codomain = codomains.get(name)
+        if codomain is None:
+            return None
+        if string:
+            if codomain is not ScalarType.TEXT:
+                return None
+            value: BindingValue = _unescape(string[1:-1])
+        elif ref:
+            # an unbound handle gets None, which no codomain equals
+            if handles.get(ref) != codomain:
+                return None
+            value = HandleRef(ref)
+        elif integer:
+            value = _int_value(integer)
+            if value is None or codomain is not ScalarType.INTEGER:
+                return None
+        else:
+            value = None
+        bindings.append(Binding(name, value))
+    if len({b.function for b in bindings}) < len(bindings):
+        return None
+    return tuple(bindings)
+
+
 def parse_script(
     source: str, schema: Schema
 ) -> tuple[list[Mutation] | None, list[Diagnostic]]:
@@ -900,8 +1050,12 @@ def parse_script(
     Handles resolve forward-only: a handle must be bound by an earlier
     insert in the same script before it can be referenced.
     """
-    parser = _ScriptParser(source, schema)
-    mutations = parser.parse()
+    source_lines = source.split("\n")
+    mutations, handles, first = _parse_fast(source_lines, schema)
+    if first == len(source_lines):
+        return mutations, []
+    parser = _ScriptParser(source, schema, first, handles)
+    mutations += parser.parse()
     diagnostics = parser.diagnostics
     if diagnostics:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))

@@ -154,10 +154,6 @@ class ChainSpec:
     def innermost(self) -> FunctionDef:
         return self.functions[-1]
 
-    @property
-    def outermost(self) -> FunctionDef:
-        return self.functions[0]
-
     def render(self) -> str:
         return self._rendered
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,17 +16,20 @@ from funcdiag.dsl import (
     HandleRef,
     Mutation,
     _lex,
+    _parse_fast,
+    _ScriptParser,
     _TOKEN_RE,
     parse_schema,
     parse_script,
 )
-from funcdiag.model import ConstraintKind, IssueCode, ScalarType, Schema
+from funcdiag.model import ConstraintKind, FunctionDef, IssueCode, ScalarType, Schema
 from funcdiag.store import RowId
 
 from conftest import fixture_text, mutilate
 from randgen import make_schema
 
 GEOGRAPHY = fixture_text("geography.fd")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # -- canonical printers, for round-trip tests ---------------------------------
@@ -398,6 +403,7 @@ def test_mutilated_scripts_keep_diagnostics_in_bounds(geography_schema, data):
     source = mutilate(data, fixture_text("geography_ac1.fdm"))
     _, diagnostics = parse_script(source, geography_schema)
     _assert_points_at_offending_text(source, diagnostics)
+    _assert_parses_as_the_token_parser(source, geography_schema)
 
 
 # -- lexer edge cases ---------------------------------------------------------
@@ -531,3 +537,241 @@ def test_bad_message_template_is_a_positioned_diagnostic(template):
     line = next(i for i, text in enumerate(lines, 1) if literal in text)
     assert (d.line, d.column) == (line, lines[line - 1].index(literal) + 1)
 
+
+# -- the fast path against the token parser ------------------------------------
+
+
+def _assert_parses_as_the_token_parser(source: str, schema: Schema) -> None:
+    """parse_script gives what the token parser alone gives for the whole
+    script: the same diagnostics, byte for byte, or the same mutations on
+    the same lines (`line` takes no part in equality)."""
+    mutations, diagnostics = parse_script(source, schema)
+    parser = _ScriptParser(source, schema)
+    expected = parser.parse()
+    expected_diagnostics = sorted(
+        parser.diagnostics, key=lambda d: (d.line, d.column, d.code.value)
+    )
+    assert [d.render() for d in diagnostics] == [
+        d.render() for d in expected_diagnostics
+    ]
+    if not expected_diagnostics:
+        assert mutations == expected
+        assert [m.line for m in mutations] == [m.line for m in expected]
+
+
+_FIXTURE_SCRIPTS = {
+    "geography_ac1": "geography.fd",
+    "geography_standing": "geography.fd",
+    "neighbors_ac2": "neighbors.fd",
+    "neighbors_standing": "neighbors.fd",
+}
+_WORKLOADS = ["geo-accept", "geo-reject", "neighbors-recolor"]
+
+
+def _schema_and_script(name: str, monkeypatch) -> tuple[Schema, str]:
+    """A fixture script, or a benchmark workload's script at a small scale."""
+    if name in _FIXTURE_SCRIPTS:
+        schema_text = fixture_text(_FIXTURE_SCRIPTS[name])
+        source = fixture_text(f"{name}.fdm")
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workload = importlib.import_module("gen").generate(name, seed=1, scale=0.05)
+        schema_text, source = workload.schema, workload.script
+    schema, diagnostics = parse_schema(schema_text)
+    assert schema is not None, diagnostics
+    return schema, source
+
+
+@pytest.mark.parametrize("name", [*_FIXTURE_SCRIPTS, *_WORKLOADS])
+def test_fixture_and_workload_scripts_parse_as_the_token_parser(name, monkeypatch):
+    schema, source = _schema_and_script(name, monkeypatch)
+    _assert_parses_as_the_token_parser(source, schema)
+
+
+@pytest.mark.parametrize("name", [*_FIXTURE_SCRIPTS, *_WORKLOADS])
+def test_every_fixture_and_workload_statement_takes_the_fast_path(name, monkeypatch):
+    schema, source = _schema_and_script(name, monkeypatch)
+    lines = source.split("\n")
+    mutations, _, first = _parse_fast(lines, schema)
+    assert first == len(lines), f"line {first + 1}: {lines[first]!r}"
+    assert len(mutations) == len(_ScriptParser(source, schema).parse())
+
+
+_MIXED = parse_schema(
+    "schema T ;\n"
+    "set A { name N : text ; Depth : integer ? ; }\n"
+    "set B { name M : text ; Up -> A ? ; Peer -> B ? ; }\n"
+)[0]
+_BOUND = 'insert A (N = "a") as a ;\ninsert B (M = "b", Up = @a) as b ;\n'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # taken whole, or valid only for the token parser
+        'insert A (N="x")as x;',
+        '  update@a set N="y"expect accept;// done',
+        "update @a set Depth = 5expect accept ;",
+        "update @a set Depth = ٣ ;",
+        'insert A (N = "x") as é ;',
+        'insert A (N = "x") as ²x ;',
+        'insert A (N = "x\\q\\"//") as asx ;',
+        'insert A (N = "x") ; insert A (N = "y") ;',
+        "insert A () as empty ; // comment ;",
+        "update @b set Up = null, Peer = @b, M = \"m\" expect reject ;",
+        "update @a set Depth = -0009223372036854775808 ;",
+        # refused, each for one reason
+        'insert A (N = "x") as hexpect accept ;',
+        'insert A (N = "x") expectaccept ;',
+        "update @a set N = nullexpect reject ;",
+        'insert A (N = "x") as null ;',
+        'insert A (N = "x") as a ;',
+        'insert A (N = "x", N = "y") ;',
+        "update @b set Up = @a, Up = null ;",
+        "insert A (N = @a) ;",
+        'insert B (M = "m", Up = "a") ;',
+        "insert A (N = 5) ;",
+        'insert A (N = "x", Depth = "5") ;',
+        'insert B (M = "m", Up = @b) ;',
+        'insert B (M = "m", Peer = @p) as p ;',
+        'insert C (N = "x") ;',
+        'insert A (Up = @a) ;',
+        "update @ghost set N = null ;",
+        "delete @ghost ;",
+        "update @a set ;",
+        'update @a set N = "x" expect maybe ;',
+        "update @a set Depth = 9223372036854775808 ;",
+        "update @a set Depth = - 5 ;",
+        'insert A (N = "x" // c',
+        'insert A (N = "x"y") ;',
+        'insert A (N = "x") \f;',
+        "\f// a form feed is no blank",
+        "delete @a",
+    ],
+)
+def test_tricky_lines_parse_as_the_token_parser(line):
+    for end in ("\n", "\r\n"):
+        source = (_BOUND + line + "\ndelete @b ;\n").replace("\n", end)
+        _assert_parses_as_the_token_parser(source, _MIXED)
+
+
+_STRING_PIECES = ["a", " ", "é", "//", '\\"', "\\\\", "\\n", "\\t", "\\q", "\r"]
+_INTEGERS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.sampled_from(["-0", "007", str(2**63 - 1), str(-(2**63))]),
+)
+_HANDLE_STEMS = ["h", "as_", "expected", "nullish", "é", "set"]
+
+
+@st.composite
+def _literals(draw, fn: FunctionDef, bound: dict[str, list[str]]) -> str:
+    """A literal that function `fn` takes, given the handles `bound` so far."""
+    if fn.codomain is ScalarType.TEXT:
+        pieces = draw(st.lists(st.sampled_from(_STRING_PIECES), max_size=5))
+        options = [st.just('"' + "".join(pieces) + '"')]
+    elif fn.codomain is ScalarType.INTEGER:
+        options = [_INTEGERS]
+    else:
+        options = [st.sampled_from(["@" + h for h in bound[fn.codomain]])]
+        options = options if bound[fn.codomain] else []
+    return draw(st.one_of(st.just("null"), *options))
+
+
+@st.composite
+def _valid_scripts(draw) -> str:
+    """A script that parses without a diagnostic on _MIXED, laid out at
+    random: blanks and comments between and after tokens, blank and
+    comment lines, CRLF, and now and then a statement split across lines."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bound: dict[str, list[str]] = {s.name: [] for s in _MIXED.sets}
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        handles = [(h, s) for s in bound for h in bound[s]]
+        actions = ["insert", "update", "delete"] if handles else ["insert"]
+        action = draw(st.sampled_from(actions))
+        if action == "insert":
+            set_name = draw(st.sampled_from(sorted(bound)))
+        else:
+            handle, set_name = draw(st.sampled_from(handles))
+        functions = st.sampled_from(_MIXED.functions_of(set_name))
+        chosen = draw(
+            st.lists(functions, unique=True, min_size=action == "update")
+        )
+        bindings = []
+        for fn in chosen:
+            bindings += [",", fn.name, "=", draw(_literals(fn, bound))]
+        if action == "insert":
+            tokens = ["insert", set_name, "(", *bindings[1:], ")"]
+            if draw(st.booleans()):
+                name = draw(st.sampled_from(_HANDLE_STEMS)) + str(i)
+                tokens += ["as", name]
+                bound[set_name].append(name)
+        elif action == "update":
+            tokens = ["update", "@" + handle, "set", *bindings[1:]]
+        else:
+            tokens = ["delete", "@" + handle]
+        if draw(st.booleans()):
+            tokens += ["expect", draw(st.sampled_from(["accept", "reject"]))]
+        tokens.append(";")
+        gaps = [draw(st.sampled_from(["", " ", "  ", "\t", " \r "])) for _ in tokens]
+        gaps[0] = draw(st.sampled_from(["", " ", "\t"]))
+        for k in range(1, len(tokens)):
+            # the lexer would read two words with nothing between as one
+            words = re.match(r"\w", tokens[k - 1][-1]) and re.match(r"[\w@]", tokens[k][0])
+            if words and not gaps[k]:
+                gaps[k] = " "
+        if draw(st.integers(0, 5)) == 0:
+            k = draw(st.integers(1, len(tokens) - 1))
+            gaps[k] = draw(st.sampled_from([newline, " // split" + newline + "  "]))
+        tail = draw(st.sampled_from(["", " ", "\t// done", " // ; insert"]))
+        lines.append("".join(g + t for g, t in zip(gaps, tokens)) + tail)
+        extra = st.sampled_from(["", "  ", "// note", " \t// x ;"])
+        lines += draw(st.lists(extra, max_size=1))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_valid_scripts())
+def test_valid_scripts_parse_as_the_token_parser(source):
+    mutations, diagnostics = parse_script(source, _MIXED)
+    assert diagnostics == [], source
+    _assert_parses_as_the_token_parser(source, _MIXED)
+
+
+# -- script records -------------------------------------------------------------
+
+
+def test_script_records_equal_only_records_of_their_own_class():
+    assert Binding("a", 1) == Binding("a", 1)
+    assert hash(Binding("a", 1)) == hash(Binding("a", 1))
+    assert Binding("a", 1) != RowId("a", 1) and RowId("a", 1) != Binding("a", 1)
+    assert Binding("a", 1) != ("a", 1) and ("a", 1) != Binding("a", 1)
+    assert HandleRef("x") != ("x",) and HandleRef("x") != "x"
+    assert len({HandleRef("x"), HandleRef("x"), Binding("x", None)}) == 2
+
+
+def test_mutations_differing_only_in_line_are_equal_and_hash_alike():
+    first = Mutation(Action.DELETE, row_ref=HandleRef("x"), line=1)
+    second = Mutation(Action.DELETE, row_ref=HandleRef("x"), line=2)
+    assert first == second and hash(first) == hash(second)
+    assert first != Mutation(Action.DELETE, row_ref=HandleRef("y"), line=1)
+
+
+def test_script_record_reprs():
+    assert repr(HandleRef("x")) == "HandleRef(name='x')"
+    assert repr(Binding("f", None)) == "Binding(function='f', value=None)"
+    assert repr(
+        Mutation(
+            Action.INSERT,
+            set_name="A",
+            bindings=(Binding("N", "x"), Binding("Up", HandleRef("a"))),
+            handle="h",
+            expectation=Expectation.ACCEPT,
+            line=7,
+        )
+    ) == (
+        "Mutation(action=<Action.INSERT: 'insert'>, set_name='A', row_ref=None,"
+        " bindings=(Binding(function='N', value='x'),"
+        " Binding(function='Up', value=HandleRef(name='a'))), handle='h',"
+        " expectation=<Expectation.ACCEPT: 'accept'>, line=7)"
+    )

@@ -12,11 +12,13 @@ A script is read by two paths. The fast path takes one line at a time: a
 line that holds one whole common statement (`insert`, `update` or
 `delete`, with an optional `expect` and a trailing comment) is taken in
 one match of one compiled pattern, and a line of blanks or a comment is
-skipped. It makes every check the token parser makes, and at the first
-line it cannot take, for any reason, it stops: the token parser reads the
-rest of the script, starting from the handles bound so far. Only the
-token parser writes diagnostics, so a script with an error gets exactly
-the diagnostics it would get if the token parser had read all of it.
+skipped. Both paths call the same rule functions (`_kind_problem`,
+`_duplicates`): the token parser reports what they find, the fast path
+refuses the line. At the first line the fast path cannot take, for any
+reason, it stops: the token parser reads the rest of the script, starting
+from the handles bound so far. Only the token parser writes diagnostics,
+so a script with an error gets exactly the diagnostics it would get if
+the token parser had read all of it.
 
 Schemas, and what the fast path leaves of a script, go through one lexer.
 No token, string or comment spans a line: `//` starts a line comment and a
@@ -718,20 +720,11 @@ class _ScriptParser(_Parser):
             self.skip_past(";")
             return None
         set_name = self.tokens[set_pos]
-        set_known = self.schema.has_set(set_name)
-        if not set_known:
+        known_set = set_name if self.schema.has_set(set_name) else None
+        if known_set is None:
             self.error(f"unknown set {set_name!r}", set_pos, IssueCode.UNKNOWN_SET)
-        bindings: list[Binding] = []
-        if self.tok != ")":
-            while True:
-                binding = self._binding(set_name if set_known else None)
-                if binding is None:
-                    self.skip_past(";")
-                    return None
-                bindings.append(binding)
-                if not self.accept(","):
-                    break
-        if not self.expect(")"):
+        bindings = [] if self.tok == ")" else self._bindings(known_set)
+        if bindings is None or not self.expect(")"):
             self.skip_past(";")
             return None
         handle: str | None = None
@@ -750,17 +743,7 @@ class _ScriptParser(_Parser):
             else:
                 handle = name
                 self.handles[handle] = set_name
-        expectation = self._expectation()
-        self.expect(";")
-        self._check_duplicate_bindings(bindings, start)
-        return Mutation(
-            Action.INSERT,
-            set_name=set_name,
-            bindings=tuple(bindings),
-            handle=handle,
-            expectation=expectation,
-            line=self.lines[start],
-        )
+        return self._finish(start, Action.INSERT, set_name, None, bindings, handle)
 
     def _update(self) -> Mutation | None:
         start = self.advance()
@@ -768,26 +751,12 @@ class _ScriptParser(_Parser):
         if target is None or not self.expect("set"):
             self.skip_past(";")
             return None
-        target_set = self._resolve_handle(target)
-        bindings: list[Binding] = []
-        while True:
-            binding = self._binding(target_set)
-            if binding is None:
-                self.skip_past(";")
-                return None
-            bindings.append(binding)
-            if not self.accept(","):
-                break
-        expectation = self._expectation()
-        self.expect(";")
-        self._check_duplicate_bindings(bindings, start)
-        return Mutation(
-            Action.UPDATE,
-            row_ref=HandleRef(self.tokens[target][1:]),
-            bindings=tuple(bindings),
-            expectation=expectation,
-            line=self.lines[start],
-        )
+        bindings = self._bindings(self._resolve_handle(target))
+        if bindings is None:
+            self.skip_past(";")
+            return None
+        row_ref = HandleRef(self.tokens[target][1:])
+        return self._finish(start, Action.UPDATE, None, row_ref, bindings, None)
 
     def _delete(self) -> Mutation | None:
         start = self.advance()
@@ -796,14 +765,44 @@ class _ScriptParser(_Parser):
             self.skip_past(";")
             return None
         self._resolve_handle(target)
-        expectation = self._expectation()
+        row_ref = HandleRef(self.tokens[target][1:])
+        return self._finish(start, Action.DELETE, None, row_ref, [], None)
+
+    def _finish(
+        self,
+        start: int,
+        action: Action,
+        set_name: str | None,
+        row_ref: HandleRef | None,
+        bindings: list[Binding],
+        handle: str | None,
+    ) -> Mutation:
+        """Read the `expect` and `;` that end the statement at `start`; build it."""
+        expectation = None
+        if self.accept("expect"):
+            expectation = _EXPECTATIONS.get(self.tok)
+            if expectation is None:
+                self.error(f"expected 'accept' or 'reject', found {_describe(self.tok)}")
+            else:
+                self.advance()
         self.expect(";")
+        for name in _duplicates(bindings):
+            self.error(f"duplicate binding for {name!r}", start)
+        line = self.lines[start]
         return Mutation(
-            Action.DELETE,
-            row_ref=HandleRef(self.tokens[target][1:]),
-            expectation=expectation,
-            line=self.lines[start],
+            action, set_name, row_ref, tuple(bindings), handle, expectation, line
         )
+
+    def _bindings(self, set_name: str | None) -> list[Binding] | None:
+        """The comma-separated bindings, or None after a syntax error."""
+        bindings = []
+        while True:
+            binding = self._binding(set_name)
+            if binding is None:
+                return None
+            bindings.append(binding)
+            if not self.accept(","):
+                return bindings
 
     def _binding(self, set_name: str | None) -> Binding | None:
         fn_pos = self.expect_kind("IDENT", "function name")
@@ -821,8 +820,9 @@ class _ScriptParser(_Parser):
         value = self._literal()
         if value is _NO_VALUE:
             return None
-        if fn is not None:
-            self._check_value_kind(fn, value, value_pos)
+        problem = None if fn is None else _kind_problem(fn, value, self.handles)
+        if problem is not None:
+            self.error(problem, value_pos, IssueCode.TYPE_MISMATCH)
         return Binding(fn_name, value)
 
     def _literal(self) -> BindingValue:
@@ -850,16 +850,6 @@ class _ScriptParser(_Parser):
         self.error(f"expected literal, handle or 'null', found {_describe(tok)}")
         return _NO_VALUE
 
-    def _expectation(self) -> Expectation | None:
-        if not self.accept("expect"):
-            return None
-        if self.accept("accept"):
-            return Expectation.ACCEPT
-        if self.accept("reject"):
-            return Expectation.REJECT
-        self.error(f"expected 'accept' or 'reject', found {_describe(self.tok)}")
-        return None
-
     def _resolve_handle(self, pos: int) -> str | None:
         name = self.tokens[pos][1:]
         set_name = self.handles.get(name)
@@ -871,46 +861,43 @@ class _ScriptParser(_Parser):
             )
         return set_name
 
-    def _check_value_kind(self, fn: FunctionDef, value: BindingValue, pos: int) -> None:
-        if value is None:
-            return
-        if isinstance(value, HandleRef):
-            if not fn.is_link:
-                self.error(
-                    f"attribute {fn.name!r} cannot take a row handle",
-                    pos,
-                    IssueCode.TYPE_MISMATCH,
-                )
-                return
-            handle_set = self.handles.get(value.name)
-            if handle_set is not None and handle_set != fn.codomain:
-                self.error(
-                    f"link {fn.name!r} targets {fn.codomain!r} but handle"
-                    f" {value.name!r} holds a row of {handle_set!r}",
-                    pos,
-                    IssueCode.TYPE_MISMATCH,
-                )
-            return
-        if fn.is_link:
-            self.error(
-                f"link {fn.name!r} takes a row handle or null, not a literal",
-                pos,
-                IssueCode.TYPE_MISMATCH,
-            )
-            return
-        if fn.codomain is ScalarType.TEXT and not isinstance(value, str):
-            self.error(f"attribute {fn.name!r} holds text", pos, IssueCode.TYPE_MISMATCH)
-        elif fn.codomain is ScalarType.INTEGER and not isinstance(value, int):
-            self.error(
-                f"attribute {fn.name!r} holds integers", pos, IssueCode.TYPE_MISMATCH
-            )
 
-    def _check_duplicate_bindings(self, bindings: list[Binding], start: int) -> None:
-        seen: set[str] = set()
-        for binding in bindings:
-            if binding.function in seen:
-                self.error(f"duplicate binding for {binding.function!r}", start)
-            seen.add(binding.function)
+def _kind_problem(
+    fn: FunctionDef, value: BindingValue, handles: dict[str, str]
+) -> str | None:
+    """Why function `fn` cannot take `value`, or None if it can. A handle
+    that `handles` does not bind is no kind problem: it is reported as
+    unbound."""
+    if value is None:
+        return None
+    if isinstance(value, HandleRef):
+        handle_set = handles.get(value.name)
+        if handle_set == fn.codomain or (handle_set is None and fn.is_link):
+            return None
+        if not fn.is_link:
+            return f"attribute {fn.name!r} cannot take a row handle"
+        return (
+            f"link {fn.name!r} targets {fn.codomain!r} but handle"
+            f" {value.name!r} holds a row of {handle_set!r}"
+        )
+    literal_kind = ScalarType.TEXT if isinstance(value, str) else ScalarType.INTEGER
+    if fn.codomain is literal_kind:
+        return None
+    if fn.is_link:
+        return f"link {fn.name!r} takes a row handle or null, not a literal"
+    held = "text" if fn.codomain is ScalarType.TEXT else "integers"
+    return f"attribute {fn.name!r} holds {held}"
+
+
+def _duplicates(bindings: list[Binding]) -> list[str]:
+    """The function of each binding that repeats an earlier one's."""
+    seen: set[str] = set()
+    repeated = []
+    for binding in bindings:
+        if binding.function in seen:
+            repeated.append(binding.function)
+        seen.add(binding.function)
+    return repeated
 
 
 class _NoValue:
@@ -972,8 +959,8 @@ def _parse_fast(
     whole or when the token parser would report anything on it, so the
     token parser started at that line reads the script as if from its start.
     """
-    codomains = {
-        s.name: {fn.name: fn.codomain for fn in schema.functions_of(s.name)}
+    functions = {
+        s.name: {fn.name: fn for fn in schema.functions_of(s.name)}
         for s in schema.sets
     }
     handles: dict[str, str] = {}
@@ -989,14 +976,14 @@ def _parse_fast(
             set_name, body, handle, expect = m.groups()
             if handle in handles or handle in _KEYWORDS:
                 return mutations, handles, n
-            action, row_ref, fns = Action.INSERT, None, codomains.get(set_name)
+            action, row_ref, fns = Action.INSERT, None, functions.get(set_name)
         else:
             # an update's groups are (handle, bindings, expect), a delete's
             # (handle, expect)
             ref, *rest, expect = m.groups()
             action = Action.UPDATE if rest else Action.DELETE
             set_name, body, handle = None, rest[0] if rest else None, None
-            row_ref, fns = HandleRef(ref), codomains.get(handles.get(ref))
+            row_ref, fns = HandleRef(ref), functions.get(handles.get(ref))
         if fns is None:
             return mutations, handles, n
         bindings = () if body is None else _fast_bindings(body, fns, handles)
@@ -1012,34 +999,31 @@ def _parse_fast(
 
 
 def _fast_bindings(
-    text: str, codomains: dict[str, str | ScalarType], handles: dict[str, str]
+    text: str, functions: dict[str, FunctionDef], handles: dict[str, str]
 ) -> tuple[Binding, ...] | None:
-    """The bindings that `text` lists, on a set whose functions have
-    `codomains`, or None if the token parser would report one of them."""
+    """The bindings that `text` lists, of `functions` of one set, or None
+    if the token parser would report one of them."""
     bindings = []
     for name, string, ref, integer in _BINDING_RE.findall(text):
-        codomain = codomains.get(name)
-        if codomain is None:
+        fn = functions.get(name)
+        if fn is None:
             return None
         if string:
-            if codomain is not ScalarType.TEXT:
-                return None
             value: BindingValue = _unescape(string[1:-1])
         elif ref:
-            # an unbound handle gets None, which no codomain equals
-            if handles.get(ref) != codomain:
+            if ref not in handles:
                 return None
             value = HandleRef(ref)
         elif integer:
             value = _int_value(integer)
-            if value is None or codomain is not ScalarType.INTEGER:
+            if value is None:
                 return None
         else:
             value = None
+        if _kind_problem(fn, value, handles) is not None:
+            return None
         bindings.append(Binding(name, value))
-    if len({b.function for b in bindings}) < len(bindings):
-        return None
-    return tuple(bindings)
+    return None if _duplicates(bindings) else tuple(bindings)
 
 
 def parse_script(

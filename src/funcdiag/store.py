@@ -177,12 +177,7 @@ class Database:
         """Check an insert and return the full normalized row value map."""
         if set_name not in self._tables:
             raise UnknownSet(f"unknown set {set_name!r}")
-        normalized: dict[str, Value] = {}
-        for name, value in values.items():
-            fn = self.schema.function(set_name, name)
-            if fn is None:
-                raise UnknownFunction(f"no function {name!r} on {set_name!r}")
-            normalized[name] = self._check_value(fn, value)
+        normalized = self._check_values(set_name, values)
         for fn in self.schema.functions_of(set_name):
             if fn.name not in normalized:
                 if not fn.nullable:
@@ -194,13 +189,7 @@ class Database:
 
     def validate_update(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
         self._row(row)
-        normalized: dict[str, Value] = {}
-        for name, value in values.items():
-            fn = self.schema.function(row.set_name, name)
-            if fn is None:
-                raise UnknownFunction(f"no function {name!r} on {row.set_name!r}")
-            normalized[name] = self._check_value(fn, value)
-        return normalized
+        return self._check_values(row.set_name, values)
 
     def validate_delete(self, row: RowId) -> None:
         """Refuse (RESTRICT) deleting a row that another row links to.
@@ -316,6 +305,16 @@ class Database:
             if row.set_name not in self._tables:
                 raise UnknownSet(f"unknown set {row.set_name!r}") from None
             raise UnknownRow(f"no row {row!r}") from None
+
+    def _check_values(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
+        """Each of `values` checked by its function of `set_name`, in order."""
+        normalized: dict[str, Value] = {}
+        for name, value in values.items():
+            fn = self.schema.function(set_name, name)
+            if fn is None:
+                raise UnknownFunction(f"no function {name!r} on {set_name!r}")
+            normalized[name] = self._check_value(fn, value)
+        return normalized
 
     def _check_value(self, fn: FunctionDef, value: Value) -> Value:
         if value is None:

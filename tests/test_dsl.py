@@ -604,6 +604,44 @@ _MIXED = parse_schema(
 )[0]
 _BOUND = 'insert A (N = "a") as a ;\ninsert B (M = "b", Up = @a) as b ;\n'
 
+# Lines on which several rules fire at once, each with every diagnostic it
+# gets on line 3, after _BOUND. An unbound handle is reported as unbound,
+# and is a value of the wrong kind only where no handle may stand.
+_CLASHES = {
+    "insert A (N = @ghost) ;": [
+        "3:15: error [type-mismatch] attribute 'N' cannot take a row handle",
+        "3:15: error [unbound-handle] handle 'ghost' is not bound by any earlier insert",
+    ],
+    'insert B (M = "m", Up = @ghost, Up = 5) ;': [
+        "3:1: error [syntax] duplicate binding for 'Up'",
+        "3:25: error [unbound-handle] handle 'ghost' is not bound by any earlier insert",
+        "3:38: error [type-mismatch] link 'Up' takes a row handle or null, not a literal",
+    ],
+    "insert C (N = @ghost) ;": [
+        "3:8: error [unknown-set] unknown set 'C'",
+        "3:15: error [unbound-handle] handle 'ghost' is not bound by any earlier insert",
+    ],
+    "insert A (Nope = @ghost) ;": [
+        "3:11: error [unknown-function] no function 'Nope' on set 'A'",
+        "3:18: error [unbound-handle] handle 'ghost' is not bound by any earlier insert",
+    ],
+    "update @ghost set Nope = 5 ;": [
+        "3:8: error [unbound-handle] handle 'ghost' is not bound by any earlier insert",
+    ],
+    "update @b set Up = @b, Peer = @a ;": [
+        "3:20: error [type-mismatch] link 'Up' targets 'A' but handle 'b' holds a row"
+        " of 'B'",
+        "3:31: error [type-mismatch] link 'Peer' targets 'B' but handle 'a' holds a"
+        " row of 'A'",
+    ],
+    'insert A (N = "x", N = 5, N = @a) ;': [
+        "3:1: error [syntax] duplicate binding for 'N'",
+        "3:1: error [syntax] duplicate binding for 'N'",
+        "3:24: error [type-mismatch] attribute 'N' holds text",
+        "3:31: error [type-mismatch] attribute 'N' cannot take a row handle",
+    ],
+}
+
 
 @pytest.mark.parametrize(
     "line",
@@ -647,12 +685,16 @@ _BOUND = 'insert A (N = "a") as a ;\ninsert B (M = "b", Up = @a) as b ;\n'
         'insert A (N = "x") \f;',
         "\f// a form feed is no blank",
         "delete @a",
+        *_CLASHES,
     ],
 )
 def test_tricky_lines_parse_as_the_token_parser(line):
     for end in ("\n", "\r\n"):
         source = (_BOUND + line + "\ndelete @b ;\n").replace("\n", end)
         _assert_parses_as_the_token_parser(source, _MIXED)
+        if line in _CLASHES:
+            _, diagnostics = parse_script(source, _MIXED)
+            assert [d.render() for d in diagnostics] == _CLASHES[line]
 
 
 _STRING_PIECES = ["a", " ", "é", "//", '\\"', "\\\\", "\\n", "\\t", "\\q", "\r"]

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, MutableMapping, NamedTuple
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
@@ -57,6 +59,11 @@ class ViolationKind(Enum):
     COMMUTATIVE = "commutative"
     ANTI_COMMUTATIVE = "anti-commutative"
     STORE_ERROR = "store-error"
+
+
+# Looked up once per constraint kind: calling an Enum by value costs about
+# a microsecond, once per link check or domain-check violation.
+_VIOLATION_KINDS = {kind: ViolationKind(kind.value) for kind in ConstraintKind}
 
 
 @dataclass(frozen=True)
@@ -221,16 +228,15 @@ def check_link_update(
     bad = [(x, v) for x, v in zip(rows, values) if (head == v) is not holds_when_equal]
     if not bad:
         return []
-    cid, kind, domain_set = constraint.id, _violation_kind(constraint), constraint.domain_set
+    cid, kind, domain_set = constraint.id, _VIOLATION_KINDS[constraint.kind], constraint.domain_set
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
-    if occurrence.side is Side.LEFT:
-        return [
-            Violation(cid, kind, RowId(domain_set, x), head, v, changed, constraint)
-            for x, v in bad
-        ]
+    heads, others = repeat(head), map(itemgetter(1), bad)
+    lefts, rights = (heads, others) if occurrence.side is Side.LEFT else (others, heads)
+    # tuple.__new__ fills each record without a NamedTuple's Python __new__.
+    new = tuple.__new__
     return [
-        Violation(cid, kind, RowId(domain_set, x), v, head, changed, constraint)
-        for x, v in bad
+        new(Violation, (cid, kind, new(RowId, (domain_set, x)), left, right, changed, constraint))
+        for (x, _), left, right in zip(bad, lefts, rights)
     ]
 
 
@@ -383,13 +389,8 @@ def _constraint_violation(
     right: Value,
     changed: ChangedLink | None,
 ) -> Violation:
-    return Violation(
-        constraint.id, _violation_kind(constraint), witness, left, right, changed, constraint
-    )
-
-
-def _violation_kind(constraint: DiagramConstraint) -> ViolationKind:
-    return ViolationKind(constraint.kind.value)
+    kind = _VIOLATION_KINDS[constraint.kind]
+    return Violation(constraint.id, kind, witness, left, right, changed, constraint)
 
 
 def _store_violation(message: str) -> Violation:

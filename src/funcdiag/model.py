@@ -112,10 +112,11 @@ class FunctionDef:
     domain: str
     codomain: str | ScalarType
     nullable: bool = False
+    # Stored once: the store reads it for every value it writes.
+    is_link: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def is_link(self) -> bool:
-        return isinstance(self.codomain, str)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_link", isinstance(self.codomain, str))
 
     @property
     def is_attribute(self) -> bool:

@@ -78,10 +78,11 @@ def dedupe(violations: list[Violation]) -> list[Violation]:
     return unique
 
 
-def apply_mutation(db: Database, m: Mutation) -> Verdict:
-    """engine.apply_mutation, with the checks above and no handles."""
+def apply_mutation(db: Database, m: Mutation, handles: dict | None = None) -> Verdict:
+    """engine.apply_mutation, with the checks above."""
+    handles = handles if handles is not None else {}
     try:
-        resolved = resolve_mutation(m, {})
+        resolved = resolve_mutation(m, handles)
         before = db.read_row(resolved.row) if resolved.action is Action.UPDATE else None
         row = raw_apply(db, resolved)
     except (MutationResolveError, StoreError) as exc:
@@ -112,4 +113,6 @@ def apply_mutation(db: Database, m: Mutation) -> Verdict:
     if violations:
         db.undo_write(row, before)
         return Verdict(Outcome.REJECTED, tuple(dedupe(violations)))
+    if m.action is Action.INSERT and m.handle:
+        handles[m.handle] = row
     return Verdict(Outcome.APPLIED, (), row=row)

@@ -22,6 +22,7 @@ from funcdiag.model import Side, message_template_problem
 from funcdiag.oracle import full_check
 from funcdiag.store import Database, RowId
 
+import rowwise_engine
 from conftest import fixture_text, seeded_geography
 
 
@@ -522,6 +523,39 @@ def test_violations_sorted_by_witness(geography_schema):
     witnesses = [v.witness.x for v in verdict.violations]
     assert witnesses == sorted(witnesses)
     assert len(witnesses) == 4
+
+
+def test_link_check_witnesses_match_the_reference_and_carry_the_written_head(geography_schema):
+    db, handles = seeded_geography(geography_schema)
+    for i in range(2):
+        rapids = Mutation(
+            Action.INSERT,
+            set_name="RIVERS",
+            bindings=(
+                Binding("River", f"R{i}"),
+                Binding("Continent", handles["europe"]),
+                Binding("Mountain", handles["montblanc"]),
+            ),
+        )
+        assert apply_mutation(db, rapids).applied
+    reference_db = db.clone(share_counter=False)
+    before = db.snapshot()
+    move_alps = Mutation(
+        Action.UPDATE,
+        row_ref=handles["alps"],
+        bindings=(Binding("Continent", handles["asia"]),),
+    )
+    verdict = apply_mutation(db, move_alps)
+    assert verdict.rejected and db.snapshot() == before
+    assert type(verdict.violations) is tuple and len(verdict.violations) == 3
+    expected = rowwise_engine.apply_mutation(reference_db, move_alps)
+    assert verdict == expected and hash(verdict) == hash(expected)
+    # The head reads Asia, where the store's Alps are back in Europe.
+    assert [(v.left, v.right) for v in verdict.violations] == [
+        (handles["asia"], handles["europe"])
+    ] * 3
+    assert {v.changed.row for v in verdict.violations} == {handles["alps"]}
+    assert {v.kind for v in verdict.violations} == {ViolationKind.COMMUTATIVE}
 
 
 def test_script_replay_matches_expectations(geography_schema):

@@ -880,12 +880,12 @@ def _kind_problem(
             f"link {fn.name!r} targets {fn.codomain!r} but handle"
             f" {value.name!r} holds a row of {handle_set!r}"
         )
-    literal_kind = ScalarType.TEXT if isinstance(value, str) else ScalarType.INTEGER
+    literal_kind = _TEXT if isinstance(value, str) else _INTEGER
     if fn.codomain is literal_kind:
         return None
     if fn.is_link:
         return f"link {fn.name!r} takes a row handle or null, not a literal"
-    held = "text" if fn.codomain is ScalarType.TEXT else "integers"
+    held = "text" if fn.codomain is _TEXT else "integers"
     return f"attribute {fn.name!r} holds {held}"
 
 
@@ -908,6 +908,7 @@ _NO_VALUE = _NoValue()
 
 # Integer values are SQLite's: signed 64-bit.
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+_TEXT, _INTEGER = ScalarType.TEXT, ScalarType.INTEGER  # read once: Enum reads are slow
 
 
 def _int_value(tok: str) -> int | None:

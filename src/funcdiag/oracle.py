@@ -4,11 +4,12 @@ full_check re-evaluates every constraint at every domain row, with the
 same comparison and null semantics the engine uses. oracle_apply judges a
 mutation with the engine's definition of "violated": it applies the
 mutation raw to a clone, finds every cell whose value changed by comparing
-the two states, and checks every domain row whose post-state chain, on
-either side, reads a changed cell. A row that violates but reads no
-changed cell is not blamed on the mutation; a row that reads one is, even
-if it violated before. Deliberately O(rows x chain length) per check;
-tests lean on it, production paths do not.
+the written row (the one row a store write changes) in the two states,
+and checks every domain row whose post-state chain, on either side, reads
+a changed cell. A row that violates but reads no changed cell is not
+blamed on the mutation; a row that reads one is, even if it violated
+before. Deliberately O(rows x chain length) per check; tests lean on it,
+production paths do not.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ def oracle_apply(
 
     scratch = db.clone()
     try:
-        raw_apply(scratch, resolved)
+        written = raw_apply(scratch, resolved) or resolved.row
     except StoreError as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
-    changed = _changed_cells(db.snapshot(), scratch.snapshot())
+    changed = _changed_cells(db, scratch, written)
     violations = [
         v
         for constraint in scratch.schema.constraints
@@ -89,18 +90,15 @@ def oracle_apply(
     return Verdict(Outcome.APPLIED, (), row=applied_row)
 
 
-def _changed_cells(before: dict, after: dict) -> set[tuple[RowId, str]]:
-    """The (row, function) cells whose value differs between two snapshots;
-    a row in only one of them differs in every cell."""
-    changed = set()
-    for set_name, table in after["tables"].items():
-        old_table = before["tables"][set_name]
-        for x in old_table.keys() | table.keys():
-            old, new = old_table.get(x), table.get(x)
-            for name in old or new:
-                if old is None or new is None or old[name] != new[name]:
-                    changed.add((RowId(set_name, x), name))
-    return changed
+def _changed_cells(before: Database, after: Database, row: RowId) -> set[tuple[RowId, str]]:
+    """The (row, function) cells of `row` whose value differs between two
+    stores; a row in only one of them differs in every cell."""
+    old = before.read_row(row) if before.row_exists(row) else None
+    new = after.read_row(row) if after.row_exists(row) else None
+    return {
+        (row, name) for name in old or new
+        if old is None or new is None or old[name] != new[name]
+    }
 
 
 def _reads_any(db: Database, chain: ChainSpec, x: RowId, cells: set) -> bool:

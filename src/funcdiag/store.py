@@ -1,12 +1,12 @@
-"""In-memory relational store with surrogate keys and reverse link indexes.
+"""In-memory column store with surrogate keys and reverse link indexes.
 
-Rows live in per-set tables keyed by a surrogate integer that starts at 1,
-grows monotonically, and is never reused. Link values are stored as RowId
-references and mirrored in a reverse index (target row -> set of source
-rows) so preimages are a lookup, not a scan. Referential integrity and
-nullability are enforced on every write; deletes are RESTRICT-only. The
-latest insert or update can be taken back with undo_write, which trusts
-the pre-write state and so validates nothing.
+Each (set, function) is one column: a dict from a row's surrogate id (from
+1, never reused) to its value, in the order the set's ids were inserted.
+Link cells hold RowIds, not ids, as every reader of a link (chain walks,
+witnesses, handles) wants one, and are mirrored in a reverse index (target
+row -> set of source rows). Writes enforce referential integrity and
+nullability; deletes are RESTRICT-only. undo_write takes back the latest
+insert or update and, trusting the pre-write state, validates nothing.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -20,8 +20,9 @@ the logical state captured by snapshot().
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
-from typing import Collection, Mapping, NamedTuple, Union
+from typing import Callable, Collection, Mapping, NamedTuple, Union
 
 from .model import FunctionDef, ScalarType, Schema
 
@@ -40,6 +41,7 @@ class RowId(NamedTuple):
 
 
 Value = Union[int, str, RowId, None]
+_TEXT = ScalarType.TEXT  # read once: reading an Enum member from its class is slow
 
 
 class StoreError(Exception):
@@ -89,17 +91,18 @@ class RowCounter:
 
 
 class Database:
-    """Mutable row store bound to an immutable schema.
+    """Mutable column store bound to an immutable schema.
 
-    Single writer per instance; readers may interleave only between
-    mutations. clone() shares the counter by default so work done on a
-    scratch copy is still attributed to the lineage being measured.
+    `_ids[set]` keys a set's live rows, `_columns[set][function]` maps them
+    to values. Single writer; readers interleave only between mutations.
+    clone() shares the counter by default: work on a scratch copy counts.
     """
 
     def __init__(self, schema: Schema, counter: RowCounter | None = None):
         self.schema = schema
-        self._tables: dict[str, dict[int, dict[str, Value]]] = {
-            s.name: {} for s in schema.sets
+        self._ids: dict[str, dict[int, None]] = {s.name: {} for s in schema.sets}
+        self._columns: dict[str, dict[str, dict[int, Value]]] = {
+            s.name: {fn.name: {} for fn in schema.functions_of(s.name)} for s in schema.sets
         }
         self._reverse: dict[tuple[str, str], dict[int, set[int]]] = {
             (fn.domain, fn.name): {} for fn in schema.functions if fn.is_link
@@ -114,25 +117,26 @@ class Database:
     # -- reads ---------------------------------------------------------
 
     def rows(self, set_name: str) -> tuple[RowId, ...]:
-        table = self._tables.get(set_name)
-        if table is None:
+        ids = self._ids.get(set_name)
+        if ids is None:
             raise UnknownSet(f"unknown set {set_name!r}")
-        return tuple(RowId(set_name, x) for x in table)
+        # tuple.__new__ makes each RowId without a NamedTuple's Python __new__.
+        return tuple(map(tuple.__new__, repeat(RowId), zip(repeat(set_name), ids)))
 
     def row_exists(self, row: RowId) -> bool:
-        return row.x in self._tables.get(row.set_name, {})
+        return row.x in self._ids.get(row.set_name, {})
 
     def lookup(self, row: RowId, fn_name: str) -> Value:
-        values = self._row(row)
+        column = self._row(row).get(fn_name)
         self.counter.touch()
-        if fn_name not in values:
+        if column is None:
             raise UnknownFunction(f"no function {fn_name!r} on {row.set_name!r}")
-        return values[fn_name]
+        return column[row.x]
 
     def read_row(self, row: RowId) -> dict[str, Value]:
-        values = self._row(row)
+        columns = self._row(row)
         self.counter.touch()
-        return dict(values)
+        return {name: column[row.x] for name, column in columns.items()}
 
     def inverse(self, domain_set: str, fn_name: str, target: RowId) -> frozenset[RowId]:
         """Exact preimage of `target` under the link (domain_set, fn_name)."""
@@ -147,11 +151,11 @@ class Database:
         lookup raises, after counting the rows lookup would have read
         before it.
         """
-        table = self._tables.get(set_name)
-        if table is None:
+        columns = self._columns.get(set_name)
+        if columns is None:
             raise UnknownSet(f"unknown set {set_name!r}")
         try:
-            values = [table[x][fn_name] for x in xs]
+            values = list(map(columns.get(fn_name, {}).__getitem__, xs))
         except KeyError:
             return [self.lookup(RowId(set_name, x), fn_name) for x in xs]
         self.counter.touch(len(values))
@@ -175,7 +179,7 @@ class Database:
 
     def validate_insert(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
         """Check an insert and return the full normalized row value map."""
-        if set_name not in self._tables:
+        if set_name not in self._ids:
             raise UnknownSet(f"unknown set {set_name!r}")
         normalized = self._check_values(set_name, values)
         for fn in self.schema.functions_of(set_name):
@@ -215,7 +219,7 @@ class Database:
         normalized = self.validate_insert(set_name, values)
         row = RowId(set_name, self._next_id[set_name])
         self._next_id[set_name] = row.x + 1
-        self._tables[set_name][row.x] = dict.fromkeys(normalized)
+        self._ids[set_name][row.x] = None
         self._write(row, normalized)
         return row
 
@@ -247,13 +251,9 @@ class Database:
     # -- whole-store operations ------------------------------------------
 
     def clone(self, share_counter: bool = True) -> "Database":
-        other = Database(
-            self.schema, self.counter if share_counter else RowCounter()
-        )
-        other._tables = {
-            set_name: {x: dict(values) for x, values in table.items()}
-            for set_name, table in self._tables.items()
-        }
+        other = Database(self.schema, self.counter if share_counter else RowCounter())
+        other._ids = {s: dict(ids) for s, ids in self._ids.items()}
+        other._columns = {s: {n: dict(c) for n, c in t.items()} for s, t in self._columns.items()}
         other._reverse = {
             key: {t: set(sources) for t, sources in index.items()}
             for key, index in self._reverse.items()
@@ -266,8 +266,8 @@ class Database:
         return {
             "next_ids": dict(self._next_id),
             "tables": {
-                set_name: {x: dict(values) for x, values in table.items()}
-                for set_name, table in self._tables.items()
+                s: _table_builder(tuple(cs))(self._ids[s], *map(dict.values, cs.values()))
+                for s, cs in self._columns.items()
             },
             "reverse": {
                 f"{d}.{f}": {t: tuple(sorted(s)) for t, s in index.items() if s}
@@ -279,32 +279,38 @@ class Database:
 
     def _write(self, row: RowId, values: Mapping[str, Value]) -> None:
         """Store already-validated values and re-point the reverse index."""
-        stored = self._row(row)
+        columns = self._row(row)
         self.counter.touch()
+        set_name, x = row
         for name, value in values.items():
-            old = stored[name]
+            column = columns[name]
+            old = column.get(x)
             if isinstance(old, RowId):
-                index = self._reverse[(row.set_name, name)]
+                index = self._reverse[(set_name, name)]
                 sources = index.get(old.x)
                 if sources is not None:
-                    sources.discard(row.x)
+                    sources.discard(x)
                     if not sources:
                         del index[old.x]
-            stored[name] = value
+            column[x] = value
             if isinstance(value, RowId):
-                self._reverse[(row.set_name, name)].setdefault(value.x, set()).add(row.x)
+                self._reverse[(set_name, name)].setdefault(value.x, set()).add(x)
 
     def _remove(self, row: RowId) -> None:
-        self._write(row, dict.fromkeys(self._row(row)))
-        del self._tables[row.set_name][row.x]
+        columns = self._row(row)
+        self._write(row, dict.fromkeys(columns))
+        for column in (self._ids[row.set_name], *columns.values()):
+            del column[row.x]
 
-    def _row(self, row: RowId) -> dict[str, Value]:
+    def _row(self, row: RowId) -> dict[str, dict[int, Value]]:
+        """The columns of row's set; raises unless row is live."""
         try:
-            return self._tables[row.set_name][row.x]
+            self._ids[row.set_name][row.x]
         except KeyError:
-            if row.set_name not in self._tables:
+            if row.set_name not in self._ids:
                 raise UnknownSet(f"unknown set {row.set_name!r}") from None
             raise UnknownRow(f"no row {row!r}") from None
+        return self._columns[row.set_name]
 
     def _check_values(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
         """Each of `values` checked by its function of `set_name`, in order."""
@@ -340,7 +346,7 @@ class Database:
                     f"{fn.name!r} on {fn.domain!r} references missing {value!r}"
                 )
             return value
-        if fn.codomain is ScalarType.TEXT:
+        if fn.codomain is _TEXT:
             if not isinstance(value, str):
                 raise ValueTypeMismatch(
                     f"{fn.name!r} on {fn.domain!r} holds text, got {type(value).__name__}"
@@ -352,3 +358,12 @@ class Database:
                 )
         return value
 
+
+@lru_cache(maxsize=256)
+def _table_builder(names: tuple[str, ...]) -> Callable[..., dict[int, dict[str, Value]]]:
+    """`lambda ids, *columns: {x: {names[0]: _0, names[1]: _1} for x, _0, _1,
+    in zip(ids, *columns)}` and so on, names as repr() literals: one dict
+    display per row, in one frame, rebuilds a table faster than dict(zip())."""
+    targets = "".join(f"_{i}, " for i in range(len(names)))
+    cells = ", ".join(f"{name!r}: _{i}" for i, name in enumerate(names))
+    return eval(f"lambda ids, *columns: {{x: {{{cells}}} for x, {targets}in zip(ids, *columns)}}")

@@ -205,6 +205,15 @@ def test_snapshot_equality_and_independence(db):
     assert before != db.snapshot()
 
 
+def test_a_set_without_functions_keeps_its_rows():
+    db = Database(Schema("Bare", (SetDef("MARKS", "Mark"),), ()))
+    first, second = db.insert_row("MARKS", {}), db.insert_row("MARKS", {})
+    db.delete_row(first)
+    assert db.rows("MARKS") == (second,)
+    assert db.read_row(second) == {}
+    assert db.snapshot()["tables"] == {"MARKS": {2: {}}} == db.clone().snapshot()["tables"]
+
+
 def test_clone_is_deep_and_shares_counter_by_default(db):
     tools = db.insert_row("CATEGORIES", {"Category": "tools"})
     clone = db.clone()
@@ -310,3 +319,176 @@ def test_reverse_index_matches_brute_force_after_random_ops(schema, seed):
             assert db.inverse("ITEMS", "Category", cat) == brute_force_preimage(
                 db, "ITEMS", "Category", cat
             )
+
+
+# -- the store against a plain {set: {x: {function: value}}} model ------------
+
+MODEL_SCHEMA = Schema(
+    "Shelves",
+    (SetDef("CATEGORIES", "Category"), SetDef("ITEMS", "Item")),
+    (
+        FunctionDef("Category", "CATEGORIES", ScalarType.TEXT),
+        FunctionDef("Item", "ITEMS", ScalarType.TEXT),
+        FunctionDef("Stock", "ITEMS", ScalarType.INTEGER, nullable=True),
+        FunctionDef("Category", "ITEMS", "CATEGORIES", nullable=True),
+        FunctionDef("Next", "ITEMS", "ITEMS", nullable=True),
+    ),
+)
+
+
+def _model_refusal(model: dict, set_name: str, values: dict, insert: bool):
+    """The StoreError class the store must raise for this write, or None."""
+    for name, value in values.items():
+        fn = MODEL_SCHEMA.function(set_name, name)
+        if fn is None:
+            return UnknownFunction
+        if value is None:
+            if not fn.nullable:
+                return MissingRequired
+        elif fn.is_link:
+            if not isinstance(value, RowId) or value.set_name != fn.codomain:
+                return ValueTypeMismatch
+            if value.x not in model[fn.codomain]:
+                return DanglingReference
+        elif fn.codomain is ScalarType.TEXT:
+            if not isinstance(value, str):
+                return ValueTypeMismatch
+        elif isinstance(value, bool) or not isinstance(value, int):
+            return ValueTypeMismatch
+    if insert and any(
+        fn.name not in values and not fn.nullable
+        for fn in MODEL_SCHEMA.functions_of(set_name)
+    ):
+        return MissingRequired
+    return None
+
+
+def _random_values(rng: random.Random, model: dict, set_name: str, insert: bool) -> dict:
+    """One to all of set_name's functions bound, now and then to a value the
+    store must refuse: a wrong kind, a null for a required function, a
+    row that does not exist, a row of the wrong set or an unknown name."""
+    functions = list(MODEL_SCHEMA.functions_of(set_name))
+    chosen = functions if insert and rng.random() < 0.8 else rng.sample(
+        functions, rng.randint(1, len(functions))
+    )
+    values: dict[str, Value] = {}
+    for fn in chosen:
+        if fn.is_link:
+            pool = [RowId(fn.codomain, x) for x in model[fn.codomain]] + [None]
+            values[fn.name] = rng.choice(pool)
+        elif fn.codomain is ScalarType.TEXT:
+            values[fn.name] = rng.choice("abc")
+        else:
+            values[fn.name] = rng.choice([None, 0, 7, -3])
+    if rng.random() < 0.15:
+        fn = rng.choice(chosen)
+        values[fn.name] = rng.choice(
+            [None, "text", 5, True, RowId("ITEMS", 99), RowId("CATEGORIES", 99)]
+        )
+    if rng.random() < 0.03:
+        values["Colour"] = "red"
+    return values
+
+
+def _model_reverse(model: dict) -> dict:
+    reverse = {}
+    for fn in MODEL_SCHEMA.functions:
+        if fn.is_link:
+            index: dict[int, list[int]] = {}
+            for x, row in model[fn.domain].items():
+                if row[fn.name] is not None:
+                    index.setdefault(row[fn.name].x, []).append(x)
+            reverse[f"{fn.domain}.{fn.name}"] = {t: tuple(sorted(s)) for t, s in index.items()}
+    return reverse
+
+
+def _assert_matches(db: Database, model: dict, next_ids: dict, rng: random.Random) -> None:
+    snapshot = db.snapshot()
+    assert snapshot == {
+        "next_ids": next_ids,
+        "tables": model,
+        "reverse": _model_reverse(model),
+    }
+    for set_name, table in model.items():
+        assert db.rows(set_name) == tuple(RowId(set_name, x) for x in table)
+        for x, row in table.items():
+            assert db.read_row(RowId(set_name, x)) == row
+        xs = list(table) * 2
+        rng.shuffle(xs)
+        for fn in MODEL_SCHEMA.functions_of(set_name):
+            before = db.rows_inspected
+            assert db.lookup_ids(set_name, fn.name, xs) == [table[x][fn.name] for x in xs]
+            assert db.rows_inspected == before + len(xs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
+    """Inserts, multi-value updates, deletes and undos, refused ones
+    included, leave the store equal to a plain row-dict model after every
+    step: snapshot, row order, whole rows, bulk reads and next ids. A clone
+    taken before a step and mutated after it shares nothing with the
+    original, either way round."""
+    rng = random.Random(seed)
+    db = Database(MODEL_SCHEMA)
+    model: dict[str, dict[int, dict[str, Value]]] = {s.name: {} for s in MODEL_SCHEMA.sets}
+    next_ids = {s.name: 1 for s in MODEL_SCHEMA.sets}
+    undoable = None  # (row, read_row image or None, model, next_ids) of the last write
+    for step in range(120):
+        clone = db.clone()
+        clone_image = clone.snapshot()
+        saved = ({s: {x: dict(r) for x, r in t.items()} for s, t in model.items()}, dict(next_ids))
+        op = rng.random()
+        set_name = rng.choice(["CATEGORIES", "ITEMS", "ITEMS"])
+        live = [RowId(set_name, x) for x in model[set_name]]
+        if op < 0.15 and undoable is not None:
+            row, image, model, next_ids = undoable
+            db.undo_write(row, image)
+            undoable = None
+        elif op < 0.55 or not live:
+            values = _random_values(rng, model, set_name, insert=True)
+            refusal = _model_refusal(model, set_name, values, insert=True)
+            if refusal is not None:
+                with pytest.raises(refusal):
+                    db.insert_row(set_name, values)
+            else:
+                row = db.insert_row(set_name, values)
+                assert row == RowId(set_name, next_ids[set_name])
+                next_ids[set_name] += 1
+                model[set_name][row.x] = {
+                    fn.name: values.get(fn.name) for fn in MODEL_SCHEMA.functions_of(set_name)
+                }
+                undoable = (row, None, *saved)
+        elif op < 0.85:
+            row = rng.choice(live)
+            values = _random_values(rng, model, set_name, insert=False)
+            refusal = _model_refusal(model, set_name, values, insert=False)
+            image = db.read_row(row)
+            if refusal is not None:
+                with pytest.raises(refusal):
+                    db.set_values(row, values)
+            else:
+                db.set_values(row, values)
+                model[set_name][row.x].update(values)
+                undoable = (row, image, *saved)
+        else:
+            row = rng.choice(live)
+            referenced = any(  # a row's links to itself do not count
+                value == row
+                for other_set, table in model.items()
+                for other, values in table.items()
+                for value in values.values()
+                if (other_set, other) != row
+            )
+            if referenced:
+                with pytest.raises(RestrictViolation):
+                    db.delete_row(row)
+            else:
+                db.delete_row(row)
+                del model[set_name][row.x]
+                undoable = None
+        _assert_matches(db, model, next_ids, rng)
+        assert clone.snapshot() == clone_image, f"seed {seed} step {step}"
+        clone.insert_row("CATEGORIES", {"Category": "from the clone"})
+        for row in clone.rows("ITEMS")[:2]:
+            clone.set_values(row, {"Item": "cloned", "Stock": 1, "Next": row})
+        _assert_matches(db, model, next_ids, rng)

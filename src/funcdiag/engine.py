@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import eq, ne
 from typing import Collection, Iterable, Mapping, MutableMapping, NamedTuple
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
@@ -64,6 +64,8 @@ class ViolationKind(Enum):
 # Looked up once per constraint kind: calling an Enum by value costs about
 # a microsecond, once per link check or domain-check violation.
 _VIOLATION_KINDS = {kind: ViolationKind(kind.value) for kind in ConstraintKind}
+# Read once: reading an Enum member from its class is slow.
+_COMMUTATIVE, _LEFT = ConstraintKind.COMMUTATIVE, Side.LEFT
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def check_link_update(
     row, the other chain is evaluated over all of them one level at a
     time in the store's current state, and each is compared with the
     head. All violating rows are reported, sorted by witness and each
-    once.
+    once, each witness the RowId the store holds for it.
     """
     constraint = occurrence.constraint
     chain = occurrence.chain
@@ -219,32 +221,32 @@ def check_link_update(
     head = eval_prefix(db, chain, occurrence.position, new_value)
     if head is None:
         return []
+    head_is_left = occurrence.side is _LEFT
     rows, values = _eval_chain_ids(
         db,
-        constraint.chain(occurrence.side.other),
+        constraint.right if head_is_left else constraint.left,
         affected_rows(db, chain, occurrence.position, r),
     )
-    holds_when_equal = _holds_when_equal(constraint)
-    bad = [(x, v) for x, v in zip(rows, values) if (head == v) is not holds_when_equal]
-    if not bad:
+    # True where a row breaks the constraint; compared in C.
+    mask = list(map(ne if _holds_when_equal(constraint) else eq, repeat(head), values))
+    if True not in mask:
         return []
-    cid, kind, domain_set = constraint.id, _VIOLATION_KINDS[constraint.kind], constraint.domain_set
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
-    heads, others = repeat(head), map(itemgetter(1), bad)
-    lefts, rights = (heads, others) if occurrence.side is Side.LEFT else (others, heads)
-    # tuple.__new__ fills each record without a NamedTuple's Python __new__.
-    new = tuple.__new__
-    return [
-        new(Violation, (cid, kind, new(RowId, (domain_set, x)), left, right, changed, constraint))
-        for (x, _), left, right in zip(bad, lefts, rights)
-    ]
+    witnesses = db.row_ids(constraint.domain_set, compress(rows, mask))
+    heads, others = repeat(head), compress(values, mask)
+    lefts, rights = (heads, others) if head_is_left else (others, heads)
+    cids, kinds = repeat(constraint.id), repeat(_VIOLATION_KINDS[constraint.kind])
+    # zip reuses its result tuple, so tuple.__new__ (no NamedTuple's Python
+    # __new__) leaves one new object per witness: the record.
+    fields = zip(cids, kinds, witnesses, lefts, rights, repeat(changed), repeat(constraint))
+    return list(map(tuple.__new__, repeat(Violation), fields))
 
 
 def _holds_when_equal(constraint: DiagramConstraint) -> bool:
     """Whether two non-null chain values satisfy the constraint exactly
     when they are equal: commutative constraints need equal values,
     anti-commutative ones different values."""
-    return constraint.kind is ConstraintKind.COMMUTATIVE
+    return constraint.kind is _COMMUTATIVE
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,10 @@ class Side(Enum):
 
     @property
     def other(self) -> "Side":
-        return Side.RIGHT if self is Side.LEFT else Side.LEFT
+        return _RIGHT if self is _LEFT else _LEFT
+
+
+_LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # read once: reading an Enum member from its class is slow
 
 
 class IssueCode(Enum):
@@ -179,7 +182,7 @@ class DiagramConstraint:
         return self.left.domain_set
 
     def chain(self, side: Side) -> ChainSpec:
-        return self.left if side is Side.LEFT else self.right
+        return self.left if side is _LEFT else self.right
 
     def render(self) -> str:
         op = "=" if self.kind is ConstraintKind.COMMUTATIVE else "/="
@@ -222,18 +225,17 @@ class Occurrence:
     constraint: DiagramConstraint
     side: Side
     position: int
+    # Stored once: every link check reads them.
+    chain: ChainSpec = field(init=False, compare=False, repr=False)
+    set_name: str = field(init=False, compare=False, repr=False)
+    function_name: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def chain(self) -> ChainSpec:
-        return self.constraint.chain(self.side)
-
-    @property
-    def function_name(self) -> str:
-        return self.chain.functions[self.position - 1].name
-
-    @property
-    def set_name(self) -> str:
-        return self.chain.functions[self.position - 1].domain
+    def __post_init__(self) -> None:
+        chain = self.constraint.chain(self.side)
+        fn = chain.functions[self.position - 1]
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "set_name", fn.domain)
+        object.__setattr__(self, "function_name", fn.name)
 
 
 MESSAGE_FIELDS = frozenset(

@@ -1,12 +1,13 @@
 """In-memory column store with surrogate keys and reverse link indexes.
 
-Each (set, function) is one column: a dict from a row's surrogate id (from
-1, never reused) to its value, in the order the set's ids were inserted.
-Link cells hold RowIds, not ids, as every reader of a link (chain walks,
-witnesses, handles) wants one, and are mirrored in a reverse index (target
-row -> set of source rows). Writes enforce referential integrity and
-nullability; deletes are RESTRICT-only. undo_write takes back the latest
-insert or update and, trusting the pre-write state, validates nothing.
+Each set maps its live rows' surrogate ids (from 1, never reused) to the
+RowIds insert_row returned, which rows, inverse and row_ids hand out. Each
+(set, function) is one column, a dict from id to value in the order the
+set's ids were inserted. Link cells hold RowIds, which every reader of a
+link wants, and are mirrored in a reverse index (target row -> set of
+source rows). Writes enforce referential integrity and nullability;
+deletes are RESTRICT-only. undo_write takes back the latest insert or
+update and, trusting the pre-write state, validates nothing.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Collection, Mapping, NamedTuple, Union
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Union
 
 from .model import FunctionDef, ScalarType, Schema
 
@@ -93,14 +94,14 @@ class RowCounter:
 class Database:
     """Mutable column store bound to an immutable schema.
 
-    `_ids[set]` keys a set's live rows, `_columns[set][function]` maps them
-    to values. Single writer; readers interleave only between mutations.
-    clone() shares the counter by default: work on a scratch copy counts.
+    `_ids[set]` maps live row ids to their RowIds, `_columns[set][function]`
+    maps them to values. Single writer; readers interleave only between
+    mutations. clone() shares the counter by default: scratch work counts.
     """
 
     def __init__(self, schema: Schema, counter: RowCounter | None = None):
         self.schema = schema
-        self._ids: dict[str, dict[int, None]] = {s.name: {} for s in schema.sets}
+        self._ids: dict[str, dict[int, RowId]] = {s.name: {} for s in schema.sets}
         self._columns: dict[str, dict[str, dict[int, Value]]] = {
             s.name: {fn.name: {} for fn in schema.functions_of(s.name)} for s in schema.sets
         }
@@ -120,8 +121,7 @@ class Database:
         ids = self._ids.get(set_name)
         if ids is None:
             raise UnknownSet(f"unknown set {set_name!r}")
-        # tuple.__new__ makes each RowId without a NamedTuple's Python __new__.
-        return tuple(map(tuple.__new__, repeat(RowId), zip(repeat(set_name), ids)))
+        return tuple(ids.values())
 
     def row_exists(self, row: RowId) -> bool:
         return row.x in self._ids.get(row.set_name, {})
@@ -141,7 +141,11 @@ class Database:
     def inverse(self, domain_set: str, fn_name: str, target: RowId) -> frozenset[RowId]:
         """Exact preimage of `target` under the link (domain_set, fn_name)."""
         sources = self.inverse_ids(domain_set, fn_name, (target.x,))
-        return frozenset(map(RowId, repeat(domain_set), sources))
+        return frozenset(self.row_ids(domain_set, sources))
+
+    def row_ids(self, set_name: str, xs: Iterable[int]) -> list[RowId]:
+        """The stored RowId of each of the live rows `xs` of set_name; counts nothing."""
+        return list(map(self._ids[set_name].__getitem__, xs))
 
     def lookup_ids(self, set_name: str, fn_name: str, xs: list[int]) -> list[Value]:
         """fn_name's value at each row of set_name whose id is in `xs`, in
@@ -219,7 +223,7 @@ class Database:
         normalized = self.validate_insert(set_name, values)
         row = RowId(set_name, self._next_id[set_name])
         self._next_id[set_name] = row.x + 1
-        self._ids[set_name][row.x] = None
+        self._ids[set_name][row.x] = row
         self._write(row, normalized)
         return row
 
@@ -251,7 +255,9 @@ class Database:
     # -- whole-store operations ------------------------------------------
 
     def clone(self, share_counter: bool = True) -> "Database":
-        other = Database(self.schema, self.counter if share_counter else RowCounter())
+        other = object.__new__(Database)  # no empty store to throw away
+        other.schema = self.schema
+        other.counter = self.counter if share_counter else RowCounter()
         other._ids = {s: dict(ids) for s, ids in self._ids.items()}
         other._columns = {s: {n: dict(c) for n, c in t.items()} for s, t in self._columns.items()}
         other._reverse = {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
 
 import pytest
@@ -493,6 +494,60 @@ def test_anti_commutative_link_update(neighbors_schema):
         ),
     )
     assert verdict.applied
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_anti_commutative_link_check_with_many_witnesses_matches_the_reference(
+    neighbors_schema, side
+):
+    """Colouring a hub country red checks, on each side, every pair that
+    has the hub in that side's link. The hub's partners read red, null or
+    blue, interleaved, so witnesses and partner colours must stay aligned
+    as the non-violating rows drop out. The head is an equal but distinct
+    string, so its slot (left or right) shows by identity."""
+    db = Database(neighbors_schema)
+    hub = db.insert_row("COUNTRIES", {"Country": "Hub"})
+    colours = ["red", None, "blue", "red", None, "red", "blue", "red"]
+    pairs: dict[Side, list[RowId]] = {Side.LEFT: [], Side.RIGHT: []}
+    for i, colour in enumerate(colours):
+        partner = db.insert_row("COUNTRIES", {"Country": f"P{i}", "FrontierColor": colour})
+        for pair_side, country, neighbor in (
+            (Side.LEFT, hub, partner),
+            (Side.RIGHT, partner, hub),
+        ):
+            pairs[pair_side].append(
+                db.insert_row(
+                    "NEIGHBOR_COUNTRIES",
+                    {"Pair": f"{pair_side.value}{i}", "Country": country, "Neighbor": neighbor},
+                )
+            )
+    red = "".join(("r", "ed"))
+    db.set_values(hub, {"FrontierColor": red})
+    reference = db.clone(share_counter=False)
+    occurrences = dispatch(neighbors_schema)[("COUNTRIES", "FrontierColor")]
+    [occ] = [o for o in occurrences if o.side is side]
+
+    counted, reference_counted = db.rows_inspected, reference.rows_inspected
+    violations = check_link_update(db, occ, hub, red)
+    expected = rowwise_engine.check_link_update(reference, occ, hub, red)
+    assert violations == rowwise_engine.sort_violations(expected)
+    assert db.rows_inspected - counted == reference.rows_inspected - reference_counted
+
+    clashing = [pair for pair, colour in zip(pairs[side], colours) if colour == "red"]
+    assert len(clashing) == 4
+    assert [v.witness for v in violations] == clashing  # ascending
+    assert all(map(operator.is_, [v.witness for v in violations], clashing))
+    for v in violations:
+        head, other = (v.left, v.right) if side is Side.LEFT else (v.right, v.left)
+        assert head is red and other == red and other is not red
+        assert v.kind is ViolationKind.ANTI_COMMUTATIVE and v.changed.row == hub
+
+    db.set_values(hub, {"FrontierColor": None})
+    reference.set_values(hub, {"FrontierColor": None})
+    recolor = Mutation(Action.UPDATE, row_ref=hub, bindings=(Binding("FrontierColor", "red"),))
+    verdict = apply_mutation(db, recolor)
+    assert verdict == rowwise_engine.apply_mutation(reference, recolor)
+    assert len(verdict.violations) == 8
 
 
 def test_violations_sorted_by_witness(geography_schema):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -228,6 +229,53 @@ def test_clone_is_deep_and_shares_counter_by_default(db):
     assert db.rows_inspected == base + 1
 
 
+def _same_objects(got, expected) -> bool:
+    return len(got) == len(expected) and all(map(operator.is_, got, expected))
+
+
+def test_rows_inverse_and_row_ids_hand_out_the_row_ids_insert_row_returned(db):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    toys = db.insert_row("CATEGORIES", {"Category": "toys"})
+    saw = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    kite = db.insert_row("ITEMS", {"Item": "kite", "Category": toys})
+    drill = db.insert_row("ITEMS", {"Item": "drill", "Category": tools})
+    assert _same_objects(db.rows("CATEGORIES"), (tools, toys))
+    assert _same_objects(db.rows("ITEMS"), (saw, kite, drill))
+    preimage = db.inverse("ITEMS", "Category", RowId("CATEGORIES", 1))
+    assert _same_objects(sorted(preimage), [saw, drill])
+    before = db.rows_inspected
+    assert _same_objects(db.row_ids("ITEMS", iter([3, 1, 2])), [drill, saw, kite])
+    assert db.rows_inspected == before  # reads no values
+
+
+def test_an_undone_insert_is_gone_and_a_reinsert_gets_an_equal_row_id(db):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    saw = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    db.undo_write(saw, None)
+    assert db.rows("ITEMS") == ()
+    assert db.inverse("ITEMS", "Category", tools) == frozenset()
+    again = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    assert again == saw
+    assert _same_objects(db.rows("ITEMS"), (again,))
+    assert _same_objects(db.inverse("ITEMS", "Category", tools), (again,))
+
+
+def test_a_clone_shares_the_row_ids_while_writes_stay_apart(db):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    saw = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    clone = db.clone()
+    assert _same_objects(clone.rows("CATEGORIES"), (tools,))
+    assert _same_objects(clone.rows("ITEMS"), (saw,))
+    kite = clone.insert_row("ITEMS", {"Item": "kite", "Category": tools})
+    clone.delete_row(saw)
+    db.delete_row(saw)
+    drill = db.insert_row("ITEMS", {"Item": "drill", "Category": tools})
+    assert drill == kite
+    assert _same_objects(clone.rows("ITEMS"), (kite,))
+    assert _same_objects(db.rows("ITEMS"), (drill,))
+    assert clone.read_row(kite)["Item"] == "kite" and db.read_row(drill)["Item"] == "drill"
+
+
 def test_dump_text_mentions_rows(db):
     tools = db.insert_row("CATEGORIES", {"Category": "tools"})
     db.insert_row("ITEMS", {"Item": "saw", "Category": tools, "Stock": 3})
@@ -402,7 +450,11 @@ def _model_reverse(model: dict) -> dict:
     return reverse
 
 
-def _assert_matches(db: Database, model: dict, next_ids: dict, rng: random.Random) -> None:
+def _assert_matches(
+    db: Database, model: dict, next_ids: dict, issued: dict, rng: random.Random
+) -> None:
+    """`issued` maps each row to the RowId object insert_row returned for it:
+    every read that hands out a live row must hand out that object."""
     snapshot = db.snapshot()
     assert snapshot == {
         "next_ids": next_ids,
@@ -410,32 +462,43 @@ def _assert_matches(db: Database, model: dict, next_ids: dict, rng: random.Rando
         "reverse": _model_reverse(model),
     }
     for set_name, table in model.items():
-        assert db.rows(set_name) == tuple(RowId(set_name, x) for x in table)
+        rows = db.rows(set_name)
+        assert rows == tuple(RowId(set_name, x) for x in table)
+        assert _same_objects(rows, [issued[row] for row in rows])
         for x, row in table.items():
             assert db.read_row(RowId(set_name, x)) == row
         xs = list(table) * 2
         rng.shuffle(xs)
+        assert _same_objects(db.row_ids(set_name, xs), [issued[RowId(set_name, x)] for x in xs])
         for fn in MODEL_SCHEMA.functions_of(set_name):
             before = db.rows_inspected
             assert db.lookup_ids(set_name, fn.name, xs) == [table[x][fn.name] for x in xs]
             assert db.rows_inspected == before + len(xs)
+            if fn.is_link:
+                for target in db.rows(fn.codomain):
+                    for source in db.inverse(set_name, fn.name, target):
+                        assert source is issued[source]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
     """Inserts, multi-value updates, deletes and undos, refused ones
     included, leave the store equal to a plain row-dict model after every
-    step: snapshot, row order, whole rows, bulk reads and next ids. A clone
-    taken before a step and mutated after it shares nothing with the
-    original, either way round."""
+    step: snapshot, row order, whole rows, bulk reads and next ids, and
+    every row handed out is the very RowId its insert returned. A clone
+    shares those RowIds, but one taken before a step and mutated after it
+    shares nothing else with the original, either way round."""
     rng = random.Random(seed)
     db = Database(MODEL_SCHEMA)
     model: dict[str, dict[int, dict[str, Value]]] = {s.name: {} for s in MODEL_SCHEMA.sets}
     next_ids = {s.name: 1 for s in MODEL_SCHEMA.sets}
+    issued: dict[RowId, RowId] = {}  # each row inserted -> the RowId insert_row returned
     undoable = None  # (row, read_row image or None, model, next_ids) of the last write
     for step in range(120):
         clone = db.clone()
         clone_image = clone.snapshot()
+        for set_name in model:
+            assert _same_objects(clone.rows(set_name), db.rows(set_name))
         saved = ({s: {x: dict(r) for x, r in t.items()} for s, t in model.items()}, dict(next_ids))
         op = rng.random()
         set_name = rng.choice(["CATEGORIES", "ITEMS", "ITEMS"])
@@ -453,6 +516,7 @@ def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
             else:
                 row = db.insert_row(set_name, values)
                 assert row == RowId(set_name, next_ids[set_name])
+                issued[row] = row
                 next_ids[set_name] += 1
                 model[set_name][row.x] = {
                     fn.name: values.get(fn.name) for fn in MODEL_SCHEMA.functions_of(set_name)
@@ -486,9 +550,9 @@ def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
                 db.delete_row(row)
                 del model[set_name][row.x]
                 undoable = None
-        _assert_matches(db, model, next_ids, rng)
+        _assert_matches(db, model, next_ids, issued, rng)
         assert clone.snapshot() == clone_image, f"seed {seed} step {step}"
         clone.insert_row("CATEGORIES", {"Category": "from the clone"})
         for row in clone.rows("ITEMS")[:2]:
             clone.set_values(row, {"Item": "cloned", "Stock": 1, "Next": row})
-        _assert_matches(db, model, next_ids, rng)
+        _assert_matches(db, model, next_ids, issued, rng)

@@ -66,9 +66,14 @@ class ViolationKind(Enum):
 _VIOLATION_KINDS = {kind: ViolationKind(kind.value) for kind in ConstraintKind}
 # Read once: reading an Enum member from its class is slow.
 _COMMUTATIVE, _LEFT = ConstraintKind.COMMUTATIVE, Side.LEFT
+_INSERT, _UPDATE = Action.INSERT, Action.UPDATE
+_APPLIED, _REJECTED = Outcome.APPLIED, Outcome.REJECTED
 
 
-@dataclass(frozen=True)
+# The records are slotted, not frozen, as dsl's script records are: a frozen
+# dataclass sets each field through object.__setattr__, about a microsecond
+# per record. Nothing changes a record once built, so they hash by value.
+@dataclass(slots=True, unsafe_hash=True)
 class ChangedLink:
     """The (set, function, row) whose update triggered a violation."""
 
@@ -100,7 +105,7 @@ class Violation(NamedTuple):
         return self.source.format_message(self.left, self.right, self.witness)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Verdict:
     outcome: Outcome
     violations: tuple[Violation, ...]
@@ -108,11 +113,11 @@ class Verdict:
 
     @property
     def applied(self) -> bool:
-        return self.outcome is Outcome.APPLIED
+        return self.outcome is _APPLIED
 
     @property
     def rejected(self) -> bool:
-        return self.outcome is Outcome.REJECTED
+        return self.outcome is _REJECTED
 
 
 def dispatch(schema: Schema) -> dict[tuple[str, str], tuple[Occurrence, ...]]:
@@ -132,17 +137,22 @@ def dispatch(schema: Schema) -> dict[tuple[str, str], tuple[Occurrence, ...]]:
 
 def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
     """Composed chain value at x, innermost function first; null propagates."""
-    return eval_prefix(db, chain, chain.length + 1, x)
+    current: Value = x
+    for name in chain.inward:
+        if current is None:
+            return None
+        current = db.lookup(current, name)
+    return current
 
 
 def eval_prefix(db: Database, chain: ChainSpec, position: int, start: Value) -> Value:
     """Apply the outer functions (position-1 .. 1) to a value already in
     the codomain of the function at `position`; null propagates."""
     current = start
-    for fn in reversed(chain.functions[: position - 1]):
+    for name in chain.inward[chain.length + 1 - position :]:
         if current is None:
             return None
-        current = db.lookup(current, fn.name)
+        current = db.lookup(current, name)
     return current
 
 
@@ -258,7 +268,7 @@ class MutationResolveError(Exception):
     """A symbolic reference in a mutation has no applied row behind it."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResolvedMutation:
     action: Action
     set_name: str | None
@@ -268,37 +278,37 @@ class ResolvedMutation:
 
 def resolve_mutation(m: Mutation, handles: Mapping[str, RowId]) -> ResolvedMutation:
     """Replace symbolic handles with concrete rows."""
-
-    def resolve_ref(ref: HandleRef | RowId | None) -> RowId | None:
-        if ref is None or isinstance(ref, RowId):
-            return ref
-        row = handles.get(ref.name)
-        if row is None:
-            raise MutationResolveError(
-                f"handle @{ref.name} does not name an applied insert"
-            )
-        return row
-
     values: dict[str, Value] = {}
     for binding in m.bindings:
         value: BindingValue = binding.value
         if isinstance(value, HandleRef):
-            value = resolve_ref(value)
+            value = _resolve_ref(value, handles)
         values[binding.function] = value
-    row = resolve_ref(m.row_ref)
-    if m.action in (Action.UPDATE, Action.DELETE) and row is None:
-        raise MutationResolveError(f"{m.action.value} statement names no row")
-    set_name = m.set_name if m.action is Action.INSERT else None
-    return ResolvedMutation(m.action, set_name, row, values)
+    row = _resolve_ref(m.row_ref, handles)
+    action = m.action
+    if action is _INSERT:
+        return ResolvedMutation(action, m.set_name, row, values)
+    if row is None:
+        raise MutationResolveError(f"{action.value} statement names no row")
+    return ResolvedMutation(action, None, row, values)
+
+
+def _resolve_ref(ref: HandleRef | RowId | None, handles: Mapping[str, RowId]) -> RowId | None:
+    if ref is None or isinstance(ref, RowId):
+        return ref
+    row = handles.get(ref.name)
+    if row is None:
+        raise MutationResolveError(f"handle @{ref.name} does not name an applied insert")
+    return row
 
 
 def raw_apply(db: Database, resolved: ResolvedMutation) -> RowId | None:
     """Apply a resolved mutation with store-level validation only."""
-    if resolved.action is Action.INSERT:
+    if resolved.action is _INSERT:
         assert resolved.set_name is not None
         return db.insert_row(resolved.set_name, resolved.values)
     assert resolved.row is not None
-    if resolved.action is Action.UPDATE:
+    if resolved.action is _UPDATE:
         db.set_values(resolved.row, resolved.values)
         return resolved.row
     db.delete_row(resolved.row)
@@ -324,18 +334,19 @@ def apply_mutation(
     handles = handles if handles is not None else {}
     try:
         resolved = resolve_mutation(m, handles)
-        before = db.read_row(resolved.row) if resolved.action is Action.UPDATE else None
+        action = resolved.action
+        before = db.read_row(resolved.row) if action is _UPDATE else None
         row = raw_apply(db, resolved)
     except (MutationResolveError, StoreError) as exc:
-        return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
+        return Verdict(_REJECTED, (_store_violation(str(exc)),))
 
     # One list per check run, sorted by witness and without repeats, so a
     # verdict that one check alone reports needs no merge.
     reports: list[list[Violation]] = []
-    if resolved.action is Action.INSERT:
+    if action is _INSERT:
         for constraint in db.schema.constraints_on(row.set_name):
             reports.append(check_domain_row(db, constraint, row))
-    elif resolved.action is Action.UPDATE:
+    elif action is _UPDATE:
         changed = {
             name: value
             for name, value in resolved.values.items()
@@ -357,12 +368,12 @@ def apply_mutation(
     if reports:
         db.undo_write(row, before)
         if len(reports) == 1:
-            return Verdict(Outcome.REJECTED, tuple(reports[0]))
+            return Verdict(_REJECTED, tuple(reports[0]))
         merged = [violation for report in reports for violation in report]
-        return Verdict(Outcome.REJECTED, tuple(_dedupe(merged)))
-    if m.action is Action.INSERT and m.handle:
+        return Verdict(_REJECTED, tuple(_dedupe(merged)))
+    if action is _INSERT and m.handle:
         handles[m.handle] = row
-    return Verdict(Outcome.APPLIED, (), row=row)
+    return Verdict(_APPLIED, (), row)
 
 
 def sort_violations(violations: Iterable[Violation]) -> list[Violation]:

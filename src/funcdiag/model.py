@@ -29,6 +29,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
 
 class ScalarType(Enum):
@@ -132,13 +133,18 @@ class ChainSpec:
 
     `functions[0]` is applied last and determines the codomain;
     `functions[-1]` is defined on the common domain and applied first.
+    `inward` holds their names in the order a walk applies them,
+    innermost first.
     """
 
     functions: tuple[FunctionDef, ...]
+    # Stored once: every chain walk reads it.
+    inward: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.functions:
             raise ValueError("a chain needs at least one function")
+        object.__setattr__(self, "inward", tuple(f.name for f in reversed(self.functions)))
         # Rendered once: every violation message may name both chains.
         object.__setattr__(self, "_rendered", " . ".join(f.name for f in self.functions))
 
@@ -329,6 +335,11 @@ class Schema:
 
     def functions_of(self, set_name: str) -> tuple[FunctionDef, ...]:
         return tuple(self._fns_by_set.get(set_name, {}).values())
+
+    def function_table(self, set_name: str) -> Mapping[str, FunctionDef]:
+        """The functions on `set_name` by name, in declaration order; empty
+        for an unknown set. Shared by every caller, do not mutate."""
+        return self._fns_by_set.get(set_name, {})
 
     def functions_named(self, fn_name: str) -> tuple[FunctionDef, ...]:
         return tuple(fn for fn in self.functions if fn.name == fn_name)

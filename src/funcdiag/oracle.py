@@ -104,10 +104,10 @@ def _changed_cells(before: Database, after: Database, row: RowId) -> set[tuple[R
 def _reads_any(db: Database, chain: ChainSpec, x: RowId, cells: set) -> bool:
     """Whether evaluating `chain` at x reads one of `cells`."""
     current: Value = x
-    for fn in reversed(chain.functions):
+    for name in chain.inward:
         if current is None:
             return False
-        if (current, fn.name) in cells:
+        if (current, name) in cells:
             return True
-        current = db.lookup(current, fn.name)
+        current = db.lookup(current, name)
     return False

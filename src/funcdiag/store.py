@@ -14,9 +14,12 @@ The store counts rows it touches: +1 for every row whose values are read
 and +1 per reverse-index consultation. The bulk reads, lookup_ids and
 inverse_ids, answer a whole level of a chain walk in one call over row
 ids and count exactly as lookup and inverse would row by row: +1 per row
-read and +1 per target consulted. The counter measures work done, so it
-keeps advancing during mutations that end up rejected; it is not part of
-the logical state captured by snapshot().
+read and +1 per target consulted. lookup reads the cell directly and
+looks for what is missing only when that fails, and counts the same on
+either path: +1 for a live row, even when the function is unknown, and
+nothing for an unknown set or a dead row. The counter measures work
+done, so it keeps advancing during mutations that end up rejected; it is
+not part of the logical state captured by snapshot().
 """
 
 from __future__ import annotations
@@ -127,11 +130,14 @@ class Database:
         return row.x in self._ids.get(row.set_name, {})
 
     def lookup(self, row: RowId, fn_name: str) -> Value:
-        column = self._row(row).get(fn_name)
+        try:
+            value = self._columns[row.set_name][fn_name][row.x]
+        except KeyError:
+            self._row(row)  # an unknown set or a dead row raises, counting nothing
+            self.counter.touch()
+            raise UnknownFunction(f"no function {fn_name!r} on {row.set_name!r}") from None
         self.counter.touch()
-        if column is None:
-            raise UnknownFunction(f"no function {fn_name!r} on {row.set_name!r}")
-        return column[row.x]
+        return value
 
     def read_row(self, row: RowId) -> dict[str, Value]:
         columns = self._row(row)
@@ -185,19 +191,21 @@ class Database:
         """Check an insert and return the full normalized row value map."""
         if set_name not in self._ids:
             raise UnknownSet(f"unknown set {set_name!r}")
-        normalized = self._check_values(set_name, values)
-        for fn in self.schema.functions_of(set_name):
-            if fn.name not in normalized:
-                if not fn.nullable:
-                    raise MissingRequired(
-                        f"insert into {set_name!r} misses required {fn.name!r}"
-                    )
-                normalized[fn.name] = None
+        functions = self.schema.function_table(set_name)
+        normalized = self._check_values(set_name, functions, values)
+        if len(normalized) < len(functions):  # some function is left unbound
+            for name, fn in functions.items():
+                if name not in normalized:
+                    if not fn.nullable:
+                        raise MissingRequired(
+                            f"insert into {set_name!r} misses required {name!r}"
+                        )
+                    normalized[name] = None
         return normalized
 
     def validate_update(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
         self._row(row)
-        return self._check_values(row.set_name, values)
+        return self._check_values(row.set_name, self.schema.function_table(row.set_name), values)
 
     def validate_delete(self, row: RowId) -> None:
         """Refuse (RESTRICT) deleting a row that another row links to.
@@ -318,11 +326,14 @@ class Database:
             raise UnknownRow(f"no row {row!r}") from None
         return self._columns[row.set_name]
 
-    def _check_values(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
-        """Each of `values` checked by its function of `set_name`, in order."""
+    def _check_values(
+        self, set_name: str, functions: Mapping[str, FunctionDef], values: Mapping[str, Value]
+    ) -> dict[str, Value]:
+        """Each of `values` checked by its function in `functions`, the
+        function table of `set_name`, in order."""
         normalized: dict[str, Value] = {}
         for name, value in values.items():
-            fn = self.schema.function(set_name, name)
+            fn = functions.get(name)
             if fn is None:
                 raise UnknownFunction(f"no function {name!r} on {set_name!r}")
             normalized[name] = self._check_value(fn, value)

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from funcdiag.dsl import Action, Binding, HandleRef, Mutation, parse_schema, parse_script
 from funcdiag.engine import (
+    ChangedLink,
     Outcome,
+    Verdict,
     Violation,
     ViolationKind,
     affected_rows,
@@ -672,6 +674,28 @@ def test_violation_message_is_read_twice_alike_and_equality_compares_source(
     assert violation._replace(source="another text") != violation
     assert violation._replace() == violation
     assert hash(violation._replace()) == hash(violation)
+
+
+def test_verdicts_and_changed_links_compare_and_hash_by_value(geography_schema, geography_db):
+    """A verdict's equality and hash ignore `row`; a violation holding a
+    changed link hashes."""
+    [occ] = dispatch(geography_schema)[("MOUNTAIN_RANGES", "Continent")]
+    alps = row_named(geography_db, "MOUNTAIN_RANGES", "Range", "Alps")
+    asia = row_named(geography_db, "CONTINENTS", "Continent", "Asia")
+    [violation] = check_link_update(geography_db, occ, alps, asia)
+    link = ChangedLink("MOUNTAIN_RANGES", "Continent", RowId(*alps))
+    assert violation.changed == link and hash(violation.changed) == hash(link)
+    assert link != ChangedLink("MOUNTAIN_RANGES", "Continent", asia)
+    assert {violation, violation._replace(changed=link)} == {violation}
+
+    rejected = Verdict(Outcome.REJECTED, (violation,))
+    assert rejected == Verdict(Outcome.REJECTED, (violation._replace(),), row=alps)
+    assert hash(rejected) == hash(Verdict(Outcome.REJECTED, (violation._replace(),), alps))
+    applied = Verdict(Outcome.APPLIED, (), alps)
+    assert applied == Verdict(Outcome.APPLIED, ()) and applied != rejected
+    assert hash(applied) == hash(Verdict(Outcome.APPLIED, ()))
+    assert (applied.applied, applied.rejected, applied.row) == (True, False, alps)
+    assert (rejected.applied, rejected.rejected, rejected.row) == (False, True, None)
 
 
 def test_store_error_violation_built_positionally_returns_its_text():

@@ -292,6 +292,77 @@ def test_counter_counts_lookups(db):
     assert db.rows_inspected == before + 2
 
 
+@pytest.mark.parametrize(
+    "row, fn_name, error, message, counted",
+    [
+        (RowId("SHOPS", 1), "Item", UnknownSet, "unknown set 'SHOPS'", 0),
+        (RowId("ITEMS", 2), "Item", UnknownRow, "no row ITEMS#2", 0),
+        (RowId("ITEMS", 2), "Colour", UnknownRow, "no row ITEMS#2", 0),
+        (RowId("ITEMS", 9), "Item", UnknownRow, "no row ITEMS#9", 0),
+        (RowId("ITEMS", 1), "Colour", UnknownFunction, "no function 'Colour' on 'ITEMS'", 1),
+    ],
+)
+def test_lookup_fails_on_a_missing_set_row_or_function_and_counts_only_a_live_row(
+    db, row, fn_name, error, message, counted
+):
+    """An unknown set or a dead row is refused before any row is read; an
+    unknown function is refused after reading the live row."""
+    saw = db.insert_row("ITEMS", {"Item": "saw"})
+    db.delete_row(db.insert_row("ITEMS", {"Item": "kite"}))
+    before = db.rows_inspected
+    with pytest.raises(error, match=f"^{message}$"):
+        db.lookup(row, fn_name)
+    assert db.rows_inspected == before + counted
+    assert db.lookup(saw, "Item") == "saw"
+    assert db.rows_inspected == before + counted + 1
+
+
+@pytest.mark.parametrize(
+    "set_name, values, error, message, counted",
+    [
+        ("SHOPS", {"Item": "saw"}, UnknownSet, "unknown set 'SHOPS'", 0),
+        ("ITEMS", {"Item": "saw", "Price": 1}, UnknownFunction, "no function 'Price' on 'ITEMS'", 0),
+        ("ITEMS", {"Stock": 1}, MissingRequired, "insert into 'ITEMS' misses required 'Item'", 0),
+        ("ITEMS", {"Item": None}, MissingRequired, "'Item' on 'ITEMS' does not allow null", 0),
+        ("ITEMS", {"Item": 3}, ValueTypeMismatch, "'Item' on 'ITEMS' holds text, got int", 0),
+        (
+            "ITEMS",
+            {"Item": "saw", "Category": RowId("ITEMS", 1)},
+            ValueTypeMismatch,
+            "'Category' on 'ITEMS' links to 'CATEGORIES', got row of 'ITEMS'",
+            0,
+        ),
+        (
+            "ITEMS",
+            {"Item": "saw", "Category": RowId("CATEGORIES", 9)},
+            DanglingReference,
+            "'Category' on 'ITEMS' references missing CATEGORIES#9",
+            1,
+        ),
+    ],
+)
+def test_validate_insert_refuses_each_bad_insert_and_writes_nothing(
+    db, set_name, values, error, message, counted
+):
+    db.insert_row("CATEGORIES", {"Category": "tools"})
+    snapshot, before = db.snapshot(), db.rows_inspected
+    with pytest.raises(error, match=f"^{message}$"):
+        db.validate_insert(set_name, values)
+    assert db.rows_inspected == before + counted
+    assert db.snapshot() == snapshot
+
+
+def test_validate_insert_keeps_the_bound_order_and_appends_nulls_in_schema_order(db):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    bound = {"Category": tools, "Stock": 2, "Item": "saw"}
+    assert list(db.validate_insert("ITEMS", bound).items()) == list(bound.items())
+    assert list(db.validate_insert("ITEMS", {"Item": "saw"}).items()) == [
+        ("Item", "saw"),
+        ("Stock", None),
+        ("Category", None),
+    ]
+
+
 def test_bulk_reads_answer_and_count_as_the_per_row_reads(db):
     tools = db.insert_row("CATEGORIES", {"Category": "tools"})
     toys = db.insert_row("CATEGORIES", {"Category": "toys"})

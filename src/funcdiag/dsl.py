@@ -23,25 +23,27 @@ the token parser had read all of it.
 Schemas, and what the fast path leaves of a script, go through one lexer.
 No token, string or comment spans a line: `//` starts a line comment and a
 string ends at the end of its line. So the lexer splits the source on
-newlines and reads each line with one `findall` of one compiled pattern,
-which skips blanks and comments and returns each token's source text. A
-token is that text and nothing more; beside the token list runs one list
-of line numbers. Keywords and punctuation are compared as text;
-identifiers, integers, strings and handles are told apart by their first
-character when the parser reads them, and a string's escapes are resolved
-then. A column is computed only for a diagnostic, by lexing that one line
-again. Identifiers are case-sensitive and do not start with a decimal
-digit, `null` is a keyword literal, and strings are double-quoted with
-backslash escapes.
+newlines and reads each line in one pass of one compiled pattern, which
+skips blanks and comments. A token is its source text and nothing more;
+beside the token list run one list of lines and one of columns, filled as
+the tokens are read, and a lexical error is reported where it is met.
+Keywords and punctuation are compared as text; identifiers, integers,
+strings and handles are told apart by their first character when the
+parser reads them, and a string's escapes are resolved then. Identifiers
+are case-sensitive and do not start with a decimal digit, `null` is a
+keyword literal, and strings are double-quoted with backslash escapes. A
+schema may not name a function `x`, nor two of its sets, two functions of
+one set or two constraints alike but for ASCII case: generated SQL could
+not tell them apart.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Mapping, Union
 
 from .model import (
     ConstraintKind,
@@ -153,10 +155,10 @@ _PUNCT = {"{", "}", "(", ")", ";", ":", ",", "=", "?", ".", "->"}
 # prefix, and group 1 holds the token's text. Group 1 also matches the
 # empty string at the end of the line, so a prefix that reaches the end
 # never gives back what it skipped to let a token match inside a comment.
-# A character no token starts with matches outside group 1, so `findall`
-# returns "" for it. No two token alternatives match at the same place, so
-# their order is only a speed choice; `[^\W\d]` is a word character other
-# than a decimal digit.
+# A character no token starts with matches outside group 1, which is then
+# None: a lexical error. No two token alternatives match at the same
+# place, so their order is only a speed choice; `[^\W\d]` is a word
+# character other than a decimal digit.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r]+|//.*)*"
     r"(?:("
@@ -175,61 +177,41 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 
 def _lex(
     source: str, first: int = 0
-) -> tuple[list[str], list[int], list[str], list[Diagnostic]]:
+) -> tuple[list[str], list[int], list[int], list[Diagnostic]]:
     """Split `source`, from its line `first + 1` on, into token texts ending
     with the EOF token "".
 
-    Returns the tokens, the line of each token, the source lines and the
-    lexical diagnostics. Only a line with a lexical error, a string at its
-    end or a trailing comment is lexed a second time, to find its columns.
+    Returns the tokens, the line and the column of each token, and the
+    lexical diagnostics in source order.
     """
-    findall = _TOKEN_RE.findall
     tokens: list[str] = []
     lines: list[int] = []
+    columns: list[int] = []
     diagnostics: list[Diagnostic] = []
     source_lines = source.split("\n")
     for n, text in enumerate(source_lines[first:], first + 1):
-        # Trailing blanks (a CRLF's "\r" too) end no token, except inside
-        # an unterminated string, which is the last token of its line and
-        # makes the line be lexed again whole. The last match of `findall`
-        # is always the "" of the line's end; any other "" is an error or
-        # the end after a trailing comment.
-        toks = findall(text.rstrip(" \t\r"))
-        del toks[-1]
-        if "" in toks or (toks and toks[-1][0] == '"'):
-            toks = _lex_line(n, text, diagnostics)
-        tokens += toks
-        lines += [n] * len(toks)
+        for m in _TOKEN_RE.finditer(text):
+            tok = m[1]
+            if tok:
+                column = m.start(1) + 1
+                if tok[0] == '"' and _unterminated(tok):
+                    message = "unterminated string literal"
+                    diagnostics.append(Diagnostic(n, column, IssueCode.SYNTAX, message))
+                tokens.append(tok)
+                lines.append(n)
+                columns.append(column)
+            elif tok is None:
+                char = text[m.end() - 1]
+                message = (
+                    "'@' must be followed by a handle name"
+                    if char == "@"
+                    else f"unexpected character {char!r}"
+                )
+                diagnostics.append(Diagnostic(n, m.end(), IssueCode.SYNTAX, message))
     tokens.append("")
     lines.append(len(source_lines))
-    return tokens, lines, source_lines, diagnostics
-
-
-def _lex_line(n: int, text: str, diagnostics: list[Diagnostic]) -> list[str]:
-    """The tokens of line `n`, reporting its lexical errors in column order."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m[1]
-        if tok is None:
-            char = text[m.end() - 1]
-            message = (
-                "'@' must be followed by a handle name"
-                if char == "@"
-                else f"unexpected character {char!r}"
-            )
-            diagnostics.append(Diagnostic(n, m.end(), IssueCode.SYNTAX, message))
-        elif tok:
-            if tok[0] == '"' and _unterminated(tok):
-                diagnostics.append(
-                    Diagnostic(
-                        n,
-                        m.start(1) + 1,
-                        IssueCode.SYNTAX,
-                        "unterminated string literal",
-                    )
-                )
-            toks.append(tok)
-    return toks
+    columns.append(len(source_lines[-1]) + 1)
+    return tokens, lines, columns, diagnostics
 
 
 def _unterminated(tok: str) -> bool:
@@ -314,13 +296,12 @@ class _Parser:
     """Shared token-stream plumbing with statement-level recovery.
 
     `tok` is the current token's text and `i` its index; tokens are named
-    by index, and a diagnostic turns the index into a line and column.
+    by index, and a diagnostic reads its line and column from `lines` and
+    `columns` at that index.
     """
 
     def __init__(self, source: str, first: int = 0):
-        self.tokens, self.lines, self.source_lines, self.diagnostics = _lex(
-            source, first
-        )
+        self.tokens, self.lines, self.columns, self.diagnostics = _lex(source, first)
         self.i = 0
         self.tok = self.tokens[0]
 
@@ -354,19 +335,13 @@ class _Parser:
         self.error(f"expected {what}, found {_describe(self.tok)}")
         return None
 
-    def position(self, i: int) -> tuple[int, int]:
-        """The line and column of token `i`, found by lexing its line again."""
-        line = self.lines[i]
-        text = self.source_lines[line - 1]
-        starts = [m.start(1) for m in _TOKEN_RE.finditer(text) if m[1]]
-        starts.append(len(text))
-        return line, starts[i - bisect_left(self.lines, line)] + 1
-
     def error(
         self, message: str, i: int | None = None, code: IssueCode = IssueCode.SYNTAX
     ) -> None:
-        line, column = self.position(self.i if i is None else i)
-        self.diagnostics.append(Diagnostic(line, column, code, message))
+        i = self.i if i is None else i
+        self.diagnostics.append(
+            Diagnostic(self.lines[i], self.columns[i], code, message)
+        )
 
     def skip_to(self, *texts: str) -> None:
         while self.tok and self.tok not in texts:
@@ -573,23 +548,30 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
 
     sets: list[SetDef] = []
     functions: list[FunctionDef] = []
-    seen_sets: dict[str, int] = {}
+    seen_sets: dict[str, str] = {}
     for raw in raw_sets:
-        if raw.name in seen_sets:
-            diag(IssueCode.DUPLICATE_SET, f"duplicate set {raw.name!r}", raw.pos)
-            continue
-        seen_sets[raw.name] = raw.pos
-        seen_members: dict[str, int] = {}
+        earlier = _case_twin(seen_sets, raw.name)
+        if earlier is not None:
+            diag(IssueCode.DUPLICATE_SET, _repeat("set", raw.name, earlier), raw.pos)
+            if earlier == raw.name:
+                continue
+        seen_members: dict[str, str] = {}
         name_attr: str | None = None
         for member in raw.members:
-            if member.name in seen_members:
+            earlier = _case_twin(seen_members, member.name)
+            if earlier is not None:
+                where = f" on set {raw.name!r}"
+                message = _repeat("function", member.name, earlier, where)
+                diag(IssueCode.DUPLICATE_FUNCTION, message, member.pos)
+                if earlier == member.name:
+                    continue
+            if member.name in ("x", "X"):
                 diag(
-                    IssueCode.DUPLICATE_FUNCTION,
-                    f"duplicate function {member.name!r} on set {raw.name!r}",
+                    IssueCode.RESERVED_NAME,
+                    f"function name {member.name!r} is reserved: generated code"
+                    " names every row's key column x",
                     member.pos,
                 )
-                continue
-            seen_members[member.name] = member.pos
             if member.is_name:
                 if member.is_link:
                     diag(
@@ -637,16 +619,14 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     schema = Schema(schema_name or "", tuple(sets), tuple(functions))
 
     constraints: list[DiagramConstraint] = []
-    seen_constraints: dict[str, int] = {}
+    seen_constraints: dict[str, str] = {}
     for raw_c in raw_constraints:
-        if raw_c.id in seen_constraints:
-            diag(
-                IssueCode.DUPLICATE_CONSTRAINT,
-                f"duplicate constraint {raw_c.id!r}",
-                raw_c.pos,
-            )
-            continue
-        seen_constraints[raw_c.id] = raw_c.pos
+        earlier = _case_twin(seen_constraints, raw_c.id)
+        if earlier is not None:
+            message = _repeat("constraint", raw_c.id, earlier)
+            diag(IssueCode.DUPLICATE_CONSTRAINT, message, raw_c.pos)
+            if earlier == raw_c.id:
+                continue
         message = None
         if raw_c.message is not None:
             message = _string_value(parser.tokens[raw_c.message])
@@ -671,6 +651,31 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     if diagnostics:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
     return schema.with_constraints(tuple(constraints)), []
+
+
+# SQLite compares names with ASCII letters folded to one case, and so do
+# case-insensitive file systems, so two sets, two functions of one set or
+# two constraints named alike but for ASCII case would collide as tables,
+# columns, trigger names or emitted files. Other letters are not folded.
+_FOLD_ASCII = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def _case_twin(seen: dict[str, str], name: str) -> str | None:
+    """The name in `seen` that `name` equals but for ASCII case (`name`
+    itself if it repeats exactly), or None after adding `name` to `seen`.
+    `seen` maps each ASCII-folded name to its first spelling."""
+    folded = name.translate(_FOLD_ASCII)
+    earlier = seen.get(folded)
+    if earlier is None:
+        seen[folded] = name
+    return earlier
+
+
+def _repeat(what: str, name: str, earlier: str, where: str = "") -> str:
+    """Why a `what` cannot be named `name` after one named `earlier`."""
+    if name == earlier:
+        return f"duplicate {what} {name!r}{where}"
+    return f"{what} {name!r} differs from {what} {earlier!r}{where} only in case"
 
 
 # ---------------------------------------------------------------------------
@@ -960,10 +965,7 @@ def _parse_fast(
     whole or when the token parser would report anything on it, so the
     token parser started at that line reads the script as if from its start.
     """
-    functions = {
-        s.name: {fn.name: fn for fn in schema.functions_of(s.name)}
-        for s in schema.sets
-    }
+    function_table = schema.function_table
     handles: dict[str, str] = {}
     mutations: list[Mutation] = []
     for n, text in enumerate(source_lines):
@@ -977,15 +979,15 @@ def _parse_fast(
             set_name, body, handle, expect = m.groups()
             if handle in handles or handle in _KEYWORDS:
                 return mutations, handles, n
-            action, row_ref, fns = Action.INSERT, None, functions.get(set_name)
+            action, row_ref, fns = Action.INSERT, None, function_table(set_name)
         else:
             # an update's groups are (handle, bindings, expect), a delete's
             # (handle, expect)
             ref, *rest, expect = m.groups()
             action = Action.UPDATE if rest else Action.DELETE
             set_name, body, handle = None, rest[0] if rest else None, None
-            row_ref, fns = HandleRef(ref), functions.get(handles.get(ref))
-        if fns is None:
+            row_ref, fns = HandleRef(ref), function_table(handles.get(ref))
+        if not fns:
             return mutations, handles, n
         bindings = () if body is None else _fast_bindings(body, fns, handles)
         if bindings is None:
@@ -1000,7 +1002,7 @@ def _parse_fast(
 
 
 def _fast_bindings(
-    text: str, functions: dict[str, FunctionDef], handles: dict[str, str]
+    text: str, functions: Mapping[str, FunctionDef], handles: dict[str, str]
 ) -> tuple[Binding, ...] | None:
     """The bindings that `text` lists, of `functions` of one set, or None
     if the token parser would report one of them."""

@@ -78,6 +78,7 @@ class IssueCode(Enum):
     DUPLICATE_HANDLE = "duplicate-handle"
     TYPE_MISMATCH = "type-mismatch"
     BAD_MESSAGE_TEMPLATE = "bad-message-template"
+    RESERVED_NAME = "reserved-name"
 
 
 @dataclass(frozen=True)

@@ -673,6 +673,7 @@ _CLASHES = {
         'insert B (M = "m", Up = @b) ;',
         'insert B (M = "m", Peer = @p) as p ;',
         'insert C (N = "x") ;',
+        "insert C () ;",
         'insert A (Up = @a) ;',
         "update @ghost set N = null ;",
         "delete @ghost ;",

@@ -16,7 +16,16 @@ import pytest
 from funcdiag.codegen import Dialect, EmittedUnit, emit_units
 from funcdiag.dsl import Action, parse_schema, parse_script
 from funcdiag.engine import ResolvedMutation, apply_mutation, resolve_mutation
-from funcdiag.model import ScalarType, Schema
+from funcdiag.model import (
+    ConstraintKind,
+    FunctionDef,
+    RawChain,
+    RawConstraint,
+    ScalarType,
+    Schema,
+    SetDef,
+    validate_diagram,
+)
 from funcdiag.store import Database, RowId
 
 from conftest import fixture_text
@@ -256,6 +265,140 @@ def test_names_built_from_identifiers_holding_underscores_do_not_collide():
         'insert Z (M = "s", W = @b, row = @b, Y = @p) expect reject ;\n'
         "update @p set row = @b expect reject ;\n"
         "update @q set W = @b expect reject ;\n",
+    )
+
+
+# -- names SQLite cannot tell apart -------------------------------------------
+
+
+def api_schema(
+    sets: dict[str, list[tuple[str, ScalarType | str]]],
+    constraints: tuple[RawConstraint, ...] = (),
+) -> Schema:
+    """A schema built without the DSL: each set's first function is its
+    name attribute, and every function is nullable."""
+    schema = Schema(
+        "P",
+        tuple(SetDef(name, functions[0][0]) for name, functions in sets.items()),
+        tuple(
+            FunctionDef(fn, name, codomain, nullable=True)
+            for name, functions in sets.items()
+            for fn, codomain in functions
+        ),
+    )
+    resolved = []
+    for raw in constraints:
+        constraint, issues = validate_diagram(schema, raw)
+        assert constraint is not None, issues
+        resolved.append(constraint)
+    return schema.with_constraints(tuple(resolved))
+
+
+def chain_pair(
+    constraint_id: str, kind: ConstraintKind = ConstraintKind.COMMUTATIVE
+) -> RawConstraint:
+    """N . F against N . G on S, as CLASHING_IDS declares them."""
+    return RawConstraint(
+        constraint_id, kind, "S", RawChain(("N", "F")), RawChain(("N", "G"))
+    )
+
+
+TEXT, INTEGER = ScalarType.TEXT, ScalarType.INTEGER
+CLASHING_IDS = """schema P ;
+set T { name N : text ; }
+set S { name N : text ; F -> T ? ; G -> T ? ; }
+constraint k1 commutative on S { left = N . F ; right = N . G ; }
+constraint K1 anticommutative on S { left = N . F ; right = N . G ; }
+"""
+
+
+@pytest.mark.parametrize(
+    "sets, constraints, sqlite_error, source, diagnostic",
+    [
+        pytest.param(
+            {"S": [("N", TEXT), ("x", INTEGER)]},
+            (),
+            "duplicate column name: x",
+            "schema P ;\nset S { name N : text ; x : integer ? ; }\n",
+            "2:25: error [reserved-name] function name 'x' is reserved:"
+            " generated code names every row's key column x",
+            id="function-x",
+        ),
+        pytest.param(
+            {"S": [("N", TEXT), ("X", TEXT)]},
+            (),
+            "duplicate column name: X",
+            "schema P ;\nset S { name N : text ; X : text ? ; }\n",
+            "2:25: error [reserved-name] function name 'X' is reserved:"
+            " generated code names every row's key column x",
+            id="function-X",
+        ),
+        pytest.param(
+            {"A": [("N", TEXT)], "a": [("N", TEXT)]},
+            (),
+            "table [a] already exists",
+            "schema P ;\nset A { name N : text ; }\nset a { name N : text ; }\n",
+            "3:5: error [duplicate-set] set 'a' differs from set 'A' only in case",
+            id="sets",
+        ),
+        pytest.param(
+            {"S": [("N", TEXT), ("Color", TEXT), ("color", TEXT)]},
+            (),
+            "duplicate column name: color",
+            "schema P ;\nset S { name N : text ; Color : text ? ; color : text ? ; }\n",
+            "2:42: error [duplicate-function] function 'color' differs from"
+            " function 'Color' on set 'S' only in case",
+            id="functions",
+        ),
+        pytest.param(
+            {"T": [("N", TEXT)], "S": [("N", TEXT), ("F", "T"), ("G", "T")]},
+            (chain_pair("k1"), chain_pair("K1", ConstraintKind.ANTI_COMMUTATIVE)),
+            "trigger [K1.S.ins] already exists",
+            CLASHING_IDS,
+            "5:12: error [duplicate-constraint] constraint 'K1' differs from"
+            " constraint 'k1' only in case",
+            id="constraint-ids",
+        ),
+    ],
+)
+def test_names_sqlite_cannot_tell_apart_are_refused(
+    sets, constraints, sqlite_error, source, diagnostic
+):
+    schema = api_schema(sets, constraints)
+    connection = sqlite3.connect(":memory:")
+    with pytest.raises(sqlite3.OperationalError) as refused:
+        install(connection, schema, generic_sql_units(schema))
+    assert str(refused.value) == sqlite_error
+    connection.close()
+    parsed, diagnostics = parse_schema(source)
+    assert parsed is None
+    assert [d.render() for d in diagnostics] == [diagnostic]
+
+
+def test_names_apart_only_in_non_ascii_case_are_accepted():
+    # SQLite folds only ASCII letters in names, so these pairs install
+    schema, diagnostics = parse_schema(
+        "schema P ;\n"
+        "set É { name N : text ; Ü : text ? ; ü : text ? ; }\n"
+        "set é { name N : text ; Up -> É ; Down -> É ; }\n"
+        "constraint ç commutative on é { left = N . Up ; right = N . Down ; }\n"
+        "constraint Ç anticommutative on é { left = Ü . Up ; right = ü . Down ; }\n"
+    )
+    assert schema is not None, diagnostics
+    assert [s.name for s in schema.sets] == ["É", "é"]
+    assert [fn.name for fn in schema.functions_of("É")] == ["N", "Ü", "ü"]
+    assert [c.id for c in schema.constraints] == ["ç", "Ç"]
+    replay(
+        schema,
+        'insert É (N = "a", Ü = "u", ü = "v") as a ;\n'
+        'insert É (N = "b", Ü = "v", ü = "u") as b ;\n'
+        'insert é (N = "c", Up = @a, Down = @b) expect reject ;\n'
+        'insert é (N = "c", Up = @a, Down = @a) as c expect accept ;\n'
+        'update @b set N = "a" ;\n'
+        "update @c set Down = @b expect reject ;\n"
+        'update @b set ü = "w" ;\n'
+        "update @c set Down = @b expect accept ;\n"
+        'update @b set ü = "u" expect reject ;\n',
     )
 
 

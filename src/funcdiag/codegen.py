@@ -1,6 +1,8 @@
 """Text emission: combo row-source queries and trigger-style check code.
 
-Two dialects are supported for the check procedures. PAPER_STYLE emits
+Two dialects are supported for the check procedures, and both take a
+link check's walks from its chain position's plan (model.Occurrence:
+head, reverse and other), deriving none here. PAPER_STYLE emits
 event-handler code in the VBA idiom: Form_BeforeUpdate for the domain
 row, and <fn>_BeforeUpdate for each interior chain position. Every
 handler is one ladder of nested `If` guards: the controls it reads are
@@ -50,6 +52,7 @@ from .model import (
     ConstraintKind,
     DiagramConstraint,
     FunctionDef,
+    Occurrence,
     ScalarType,
     Schema,
     Side,
@@ -246,8 +249,8 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     domain = constraint.domain_set
     fn = constraint.left.innermost.name
     gm = constraint.right.innermost.name
-    left_expr = _sql_forward_walk(constraint.left, f"NEW.{_b(fn)}")
-    right_expr = _sql_forward_walk(constraint.right, f"NEW.{_b(gm)}")
+    left_expr = _sql_forward_walk(constraint.left.functions[-2::-1], f"NEW.{_b(fn)}")
+    right_expr = _sql_forward_walk(constraint.right.functions[-2::-1], f"NEW.{_b(gm)}")
     message = _sql_string(constraint.template)
     timing = _timing(
         domain, constraint.left.functions[:-1], constraint.right.functions[:-1]
@@ -287,13 +290,11 @@ def _timing(table: str, *walks: tuple[FunctionDef, ...]) -> str:
     return "BEFORE"
 
 
-def _sql_forward_walk(chain: ChainSpec, start: str, position: int | None = None) -> str:
-    """Scalar subquery expression composing the chain outward from `start`,
-    the value at `position` (default: the innermost function)."""
-    if position is None:
-        position = chain.length
+def _sql_forward_walk(walk: tuple[FunctionDef, ...], start: str) -> str:
+    """Scalar subquery expression applying the functions of `walk`,
+    innermost first, to `start`."""
     expr = start
-    for fn in reversed(chain.functions[: position - 1]):
+    for fn in walk:
         expr = f"(SELECT {_b(fn.name)} FROM {_b(fn.domain)} WHERE [x] = {expr})"
     return expr
 
@@ -316,33 +317,27 @@ def gen_link_checks(
     unit installs on its own, in any order and next to units that share
     an index.
     """
-    targets: dict[tuple[str, str], list[tuple[Side, int]]] = {}
-    for side in (Side.LEFT, Side.RIGHT):
-        chain = constraint.chain(side)
-        for position in range(1, chain.length):
-            fn = chain.functions[position - 1]
-            targets.setdefault((fn.domain, fn.name), []).append((side, position))
+    targets: dict[tuple[str, str], list[Occurrence]] = {}
+    for occ in constraint.occurrences:
+        if occ.reverse:
+            targets.setdefault((occ.set_name, occ.function_name), []).append(occ)
     units: list[EmittedUnit] = []
-    for (set_name, fn_name), places in targets.items():
+    for (set_name, fn_name), occurrences in targets.items():
         if dialect is Dialect.PAPER_STYLE:
             body = "\n".join(
                 [
                     f"Sub {fn_name}_BeforeUpdate(Cancel As Integer)",
                     "Dim v As Variant, w As Variant",
-                    *(_paper_link_block(schema, constraint, *place) for place in places),
+                    *(_paper_link_block(schema, occ) for occ in occurrences),
                     "End Sub",
                 ]
             )
         else:
-            walked = dict.fromkeys(
-                fn
-                for side, position in places
-                for fn in _reverse_walk(constraint.chain(side), position)
-            )
+            walked = dict.fromkeys(fn for occ in occurrences for fn in occ.reverse)
             body = "\n\n".join(
                 [
                     "\n".join(map(_sql_index, walked)),
-                    *(_sql_link_trigger(constraint, *place) for place in places),
+                    *map(_sql_link_trigger, occurrences),
                 ]
             )
         units.append(
@@ -353,34 +348,28 @@ def gen_link_checks(
     return units
 
 
-def _reverse_walk(chain: ChainSpec, position: int) -> tuple[FunctionDef, ...]:
-    """Link columns an affected-row predicate reads walking back from
-    `position` to the domain set, outermost first."""
-    return chain.functions[position:]
-
-
 def _sql_index(fn: FunctionDef) -> str:
     name = _b(f"{fn.domain}.{fn.name}")
     return f"CREATE INDEX IF NOT EXISTS {name} ON {_b(fn.domain)} ({_b(fn.name)});"
 
 
-def _paper_reverse_where(chain: ChainSpec, position: int, value: str) -> str:
+def _paper_reverse_where(walk: tuple[FunctionDef, ...], value: str) -> str:
     """Predicate on the domain set selecting the rows whose chain, walked
-    back from `position`, reaches the VBA variable `value`."""
-    walk = _reverse_walk(chain, position)
+    back through the link columns of `walk` (outermost first), reaches
+    the VBA variable `value`."""
     predicate = f'{walk[0].name} =" & {value} & "'
     for previous, fn in zip(walk, walk[1:]):
         predicate = f"{fn.name} IN (SELECT x FROM {previous.domain} WHERE {predicate})"
     return predicate
 
 
-def _paper_forward_lookup(chain: ChainSpec, position: int, condition: str) -> str:
-    """DLookup of the chain's outermost value over the rows of the domain of
-    function `position` that match `condition`, composing functions
-    `position` .. 2 outward through nested IN subqueries."""
-    for fn in reversed(chain.functions[1:position]):
+def _paper_forward_lookup(walk: tuple[FunctionDef, ...], condition: str) -> str:
+    """DLookup of the value the functions of `walk`, innermost first,
+    compose over the rows that match `condition`, each inner function
+    one nested IN subquery."""
+    *inner, outer = walk
+    for fn in inner:
         condition = f"x IN (SELECT {fn.name} FROM {fn.domain} WHERE {condition})"
-    outer = chain.functions[0]
     return _dlookup(outer.name, outer.domain, condition)
 
 
@@ -389,78 +378,67 @@ def _dlookup(column: str, table: str, where: str) -> str:
     return f'DLookup("{column}", "{table}", "{where}")'.replace(' & "")', ")")
 
 
-def _paper_link_block(
-    schema: Schema, constraint: DiagramConstraint, side: Side, position: int
-) -> str:
-    chain = constraint.chain(side)
-    other = constraint.chain(side.other)
-    fn_i = chain.functions[position - 1].name
+def _paper_link_block(schema: Schema, occ: Occurrence) -> str:
+    constraint, other, fn_i = occ.constraint, occ.other, occ.function_name
     guard = (
         f"Not Cancel And Not NewRecord And {fn_i} <> {fn_i}.OldValue"
         f" And Not IsNull({fn_i})"
     )
     head = fn_i
-    if position > 1:
-        head = _paper_forward_lookup(chain, position - 1, f'x =" & {fn_i} & "')
-    affected = _paper_reverse_where(chain, position, "x")
+    if occ.head:
+        head = _paper_forward_lookup(occ.head, f'x =" & {fn_i} & "')
+    affected = _paper_reverse_where(occ.reverse, "x")
     message = _vba_string(constraint.template)
     comment = (
-        f"' {constraint.id}: {side.value} position {position} of {constraint.render()}"
+        f"' {constraint.id}: {occ.side.value} position {occ.position} of {constraint.render()}"
     )
     if constraint.kind is ConstraintKind.COMMUTATIVE:
-        lookup = _paper_forward_lookup(other, other.length, affected)
+        lookup = _paper_forward_lookup(other.functions[::-1], affected)
         steps = [
             (f"v = {lookup}", "Not IsNull(v)"),
             (f"w = {head}", "Not IsNull(w)"),
             (None, "v <> w"),
         ]
     else:
-        domain = schema.set_def(chain.domain_set)
+        domain = schema.set_def(constraint.domain_set)
         assert domain is not None
-        fold = _paper_reverse_where(other, 0, "w")
+        fold = _paper_reverse_where(other.functions, "w")
         lookup = _dlookup(domain.name_attribute, domain.name, f"{affected} AND {fold}")
         steps = [(f"w = {head}", "Not IsNull(w)"), (f"v = {lookup}", "Not IsNull(v)")]
     body = ["Cancel = True", f"MsgBox {message}", "Undo"]
     return "\n".join([comment, *_vba_ifs([(None, guard), *steps], body)])
 
 
-def _sql_affected_pred(chain: ChainSpec, position: int) -> str:
-    """Reverse-reachability predicate on alias d, anchored at NEW.x."""
-    *outer, innermost = _reverse_walk(chain, position)
+def _sql_affected_pred(walk: tuple[FunctionDef, ...]) -> str:
+    """Reverse-reachability predicate on alias d, anchored at NEW.x: the
+    link columns of `walk`, outermost first, lead back to the domain set."""
+    *outer, innermost = walk
     predicate = "= NEW.[x]"
     for fn in outer:
         predicate = f"IN (SELECT [x] FROM {_b(fn.domain)} WHERE {_b(fn.name)} {predicate})"
     return f"d.{_b(innermost.name)} {predicate}"
 
 
-def _sql_link_trigger(
-    constraint: DiagramConstraint, side: Side, position: int
-) -> str:
-    chain = constraint.chain(side)
-    other = constraint.chain(side.other)
-    fn = chain.functions[position - 1]
-    name = f"[{constraint.id}.{fn.domain}.{fn.name}.{side.value}{position}]"
+def _sql_link_trigger(occ: Occurrence) -> str:
+    constraint, other, table = occ.constraint, occ.other, occ.set_name
+    column = _b(occ.function_name)
+    name = f"[{constraint.id}.{table}.{occ.function_name}.{occ.side.value}{occ.position}]"
     message = _sql_string(constraint.template)
     cmp = _comparison_op(constraint.kind)
-    other_value = _sql_forward_walk(other, f"d.{_b(other.innermost.name)}")
-    head = _sql_forward_walk(chain, f"NEW.{_b(fn.name)}", position)
+    other_value = _sql_forward_walk(other.functions[-2::-1], f"d.{_b(other.innermost.name)}")
+    head = _sql_forward_walk(occ.head, f"NEW.{column}")
     # the head walk, the affected-row walk from the domain set, and the
     # other chain's walk
-    timing = _timing(
-        fn.domain,
-        chain.functions[: position - 1],
-        _reverse_walk(chain, position),
-        other.functions[:-1],
-    )
+    timing = _timing(table, occ.head, occ.reverse, other.functions[:-1])
     lines = [
-        f"CREATE TRIGGER {name} {timing} UPDATE OF {_b(fn.name)} ON {_b(fn.domain)}",
+        f"CREATE TRIGGER {name} {timing} UPDATE OF {column} ON {_b(table)}",
         "FOR EACH ROW",
-        f"WHEN NEW.{_b(fn.name)} IS NOT NULL AND NEW.{_b(fn.name)} IS NOT OLD.{_b(fn.name)}",
+        f"WHEN NEW.{column} IS NOT NULL AND NEW.{column} IS NOT OLD.{column}",
         "BEGIN",
         f"    SELECT RAISE(ABORT, {message})",
         "    WHERE EXISTS (",
-        f"        SELECT 1 FROM {_b(chain.domain_set)} d",
-        f"        WHERE {_sql_affected_pred(chain, position)}",
+        f"        SELECT 1 FROM {_b(constraint.domain_set)} d",
+        f"        WHERE {_sql_affected_pred(occ.reverse)}",
         f"          AND ({other_value}) {cmp} ({head})",
         "    );",
         "END;",

@@ -16,9 +16,10 @@ head once (the prefix walk from the written value), collects the ids of
 every domain row whose chain passes through r (the reverse-reachability
 walk over the store's indexes, one bulk read per level for the whole
 frontier), evaluates the other chain over all of those rows one level at
-a time, and compares each value with the head. A null anywhere in a chain
-makes the instance vacuously satisfied, so a row leaves the walk at the
-level where it reads null.
+a time, and compares each value with the head. The walks and the other
+chain are the written position's plan (model.Occurrence), built once. A
+null anywhere in a chain makes the instance vacuously satisfied, so a row
+leaves the walk at the level where it reads null.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
@@ -145,27 +146,27 @@ def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
     return current
 
 
-def eval_prefix(db: Database, chain: ChainSpec, position: int, start: Value) -> Value:
-    """Apply the outer functions (position-1 .. 1) to a value already in
-    the codomain of the function at `position`; null propagates."""
+def eval_prefix(db: Database, occurrence: Occurrence, start: Value) -> Value:
+    """Take `start`, a value written at the occurrence's position, to the
+    chain's codomain through occurrence.head; null propagates."""
     current = start
-    for name in chain.inward[chain.length + 1 - position :]:
+    for fn in occurrence.head:
         if current is None:
             return None
-        current = db.lookup(current, name)
+        current = db.lookup(current, fn.name)
     return current
 
 
-def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> list[int]:
-    """Ids, ascending, of the domain rows whose chain tail reaches r at
-    `position`.
+def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
+    """Ids, ascending, of the domain rows whose chain reaches r at the
+    occurrence's position.
 
-    Walks the reverse indexes outward through positions position+1 .. n
-    over row ids, one store call per level for the whole frontier; for
-    position == n the row is itself in the domain set.
+    Walks occurrence.reverse over row ids, one store call per level for
+    the whole frontier; at the innermost position the walk is empty and
+    the row is itself in the domain set.
     """
     frontier: Collection[int] = (r.x,)
-    for fn in chain.functions[position:]:
+    for fn in occurrence.reverse:
         frontier = db.inverse_ids(fn.domain, fn.name, frontier)
         if not frontier:
             break
@@ -226,17 +227,11 @@ def check_link_update(
     once, each witness the RowId the store holds for it.
     """
     constraint = occurrence.constraint
-    chain = occurrence.chain
-    assert occurrence.position < chain.length, "innermost positions are domain checks"
-    head = eval_prefix(db, chain, occurrence.position, new_value)
+    assert occurrence.reverse, "innermost positions are domain checks"
+    head = eval_prefix(db, occurrence, new_value)
     if head is None:
         return []
-    head_is_left = occurrence.side is _LEFT
-    rows, values = _eval_chain_ids(
-        db,
-        constraint.right if head_is_left else constraint.left,
-        affected_rows(db, chain, occurrence.position, r),
-    )
+    rows, values = _eval_chain_ids(db, occurrence.other, affected_rows(db, occurrence, r))
     # True where a row breaks the constraint; compared in C.
     mask = list(map(ne if _holds_when_equal(constraint) else eq, repeat(head), values))
     if True not in mask:
@@ -244,7 +239,7 @@ def check_link_update(
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
     witnesses = db.row_ids(constraint.domain_set, compress(rows, mask))
     heads, others = repeat(head), compress(values, mask)
-    lefts, rights = (heads, others) if head_is_left else (others, heads)
+    lefts, rights = (heads, others) if occurrence.side is _LEFT else (others, heads)
     cids, kinds = repeat(constraint.id), repeat(_VIOLATION_KINDS[constraint.kind])
     # zip reuses its result tuple, so tuple.__new__ (no NamedTuple's Python
     # __new__) leaves one new object per witness: the record.
@@ -361,7 +356,7 @@ def apply_mutation(
         table = dispatch(db.schema)
         for fn_name in sorted(changed):
             for occ in table.get((row.set_name, fn_name), ()):
-                if occ.position < occ.chain.length:
+                if occ.reverse:
                     reports.append(check_link_update(db, occ, row, changed[fn_name]))
 
     reports = [report for report in reports if report]

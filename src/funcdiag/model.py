@@ -175,7 +175,9 @@ class DiagramConstraint:
 
     Both sides are compositions, and at least one composes two or more
     functions; validate_diagram builds nothing else, and a Schema admits
-    nothing else.
+    nothing else. Built once each: `template`, the declared message or a
+    default naming both chains, and `occurrences`, one per chain position,
+    left side first and each side in position order.
     """
 
     id: str
@@ -183,6 +185,21 @@ class DiagramConstraint:
     left: ChainSpec
     right: ChainSpec
     message: str | None = None
+    template: str = field(init=False, compare=False, repr=False)
+    occurrences: tuple[Occurrence, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        verb = "must equal" if self.kind is ConstraintKind.COMMUTATIVE else "must never equal"
+        default = (
+            f"value of {self.left.render()} {verb} value of {self.right.render()}"
+            " (left={left}, right={right})"
+        )
+        object.__setattr__(self, "template", self.message or default)
+        object.__setattr__(self, "occurrences", tuple(
+            Occurrence(self, side, position)
+            for side in (_LEFT, _RIGHT)
+            for position in range(1, self.chain(side).length + 1)
+        ))
 
     @property
     def domain_set(self) -> str:
@@ -194,22 +211,6 @@ class DiagramConstraint:
     def render(self) -> str:
         op = "=" if self.kind is ConstraintKind.COMMUTATIVE else "/="
         return f"{self.left.render()} {op} {self.right.render()} on {self.domain_set}"
-
-    @property
-    def template(self) -> str:
-        """The violation message template: the declared message, or a
-        default that names both chains and their values."""
-        if self.message:
-            return self.message
-        verb = (
-            "must equal"
-            if self.kind is ConstraintKind.COMMUTATIVE
-            else "must never equal"
-        )
-        return (
-            f"value of {self.left.render()} {verb} value of {self.right.render()}"
-            " (left={left}, right={right})"
-        )
 
     def format_message(self, left: object, right: object, witness: object) -> str:
         """The message of a violation at `witness`, where the chains read
@@ -227,22 +228,33 @@ class DiagramConstraint:
 
 @dataclass(frozen=True)
 class Occurrence:
-    """One chain position of one constraint, keyed by (set, function)."""
+    """One chain position of one constraint, keyed by (set, function), with
+    the plan of the check that writing it fires. The plan is derived from
+    (side, position) here alone, once per constraint; the engine and both
+    code generators read it. `head` takes the written value to the chain's
+    codomain, innermost first; `reverse` walks the link columns back from
+    the written row to the domain set, outermost first (empty at the
+    innermost position, which domain-row checks cover); `other` is the
+    chain the head is compared with.
+    """
 
     constraint: DiagramConstraint
     side: Side
     position: int
-    # Stored once: every link check reads them.
-    chain: ChainSpec = field(init=False, compare=False, repr=False)
     set_name: str = field(init=False, compare=False, repr=False)
     function_name: str = field(init=False, compare=False, repr=False)
+    other: ChainSpec = field(init=False, compare=False, repr=False)
+    head: tuple[FunctionDef, ...] = field(init=False, compare=False, repr=False)
+    reverse: tuple[FunctionDef, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        chain = self.constraint.chain(self.side)
-        fn = chain.functions[self.position - 1]
-        object.__setattr__(self, "chain", chain)
+        functions = self.constraint.chain(self.side).functions
+        fn = functions[self.position - 1]
         object.__setattr__(self, "set_name", fn.domain)
         object.__setattr__(self, "function_name", fn.name)
+        object.__setattr__(self, "other", self.constraint.chain(self.side.other))
+        object.__setattr__(self, "head", functions[: self.position - 1][::-1])
+        object.__setattr__(self, "reverse", functions[self.position :])
 
 
 MESSAGE_FIELDS = frozenset(
@@ -297,8 +309,8 @@ class Schema:
     _fns_by_set: dict = field(default_factory=dict, repr=False, compare=False)
     _links_into: dict = field(default_factory=dict, repr=False, compare=False)
     _constraints_on: dict = field(default_factory=dict, repr=False, compare=False)
-    # (set, function) -> every chain position it holds, one per side;
-    # shared by every caller, do not mutate
+    # (set, function) -> the constraints' own occurrences at it, one per
+    # chain position; shared by every caller, do not mutate
     occurrences: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -314,11 +326,8 @@ class Schema:
         for c in self.constraints:
             _admit(c)
             constraints_on.setdefault(c.domain_set, []).append(c)
-            for side in (Side.LEFT, Side.RIGHT):
-                for position, fn in enumerate(c.chain(side).functions, start=1):
-                    occurrences.setdefault((fn.domain, fn.name), []).append(
-                        Occurrence(c, side, position)
-                    )
+            for occ in c.occurrences:
+                occurrences.setdefault((occ.set_name, occ.function_name), []).append(occ)
         object.__setattr__(self, "_sets_by_name", by_name)
         object.__setattr__(self, "_fns_by_set", by_set)
         object.__setattr__(self, "_links_into", _tuples(links_into))

@@ -292,8 +292,9 @@ class Database:
     # -- internals ---------------------------------------------------------
 
     def _write(self, row: RowId, values: Mapping[str, Value]) -> None:
-        """Store already-validated values and re-point the reverse index."""
-        columns = self._row(row)
+        """Store already-validated values and re-point the reverse index.
+        Its caller has found the row live or trusts it (undo_write)."""
+        columns = self._columns[row.set_name]
         self.counter.touch()
         set_name, x = row
         for name, value in values.items():

@@ -3,7 +3,9 @@ set-at-a-time one.
 
 check_link_update here walks the reverse indexes one target row at a
 time, through Database.inverse, and evaluates the other chain at each
-affected row on its own, through Database.lookup. apply_mutation merges
+affected row on its own, through Database.lookup. It derives every walk
+from the occurrence's side and position, not from the plan the engine
+reads (Occurrence.head, reverse and other). apply_mutation merges
 every check's violations through dedupe, sorting them with a key.
 tests/test_differential.py asserts the engine gives the same verdicts,
 violation for violation, and counts the same rows_inspected.
@@ -24,7 +26,6 @@ from funcdiag.engine import (
     check_domain_row,
     dispatch,
     eval_chain,
-    eval_prefix,
     raw_apply,
     resolve_mutation,
     sort_violations,
@@ -44,12 +45,21 @@ def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> fr
     return frontier
 
 
+def eval_head(db: Database, chain: ChainSpec, position: int, start: Value) -> Value:
+    """`start`, written at `position`, taken through the outer functions."""
+    for fn in reversed(chain.functions[: position - 1]):
+        if start is None:
+            return None
+        start = db.lookup(start, fn.name)
+    return start
+
+
 def check_link_update(
     db: Database, occurrence: Occurrence, r: RowId, new_value: Value
 ) -> list[Violation]:
     constraint = occurrence.constraint
-    chain = occurrence.chain
-    head = eval_prefix(db, chain, occurrence.position, new_value)
+    chain = constraint.chain(occurrence.side)
+    head = eval_head(db, chain, occurrence.position, new_value)
     if head is None:
         return []
     other = constraint.chain(occurrence.side.other)
@@ -107,7 +117,7 @@ def apply_mutation(db: Database, m: Mutation, handles: dict | None = None) -> Ve
         table = dispatch(db.schema)
         for fn_name in sorted(changed):
             for occ in table.get((row.set_name, fn_name), ()):
-                if occ.position < occ.chain.length:
+                if occ.position < occ.constraint.chain(occ.side).length:
                     violations.extend(check_link_update(db, occ, row, changed[fn_name]))
 
     if violations:

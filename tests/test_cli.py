@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from funcdiag import cli
 from funcdiag.cli import main
+from funcdiag.codegen import Dialect, emit_units
 from funcdiag.dsl import Action, Binding, Expectation, Mutation
 from funcdiag.engine import (
     ChangedLink,
@@ -273,3 +274,55 @@ def test_gen_out_on_a_file_is_an_io_error(tmp_path, under):
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.stderr.startswith("error: ")
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_gen_out_writes_one_file_per_unit_and_prints_each_path(tmp_path, geography_schema):
+    out = tmp_path / "units"
+    args = ["gen", str(FIXTURES / "geography.fd"), "--dialect", "generic-sql", "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    units = emit_units(
+        geography_schema, geography_schema.constraints, "all", Dialect.GENERIC_SQL
+    )
+    assert result.stdout == "".join(f"{out / unit.filename}\n" for unit in units)
+    assert sorted(path.name for path in out.iterdir()) == sorted(u.filename for u in units)
+    for unit in units:
+        assert (out / unit.filename).read_text(encoding="utf-8") == unit.body + "\n"
+
+
+def test_gen_constraint_emits_only_that_constraints_units(tmp_path):
+    schema = tmp_path / "two.fd"
+    second = fixture_text("geography.fd").split("constraint ")[1].replace(
+        "GeoContinent commutative", "GeoCopy anticommutative", 1
+    )
+    schema.write_text(fixture_text("geography.fd") + "\nconstraint " + second, encoding="utf-8")
+    both = CliRunner().invoke(main, ["gen", str(schema)])
+    assert both.exit_code == 0, both.output
+    assert "GeoContinent" in both.stdout and "GeoCopy" in both.stdout
+    result = CliRunner().invoke(main, ["gen", str(schema), "--constraint", "GeoCopy"])
+    assert result.exit_code == 0, result.output
+    headers = [line for line in result.stdout.splitlines() if line.startswith("-- ")]
+    assert headers and all(".GeoCopy." in line for line in headers)
+    assert "GeoContinent" not in result.stdout
+
+
+def test_gen_constraint_names_an_unknown_id():
+    args = ["gen", str(FIXTURES / "geography.fd"), "--constraint", "nope"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: no constraint 'nope'\n"
+
+
+def test_check_stops_at_a_failing_statement(tmp_path):
+    script = tmp_path / "twice.fdm"
+    script.write_text(
+        'insert CONTINENTS (Continent = "Europe") as c ;\n'
+        "delete @c ;\n"
+        "delete @c ;\n",
+        encoding="utf-8",
+    )
+    result = CliRunner().invoke(main, ["check", str(FIXTURES / "geography.fd"), str(script)])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "statement 2 (line 3) failed: no row CONTINENTS#1\n"

@@ -187,6 +187,47 @@ def test_diagnostics_point_at_offending_token():
     assert line[d.column - 1 :].startswith("NOWHERE")
 
 
+@pytest.mark.parametrize(
+    "declaration, expected",
+    [
+        (
+            "constraint c commutative on A { left = N . L ; left = N . L ; right = N ; }",
+            ["3:48: error [syntax] duplicate 'left' chain"],
+        ),
+        (
+            'constraint c commutative on A { left = N . L ; right = N ; message = "a" ;'
+            ' message = "b" ; }',
+            ["3:76: error [syntax] duplicate 'message'"],
+        ),
+        (
+            "constraint c commutative on A { left N . L ; right = N ; }",
+            [
+                "3:12: error [syntax] constraint 'c' declares no left chain",
+                "3:38: error [syntax] expected '=', found 'N'",
+            ],
+        ),
+        (
+            "constraint c commutative on A { left = N . L ; right = N ; message = 3 ; }",
+            ["3:70: error [syntax] expected string literal, found '3'"],
+        ),
+        (
+            "constraint c on A { left = N . L ; right = N ; }",
+            ["3:14: error [syntax] expected 'commutative' or 'anticommutative', found 'on'"],
+        ),
+        (
+            "constraint c commutative A { left = N . L ; right = N ; }",
+            ["3:26: error [syntax] expected 'on', found 'A'"],
+        ),
+    ],
+)
+def test_constraint_declaration_diagnostics(declaration, expected):
+    """Each recovery branch of a constraint declaration, rendered exactly."""
+    source = f"schema S ;\nset A {{ name N : text ; L -> A ; }}\n{declaration}\n"
+    schema, diagnostics = parse_schema(source)
+    assert schema is None
+    assert [d.render() for d in diagnostics] == expected
+
+
 def test_single_insert_statement(geography_schema):
     mutations, diagnostics = parse_script(
         'insert CONTINENTS (Continent = "Europe") as eu ;', geography_schema

@@ -73,19 +73,19 @@ def test_eval_chain_length_one(geography_schema, geography_db):
 def test_eval_prefix_identity_at_position_one(geography_schema, geography_db):
     c = geo_constraint(geography_schema)
     asia = row_named(geography_db, "CONTINENTS", "Continent", "Asia")
-    assert eval_prefix(geography_db, c.left, 1, asia) == asia
+    assert eval_prefix(geography_db, c.occurrences[0], asia) == asia
 
 
 def test_eval_prefix_single_hop(geography_schema, geography_db):
     c = geo_constraint(geography_schema)
     alps = row_named(geography_db, "MOUNTAIN_RANGES", "Range", "Alps")
     europe = row_named(geography_db, "CONTINENTS", "Continent", "Europe")
-    assert eval_prefix(geography_db, c.left, 2, alps) == europe
+    assert eval_prefix(geography_db, c.occurrences[1], alps) == europe
 
 
 def test_eval_prefix_null_start(geography_schema, geography_db):
     c = geo_constraint(geography_schema)
-    assert eval_prefix(geography_db, c.left, 3, None) is None
+    assert eval_prefix(geography_db, c.occurrences[2], None) is None
 
 
 # -- affected_rows -----------------------------------------------------------
@@ -110,7 +110,7 @@ def test_affected_rows_empty_when_nothing_chains(geography_schema, geography_db)
     lonely = geography_db.insert_row(
         "MOUNTAIN_RANGES", {"Range": "Pyrenees", "Continent": europe}
     )
-    assert affected_rows(geography_db, c.left, 1, lonely) == []
+    assert affected_rows(geography_db, c.occurrences[0], lonely) == []
 
 
 def test_affected_rows_exact_set(geography_schema, geography_db):
@@ -122,7 +122,7 @@ def test_affected_rows_exact_set(geography_schema, geography_db):
         "RIVERS", {"River": "Rhone", "Continent": europe, "Mountain": montblanc}
     )
     danube = row_named(geography_db, "RIVERS", "River", "Danube")
-    got = affected_rows(geography_db, c.left, 1, alps)
+    got = affected_rows(geography_db, c.occurrences[0], alps)
     assert got == [danube.x, rhone.x]
     assert got == sorted(x.x for x in brute_affected(geography_db, c.left, 1, alps))
 
@@ -132,7 +132,7 @@ def test_affected_rows_innermost_position_is_row_itself(
 ):
     c = geo_constraint(geography_schema)
     danube = row_named(geography_db, "RIVERS", "River", "Danube")
-    assert affected_rows(geography_db, c.left, 5, danube) == [danube.x]
+    assert affected_rows(geography_db, c.occurrences[4], danube) == [danube.x]
 
 
 # -- check_domain_row --------------------------------------------------------
@@ -344,7 +344,7 @@ def test_insert_runs_no_link_checks_and_fresh_rows_have_empty_affected(
     assert verdict.applied
     assert verdict.row is not None
     # nothing can reference a row created by this very mutation
-    assert affected_rows(db, c.left, 1, verdict.row) == []
+    assert affected_rows(db, c.occurrences[0], verdict.row) == []
 
 
 def test_rejected_insert_burns_no_id(geography_schema):

@@ -23,6 +23,7 @@ from funcdiag.model import (
 from funcdiag.store import RowId
 
 from randgen import make_schema
+from test_differential import SEEDS, _schema
 
 
 def verify_resolved_chain(schema: Schema, chain: ChainSpec, domain_set: str) -> bool:
@@ -378,3 +379,57 @@ def test_random_schemas_resolve_and_rewalk(seed):
         for chain in (constraint.left, constraint.right):
             for fn in chain.functions[1:]:
                 assert fn.is_link
+
+
+def _assert_plans_follow_side_and_position(schema: Schema) -> None:
+    """Every occurrence's plan against walks derived here, from its side
+    and position alone, and against the composition they must follow."""
+    owned = []
+    for c in schema.constraints:
+        assert [(occ.side, occ.position) for occ in c.occurrences] == [
+            (side, position)
+            for side in (Side.LEFT, Side.RIGHT)
+            for position in range(1, c.chain(side).length + 1)
+        ]
+        for occ in c.occurrences:
+            assert occ.constraint is c
+            functions = c.chain(occ.side).functions
+            written = functions[occ.position - 1]
+            assert (occ.set_name, occ.function_name) == (written.domain, written.name)
+            assert occ.other is c.chain(occ.side.other)
+            assert occ.head == tuple(reversed(functions[: occ.position - 1]))
+            assert occ.reverse == functions[occ.position :]
+            # the head composes outward from the written value to the
+            # codomain; the reverse walk leads back to the domain set
+            inward, outward = (written, *occ.head), (written, *occ.reverse)
+            assert [fn.domain for fn in inward[1:]] == [fn.codomain for fn in inward[:-1]]
+            assert inward[-1] is functions[0]
+            assert [fn.codomain for fn in outward[1:]] == [fn.domain for fn in outward[:-1]]
+            assert outward[-1].domain == c.domain_set
+            owned.append(occ)
+    indexed = [occ for occs in schema.occurrences.values() for occ in occs]
+    assert sorted(map(id, indexed)) == sorted(map(id, owned))
+    for key, occs in schema.occurrences.items():
+        assert all((occ.set_name, occ.function_name) == key for occ in occs)
+
+
+def test_fixture_plans_follow_side_and_position(geography_schema, neighbors_schema):
+    _assert_plans_follow_side_and_position(geography_schema)
+    _assert_plans_follow_side_and_position(neighbors_schema)
+    [occ, *_] = geography_schema.constraints[0].occurrences
+    assert [fn.name for fn in occ.head] == []
+    assert [fn.name for fn in occ.reverse] == ["Range", "Subrange", "Group", "Mountain"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_schema_plans_follow_side_and_position(seed):
+    _assert_plans_follow_side_and_position(_schema(random.Random(seed)))
+
+
+def test_plans_leave_constraint_equality_and_hashing_alone(geography_schema):
+    constraint = geography_schema.constraints[0]
+    twin = replace(constraint)
+    assert twin == constraint and hash(twin) == hash(constraint)
+    assert twin.occurrences is not constraint.occurrences
+    assert twin.occurrences == constraint.occurrences
+    assert twin.template == constraint.template

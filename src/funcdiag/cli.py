@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 semantic failure (failed expectations, store
 errors in unguarded statements, refused constraint classes, standing
-violations found by check), 2 I/O or parse failure, including an input
-file that is not UTF-8 and a `gen --out` path that cannot be made a
-directory or written into.
+violations found by check), 2 I/O, parse or usage failure, including an
+input file that is not UTF-8, a `gen --out` path that cannot be made a
+directory or written into, and a `gen --constraint` id that the schema
+does not declare.
 
 This module alone lays out the two report formats: the text line of a
 violation, which `run` and `check` both print (_render_line), and the
@@ -101,6 +102,9 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
         out.write('{\n  "mutations": [')
     db = Database(schema)
     handles: dict[str, RowId] = {}
+    # in a parsed script every update and delete names a handle that an
+    # earlier insert binds, whether or not that insert is applied
+    handle_sets = {m.handle: m.set_name for m in mutations if m.handle}
     count = applied = rejected = expectation_failures = unguarded_store_errors = 0
     for index, m in enumerate(mutations):
         before = db.rows_inspected
@@ -122,7 +126,7 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
                 expectation_failures += 1
         elif store_error:
             unguarded_store_errors += 1
-        set_name = m.set_name or (_ref_set(m, handles) or "")
+        set_name = m.set_name or handle_sets[m.row_ref.name]
         if as_json:
             out.write(
                 ("\n    " if index == 0 else ",\n    ")
@@ -278,16 +282,6 @@ def _render_line(v: engine.Violation) -> str:
     return " ".join(parts) + f" :: {v.message}"
 
 
-def _ref_set(m: dsl.Mutation, handles: dict[str, RowId]) -> str | None:
-    ref = m.row_ref
-    if isinstance(ref, RowId):
-        return ref.set_name
-    if isinstance(ref, dsl.HandleRef):
-        row = handles.get(ref.name)
-        return row.set_name if row else None
-    return None
-
-
 @main.command()
 @click.argument("schema_path")
 @click.argument("script_path")
@@ -345,8 +339,7 @@ def gen(
     if constraint_id is not None:
         selected = schema.constraint(constraint_id)
         if selected is None:
-            click.echo(f"error: no constraint {constraint_id!r}", err=True)
-            sys.exit(1)
+            _fail(f"no constraint {constraint_id!r}")
         constraints = (selected,)
     units = codegen.emit_units(schema, constraints, what, codegen.Dialect(dialect))
     if out_dir is not None:

@@ -8,6 +8,11 @@ deletes with symbolic row handles and optional accept/reject expectations.
 Both parsers are all-or-nothing: they either return a fully validated
 result or every diagnostic found, each pointing at a source position.
 
+A schema is read in one pass, and each set and function is judged as it is
+read: its name against the names before it, and the set's name attribute.
+A link's target and each constraint are judged once the whole schema has
+been read, since they may name a set or function declared after them.
+
 A script is read by two paths. The fast path takes one line at a time: a
 line that holds one whole common statement (`insert`, `update` or
 `delete`, with an optional `expect` and a trailing comment) is taken in
@@ -254,30 +259,8 @@ def _kind(tok: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Raw declarations (token indexes kept for semantic diagnostics)
+# Raw constraint declarations (token indexes kept for semantic diagnostics)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RawMember:
-    name: str
-    pos: int
-    is_name: bool = False
-    scalar: ScalarType | None = None
-    target: str | None = None
-    target_pos: int | None = None
-    nullable: bool = False
-
-    @property
-    def is_link(self) -> bool:
-        return self.target is not None
-
-
-@dataclass
-class _RawSet:
-    name: str
-    pos: int
-    members: list[_RawMember] = field(default_factory=list)
 
 
 @dataclass
@@ -370,7 +353,24 @@ def _describe(tok: str) -> str:
 
 
 class _SchemaParser(_Parser):
-    def parse(self) -> tuple[str | None, list[_RawSet], list[_RawConstraintDecl]]:
+    """Reads a schema, judging each set and function as it reads it.
+
+    `sets` and `functions` collect them without exact repeats. `links`
+    holds every link read, repeats too, beside its target's token index,
+    and `constraints` every constraint declaration: parse_schema judges
+    both once the whole schema is read.
+    """
+
+    def __init__(self, source: str):
+        super().__init__(source)
+        self.sets: list[SetDef] = []
+        self.functions: list[FunctionDef] = []
+        self.links: list[tuple[FunctionDef, int]] = []
+        self.constraints: list[_RawConstraintDecl] = []
+        self.set_names: dict[str, str] = {}
+
+    def parse(self) -> str | None:
+        """Read the whole schema; return its name."""
         schema_name: str | None = None
         if self.accept("schema"):
             name = self.expect_kind("IDENT", "schema name")
@@ -379,49 +379,97 @@ class _SchemaParser(_Parser):
             self.expect(";")
         else:
             self.error("no schema declared", code=IssueCode.NO_SCHEMA)
-        sets: list[_RawSet] = []
-        constraints: list[_RawConstraintDecl] = []
         while self.tok:
             if self.tok == "set":
-                decl = self._set_decl()
-                if decl is not None:
-                    sets.append(decl)
+                self._set_decl()
             elif self.tok == "constraint":
                 decl = self._constraint_decl()
                 if decl is not None:
-                    constraints.append(decl)
+                    self.constraints.append(decl)
             else:
                 self.error(f"expected 'set' or 'constraint', found {_describe(self.tok)}")
                 self.advance()
                 self.skip_to("set", "constraint")
-        return schema_name, sets, constraints
+        return schema_name
 
-    def _set_decl(self) -> _RawSet | None:
+    def _set_decl(self) -> None:
         self.advance()
-        name = self.expect_kind("IDENT", "set name")
-        if name is None or not self.expect("{"):
+        pos = self.expect_kind("IDENT", "set name")
+        if pos is None or not self.expect("{"):
             self.skip_past("}")
-            return None
-        decl = _RawSet(self.tokens[name], name)
+            return
+        set_name = self.tokens[pos]
+        earlier = _case_twin(self.set_names, set_name)
+        if earlier is not None:
+            self.error(_repeat("set", set_name, earlier), pos, IssueCode.DUPLICATE_SET)
+        repeated = earlier == set_name
+        seen: dict[str, str] = {}
+        name_attr: str | None = None
         while self.tok and self.tok != "}":
-            member = self._member()
-            if member is not None:
-                decl.members.append(member)
+            member = self._member(set_name)
+            if member is None:
+                continue
+            fn, fn_pos, is_name, target_pos = member
+            if target_pos is not None:
+                self.links.append((fn, target_pos))
+            if repeated:
+                continue
+            earlier = _case_twin(seen, fn.name)
+            if earlier is not None:
+                message = _repeat("function", fn.name, earlier, f" on set {set_name!r}")
+                self.error(message, fn_pos, IssueCode.DUPLICATE_FUNCTION)
+                if earlier == fn.name:
+                    continue
+            if fn.name in ("x", "X"):
+                self.error(
+                    f"function name {fn.name!r} is reserved: generated code"
+                    " names every row's key column x",
+                    fn_pos,
+                    IssueCode.RESERVED_NAME,
+                )
+            if is_name:
+                if fn.is_link:
+                    self.error(
+                        f"name designation on {fn.name!r} requires an attribute,"
+                        " not a link",
+                        fn_pos,
+                        IssueCode.BAD_NAME_ATTRIBUTE,
+                    )
+                elif name_attr is not None:
+                    self.error(
+                        f"set {set_name!r} already designates {name_attr!r} as its name",
+                        fn_pos,
+                        IssueCode.DUPLICATE_NAME_ATTRIBUTE,
+                    )
+                else:
+                    name_attr = fn.name
+            self.functions.append(fn)
         self.expect("}")
-        return decl
+        if repeated:
+            return
+        if name_attr is None:
+            message = f"set {set_name!r} designates no name attribute"
+            self.error(message, pos, IssueCode.MISSING_NAME_ATTRIBUTE)
+        self.sets.append(SetDef(set_name, name_attr or ""))
 
-    def _member(self) -> _RawMember | None:
+    def _member(
+        self, set_name: str
+    ) -> tuple[FunctionDef, int, bool, int | None] | None:
+        """A function of `set_name`, the token index of its name, whether it
+        is declared the set's name, and the token index of its target (None
+        for an attribute)."""
         is_name = self.accept("name")
         name = self.expect_kind("IDENT", "function name")
         if name is None:
             self.skip_past(";")
             return None
-        member = _RawMember(self.tokens[name], name, is_name=is_name)
+        codomain: str | ScalarType
+        target = None
         if self.accept(":"):
             if self.accept("text"):
-                member.scalar = ScalarType.TEXT
+                codomain = ScalarType.TEXT
             elif self.accept("integer"):
-                member.scalar = ScalarType.INTEGER
+                codomain = ScalarType.INTEGER
             else:
                 self.error(f"expected 'text' or 'integer', found {_describe(self.tok)}")
                 self.skip_past(";")
@@ -431,17 +479,16 @@ class _SchemaParser(_Parser):
             if target is None:
                 self.skip_past(";")
                 return None
-            member.target = self.tokens[target]
-            member.target_pos = target
+            codomain = self.tokens[target]
         else:
             self.error(f"expected ':' or '->', found {_describe(self.tok)}")
             self.skip_past(";")
             return None
-        if self.accept("?"):
-            member.nullable = True
+        nullable = self.accept("?")
         if not self.expect(";"):
             self.skip_past(";")
-        return member
+        fn = FunctionDef(self.tokens[name], set_name, codomain, nullable)
+        return fn, name, is_name, target
 
     def _constraint_decl(self) -> _RawConstraintDecl | None:
         self.advance()
@@ -540,91 +587,26 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     problem.
     """
     parser = _SchemaParser(source)
-    schema_name, raw_sets, raw_constraints = parser.parse()
+    schema_name = parser.parse()
     diagnostics = parser.diagnostics
 
-    def diag(code: IssueCode, message: str, i: int) -> None:
-        parser.error(message, i, code)
-
-    sets: list[SetDef] = []
-    functions: list[FunctionDef] = []
-    seen_sets: dict[str, str] = {}
-    for raw in raw_sets:
-        earlier = _case_twin(seen_sets, raw.name)
-        if earlier is not None:
-            diag(IssueCode.DUPLICATE_SET, _repeat("set", raw.name, earlier), raw.pos)
-            if earlier == raw.name:
-                continue
-        seen_members: dict[str, str] = {}
-        name_attr: str | None = None
-        for member in raw.members:
-            earlier = _case_twin(seen_members, member.name)
-            if earlier is not None:
-                where = f" on set {raw.name!r}"
-                message = _repeat("function", member.name, earlier, where)
-                diag(IssueCode.DUPLICATE_FUNCTION, message, member.pos)
-                if earlier == member.name:
-                    continue
-            if member.name in ("x", "X"):
-                diag(
-                    IssueCode.RESERVED_NAME,
-                    f"function name {member.name!r} is reserved: generated code"
-                    " names every row's key column x",
-                    member.pos,
-                )
-            if member.is_name:
-                if member.is_link:
-                    diag(
-                        IssueCode.BAD_NAME_ATTRIBUTE,
-                        f"name designation on {member.name!r} requires an attribute,"
-                        " not a link",
-                        member.pos,
-                    )
-                elif name_attr is not None:
-                    diag(
-                        IssueCode.DUPLICATE_NAME_ATTRIBUTE,
-                        f"set {raw.name!r} already designates {name_attr!r} as its name",
-                        member.pos,
-                    )
-                else:
-                    name_attr = member.name
-            codomain: str | ScalarType = (
-                member.target if member.is_link else member.scalar  # type: ignore[assignment]
-            )
-            functions.append(
-                FunctionDef(member.name, raw.name, codomain, member.nullable)
-            )
-        if name_attr is None:
-            diag(
-                IssueCode.MISSING_NAME_ATTRIBUTE,
-                f"set {raw.name!r} designates no name attribute",
-                raw.pos,
-            )
-            name_attr = ""
-        sets.append(SetDef(raw.name, name_attr))
-
-    set_names = {s.name for s in sets}
-    for raw in raw_sets:
-        for member in raw.members:
-            if member.is_link and member.target not in set_names:
-                diag(
-                    IssueCode.UNKNOWN_SET,
-                    f"link {member.name!r} targets unknown set {member.target!r}",
-                    member.target_pos,
-                )
-
-    functions = [
-        fn for fn in functions if not (fn.is_link and fn.codomain not in set_names)
-    ]
-    schema = Schema(schema_name or "", tuple(sets), tuple(functions))
+    set_names = {s.name for s in parser.sets}
+    for fn, target in parser.links:
+        if fn.codomain not in set_names:
+            message = f"link {fn.name!r} targets unknown set {fn.codomain!r}"
+            parser.error(message, target, IssueCode.UNKNOWN_SET)
+    functions = tuple(
+        fn for fn in parser.functions if not (fn.is_link and fn.codomain not in set_names)
+    )
+    schema = Schema(schema_name or "", tuple(parser.sets), functions)
 
     constraints: list[DiagramConstraint] = []
     seen_constraints: dict[str, str] = {}
-    for raw_c in raw_constraints:
+    for raw_c in parser.constraints:
         earlier = _case_twin(seen_constraints, raw_c.id)
         if earlier is not None:
             message = _repeat("constraint", raw_c.id, earlier)
-            diag(IssueCode.DUPLICATE_CONSTRAINT, message, raw_c.pos)
+            parser.error(message, raw_c.pos, IssueCode.DUPLICATE_CONSTRAINT)
             if earlier == raw_c.id:
                 continue
         message = None
@@ -632,7 +614,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
             message = _string_value(parser.tokens[raw_c.message])
             problem = message_template_problem(message)
             if problem is not None:
-                diag(IssueCode.BAD_MESSAGE_TEMPLATE, problem, raw_c.message)
+                parser.error(problem, raw_c.message, IssueCode.BAD_MESSAGE_TEMPLATE)
         (left, _), (right, _) = raw_c.chains[Side.LEFT], raw_c.chains[Side.RIGHT]
         raw_constraint = RawConstraint(
             raw_c.id, raw_c.kind, raw_c.domain, left, right, message
@@ -644,7 +626,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
                 tok = raw_c.domain_pos
             elif issue.side is not None and issue.position is not None:
                 tok = raw_c.chains[issue.side][1][issue.position - 1]
-            diag(issue.code, issue.message, tok)
+            parser.error(issue.message, tok, issue.code)
         if resolved is not None:
             constraints.append(resolved)
 

@@ -305,10 +305,10 @@ class Schema:
     sets: tuple[SetDef, ...]
     functions: tuple[FunctionDef, ...]
     constraints: tuple[DiagramConstraint, ...] = ()
-    _sets_by_name: dict = field(default_factory=dict, repr=False, compare=False)
-    _fns_by_set: dict = field(default_factory=dict, repr=False, compare=False)
-    _links_into: dict = field(default_factory=dict, repr=False, compare=False)
-    _constraints_on: dict = field(default_factory=dict, repr=False, compare=False)
+    _sets_by_name: dict = field(init=False, repr=False, compare=False)
+    _fns_by_set: dict = field(init=False, repr=False, compare=False)
+    _links_into: dict = field(init=False, repr=False, compare=False)
+    _constraints_on: dict = field(init=False, repr=False, compare=False)
     # (set, function) -> the constraints' own occurrences at it, one per
     # chain position; shared by every caller, do not mutate
     occurrences: dict = field(init=False, repr=False, compare=False)

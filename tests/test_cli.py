@@ -309,9 +309,82 @@ def test_gen_constraint_emits_only_that_constraints_units(tmp_path):
 def test_gen_constraint_names_an_unknown_id():
     args = ["gen", str(FIXTURES / "geography.fd"), "--constraint", "nope"]
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 1, result.output
+    assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr == "error: no constraint 'nope'\n"
+
+
+def _run_script(tmp_path, lines, *flags):
+    script = tmp_path / "script.fdm"
+    script.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return CliRunner().invoke(
+        main, ["run", *flags, str(FIXTURES / "geography.fd"), str(script)]
+    )
+
+
+# The seed statements of geography_ac1.fdm, then a river that GeoContinent
+# rejects although it expects to be accepted, then an update through the
+# handle that the rejected insert would have bound.
+_RHONE = fixture_text("geography_ac1.fdm").splitlines()[:13] + [
+    'insert RIVERS (River = "Rhone", Continent = @asia, Mountain = @montblanc)'
+    " as rhone expect accept ;",
+    'update @rhone set River = "Rhône" ;',
+]
+
+
+def test_run_names_the_set_of_an_update_through_a_rejected_insert(tmp_path):
+    result = _run_script(tmp_path, _RHONE)
+    assert result.exit_code == 1, result.output
+    assert result.stdout.splitlines()[-3:] == [
+        "[13] line 15 update RIVERS -> REJECTED",
+        "    constraint=- kind=store-error witness=null left=null right=null"
+        " :: handle @rhone does not name an applied insert",
+        "14 mutations: 12 applied, 2 rejected, 1 expectation failures",
+    ]
+    report = json.loads(_run_script(tmp_path, _RHONE, "--json").stdout)
+    record = report["mutations"][13]
+    assert (record["action"], record["set"], record["verdict"]) == (
+        "update",
+        "RIVERS",
+        "rejected",
+    )
+
+
+def test_run_exits_1_on_a_failed_expectation(tmp_path):
+    result = _run_script(
+        tmp_path, ['insert CONTINENTS (Continent = "Europe") as eu expect reject ;']
+    )
+    assert result.exit_code == 1, result.output
+    assert result.stdout == (
+        "[0] line 1 insert CONTINENTS -> APPLIED expect reject: FAILED\n"
+        "1 mutations: 1 applied, 0 rejected, 1 expectation failures\n"
+    )
+
+
+def test_run_exits_1_on_a_store_error_in_a_statement_with_no_expect(tmp_path):
+    result = _run_script(
+        tmp_path,
+        [
+            'insert CONTINENTS (Continent = "Europe") as eu ;',
+            'insert MOUNTAIN_RANGES (Range = "Alps", Continent = @eu) ;',
+            "delete @eu ;",
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.stdout.splitlines()[-3:] == [
+        "[2] line 3 delete CONTINENTS -> REJECTED",
+        "    constraint=- kind=store-error witness=null left=null right=null"
+        " :: cannot delete CONTINENTS#1: referenced by MOUNTAIN_RANGES#1",
+        "3 mutations: 2 applied, 1 rejected, 0 expectation failures",
+    ]
+
+
+def test_run_on_a_missing_script_is_an_io_error(tmp_path):
+    missing = tmp_path / "missing.fdm"
+    result = CliRunner().invoke(main, ["run", str(FIXTURES / "geography.fd"), str(missing)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
 def test_check_stops_at_a_failing_statement(tmp_path):

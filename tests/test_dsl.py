@@ -218,12 +218,69 @@ def test_diagnostics_point_at_offending_token():
             "constraint c commutative A { left = N . L ; right = N ; }",
             ["3:26: error [syntax] expected 'on', found 'A'"],
         ),
+        (
+            "constraint c commutative on A left = N . L ; right = N ; }",
+            ["3:31: error [syntax] expected '{', found 'left'"],
+        ),
+        (
+            "constraint c commutative on A { left = ; right = N ; }",
+            [
+                "3:12: error [syntax] constraint 'c' declares no left chain",
+                "3:40: error [syntax] expected function name or 'identity', found ';'",
+            ],
+        ),
+        (
+            "constraint c commutative on A { left = N . ; right = N ; }",
+            [
+                "3:12: error [syntax] constraint 'c' declares no left chain",
+                "3:44: error [syntax] expected function name, found ';'",
+            ],
+        ),
+        (
+            'constraint c commutative on A { left = N . L ; right = N ; message "m" ; }',
+            ["3:68: error [syntax] expected '=', found 'm'"],
+        ),
+        (
+            "constraint c commutative on A { left = N . L ; right = N ; }\n"
+            "constraint c commutative on A { left = N . L ; right = N ; }",
+            ["4:12: error [duplicate-constraint] duplicate constraint 'c'"],
+        ),
     ],
 )
 def test_constraint_declaration_diagnostics(declaration, expected):
     """Each recovery branch of a constraint declaration, rendered exactly."""
     source = f"schema S ;\nset A {{ name N : text ; L -> A ; }}\n{declaration}\n"
     schema, diagnostics = parse_schema(source)
+    assert schema is None
+    assert [d.render() for d in diagnostics] == expected
+
+
+@pytest.mark.parametrize(
+    "sets, expected",
+    [
+        (
+            "set A { name N : text ; L -> NOWHERE ; }\n"
+            "set A { name N : text ; L -> NOWHERE ; }",
+            [
+                "2:30: error [unknown-set] link 'L' targets unknown set 'NOWHERE'",
+                "3:5: error [duplicate-set] duplicate set 'A'",
+                "3:30: error [unknown-set] link 'L' targets unknown set 'NOWHERE'",
+            ],
+        ),
+        (
+            "set A { name N : text ; L -> NOWHERE ; L -> ELSEWHERE ; }",
+            [
+                "2:30: error [unknown-set] link 'L' targets unknown set 'NOWHERE'",
+                "2:40: error [duplicate-function] duplicate function 'L' on set 'A'",
+                "2:45: error [unknown-set] link 'L' targets unknown set 'ELSEWHERE'",
+            ],
+        ),
+    ],
+)
+def test_unknown_link_targets_are_reported_inside_exact_repeats(sets, expected):
+    """A repeated set or function is not judged again, but its links'
+    targets still are."""
+    schema, diagnostics = parse_schema(f"schema S ;\n{sets}\n")
     assert schema is None
     assert [d.render() for d in diagnostics] == expected
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +80,18 @@ def test_geography_chains_resolve(geography_schema):
     ]
     assert verify_resolved_chain(geography_schema, constraint.left, "RIVERS")
     assert verify_resolved_chain(geography_schema, constraint.right, "RIVERS")
+
+
+def test_schema_builds_its_lookup_tables_and_takes_none_as_arguments(geography_schema):
+    assert [f.name for f in fields(Schema) if f.init] == [
+        "name",
+        "sets",
+        "functions",
+        "constraints",
+    ]
+    with pytest.raises(TypeError):
+        Schema("S", (), (), (), {})
+    assert geography_schema.function("RIVERS", "Continent") is not None
 
 
 def test_dangling_chain_is_broken_composition():

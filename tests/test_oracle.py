@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-from funcdiag.dsl import Action, Binding, Mutation
+import pytest
+
+from funcdiag.dsl import Action, Binding, Mutation, parse_schema, parse_script
 from funcdiag.engine import Outcome, apply_mutation
 from funcdiag.oracle import full_check, oracle_apply
 from funcdiag.store import Database
 
-from conftest import seeded_geography
+from conftest import fixture_text, seeded_geography
 
 
 def test_full_check_empty_database(geography_schema):
@@ -179,3 +181,57 @@ def test_oracle_and_engine_agree_on_fixture_scenarios(geography_schema):
         v_oracle = oracle_apply(oracle_db, m, handles_o)
         assert v_engine.outcome == v_oracle.outcome, m
         assert engine_db.snapshot() == oracle_db.snapshot()
+
+
+# The seed statements of geography_ac1.fdm, then a river that GeoContinent
+# rejects although the script binds a handle to it, then an update through
+# that handle.
+_RHONE = "\n".join(
+    fixture_text("geography_ac1.fdm").splitlines()[:13]
+    + [
+        'insert RIVERS (River = "Rhone", Continent = @asia, Mountain = @montblanc)'
+        " as rhone ;",
+        'update @rhone set River = "Rhône" ;',
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "schema_name, script",
+    [
+        ("geography.fd", fixture_text("geography_ac1.fdm")),
+        ("neighbors.fd", fixture_text("neighbors_ac2.fdm")),
+        ("geography.fd", _RHONE),
+    ],
+    ids=["geography_ac1", "neighbors_ac2", "rejected-handle"],
+)
+def test_oracle_replays_a_script_as_the_engine_does(schema_name, script):
+    """Each with its own handles, the engine and the oracle give every
+    statement the same outcome, row and violations (but for the changed
+    link, which only the engine reports), bind the same handles and end in
+    the same state; a handle whose insert was rejected stays unbound, and
+    a write through it is rejected."""
+    schema, _ = parse_schema(fixture_text(schema_name))
+    mutations, diagnostics = parse_script(script, schema)
+    assert diagnostics == []
+    engine_db, oracle_db = Database(schema), Database(schema)
+    engine_handles: dict = {}
+    oracle_handles: dict = {}
+    for m in mutations:
+        expected = apply_mutation(engine_db, m, engine_handles)
+        verdict = oracle_apply(oracle_db, m, oracle_handles)
+        assert _reported(verdict) == _reported(expected), m
+    assert oracle_handles == engine_handles
+    assert oracle_db.snapshot() == engine_db.snapshot()
+    if script is _RHONE:
+        assert "rhone" not in oracle_handles
+        assert verdict.rejected
+        [violation] = verdict.violations
+        assert violation.message == "handle @rhone does not name an applied insert"
+
+
+def _reported(verdict) -> tuple:
+    return verdict.outcome, verdict.row, [
+        (v.constraint, v.kind, v.witness, v.left, v.right, v.message)
+        for v in verdict.violations
+    ]

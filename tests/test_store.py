@@ -206,6 +206,11 @@ def test_snapshot_equality_and_independence(db):
     assert before != db.snapshot()
 
 
+def test_rows_of_an_unknown_set_raise(db):
+    with pytest.raises(UnknownSet, match="unknown set 'SHOPS'"):
+        db.rows("SHOPS")
+
+
 def test_a_set_without_functions_keeps_its_rows():
     db = Database(Schema("Bare", (SetDef("MARKS", "Mark"),), ()))
     first, second = db.insert_row("MARKS", {}), db.insert_row("MARKS", {})

@@ -17,9 +17,11 @@ every domain row whose chain passes through r (the reverse-reachability
 walk over the store's indexes, one bulk read per level for the whole
 frontier), evaluates the other chain over all of those rows one level at
 a time, and compares each value with the head. The walks and the other
-chain are the written position's plan (model.Occurrence), built once. A
-null anywhere in a chain makes the instance vacuously satisfied, so a row
-leaves the walk at the level where it reads null.
+chain are the written position's plan (model.Occurrence), built once per
+schema, and bound once per store to the reverse indexes and columns they
+read (Database.walks), so no level resolves a name. A null anywhere in a
+chain makes the instance vacuously satisfied, so a row leaves the walk at
+the level where it reads null.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, repeat
-from operator import eq, ne
+from operator import eq, itemgetter, ne
 from typing import Collection, Iterable, Mapping, MutableMapping, NamedTuple
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
@@ -69,6 +71,7 @@ _VIOLATION_KINDS = {kind: ViolationKind(kind.value) for kind in ConstraintKind}
 _COMMUTATIVE, _LEFT = ConstraintKind.COMMUTATIVE, Side.LEFT
 _INSERT, _UPDATE = Action.INSERT, Action.UPDATE
 _APPLIED, _REJECTED = Outcome.APPLIED, Outcome.REJECTED
+_X = itemgetter(1)  # a RowId's x, read in C
 
 
 # The records are slotted, not frozen, as dsl's script records are: a frozen
@@ -161,34 +164,19 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
     """Ids, ascending, of the domain rows whose chain reaches r at the
     occurrence's position.
 
-    Walks occurrence.reverse over row ids, one store call per level for
-    the whole frontier; at the innermost position the walk is empty and
-    the row is itself in the domain set.
+    Walks the store's bound reverse indexes of occurrence.reverse over
+    row ids, one level at a time for the whole frontier, counting as
+    Database.inverse_ids does; at the innermost position the walk is
+    empty and the row is itself in the domain set.
     """
     frontier: Collection[int] = (r.x,)
-    for fn in occurrence.reverse:
-        frontier = db.inverse_ids(fn.domain, fn.name, frontier)
+    counter = db.counter
+    for index in db.walks[id(occurrence)][0]:
+        counter.rows_inspected += len(frontier)
+        frontier = set().union(*map(index.get, frontier, repeat(())))
         if not frontier:
             break
     return sorted(frontier)
-
-
-def _eval_chain_ids(
-    db: Database, chain: ChainSpec, xs: list[int]
-) -> tuple[list[int], list[Value]]:
-    """The chain's value at each domain row in `xs`, innermost function
-    first, one store call per level for all rows: the rows, in order,
-    whose chain reads no null, and their values. A row leaves the walk at
-    the level where it reads null."""
-    rows: list[int] = xs
-    values: list = xs
-    for depth, fn in enumerate(reversed(chain.functions)):
-        ids = values if depth == 0 else [value.x for value in values]
-        values = db.lookup_ids(fn.domain, fn.name, ids)
-        if None in values:
-            rows = [x for x, value in zip(rows, values) if value is not None]
-            values = [value for value in values if value is not None]
-    return rows, values
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +219,17 @@ def check_link_update(
     head = eval_prefix(db, occurrence, new_value)
     if head is None:
         return []
-    rows, values = _eval_chain_ids(db, occurrence.other, affected_rows(db, occurrence, r))
+    # The other chain over every affected row, one bound column per level,
+    # counted as Database.lookup_ids counts; a row leaves at its first null.
+    rows = ids = affected_rows(db, occurrence, r)
+    counter = db.counter
+    for column in db.walks[id(occurrence)][1]:
+        values = list(map(column.__getitem__, ids))
+        counter.rows_inspected += len(values)
+        if None in values:
+            rows = [x for x, value in zip(rows, values) if value is not None]
+            values = [value for value in values if value is not None]
+        ids = map(_X, values)
     # True where a row breaks the constraint; compared in C.
     mask = list(map(ne if _holds_when_equal(constraint) else eq, repeat(head), values))
     if True not in mask:

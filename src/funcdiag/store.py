@@ -9,17 +9,24 @@ source rows). Writes enforce referential integrity and nullability;
 deletes are RESTRICT-only. undo_write takes back the latest insert or
 update and, trusting the pre-write state, validates nothing.
 
+Names are resolved once per store, not per value: validation and writes
+read each set's table, which binds each function to its column, reverse
+index and target set's live ids, and link checks read each occurrence's
+walk, bound to its reverse indexes and columns. Both hold the store's own
+dicts, never copies; clone() binds them afresh to the copy's.
+
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
 and +1 per reverse-index consultation. The bulk reads, lookup_ids and
 inverse_ids, answer a whole level of a chain walk in one call over row
 ids and count exactly as lookup and inverse would row by row: +1 per row
-read and +1 per target consulted. lookup reads the cell directly and
-looks for what is missing only when that fails, and counts the same on
-either path: +1 for a live row, even when the function is unknown, and
-nothing for an unknown set or a dead row. The counter measures work
-done, so it keeps advancing during mutations that end up rejected; it is
-not part of the logical state captured by snapshot().
+read and +1 per target consulted; a link check's bound walk counts the
+same. lookup and read_row read the cells directly and look for what is
+missing only when that fails, and count the same on either path: +1 for
+a live row, even when the function is unknown, and nothing for an
+unknown set or a dead row. The counter measures work done, so it keeps
+advancing during mutations that end up rejected; it is not part of the
+logical state captured by snapshot().
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Union
 
-from .model import FunctionDef, ScalarType, Schema
+from .model import ScalarType, Schema
 
 
 class RowId(NamedTuple):
@@ -90,16 +97,17 @@ class RowCounter:
     def __init__(self) -> None:
         self.rows_inspected = 0
 
-    def touch(self, n: int = 1) -> None:
-        self.rows_inspected += n
-
 
 class Database:
     """Mutable column store bound to an immutable schema.
 
     `_ids[set]` maps live row ids to their RowIds, `_columns[set][function]`
-    maps them to values. Single writer; readers interleave only between
-    mutations. clone() shares the counter by default: scratch work counts.
+    maps them to values. `_tables[set][function]` is (function, column,
+    reverse index or None, linked set's ids or None); `walks[id(occ)]` is
+    (reverse indexes outermost first, other chain's columns innermost
+    first) for each occurrence in schema.occurrences. Single writer;
+    readers interleave only between mutations. clone() shares the counter
+    by default, so scratch work counts, and rebinds tables and walks.
     """
 
     def __init__(self, schema: Schema, counter: RowCounter | None = None):
@@ -113,6 +121,25 @@ class Database:
         }
         self._next_id: dict[str, int] = {s.name: 1 for s in schema.sets}
         self.counter = counter if counter is not None else RowCounter()
+        self._bind()
+
+    def _bind(self) -> None:
+        columns, reverse, ids = self._columns, self._reverse, self._ids
+        self._tables = {
+            s: {
+                n: (f, columns[s][n], reverse.get((s, n)), ids[f.codomain] if f.is_link else None)
+                for n, f in self.schema.function_table(s).items()
+            }
+            for s in ids
+        }
+        self.walks = {  # lists in tuple(): a generator costs more, once per clone
+            id(occ): (
+                tuple([reverse[fn.domain, fn.name] for fn in occ.reverse]),
+                tuple([columns[fn.domain][fn.name] for fn in occ.other.functions[::-1]]),
+            )
+            for occs in self.schema.occurrences.values()
+            for occ in occs
+        }
 
     @property
     def rows_inspected(self) -> int:
@@ -134,15 +161,21 @@ class Database:
             value = self._columns[row.set_name][fn_name][row.x]
         except KeyError:
             self._row(row)  # an unknown set or a dead row raises, counting nothing
-            self.counter.touch()
+            self.counter.rows_inspected += 1
             raise UnknownFunction(f"no function {fn_name!r} on {row.set_name!r}") from None
-        self.counter.touch()
+        self.counter.rows_inspected += 1
         return value
 
     def read_row(self, row: RowId) -> dict[str, Value]:
-        columns = self._row(row)
-        self.counter.touch()
-        return {name: column[row.x] for name, column in columns.items()}
+        """The row's values by name; reads the cells as lookup does."""
+        try:
+            values = {name: column[row.x] for name, column in self._columns[row.set_name].items()}
+        except KeyError:
+            values = {}
+        if not values:  # an unknown set or a dead row raises; a set without functions reads {}
+            self._row(row)
+        self.counter.rows_inspected += 1
+        return values
 
     def inverse(self, domain_set: str, fn_name: str, target: RowId) -> frozenset[RowId]:
         """Exact preimage of `target` under the link (domain_set, fn_name)."""
@@ -168,7 +201,7 @@ class Database:
             values = list(map(columns.get(fn_name, {}).__getitem__, xs))
         except KeyError:
             return [self.lookup(RowId(set_name, x), fn_name) for x in xs]
-        self.counter.touch(len(values))
+        self.counter.rows_inspected += len(values)
         return values
 
     def inverse_ids(
@@ -182,21 +215,21 @@ class Database:
         index = self._reverse.get((domain_set, fn_name))
         if index is None:
             raise UnknownFunction(f"no link function {fn_name!r} on {domain_set!r}")
-        self.counter.touch(len(targets))
+        self.counter.rows_inspected += len(targets)
         return set().union(*map(index.get, targets, repeat(())))
 
     # -- validation (read-only, raises StoreError) ----------------------
 
     def validate_insert(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
         """Check an insert and return the full normalized row value map."""
-        if set_name not in self._ids:
+        table = self._tables.get(set_name)
+        if table is None:
             raise UnknownSet(f"unknown set {set_name!r}")
-        functions = self.schema.function_table(set_name)
-        normalized = self._check_values(set_name, functions, values)
-        if len(normalized) < len(functions):  # some function is left unbound
-            for name, fn in functions.items():
+        normalized = self._check_values(set_name, table, values)
+        if len(normalized) < len(table):  # some function is left unbound
+            for name, slot in table.items():
                 if name not in normalized:
-                    if not fn.nullable:
+                    if not slot[0].nullable:
                         raise MissingRequired(
                             f"insert into {set_name!r} misses required {name!r}"
                         )
@@ -204,8 +237,7 @@ class Database:
         return normalized
 
     def validate_update(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
-        self._row(row)
-        return self._check_values(row.set_name, self.schema.function_table(row.set_name), values)
+        return self._check_values(row.set_name, self._row(row), values)
 
     def validate_delete(self, row: RowId) -> None:
         """Refuse (RESTRICT) deleting a row that another row links to.
@@ -229,9 +261,9 @@ class Database:
 
     def insert_row(self, set_name: str, values: Mapping[str, Value]) -> RowId:
         normalized = self.validate_insert(set_name, values)
-        row = RowId(set_name, self._next_id[set_name])
-        self._next_id[set_name] = row.x + 1
-        self._ids[set_name][row.x] = row
+        x = self._next_id[set_name]
+        self._next_id[set_name] = x + 1
+        row = self._ids[set_name][x] = tuple.__new__(RowId, (set_name, x))
         self._write(row, normalized)
         return row
 
@@ -273,6 +305,7 @@ class Database:
             for key, index in self._reverse.items()
         }
         other._next_id = dict(self._next_id)
+        other._bind()
         return other
 
     def snapshot(self) -> dict:
@@ -294,87 +327,82 @@ class Database:
     def _write(self, row: RowId, values: Mapping[str, Value]) -> None:
         """Store already-validated values and re-point the reverse index.
         Its caller has found the row live or trusts it (undo_write)."""
-        columns = self._columns[row.set_name]
-        self.counter.touch()
-        set_name, x = row
+        table = self._tables[row.set_name]
+        self.counter.rows_inspected += 1
+        x = row.x
         for name, value in values.items():
-            column = columns[name]
-            old = column.get(x)
-            if isinstance(old, RowId):
-                index = self._reverse[(set_name, name)]
-                sources = index.get(old.x)
-                if sources is not None:
+            _, column, index, _ = table[name]
+            if index is not None:  # a link: its cells hold RowIds or None
+                old = column.get(x)
+                if old is not None:
+                    sources = index[old.x]
                     sources.discard(x)
                     if not sources:
                         del index[old.x]
+                if value is not None:
+                    sources = index.get(value.x)
+                    if sources is None:
+                        index[value.x] = {x}
+                    else:
+                        sources.add(x)
             column[x] = value
-            if isinstance(value, RowId):
-                self._reverse[(set_name, name)].setdefault(value.x, set()).add(x)
 
     def _remove(self, row: RowId) -> None:
-        columns = self._row(row)
-        self._write(row, dict.fromkeys(columns))
-        for column in (self._ids[row.set_name], *columns.values()):
+        self._write(row, dict.fromkeys(self._row(row)))
+        for column in (self._ids[row.set_name], *self._columns[row.set_name].values()):
             del column[row.x]
 
-    def _row(self, row: RowId) -> dict[str, dict[int, Value]]:
-        """The columns of row's set; raises unless row is live."""
+    def _row(self, row: RowId) -> dict[str, tuple]:
+        """The table of row's set; raises unless row is live."""
         try:
             self._ids[row.set_name][row.x]
         except KeyError:
             if row.set_name not in self._ids:
                 raise UnknownSet(f"unknown set {row.set_name!r}") from None
             raise UnknownRow(f"no row {row!r}") from None
-        return self._columns[row.set_name]
+        return self._tables[row.set_name]
 
     def _check_values(
-        self, set_name: str, functions: Mapping[str, FunctionDef], values: Mapping[str, Value]
+        self, set_name: str, table: Mapping[str, tuple], values: Mapping[str, Value]
     ) -> dict[str, Value]:
-        """Each of `values` checked by its function in `functions`, the
-        function table of `set_name`, in order."""
+        """Each of `values` checked by its function in `table`, the table
+        of `set_name`, in order."""
         normalized: dict[str, Value] = {}
         for name, value in values.items():
-            fn = functions.get(name)
-            if fn is None:
+            slot = table.get(name)
+            if slot is None:
                 raise UnknownFunction(f"no function {name!r} on {set_name!r}")
-            normalized[name] = self._check_value(fn, value)
-        return normalized
-
-    def _check_value(self, fn: FunctionDef, value: Value) -> Value:
-        if value is None:
-            if not fn.nullable:
-                raise MissingRequired(
-                    f"{fn.name!r} on {fn.domain!r} does not allow null"
-                )
-            return None
-        if fn.is_link:
-            if not isinstance(value, RowId):
-                raise ValueTypeMismatch(
-                    f"{fn.name!r} on {fn.domain!r} is a link to {fn.codomain!r},"
-                    f" got {type(value).__name__}"
-                )
-            if value.set_name != fn.codomain:
-                raise ValueTypeMismatch(
-                    f"{fn.name!r} on {fn.domain!r} links to {fn.codomain!r},"
-                    f" got row of {value.set_name!r}"
-                )
-            self.counter.touch()
-            if not self.row_exists(value):
-                raise DanglingReference(
-                    f"{fn.name!r} on {fn.domain!r} references missing {value!r}"
-                )
-            return value
-        if fn.codomain is _TEXT:
-            if not isinstance(value, str):
-                raise ValueTypeMismatch(
-                    f"{fn.name!r} on {fn.domain!r} holds text, got {type(value).__name__}"
-                )
-        else:
-            if isinstance(value, bool) or not isinstance(value, int):
+            fn, _, _, targets = slot
+            if value is None:
+                if not fn.nullable:
+                    raise MissingRequired(f"{fn.name!r} on {fn.domain!r} does not allow null")
+            elif targets is not None:  # a link
+                if not isinstance(value, RowId):
+                    raise ValueTypeMismatch(
+                        f"{fn.name!r} on {fn.domain!r} is a link to {fn.codomain!r},"
+                        f" got {type(value).__name__}"
+                    )
+                if value.set_name != fn.codomain:
+                    raise ValueTypeMismatch(
+                        f"{fn.name!r} on {fn.domain!r} links to {fn.codomain!r},"
+                        f" got row of {value.set_name!r}"
+                    )
+                self.counter.rows_inspected += 1
+                if value.x not in targets:
+                    raise DanglingReference(
+                        f"{fn.name!r} on {fn.domain!r} references missing {value!r}"
+                    )
+            elif fn.codomain is _TEXT:
+                if not isinstance(value, str):
+                    raise ValueTypeMismatch(
+                        f"{fn.name!r} on {fn.domain!r} holds text, got {type(value).__name__}"
+                    )
+            elif isinstance(value, bool) or not isinstance(value, int):
                 raise ValueTypeMismatch(
                     f"{fn.name!r} on {fn.domain!r} holds integers, got {type(value).__name__}"
                 )
-        return value
+            normalized[name] = value
+        return normalized
 
 
 @lru_cache(maxsize=256)

@@ -268,6 +268,35 @@ def test_rejected_update_leaves_database_identical(geography_schema):
     assert db.snapshot() == before
 
 
+def test_each_store_judges_a_link_update_by_its_own_rows(geography_schema):
+    """A clone's link checks walk the clone's rows, and the original's its own."""
+    db, handles = seeded_geography(geography_schema)
+    before = db.snapshot()
+    clone = db.clone(share_counter=False)
+    # in the clone only, Mont Blanc (and with it the Danube) moves to Asia
+    clone.set_values(handles["montblanc"], {"Group": handles["evgroup"]})
+    clone.set_values(handles["danube"], {"Continent": handles["asia"]})
+
+    def move(range_handle, continent_handle):
+        return Mutation(
+            Action.UPDATE,
+            row_ref=handles[range_handle],
+            bindings=(Binding("Continent", handles[continent_handle]),),
+        )
+
+    alps_to_asia, himalaya_to_europe = move("alps", "asia"), move("himalaya", "europe")
+    assert apply_mutation(clone, alps_to_asia).applied
+    verdict = apply_mutation(db, alps_to_asia)
+    assert [v.witness for v in verdict.violations] == [handles["danube"]]
+    verdict = apply_mutation(clone, himalaya_to_europe)
+    assert [v.witness for v in verdict.violations] == [handles["danube"], handles["indus"]]
+    verdict = apply_mutation(db, himalaya_to_europe)
+    assert [v.witness for v in verdict.violations] == [handles["indus"]]
+    assert db.snapshot() == before
+    assert clone.lookup(handles["alps"], "Continent") == handles["asia"]
+    assert full_check(db).violations == () == full_check(clone).violations
+
+
 def test_update_link_to_null_is_vacuous_and_applied(geography_schema):
     db, handles = seeded_geography(geography_schema)
     verdict = apply_mutation(

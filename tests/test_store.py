@@ -220,6 +220,23 @@ def test_a_set_without_functions_keeps_its_rows():
     assert db.snapshot()["tables"] == {"MARKS": {2: {}}} == db.clone().snapshot()["tables"]
 
 
+def test_read_row_refuses_an_unknown_set_or_a_dead_row_counting_nothing(db):
+    saw = db.insert_row("ITEMS", {"Item": "saw"})
+    db.delete_row(db.insert_row("ITEMS", {"Item": "kite"}))
+    bare = Database(Schema("Bare", (SetDef("MARKS", "Mark"),), ()))
+    before = db.rows_inspected
+    for store, row, message in (
+        (db, RowId("SHOPS", 1), "unknown set 'SHOPS'"),
+        (db, RowId("ITEMS", 2), "no row ITEMS#2"),
+        (bare, RowId("MARKS", 1), "no row MARKS#1"),
+    ):
+        with pytest.raises((UnknownSet, UnknownRow), match=f"^{message}$"):
+            store.read_row(row)
+    assert (db.rows_inspected, bare.rows_inspected) == (before, 0)
+    assert db.read_row(saw) == {"Item": "saw", "Stock": None, "Category": None}
+    assert db.rows_inspected == before + 1
+
+
 def test_clone_is_deep_and_shares_counter_by_default(db):
     tools = db.insert_row("CATEGORIES", {"Category": "tools"})
     clone = db.clone()
@@ -355,6 +372,94 @@ def test_validate_insert_refuses_each_bad_insert_and_writes_nothing(
         db.validate_insert(set_name, values)
     assert db.rows_inspected == before + counted
     assert db.snapshot() == snapshot
+
+
+@pytest.mark.parametrize(
+    "row, values, error, message, counted",
+    [
+        (RowId("SHOPS", 1), {"Price": 1}, UnknownSet, "unknown set 'SHOPS'", 0),
+        (RowId("ITEMS", 2), {"Price": 1}, UnknownRow, "no row ITEMS#2", 0),
+        (RowId("ITEMS", 9), {"Item": "saw"}, UnknownRow, "no row ITEMS#9", 0),
+        (RowId("ITEMS", 1), {"Price": 1}, UnknownFunction, "no function 'Price' on 'ITEMS'", 0),
+        (
+            RowId("ITEMS", 1),
+            {"Item": None},
+            MissingRequired,
+            "'Item' on 'ITEMS' does not allow null",
+            0,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Item": 3},
+            ValueTypeMismatch,
+            "'Item' on 'ITEMS' holds text, got int",
+            0,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Stock": "3"},
+            ValueTypeMismatch,
+            "'Stock' on 'ITEMS' holds integers, got str",
+            0,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Stock": True},
+            ValueTypeMismatch,
+            "'Stock' on 'ITEMS' holds integers, got bool",
+            0,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Category": 1},
+            ValueTypeMismatch,
+            "'Category' on 'ITEMS' is a link to 'CATEGORIES', got int",
+            0,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Category": RowId("ITEMS", 1)},
+            ValueTypeMismatch,
+            "'Category' on 'ITEMS' links to 'CATEGORIES', got row of 'ITEMS'",
+            0,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Category": RowId("CATEGORIES", 9)},
+            DanglingReference,
+            "'Category' on 'ITEMS' references missing CATEGORIES#9",
+            1,
+        ),
+        # bound values are checked in order: a good link counts its target
+        (
+            RowId("ITEMS", 1),
+            {"Category": RowId("CATEGORIES", 1), "Stock": "3"},
+            ValueTypeMismatch,
+            "'Stock' on 'ITEMS' holds integers, got str",
+            1,
+        ),
+        (
+            RowId("ITEMS", 1),
+            {"Stock": "3", "Category": RowId("CATEGORIES", 9)},
+            ValueTypeMismatch,
+            "'Stock' on 'ITEMS' holds integers, got str",
+            0,
+        ),
+    ],
+)
+def test_validate_update_refuses_each_bad_update_and_writes_nothing(
+    db, row, values, error, message, counted
+):
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    db.insert_row("ITEMS", {"Item": "saw", "Category": tools, "Stock": 2})
+    db.delete_row(db.insert_row("ITEMS", {"Item": "kite"}))
+    snapshot = db.snapshot()
+    for update in (db.validate_update, db.set_values):
+        before = db.rows_inspected
+        with pytest.raises(error, match=f"^{message}$"):
+            update(row, values)
+        assert db.rows_inspected == before + counted
+        assert db.snapshot() == snapshot
 
 
 def test_validate_insert_keeps_the_bound_order_and_appends_nulls_in_schema_order(db):

@@ -95,11 +95,19 @@ class Expectation(Enum):
 # each field through object.__setattr__, which made building the records a
 # quarter of parsing a script. Nothing changes a record once built, so they
 # hash by value; equality holds only between two records of one class.
+# A parsed script shares what repeats, which halves the memory it holds:
+# each handle name has one HandleRef, and set and function names are the
+# schema's own str objects.
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class HandleRef:
-    """A symbolic reference to a row bound earlier in the same script."""
+    """A symbolic reference to a row bound earlier in the same script.
+
+    parse_script makes one per handle name and every statement of the
+    script that names the handle holds it, so treat it as immutable:
+    a change would reach every one of them.
+    """
 
     name: str
 
@@ -109,13 +117,23 @@ BindingValue = Union[int, str, HandleRef, RowId, None]
 
 @dataclass(slots=True, unsafe_hash=True)
 class Binding:
+    """One `function = value` of a statement. A parsed binding's `function`
+    is the schema's FunctionDef.name and a handle `value` is the script's
+    one HandleRef for it: shared, so treat the binding as immutable."""
+
     function: str
     value: BindingValue
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Mutation:
-    """One parsed script statement, in source order."""
+    """One parsed script statement, in source order.
+
+    A parsed insert's `set_name` is the schema's own name, and an update's
+    or delete's `row_ref` is the script's one HandleRef for its handle.
+    Mutations share these sub-objects with each other and with the
+    schema, so treat every parsed record as immutable.
+    """
 
     action: Action
     set_name: str | None = None
@@ -667,7 +685,8 @@ def _repeat(what: str, name: str, earlier: str, where: str = "") -> str:
 
 class _ScriptParser(_Parser):
     """The token parser: reads a script from its line `first + 1` on, with
-    `handles` bound by the lines before it."""
+    `handles` bound by the lines before it and `refs`, the script's one
+    HandleRef per handle name, made by them."""
 
     def __init__(
         self,
@@ -675,10 +694,12 @@ class _ScriptParser(_Parser):
         schema: Schema,
         first: int = 0,
         handles: dict[str, str] | None = None,
+        refs: dict[str, HandleRef] | None = None,
     ):
         super().__init__(source, first)
         self.schema = schema
         self.handles: dict[str, str] = {} if handles is None else handles
+        self.refs: dict[str, HandleRef] = {} if refs is None else refs
 
     def parse(self) -> list[Mutation]:
         mutations: list[Mutation] = []
@@ -706,8 +727,9 @@ class _ScriptParser(_Parser):
         if set_pos is None or not self.expect("("):
             self.skip_past(";")
             return None
-        set_name = self.tokens[set_pos]
-        known_set = set_name if self.schema.has_set(set_name) else None
+        set_def = self.schema.set_def(self.tokens[set_pos])
+        known_set = None if set_def is None else set_def.name  # the schema's own str
+        set_name = known_set or self.tokens[set_pos]
         if known_set is None:
             self.error(f"unknown set {set_name!r}", set_pos, IssueCode.UNKNOWN_SET)
         bindings = [] if self.tok == ")" else self._bindings(known_set)
@@ -742,8 +764,7 @@ class _ScriptParser(_Parser):
         if bindings is None:
             self.skip_past(";")
             return None
-        row_ref = HandleRef(self.tokens[target][1:])
-        return self._finish(start, Action.UPDATE, None, row_ref, bindings, None)
+        return self._finish(start, Action.UPDATE, None, self._ref(target), bindings, None)
 
     def _delete(self) -> Mutation | None:
         start = self.advance()
@@ -752,8 +773,7 @@ class _ScriptParser(_Parser):
             self.skip_past(";")
             return None
         self._resolve_handle(target)
-        row_ref = HandleRef(self.tokens[target][1:])
-        return self._finish(start, Action.DELETE, None, row_ref, [], None)
+        return self._finish(start, Action.DELETE, None, self._ref(target), [], None)
 
     def _finish(
         self,
@@ -810,7 +830,7 @@ class _ScriptParser(_Parser):
         problem = None if fn is None else _kind_problem(fn, value, self.handles)
         if problem is not None:
             self.error(problem, value_pos, IssueCode.TYPE_MISMATCH)
-        return Binding(fn_name, value)
+        return Binding(fn_name if fn is None else fn.name, value)
 
     def _literal(self) -> BindingValue:
         tok = self.tok
@@ -819,8 +839,9 @@ class _ScriptParser(_Parser):
             self.advance()
             return _string_value(tok)
         if kind == "HANDLE":
-            self._resolve_handle(self.advance())
-            return HandleRef(tok[1:])
+            pos = self.advance()
+            self._resolve_handle(pos)
+            return self._ref(pos)
         if kind == "null":
             self.advance()
             return None
@@ -847,6 +868,11 @@ class _ScriptParser(_Parser):
                 IssueCode.UNBOUND_HANDLE,
             )
         return set_name
+
+    def _ref(self, pos: int) -> HandleRef:
+        """The script's one HandleRef for the handle at `pos`."""
+        name = self.tokens[pos][1:]
+        return self.refs.setdefault(name, HandleRef(name))
 
 
 def _kind_problem(
@@ -938,17 +964,21 @@ _EXPECTATIONS = {None: None, "accept": Expectation.ACCEPT, "reject": Expectation
 
 def _parse_fast(
     source_lines: list[str], schema: Schema
-) -> tuple[list[Mutation], dict[str, str], int]:
+) -> tuple[list[Mutation], dict[str, str], dict[str, HandleRef], int]:
     """Take the script's lines in order while each holds one whole common
     statement, or only blanks and a comment.
 
-    Returns the mutations taken, the handles they bind and the index of the
-    first line not taken. A line is not taken when no pattern matches it
-    whole or when the token parser would report anything on it, so the
-    token parser started at that line reads the script as if from its start.
+    Returns the mutations taken, the handles they bind, one HandleRef per
+    handle bound, and the index of the first line not taken. A line is not
+    taken when no pattern matches it whole or when the token parser would
+    report anything on it, so the token parser started at that line reads
+    the script as if from its start. Set and function names are the
+    schema's own str objects, not copies made by the match.
     """
     function_table = schema.function_table
+    set_names = {s.name: s.name for s in schema.sets}
     handles: dict[str, str] = {}
+    refs: dict[str, HandleRef] = {}
     mutations: list[Mutation] = []
     for n, text in enumerate(source_lines):
         pattern = _STATEMENT_RES.get(text.lstrip(" \t\r")[:6])
@@ -956,11 +986,12 @@ def _parse_fast(
         if m is None:
             if _BLANK_RE.fullmatch(text):
                 continue
-            return mutations, handles, n
+            return mutations, handles, refs, n
         if pattern is _INSERT_RE:
             set_name, body, handle, expect = m.groups()
+            set_name = set_names.get(set_name)
             if handle in handles or handle in _KEYWORDS:
-                return mutations, handles, n
+                return mutations, handles, refs, n
             action, row_ref, fns = Action.INSERT, None, function_table(set_name)
         else:
             # an update's groups are (handle, bindings, expect), a delete's
@@ -968,26 +999,31 @@ def _parse_fast(
             ref, *rest, expect = m.groups()
             action = Action.UPDATE if rest else Action.DELETE
             set_name, body, handle = None, rest[0] if rest else None, None
-            row_ref, fns = HandleRef(ref), function_table(handles.get(ref))
+            row_ref, fns = refs.get(ref), function_table(handles.get(ref))
         if not fns:
-            return mutations, handles, n
-        bindings = () if body is None else _fast_bindings(body, fns, handles)
+            return mutations, handles, refs, n
+        bindings = () if body is None else _fast_bindings(body, fns, handles, refs)
         if bindings is None:
-            return mutations, handles, n
+            return mutations, handles, refs, n
         if handle is not None:
             handles[handle] = set_name
+            refs[handle] = HandleRef(handle)
         expectation = _EXPECTATIONS[expect]
         mutations.append(
             Mutation(action, set_name, row_ref, bindings, handle, expectation, n + 1)
         )
-    return mutations, handles, len(source_lines)
+    return mutations, handles, refs, len(source_lines)
 
 
 def _fast_bindings(
-    text: str, functions: Mapping[str, FunctionDef], handles: dict[str, str]
+    text: str,
+    functions: Mapping[str, FunctionDef],
+    handles: dict[str, str],
+    refs: dict[str, HandleRef],
 ) -> tuple[Binding, ...] | None:
     """The bindings that `text` lists, of `functions` of one set, or None
-    if the token parser would report one of them."""
+    if the token parser would report one of them. `refs` holds a HandleRef
+    for each handle in `handles`."""
     bindings = []
     for name, string, ref, integer in _BINDING_RE.findall(text):
         fn = functions.get(name)
@@ -996,9 +1032,9 @@ def _fast_bindings(
         if string:
             value: BindingValue = _unescape(string[1:-1])
         elif ref:
-            if ref not in handles:
+            value = refs.get(ref)
+            if value is None:
                 return None
-            value = HandleRef(ref)
         elif integer:
             value = _int_value(integer)
             if value is None:
@@ -1007,7 +1043,7 @@ def _fast_bindings(
             value = None
         if _kind_problem(fn, value, handles) is not None:
             return None
-        bindings.append(Binding(name, value))
+        bindings.append(Binding(fn.name, value))
     return None if _duplicates(bindings) else tuple(bindings)
 
 
@@ -1020,10 +1056,10 @@ def parse_script(
     insert in the same script before it can be referenced.
     """
     source_lines = source.split("\n")
-    mutations, handles, first = _parse_fast(source_lines, schema)
+    mutations, handles, refs, first = _parse_fast(source_lines, schema)
     if first == len(source_lines):
         return mutations, []
-    parser = _ScriptParser(source, schema, first, handles)
+    parser = _ScriptParser(source, schema, first, handles, refs)
     mutations += parser.parse()
     diagnostics = parser.diagnostics
     if diagnostics:

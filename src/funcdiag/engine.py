@@ -220,7 +220,7 @@ def check_link_update(
     if head is None:
         return []
     # The other chain over every affected row, one bound column per level,
-    # counted as Database.lookup_ids counts; a row leaves at its first null.
+    # +1 per row read, as Database.lookup counts; a row leaves at its first null.
     rows = ids = affected_rows(db, occurrence, r)
     counter = db.counter
     for column in db.walks[id(occurrence)][1]:

@@ -299,6 +299,13 @@ class Schema:
     message_template_problem); anything else raises ValueError naming the
     constraint. The lookup tables, including the
     per-(set, function) chain occurrences, are built once here.
+
+    Precondition: names are not checked here. parse_schema refuses a
+    function named `x` or `X`, and two sets, two functions of one set or
+    two constraint ids alike but for ASCII case; a schema built through
+    this API must hold none of them, or SQLite refuses its emitted DDL or
+    triggers (tests/test_sql_harness.py::
+    test_names_sqlite_cannot_tell_apart_are_refused shows each error).
     """
 
     name: str

@@ -13,15 +13,16 @@ Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
 index and target set's live ids, and link checks read each occurrence's
 walk, bound to its reverse indexes and columns. Both hold the store's own
-dicts, never copies; clone() binds them afresh to the copy's.
+dicts, never copies; clone() binds them afresh to the copy's, from a
+recipe derived once from the schema.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
-and +1 per reverse-index consultation. The bulk reads, lookup_ids and
-inverse_ids, answer a whole level of a chain walk in one call over row
-ids and count exactly as lookup and inverse would row by row: +1 per row
-read and +1 per target consulted; a link check's bound walk counts the
-same. lookup and read_row read the cells directly and look for what is
+and +1 per reverse-index consultation. inverse_ids answers a whole level
+of a reverse walk in one call over row ids and counts exactly as inverse
+would row by row, +1 per target consulted, and a link check's bound walk
+counts as lookup and inverse would: +1 per row read and +1 per target
+consulted. lookup and read_row read the cells directly and look for what is
 missing only when that fails, and count the same on either path: +1 for
 a live row, even when the function is unknown, and nothing for an
 unknown set or a dead row. The counter measures work done, so it keeps
@@ -107,7 +108,8 @@ class Database:
     (reverse indexes outermost first, other chain's columns innermost
     first) for each occurrence in schema.occurrences. Single writer;
     readers interleave only between mutations. clone() shares the counter
-    by default, so scratch work counts, and rebinds tables and walks.
+    by default, so scratch work counts, and rebinds tables and walks from
+    the recipe it shares.
     """
 
     def __init__(self, schema: Schema, counter: RowCounter | None = None):
@@ -121,24 +123,24 @@ class Database:
         }
         self._next_id: dict[str, int] = {s.name: 1 for s in schema.sets}
         self.counter = counter if counter is not None else RowCounter()
+        self._recipe = _recipe(schema)
         self._bind()
 
     def _bind(self) -> None:
+        """Bind tables and walks to this store's own dicts, from the recipe
+        that __init__ derived from the schema and every clone shares."""
         columns, reverse, ids = self._columns, self._reverse, self._ids
+        tables, walks = self._recipe
         self._tables = {
-            s: {
-                n: (f, columns[s][n], reverse.get((s, n)), ids[f.codomain] if f.is_link else None)
-                for n, f in self.schema.function_table(s).items()
-            }
-            for s in ids
+            s: {n: (f, cs[n], reverse.get(link), ids.get(target)) for n, f, link, target in slots}
+            for s, cs, slots in zip(ids, columns.values(), tables)
         }
         self.walks = {  # lists in tuple(): a generator costs more, once per clone
-            id(occ): (
-                tuple([reverse[fn.domain, fn.name] for fn in occ.reverse]),
-                tuple([columns[fn.domain][fn.name] for fn in occ.other.functions[::-1]]),
+            key: (
+                tuple([reverse[link] for link in links]),
+                tuple([columns[s][n] for s, n in column_names]),
             )
-            for occs in self.schema.occurrences.values()
-            for occ in occs
+            for key, links, column_names in walks
         }
 
     @property
@@ -185,24 +187,6 @@ class Database:
     def row_ids(self, set_name: str, xs: Iterable[int]) -> list[RowId]:
         """The stored RowId of each of the live rows `xs` of set_name; counts nothing."""
         return list(map(self._ids[set_name].__getitem__, xs))
-
-    def lookup_ids(self, set_name: str, fn_name: str, xs: list[int]) -> list[Value]:
-        """fn_name's value at each row of set_name whose id is in `xs`, in
-        order: lookup for a whole level of rows in one call.
-
-        Counts +1 per row read. A missing row or function raises the error
-        lookup raises, after counting the rows lookup would have read
-        before it.
-        """
-        columns = self._columns.get(set_name)
-        if columns is None:
-            raise UnknownSet(f"unknown set {set_name!r}")
-        try:
-            values = list(map(columns.get(fn_name, {}).__getitem__, xs))
-        except KeyError:
-            return [self.lookup(RowId(set_name, x), fn_name) for x in xs]
-        self.counter.rows_inspected += len(values)
-        return values
 
     def inverse_ids(
         self, domain_set: str, fn_name: str, targets: Collection[int]
@@ -305,6 +289,7 @@ class Database:
             for key, index in self._reverse.items()
         }
         other._next_id = dict(self._next_id)
+        other._recipe = self._recipe
         other._bind()
         return other
 
@@ -403,6 +388,31 @@ class Database:
                 )
             normalized[name] = value
         return normalized
+
+
+def _recipe(schema: Schema) -> tuple[list, list]:
+    """What _bind binds, by name. Per set, in the order of the store's
+    dicts: (name, function, reverse-index key, linked set) for each
+    function, the last two None for an attribute. Per occurrence:
+    (id(occurrence), its reverse-index keys outermost first, its other
+    chain's (set, function) columns innermost first)."""
+    tables = [
+        [
+            (f.name, f, (f.domain, f.name), f.codomain) if f.is_link else (f.name, f, None, None)
+            for f in schema.function_table(s.name).values()
+        ]
+        for s in schema.sets
+    ]
+    walks = [
+        (
+            id(occ),
+            tuple((fn.domain, fn.name) for fn in occ.reverse),
+            tuple((fn.domain, fn.name) for fn in occ.other.functions[::-1]),
+        )
+        for occs in schema.occurrences.values()
+        for occ in occs
+    ]
+    return tables, walks
 
 
 @lru_cache(maxsize=256)

@@ -1,5 +1,6 @@
 """The row-at-a-time link check, kept as a reference for the engine's
-set-at-a-time one.
+set-at-a-time one, and lookup_ids, the bulk column read its tests compare
+with Database.lookup.
 
 check_link_update here walks the reverse indexes one target row at a
 time, through Database.inverse, and evaluates the other chain at each
@@ -31,7 +32,27 @@ from funcdiag.engine import (
     sort_violations,
 )
 from funcdiag.model import ChainSpec, Occurrence, Side
-from funcdiag.store import Database, RowId, StoreError, Value
+from funcdiag.store import Database, RowId, StoreError, UnknownSet, Value
+
+
+def lookup_ids(db: Database, set_name: str, fn_name: str, xs: list[int]) -> list[Value]:
+    """fn_name's value at each row of set_name whose id is in `xs`, in
+    order: Database.lookup for a whole level of rows, read from the
+    column as the engine's bound walks read it.
+
+    Counts +1 per row read. A missing row or function raises the error
+    lookup raises, after counting the rows lookup would have read
+    before it.
+    """
+    columns = db._columns.get(set_name)
+    if columns is None:
+        raise UnknownSet(f"unknown set {set_name!r}")
+    try:
+        values = list(map(columns.get(fn_name, {}).__getitem__, xs))
+    except KeyError:
+        return [db.lookup(RowId(set_name, x), fn_name) for x in xs]
+    db.counter.rows_inspected += len(values)
+    return values
 
 
 def affected_rows(db: Database, chain: ChainSpec, position: int, r: RowId) -> frozenset[RowId]:

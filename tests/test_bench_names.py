@@ -1,7 +1,8 @@
 """The benchmark's traced run wraps library functions by name.
 
-perfbench's own tests are not part of this suite, so renaming or removing
-one of those functions would only show when a traced benchmark run fails.
+perfbench's own tests are not part of this suite (CI runs them in a step of
+their own), so without this test renaming or removing one of those
+functions would show only there or when a traced benchmark run fails.
 """
 
 from __future__ import annotations

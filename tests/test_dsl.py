@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -690,9 +692,75 @@ def test_fixture_and_workload_scripts_parse_as_the_token_parser(name, monkeypatc
 def test_every_fixture_and_workload_statement_takes_the_fast_path(name, monkeypatch):
     schema, source = _schema_and_script(name, monkeypatch)
     lines = source.split("\n")
-    mutations, _, first = _parse_fast(lines, schema)
+    mutations, _, _, first = _parse_fast(lines, schema)
     assert first == len(lines), f"line {first + 1}: {lines[first]!r}"
     assert len(mutations) == len(_ScriptParser(source, schema).parse())
+
+
+def _split_midway(source: str) -> str:
+    """The script with the insert nearest its middle broken after its `(`:
+    the fast path stops at that line and the token parser reads the rest."""
+    lines = source.split("\n")
+    inserts = [i for i, text in enumerate(lines) if text.startswith("insert")]
+    i = min(inserts, key=lambda i: abs(i - len(lines) // 2))
+    lines[i] = lines[i].replace("(", "(\n", 1)
+    return "\n".join(lines)
+
+
+def _assert_shares_what_repeats(mutations: list[Mutation], schema: Schema) -> None:
+    """Every reference to a handle is one HandleRef object, and every set
+    and function name is the schema's own str object."""
+    refs: dict[str, HandleRef] = {}
+    handle_sets: dict[str, str] = {}
+    for m in mutations:
+        if m.action is Action.INSERT:
+            set_name = m.set_name
+            assert set_name is schema.set_def(set_name).name
+            handle_sets[m.handle] = set_name
+        else:
+            assert refs.setdefault(m.row_ref.name, m.row_ref) is m.row_ref
+            set_name = handle_sets[m.row_ref.name]
+        for binding in m.bindings:
+            assert binding.function is schema.function(set_name, binding.function).name
+            if isinstance(binding.value, HandleRef):
+                assert refs.setdefault(binding.value.name, binding.value) is binding.value
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split-midway"])
+@pytest.mark.parametrize("name", [*_FIXTURE_SCRIPTS, *_WORKLOADS])
+def test_parsed_scripts_share_what_repeats_on_either_path(name, split, monkeypatch):
+    schema, source = _schema_and_script(name, monkeypatch)
+    if split:
+        source = _split_midway(source)
+        lines = source.split("\n")
+        _, _, refs, first = _parse_fast(lines, schema)
+        assert refs and 0 < first < len(lines) - 1
+    _assert_parses_as_the_token_parser(source, schema)
+    mutations, _ = parse_script(source, schema)
+    _assert_shares_what_repeats(mutations, schema)
+    _assert_shares_what_repeats(_ScriptParser(source, schema).parse(), schema)
+
+
+# Retained by the parsed seed-1 workload scripts at scale 0.05 (CPython
+# 3.11, tracemalloc): 429-434 bytes per statement, against 788-801 when
+# every reference made its own HandleRef and every name its own str. The
+# bound leaves 30% headroom for other interpreter versions.
+_PARSED_BYTES_PER_STATEMENT = 560
+
+
+@pytest.mark.parametrize("name", _WORKLOADS)
+def test_a_parsed_script_retains_at_most_its_bytes_per_statement(name, monkeypatch):
+    schema, source = _schema_and_script(name, monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mutations, _ = parse_script(source, schema)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained / len(mutations) <= _PARSED_BYTES_PER_STATEMENT
 
 
 _MIXED = parse_schema(

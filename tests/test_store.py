@@ -18,6 +18,7 @@ from funcdiag.store import (
     Value,
     ValueTypeMismatch,
 )
+from rowwise_engine import lookup_ids
 
 
 def brute_force_preimage(
@@ -481,8 +482,8 @@ def test_bulk_reads_answer_and_count_as_the_per_row_reads(db):
     drill = db.insert_row("ITEMS", {"Item": "drill", "Category": tools})
     items = [drill.x, saw.x, kite.x]
     before = db.rows_inspected
-    assert db.lookup_ids("ITEMS", "Stock", items) == [None, 3, None]
-    assert db.lookup_ids("ITEMS", "Category", items) == [tools, tools, toys]
+    assert lookup_ids(db, "ITEMS", "Stock", items) == [None, 3, None]
+    assert lookup_ids(db, "ITEMS", "Category", items) == [tools, tools, toys]
     assert db.rows_inspected == before + 6
     assert db.inverse_ids("ITEMS", "Category", {tools.x, toys.x, 99}) == set(items)
     assert db.inverse_ids("ITEMS", "Category", []) == set()
@@ -492,9 +493,9 @@ def test_bulk_reads_answer_and_count_as_the_per_row_reads(db):
 @pytest.mark.parametrize(
     "read, error, counted",
     [
-        (lambda db: db.lookup_ids("ITEMS", "Stock", [1, 7, 2]), UnknownRow, 1),
-        (lambda db: db.lookup_ids("ITEMS", "Colour", [1, 2]), UnknownFunction, 1),
-        (lambda db: db.lookup_ids("SHOPS", "Item", [1]), UnknownSet, 0),
+        (lambda db: lookup_ids(db, "ITEMS", "Stock", [1, 7, 2]), UnknownRow, 1),
+        (lambda db: lookup_ids(db, "ITEMS", "Colour", [1, 2]), UnknownFunction, 1),
+        (lambda db: lookup_ids(db, "SHOPS", "Item", [1]), UnknownSet, 0),
         (lambda db: db.inverse_ids("ITEMS", "Stock", [1]), UnknownFunction, 0),
     ],
 )
@@ -653,7 +654,7 @@ def _assert_matches(
         assert _same_objects(db.row_ids(set_name, xs), [issued[RowId(set_name, x)] for x in xs])
         for fn in MODEL_SCHEMA.functions_of(set_name):
             before = db.rows_inspected
-            assert db.lookup_ids(set_name, fn.name, xs) == [table[x][fn.name] for x in xs]
+            assert lookup_ids(db, set_name, fn.name, xs) == [table[x][fn.name] for x in xs]
             assert db.rows_inspected == before + len(xs)
             if fn.is_link:
                 for target in db.rows(fn.codomain):

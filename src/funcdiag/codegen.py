@@ -19,12 +19,13 @@ break in a message is spliced into its VBA literal as `" & vbLf & "`
 cannot span lines.
 
 GENERIC_SQL emits portable trigger statements (SQLite-compatible)
-performing the same comparison via two chain-walk subqueries over the
-written state. A trigger whose subqueries read the table it is defined
-on runs AFTER the write, because a BEFORE trigger would read the row
-being written with its old values; every other trigger runs BEFORE,
-where every row it reads is already in its post-state and a rejected
-write is never made.
+performing the same comparison over the written state. One function
+(_sql_trigger) renders every trigger, and every walk in it, as one flat
+join, so no chain nests its SQL. Precondition: for chains of n and m
+functions each trigger joins n + m - 2 tables, and SQLite joins at most
+64 (https://www.sqlite.org/limits.html); when n + m > 66 the triggers
+install, but a write that fires one is refused with `at most 64 tables
+in a join`, never accepted unchecked.
 
 Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
 EXISTS` per link column its triggers walk backwards, the SQL twin of the
@@ -249,54 +250,76 @@ def _sql_domain_check(constraint: DiagramConstraint) -> str:
     domain = constraint.domain_set
     fn = constraint.left.innermost.name
     gm = constraint.right.innermost.name
-    left_expr = _sql_forward_walk(constraint.left.functions[-2::-1], f"NEW.{_b(fn)}")
-    right_expr = _sql_forward_walk(constraint.right.functions[-2::-1], f"NEW.{_b(gm)}")
-    message = _sql_string(constraint.template)
-    timing = _timing(
-        domain, constraint.left.functions[:-1], constraint.right.functions[:-1]
+    walks = (
+        (f"NEW.{_b(fn)}", (), constraint.left.functions[-2::-1]),
+        (f"NEW.{_b(gm)}", (), constraint.right.functions[-2::-1]),
     )
-    columns = _b(fn) if fn == gm else f"{_b(fn)}, {_b(gm)}"
+    update = f"UPDATE OF {_b(fn)}" + ("" if fn == gm else f", {_b(gm)}")
     name = f"{constraint.id}.{domain}"
-    change_guard = f"NEW.{_b(fn)} IS NOT OLD.{_b(fn)}"
+    guard = f"NEW.{_b(fn)} IS NOT OLD.{_b(fn)}"
     if gm != fn:
-        change_guard += f" OR NEW.{_b(gm)} IS NOT OLD.{_b(gm)}"
-    action = "\n".join(
+        guard += f" OR NEW.{_b(gm)} IS NOT OLD.{_b(gm)}"
+    return "\n\n".join(
         [
+            _sql_trigger(constraint, f"{name}.ins", "INSERT", domain, None, *walks),
+            _sql_trigger(constraint, f"{name}.upd", update, domain, guard, *walks),
+        ]
+    )
+
+
+Walk = tuple[str, tuple[FunctionDef, ...], tuple[FunctionDef, ...]]
+
+
+def _sql_trigger(
+    constraint: DiagramConstraint,
+    name: str,
+    event: str,
+    table: str,
+    guard: str | None,
+    *walks: Walk,
+) -> str:
+    """A row trigger on `table` aborting with the constraint's message at
+    the first row of one flat join over both `walks` whose ends compare as
+    a violation. A walk (start, back, forward) starts at a value. Each
+    function of `back`, outermost first, joins the rows whose link names
+    the value (`tK.[fn] = value`); each of `forward`, innermost first, is
+    read at the row the value names, joined as `tK.[x] = value` unless a
+    backward hop has just joined it. A trigger that joins `table` runs
+    AFTER the write, since BEFORE it would read the written row's old
+    values; any other runs BEFORE, where every row it joins is post-state.
+    """
+    joined: list[str] = []
+    conditions: list[str] = []
+    ends: list[str] = []
+    for value, back, forward in walks:
+        row = None
+        for fn in back:
+            joined.append(fn.domain)
+            row = f"t{len(joined)}"
+            conditions.append(f"{row}.{_b(fn.name)} = {value}")
+            value = f"{row}.[x]"
+        for fn in forward:
+            if row is None:
+                joined.append(fn.domain)
+                row = f"t{len(joined)}"
+                conditions.append(f"{row}.[x] = {value}")
+            value, row = f"{row}.{_b(fn.name)}", None
+        ends.append(value)
+    left, right = ends
+    conditions.append(f"{left} {_comparison_op(constraint.kind)} {right}")
+    timing = "AFTER" if table in joined else "BEFORE"
+    return "\n".join(
+        [
+            f"CREATE TRIGGER {_b(name)} {timing} {event} ON {_b(table)}",
+            "FOR EACH ROW",
+            *([f"WHEN {guard}"] if guard else []),
             "BEGIN",
-            f"    SELECT RAISE(ABORT, {message})",
-            f"    WHERE ({left_expr}) {_comparison_op(constraint.kind)} ({right_expr});",
+            f"    SELECT RAISE(ABORT, {_sql_string(constraint.template)})",
+            "    FROM " + ", ".join(f"{_b(t)} t{k}" for k, t in enumerate(joined, 1)),
+            "    WHERE " + "\n      AND ".join(conditions) + ";",
             "END;",
         ]
     )
-    return "\n".join(
-        [
-            f"CREATE TRIGGER [{name}.ins] {timing} INSERT ON {_b(domain)}",
-            "FOR EACH ROW",
-            action,
-            "",
-            f"CREATE TRIGGER [{name}.upd] {timing} UPDATE OF {columns} ON {_b(domain)}",
-            "FOR EACH ROW",
-            f"WHEN {change_guard}",
-            action,
-        ]
-    )
-
-
-def _timing(table: str, *walks: tuple[FunctionDef, ...]) -> str:
-    """AFTER when a trigger on `table` reads it through the link columns
-    of `walks`, BEFORE otherwise."""
-    if any(fn.domain == table for walk in walks for fn in walk):
-        return "AFTER"
-    return "BEFORE"
-
-
-def _sql_forward_walk(walk: tuple[FunctionDef, ...], start: str) -> str:
-    """Scalar subquery expression applying the functions of `walk`,
-    innermost first, to `start`."""
-    expr = start
-    for fn in walk:
-        expr = f"(SELECT {_b(fn.name)} FROM {_b(fn.domain)} WHERE [x] = {expr})"
-    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -409,41 +432,18 @@ def _paper_link_block(schema: Schema, occ: Occurrence) -> str:
     return "\n".join([comment, *_vba_ifs([(None, guard), *steps], body)])
 
 
-def _sql_affected_pred(walk: tuple[FunctionDef, ...]) -> str:
-    """Reverse-reachability predicate on alias d, anchored at NEW.x: the
-    link columns of `walk`, outermost first, lead back to the domain set."""
-    *outer, innermost = walk
-    predicate = "= NEW.[x]"
-    for fn in outer:
-        predicate = f"IN (SELECT [x] FROM {_b(fn.domain)} WHERE {_b(fn.name)} {predicate})"
-    return f"d.{_b(innermost.name)} {predicate}"
-
-
 def _sql_link_trigger(occ: Occurrence) -> str:
-    constraint, other, table = occ.constraint, occ.other, occ.set_name
-    column = _b(occ.function_name)
-    name = f"[{constraint.id}.{table}.{occ.function_name}.{occ.side.value}{occ.position}]"
-    message = _sql_string(constraint.template)
-    cmp = _comparison_op(constraint.kind)
-    other_value = _sql_forward_walk(other.functions[-2::-1], f"d.{_b(other.innermost.name)}")
-    head = _sql_forward_walk(occ.head, f"NEW.{column}")
-    # the head walk, the affected-row walk from the domain set, and the
-    # other chain's walk
-    timing = _timing(table, occ.head, occ.reverse, other.functions[:-1])
-    lines = [
-        f"CREATE TRIGGER {name} {timing} UPDATE OF {column} ON {_b(table)}",
-        "FOR EACH ROW",
-        f"WHEN NEW.{column} IS NOT NULL AND NEW.{column} IS NOT OLD.{column}",
-        "BEGIN",
-        f"    SELECT RAISE(ABORT, {message})",
-        "    WHERE EXISTS (",
-        f"        SELECT 1 FROM {_b(constraint.domain_set)} d",
-        f"        WHERE {_sql_affected_pred(occ.reverse)}",
-        f"          AND ({other_value}) {cmp} ({head})",
-        "    );",
-        "END;",
-    ]
-    return "\n".join(lines)
+    table, column = occ.set_name, _b(occ.function_name)
+    return _sql_trigger(
+        occ.constraint,
+        f"{occ.constraint.id}.{table}.{occ.function_name}.{occ.side.value}{occ.position}",
+        f"UPDATE OF {column}",
+        table,
+        f"NEW.{column} IS NOT NULL AND NEW.{column} IS NOT OLD.{column}",
+        # the affected domain rows, the other chain's value at each, and the new head
+        ("NEW.[x]", occ.reverse, occ.other.functions[::-1]),
+        (f"NEW.{column}", (), occ.head),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,8 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
 
     Walks the store's bound reverse indexes of occurrence.reverse over
     row ids, one level at a time for the whole frontier, counting as
-    Database.inverse_ids does; at the innermost position the walk is
-    empty and the row is itself in the domain set.
+    Database.inverse would for each of its rows; at the innermost
+    position the walk is empty and the row is itself in the domain set.
     """
     frontier: Collection[int] = (r.x,)
     counter = db.counter

@@ -18,10 +18,8 @@ recipe derived once from the schema.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
-and +1 per reverse-index consultation. inverse_ids answers a whole level
-of a reverse walk in one call over row ids and counts exactly as inverse
-would row by row, +1 per target consulted, and a link check's bound walk
-counts as lookup and inverse would: +1 per row read and +1 per target
+and +1 per reverse-index consultation. A link check's bound walk counts
+as lookup and inverse would: +1 per row read and +1 per target
 consulted. lookup and read_row read the cells directly and look for what is
 missing only when that fails, and count the same on either path: +1 for
 a live row, even when the function is unknown, and nothing for an
@@ -33,8 +31,7 @@ logical state captured by snapshot().
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .model import ScalarType, Schema
 
@@ -180,27 +177,17 @@ class Database:
         return values
 
     def inverse(self, domain_set: str, fn_name: str, target: RowId) -> frozenset[RowId]:
-        """Exact preimage of `target` under the link (domain_set, fn_name)."""
-        sources = self.inverse_ids(domain_set, fn_name, (target.x,))
-        return frozenset(self.row_ids(domain_set, sources))
+        """Exact preimage of `target` under the link (domain_set, fn_name);
+        counts +1 for the target consulted."""
+        index = self._reverse.get((domain_set, fn_name))
+        if index is None:
+            raise UnknownFunction(f"no link function {fn_name!r} on {domain_set!r}")
+        self.counter.rows_inspected += 1
+        return frozenset(self.row_ids(domain_set, index.get(target.x, ())))
 
     def row_ids(self, set_name: str, xs: Iterable[int]) -> list[RowId]:
         """The stored RowId of each of the live rows `xs` of set_name; counts nothing."""
         return list(map(self._ids[set_name].__getitem__, xs))
-
-    def inverse_ids(
-        self, domain_set: str, fn_name: str, targets: Collection[int]
-    ) -> set[int]:
-        """Ids of the rows of domain_set whose link fn_name points at one of
-        the row ids `targets`: inverse for a whole level in one call.
-
-        Counts +1 per target consulted, as inverse does for each.
-        """
-        index = self._reverse.get((domain_set, fn_name))
-        if index is None:
-            raise UnknownFunction(f"no link function {fn_name!r} on {domain_set!r}")
-        self.counter.rows_inspected += len(targets)
-        return set().union(*map(index.get, targets, repeat(())))
 
     # -- validation (read-only, raises StoreError) ----------------------
 

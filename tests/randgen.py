@@ -103,14 +103,17 @@ def _grow_chain(builder: _Builder, length: int, codomain: str | ScalarType) -> l
     return fns
 
 
-def make_schema(rng: random.Random, n_constraints: int = 1) -> Schema:
+def make_schema(rng: random.Random, n_constraints: int = 1, max_chain: int = 6) -> Schema:
+    """`n_constraints` constraints whose chains compose 1 to `max_chain`
+    functions each, at least one of them two or more; the default draws
+    what every seed drew before chains could be longer."""
     builder = _Builder(rng)
     raws: list[RawConstraint] = []
     for index in range(n_constraints):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 6)
+        n = rng.randint(1, max_chain)
+        m = rng.randint(1, max_chain)
         if n == 1 and m == 1:
-            n = rng.randint(2, 6)
+            n = rng.randint(2, max_chain)
         if rng.random() < 0.4:
             codomain: str | ScalarType = rng.choice(
                 [ScalarType.TEXT, ScalarType.INTEGER]

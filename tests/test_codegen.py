@@ -146,8 +146,14 @@ def test_sql_domain_check_structure(geography_schema):
     assert "BEFORE UPDATE OF Mountain, Continent ON RIVERS" in body
     assert "WHEN NEW.Mountain IS NOT OLD.Mountain OR NEW.Continent IS NOT OLD.Continent" in body
     assert "RAISE(ABORT," in body
-    assert body.count("SELECT Continent FROM MOUNTAIN_RANGES WHERE x =") == 2
-    assert "<>" in body
+    # both triggers walk the chain as one flat join, never a nested subquery
+    assert "(SELECT" not in body
+    join = (
+        "FROM MOUNTAINS t1, MOUNT_GROUPS t2, MOUNT_SUBRANGES t3, MOUNTAIN_RANGES t4"
+        " WHERE t1.x = NEW.Mountain AND t2.x = t1.Group AND t3.x = t2.Subrange"
+        " AND t4.x = t3.Range AND t4.Continent <> NEW.Continent;"
+    )
+    assert body.count(join) == 2
 
 
 # -- link checks --------------------------------------------------------------
@@ -242,14 +248,25 @@ def test_paper_anti_link_check_folds_head_into_query(neighbors_schema):
 def test_sql_link_checks_structure(geography_schema):
     units = gen_link_checks(geography_schema, geo(geography_schema), Dialect.GENERIC_SQL)
     assert len(units) == 4
-    outermost = normalize_text(units[0].body)
+    bodies = [normalize_text(unit.body) for unit in units]
+    # every walk is one flat join, never a nested or IN subquery
+    assert all("(SELECT" not in body and "IN (" not in body for body in bodies)
+    outermost = bodies[0]
     assert "BEFORE UPDATE OF Continent ON MOUNTAIN_RANGES" in outermost
     assert "WHEN NEW.Continent IS NOT NULL AND NEW.Continent IS NOT OLD.Continent" in outermost
-    assert "SELECT 1 FROM RIVERS d" in outermost
-    assert "d.Mountain IN (SELECT x FROM MOUNTAINS" in outermost
-    assert "(d.Continent) <> (NEW.Continent)" in outermost
-    innermost = normalize_text(units[3].body)
-    assert "d.Mountain = NEW.x" in innermost
+    # the reverse walk from the written row back to the domain set, and the
+    # other chain read on the domain row it reaches
+    assert (
+        "FROM MOUNT_SUBRANGES t1, MOUNT_GROUPS t2, MOUNTAINS t3, RIVERS t4"
+        " WHERE t1.Range = NEW.x AND t2.Subrange = t1.x AND t3.Group = t2.x"
+        " AND t4.Mountain = t3.x AND t4.Continent <> NEW.Continent;"
+    ) in outermost
+    # the head walk joins the rows ahead of the written one
+    assert (
+        "FROM RIVERS t1, MOUNT_GROUPS t2, MOUNT_SUBRANGES t3, MOUNTAIN_RANGES t4"
+        " WHERE t1.Mountain = NEW.x AND t2.x = NEW.Group AND t3.x = t2.Subrange"
+        " AND t4.x = t3.Range AND t1.Continent <> t4.Continent;"
+    ) in bodies[3]
 
 
 # -- normalization ------------------------------------------------------------

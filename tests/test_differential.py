@@ -6,7 +6,8 @@ functions, loop, and revisit sets), seeds a valid database, and feeds the
 same 60 random mutations to apply_mutation on one copy, oracle_apply on
 another, and SQLite guarded by the emitted generic-sql triggers on a
 third. A second run starts the three from a database that random raw
-writes have left violating some constraints. The same streams also go
+writes have left violating some constraints. A few more seeds grow
+chains of up to 30 functions. The same streams also go
 through rowwise_engine, the link check that walks one row at a time,
 which must agree violation for violation and count the same rows.
 """
@@ -20,6 +21,7 @@ import pytest
 
 from funcdiag.dsl import Action
 from funcdiag.engine import apply_mutation, raw_apply, resolve_mutation
+from funcdiag.model import Side
 from funcdiag.oracle import oracle_apply
 from funcdiag.store import Database, StoreError
 
@@ -34,10 +36,14 @@ MUTATIONS = 60
 # applied an update the engine and SQLite reject
 INCONSISTENT_SEEDS = [*range(10), 53, 167, 238, 261, 272, 286, 293]
 RAW_WRITES = 15
+# seeds whose chains, of up to LONG_CHAIN functions, compose 8 or more:
+# nested subqueries overflowed SQLite's parser stack from about 12
+LONG_CHAIN_SEEDS = [0, 1, 5, 11, 17]
+LONG_CHAIN = 30
 
 
-def _schema(rng: random.Random):
-    return make_schema(rng, rng.randint(1, 3))
+def _schema(rng: random.Random, max_chain: int = 6):
+    return make_schema(rng, rng.randint(1, 3), max_chain)
 
 
 def _contents(verdict) -> list:
@@ -64,6 +70,16 @@ def test_engine_agrees_with_oracle_from_an_inconsistent_state(seed):
     _three_ways(*_start(seed, inconsistent=True), seed)
 
 
+@pytest.mark.parametrize("inconsistent", [False, True])
+@pytest.mark.parametrize("seed", LONG_CHAIN_SEEDS)
+def test_engine_agrees_with_oracle_on_long_chains(seed, inconsistent):
+    """As above, on schemas whose triggers join up to 58 tables."""
+    rng, db = _start(seed, inconsistent, LONG_CHAIN)
+    lengths = [c.chain(side).length for c in db.schema.constraints for side in Side]
+    assert 8 <= max(lengths) <= LONG_CHAIN, lengths
+    _three_ways(rng, db, seed)
+
+
 @pytest.mark.parametrize(
     "seed, inconsistent",
     [(seed, False) for seed in SEEDS] + [(seed, True) for seed in INCONSISTENT_SEEDS],
@@ -87,11 +103,14 @@ def test_set_at_a_time_link_checks_match_the_row_at_a_time_reference(seed, incon
         ), where
 
 
-def _start(seed: int, inconsistent: bool) -> tuple[random.Random, Database]:
-    """The seed's random stream and its seeded database; when
-    `inconsistent`, after RAW_WRITES unchecked random writes."""
+def _start(
+    seed: int, inconsistent: bool, max_chain: int = 6
+) -> tuple[random.Random, Database]:
+    """The seed's random stream and its seeded database, on chains of up
+    to `max_chain` functions; when `inconsistent`, after RAW_WRITES
+    unchecked random writes."""
     rng = random.Random(seed)
-    schema = _schema(rng)
+    schema = _schema(rng, max_chain)
     db = seed_database(rng, schema)
     if inconsistent:
         for _ in range(RAW_WRITES):

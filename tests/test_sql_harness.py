@@ -557,3 +557,120 @@ def test_link_trigger_steps_do_not_grow_with_the_tables(geography_schema):
     for label, steps in small.items():
         # a full scan of RIVERS or MOUNTAINS would grow ~10x
         assert large[label] < 2 * steps, (label, steps, large[label])
+
+
+def vm_steps_of_rejected_continent_move(schema: Schema, mountains: int) -> int:
+    """VM steps SQLite spends refusing to move the one range, whose
+    `mountains` mountains each have one river, to another continent:
+    every river is a witness."""
+    connection = sqlite3.connect(":memory:", isolation_level=None)
+    connection.executescript(sqlite_ddl(schema))
+    connection.executescript(
+        "INSERT INTO CONTINENTS VALUES (1, 'Europe'), (2, 'Asia');"
+        "INSERT INTO MOUNTAIN_RANGES VALUES (1, 'Alps', 1);"
+        "INSERT INTO MOUNT_SUBRANGES VALUES (1, 'Western Alps', 1);"
+        "INSERT INTO MOUNT_GROUPS VALUES (1, 'Mont Blanc massif', 1);"
+    )
+    connection.executemany(
+        "INSERT INTO MOUNTAINS VALUES (?, ?, 1)", [(x, f"m{x}") for x in range(1, mountains + 1)]
+    )
+    connection.executemany(
+        "INSERT INTO RIVERS VALUES (?, ?, 1, ?)",
+        [(x, f"r{x}", x) for x in range(1, mountains + 1)],
+    )
+    for unit in generic_sql_units(schema):
+        connection.executescript(unit.body)
+    steps = 0
+
+    def count() -> int:
+        nonlocal steps
+        steps += 1
+        return 0
+
+    connection.set_progress_handler(count, 1)
+    with pytest.raises(sqlite3.IntegrityError, match="must lie on the river's own continent"):
+        connection.execute("UPDATE MOUNTAIN_RANGES SET Continent = 2 WHERE x = 1")
+    connection.close()
+    return steps
+
+
+def test_rejected_link_move_stops_at_its_first_witness(geography_schema):
+    # nested IN subqueries listed every mountain and river before testing
+    # one; the flat join raises at the first river it reaches
+    steps = [vm_steps_of_rejected_continent_move(geography_schema, n) for n in (10, 100, 1000)]
+    assert steps[0] == steps[1] == steps[2], steps
+
+
+# -- deep chains -------------------------------------------------------------
+
+
+def deep_chain(n: int) -> tuple[Schema, str]:
+    """A commutative constraint on D whose left chain F1 . F2 ... Up has
+    `n` functions, through sets L1 ... L(n-1), against the one function G;
+    and a script seeding two rows per L set, chain a ending at C row a and
+    chain b at C row b, with one D row d on chain a."""
+    links = ["set C { name N : text ; }"] + [
+        f"set L{k} {{ name N : text ; F{k} -> {f'L{k - 1}' if k > 1 else 'C'} ? ; }}"
+        for k in range(1, n)
+    ]
+    chain = " . ".join([f"F{k}" for k in range(1, n)] + ["Up"])
+    source = "\n".join(
+        [
+            "schema Deep ;",
+            *links,
+            f"set D {{ name N : text ; Up -> L{n - 1} ? ; G -> C ? ; }}",
+            f"constraint deep commutative on D {{ left = {chain} ; right = G ; }}",
+        ]
+    )
+    schema, diagnostics = parse_schema(source)
+    assert schema is not None, diagnostics
+    script = ['insert C (N = "a") as a0 ;', 'insert C (N = "b") as b0 ;']
+    for k in range(1, n):
+        for row in "ab":
+            script.append(f'insert L{k} (N = "{row}{k}", F{k} = @{row}{k - 1}) as {row}{k} ;')
+    script.append(f'insert D (N = "d", Up = @a{n - 1}, G = @a0) as d expect accept ;')
+    return schema, "\n".join(script) + "\n"
+
+
+@pytest.mark.parametrize("n", [12, 21, 64, 65])
+def test_deep_chains_install_and_agree_with_the_engine(n):
+    """n + 1 - 2 = n - 1 tables per trigger, up to SQLite's 64."""
+    schema, script = deep_chain(n)
+    units = generic_sql_units(schema)
+    assert len(units) == n  # the domain check and one unit per interior position
+    install(sqlite3.connect(":memory:"), schema, units).close()
+    positions = (1, n // 2, n - 1)  # outermost, middle and innermost interior
+    script += f'insert D (N = "e", Up = @a{n - 1}, G = @b0) expect reject ;\n'
+    for p in positions:
+        script += f"update @a{p} set F{p} = @b{p - 1} expect reject ;\n"
+    # chain b reaches no D row, so moving its links is accepted
+    for p in reversed(positions):
+        script += f"update @b{p} set F{p} = @a{p - 1} expect accept ;\n"
+    script += f"update @d set Up = @b{n - 1} expect accept ;\n"
+    script += "update @d set G = @b0 expect reject ;\n"
+    replay(schema, script)
+
+
+def test_one_table_past_the_join_limit_refuses_every_checked_write():
+    """At 66 functions against one, every trigger would join 65 tables: the
+    triggers install, but each write that fires one is refused."""
+    schema, script = deep_chain(66)
+    mutations, diagnostics = parse_script(script, schema)
+    assert mutations is not None, diagnostics
+    db = Database(schema)
+    handles: dict[str, RowId] = {}
+    connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
+    for m in mutations:
+        resolved = resolve_mutation(m, handles)
+        next_x = db.snapshot()["next_ids"].get(resolved.set_name)
+        assert apply_mutation(db, m, handles).applied
+        # of these writes only the D row's insert fires a trigger
+        assert sql_apply(connection, resolved, next_x) is (resolved.set_name != "D")
+    with pytest.raises(sqlite3.OperationalError, match="at most 64 tables in a join"):
+        connection.execute("INSERT INTO [D] VALUES (1, 'd', 1, 1)")  # Up = a65, G = a0
+    for k in (1, 33, 65):
+        with pytest.raises(sqlite3.OperationalError, match="at most 64 tables in a join"):
+            connection.execute(f"UPDATE [L{k}] SET [F{k}] = 2 WHERE [x] = 1")
+        assert connection.execute(f"SELECT [F{k}] FROM [L{k}] WHERE [x] = 1").fetchone() == (1,)
+    assert connection.execute("SELECT count(*) FROM [D]").fetchone() == (0,)
+    connection.close()

@@ -102,9 +102,6 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
         out.write('{\n  "mutations": [')
     db = Database(schema)
     handles: dict[str, RowId] = {}
-    # in a parsed script every update and delete names a handle that an
-    # earlier insert binds, whether or not that insert is applied
-    handle_sets = {m.handle: m.set_name for m in mutations if m.handle}
     count = applied = rejected = expectation_failures = unguarded_store_errors = 0
     for index, m in enumerate(mutations):
         before = db.rows_inspected
@@ -126,7 +123,8 @@ def run(schema_path: str, script_path: str, as_json: bool, stop_on_reject: bool)
                 expectation_failures += 1
         elif store_error:
             unguarded_store_errors += 1
-        set_name = m.set_name or handle_sets[m.row_ref.name]
+        # a parsed handle names its insert's set, applied or not
+        set_name = m.set_name or m.row_ref.set_name
         if as_json:
             out.write(
                 ("\n    " if index == 0 else ",\n    ")

@@ -20,10 +20,10 @@ one match of one compiled pattern, and a line of blanks or a comment is
 skipped. Both paths call the same rule functions (`_kind_problem`,
 `_duplicates`): the token parser reports what they find, the fast path
 refuses the line. At the first line the fast path cannot take, for any
-reason, it stops: the token parser reads the rest of the script, starting
-from the handles bound so far. Only the token parser writes diagnostics,
-so a script with an error gets exactly the diagnostics it would get if
-the token parser had read all of it.
+reason, it stops: the token parser reads the rest of the script from the
+handles bound so far, whose HandleRefs name the sets their inserts bind.
+Only the token parser writes diagnostics, so a script with an error gets
+exactly the diagnostics it would get if the token parser had read all of it.
 
 Schemas, and what the fast path leaves of a script, go through one lexer.
 No token, string or comment spans a line: `//` starts a line comment and a
@@ -104,12 +104,14 @@ class Expectation(Enum):
 class HandleRef:
     """A symbolic reference to a row bound earlier in the same script.
 
-    parse_script makes one per handle name and every statement of the
-    script that names the handle holds it, so treat it as immutable:
-    a change would reach every one of them.
+    parse_script makes one per handle name, whose `set_name` is the set
+    its insert names, and every statement of the script that names the
+    handle holds it, so treat it as immutable: a change would reach every
+    one of them. `set_name` takes no part in equality, hash or repr.
     """
 
     name: str
+    set_name: str | None = field(default=None, compare=False, repr=False)
 
 
 BindingValue = Union[int, str, HandleRef, RowId, None]
@@ -685,20 +687,14 @@ def _repeat(what: str, name: str, earlier: str, where: str = "") -> str:
 
 class _ScriptParser(_Parser):
     """The token parser: reads a script from its line `first + 1` on, with
-    `handles` bound by the lines before it and `refs`, the script's one
-    HandleRef per handle name, made by them."""
+    `refs`, the script's one HandleRef per handle name, holding each handle
+    the lines before it bind."""
 
     def __init__(
-        self,
-        source: str,
-        schema: Schema,
-        first: int = 0,
-        handles: dict[str, str] | None = None,
-        refs: dict[str, HandleRef] | None = None,
+        self, source: str, schema: Schema, first: int = 0, refs: dict[str, HandleRef] | None = None
     ):
         super().__init__(source, first)
         self.schema = schema
-        self.handles: dict[str, str] = {} if handles is None else handles
         self.refs: dict[str, HandleRef] = {} if refs is None else refs
 
     def parse(self) -> list[Mutation]:
@@ -743,7 +739,7 @@ class _ScriptParser(_Parser):
                 self.skip_past(";")
                 return None
             name = self.tokens[handle_pos]
-            if name in self.handles:
+            if name in self.refs:
                 self.error(
                     f"handle {name!r} is already bound",
                     handle_pos,
@@ -751,7 +747,7 @@ class _ScriptParser(_Parser):
                 )
             else:
                 handle = name
-                self.handles[handle] = set_name
+                self.refs[handle] = HandleRef(handle, set_name)
         return self._finish(start, Action.INSERT, set_name, None, bindings, handle)
 
     def _update(self) -> Mutation | None:
@@ -760,11 +756,12 @@ class _ScriptParser(_Parser):
         if target is None or not self.expect("set"):
             self.skip_past(";")
             return None
-        bindings = self._bindings(self._resolve_handle(target))
+        ref = self._ref(target)
+        bindings = self._bindings(ref.set_name)
         if bindings is None:
             self.skip_past(";")
             return None
-        return self._finish(start, Action.UPDATE, None, self._ref(target), bindings, None)
+        return self._finish(start, Action.UPDATE, None, ref, bindings, None)
 
     def _delete(self) -> Mutation | None:
         start = self.advance()
@@ -772,7 +769,6 @@ class _ScriptParser(_Parser):
         if target is None:
             self.skip_past(";")
             return None
-        self._resolve_handle(target)
         return self._finish(start, Action.DELETE, None, self._ref(target), [], None)
 
     def _finish(
@@ -827,7 +823,7 @@ class _ScriptParser(_Parser):
         value = self._literal()
         if value is _NO_VALUE:
             return None
-        problem = None if fn is None else _kind_problem(fn, value, self.handles)
+        problem = None if fn is None else _kind_problem(fn, value)
         if problem is not None:
             self.error(problem, value_pos, IssueCode.TYPE_MISMATCH)
         return Binding(fn_name if fn is None else fn.name, value)
@@ -839,9 +835,7 @@ class _ScriptParser(_Parser):
             self.advance()
             return _string_value(tok)
         if kind == "HANDLE":
-            pos = self.advance()
-            self._resolve_handle(pos)
-            return self._ref(pos)
+            return self._ref(self.advance())
         if kind == "null":
             self.advance()
             return None
@@ -858,33 +852,25 @@ class _ScriptParser(_Parser):
         self.error(f"expected literal, handle or 'null', found {_describe(tok)}")
         return _NO_VALUE
 
-    def _resolve_handle(self, pos: int) -> str | None:
-        name = self.tokens[pos][1:]
-        set_name = self.handles.get(name)
-        if set_name is None:
-            self.error(
-                f"handle {name!r} is not bound by any earlier insert",
-                pos,
-                IssueCode.UNBOUND_HANDLE,
-            )
-        return set_name
-
     def _ref(self, pos: int) -> HandleRef:
-        """The script's one HandleRef for the handle at `pos`."""
+        """The script's one HandleRef for the handle at `pos`; for a handle
+        no earlier insert binds, report it and return one that names no set."""
         name = self.tokens[pos][1:]
-        return self.refs.setdefault(name, HandleRef(name))
+        ref = self.refs.get(name)
+        if ref is None:
+            message = f"handle {name!r} is not bound by any earlier insert"
+            self.error(message, pos, IssueCode.UNBOUND_HANDLE)
+            ref = HandleRef(name)
+        return ref
 
 
-def _kind_problem(
-    fn: FunctionDef, value: BindingValue, handles: dict[str, str]
-) -> str | None:
+def _kind_problem(fn: FunctionDef, value: BindingValue) -> str | None:
     """Why function `fn` cannot take `value`, or None if it can. A handle
-    that `handles` does not bind is no kind problem: it is reported as
-    unbound."""
+    that names no set is no kind problem: it is reported as unbound."""
     if value is None:
         return None
     if isinstance(value, HandleRef):
-        handle_set = handles.get(value.name)
+        handle_set = value.set_name
         if handle_set == fn.codomain or (handle_set is None and fn.is_link):
             return None
         if not fn.is_link:
@@ -964,20 +950,19 @@ _EXPECTATIONS = {None: None, "accept": Expectation.ACCEPT, "reject": Expectation
 
 def _parse_fast(
     source_lines: list[str], schema: Schema
-) -> tuple[list[Mutation], dict[str, str], dict[str, HandleRef], int]:
+) -> tuple[list[Mutation], dict[str, HandleRef], int]:
     """Take the script's lines in order while each holds one whole common
     statement, or only blanks and a comment.
 
-    Returns the mutations taken, the handles they bind, one HandleRef per
-    handle bound, and the index of the first line not taken. A line is not
-    taken when no pattern matches it whole or when the token parser would
-    report anything on it, so the token parser started at that line reads
-    the script as if from its start. Set and function names are the
-    schema's own str objects, not copies made by the match.
+    Returns the mutations taken, one HandleRef per handle they bind, and
+    the index of the first line not taken. A line is not taken when no
+    pattern matches it whole or when the token parser would report
+    anything on it, so the token parser started at that line reads the
+    script as if from its start. Set and function names are the schema's
+    own str objects, not copies made by the match.
     """
     function_table = schema.function_table
     set_names = {s.name: s.name for s in schema.sets}
-    handles: dict[str, str] = {}
     refs: dict[str, HandleRef] = {}
     mutations: list[Mutation] = []
     for n, text in enumerate(source_lines):
@@ -986,12 +971,12 @@ def _parse_fast(
         if m is None:
             if _BLANK_RE.fullmatch(text):
                 continue
-            return mutations, handles, refs, n
+            return mutations, refs, n
         if pattern is _INSERT_RE:
             set_name, body, handle, expect = m.groups()
             set_name = set_names.get(set_name)
-            if handle in handles or handle in _KEYWORDS:
-                return mutations, handles, refs, n
+            if handle in refs or handle in _KEYWORDS:
+                return mutations, refs, n
             action, row_ref, fns = Action.INSERT, None, function_table(set_name)
         else:
             # an update's groups are (handle, bindings, expect), a delete's
@@ -999,31 +984,28 @@ def _parse_fast(
             ref, *rest, expect = m.groups()
             action = Action.UPDATE if rest else Action.DELETE
             set_name, body, handle = None, rest[0] if rest else None, None
-            row_ref, fns = refs.get(ref), function_table(handles.get(ref))
+            row_ref = refs.get(ref)
+            fns = function_table(row_ref.set_name) if row_ref is not None else None
         if not fns:
-            return mutations, handles, refs, n
-        bindings = () if body is None else _fast_bindings(body, fns, handles, refs)
+            return mutations, refs, n
+        bindings = () if body is None else _fast_bindings(body, fns, refs)
         if bindings is None:
-            return mutations, handles, refs, n
+            return mutations, refs, n
         if handle is not None:
-            handles[handle] = set_name
-            refs[handle] = HandleRef(handle)
+            refs[handle] = HandleRef(handle, set_name)
         expectation = _EXPECTATIONS[expect]
         mutations.append(
             Mutation(action, set_name, row_ref, bindings, handle, expectation, n + 1)
         )
-    return mutations, handles, refs, len(source_lines)
+    return mutations, refs, len(source_lines)
 
 
 def _fast_bindings(
-    text: str,
-    functions: Mapping[str, FunctionDef],
-    handles: dict[str, str],
-    refs: dict[str, HandleRef],
+    text: str, functions: Mapping[str, FunctionDef], refs: dict[str, HandleRef]
 ) -> tuple[Binding, ...] | None:
     """The bindings that `text` lists, of `functions` of one set, or None
-    if the token parser would report one of them. `refs` holds a HandleRef
-    for each handle in `handles`."""
+    if the token parser would report one of them. `refs` holds the
+    HandleRef of each handle bound so far."""
     bindings = []
     for name, string, ref, integer in _BINDING_RE.findall(text):
         fn = functions.get(name)
@@ -1041,7 +1023,7 @@ def _fast_bindings(
                 return None
         else:
             value = None
-        if _kind_problem(fn, value, handles) is not None:
+        if _kind_problem(fn, value) is not None:
             return None
         bindings.append(Binding(fn.name, value))
     return None if _duplicates(bindings) else tuple(bindings)
@@ -1056,10 +1038,10 @@ def parse_script(
     insert in the same script before it can be referenced.
     """
     source_lines = source.split("\n")
-    mutations, handles, refs, first = _parse_fast(source_lines, schema)
+    mutations, refs, first = _parse_fast(source_lines, schema)
     if first == len(source_lines):
         return mutations, []
-    parser = _ScriptParser(source, schema, first, handles, refs)
+    parser = _ScriptParser(source, schema, first, refs)
     mutations += parser.parse()
     diagnostics = parser.diagnostics
     if diagnostics:

@@ -109,7 +109,7 @@ class Database:
     the recipe it shares.
     """
 
-    def __init__(self, schema: Schema, counter: RowCounter | None = None):
+    def __init__(self, schema: Schema):
         self.schema = schema
         self._ids: dict[str, dict[int, RowId]] = {s.name: {} for s in schema.sets}
         self._columns: dict[str, dict[str, dict[int, Value]]] = {
@@ -119,7 +119,7 @@ class Database:
             (fn.domain, fn.name): {} for fn in schema.functions if fn.is_link
         }
         self._next_id: dict[str, int] = {s.name: 1 for s in schema.sets}
-        self.counter = counter if counter is not None else RowCounter()
+        self.counter = RowCounter()
         self._recipe = _recipe(schema)
         self._bind()
 

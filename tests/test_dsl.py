@@ -247,6 +247,10 @@ def test_diagnostics_point_at_offending_token():
             "constraint c commutative on A { left = N . L ; right = N ; }",
             ["4:12: error [duplicate-constraint] duplicate constraint 'c'"],
         ),
+        (
+            "constraint commutative on A { left = N . L ; right = N ; }",
+            ["3:12: error [syntax] expected constraint name, found 'commutative'"],
+        ),
     ],
 )
 def test_constraint_declaration_diagnostics(declaration, expected):
@@ -374,6 +378,11 @@ def test_handle_forward_only_even_within_statement(geography_schema):
         (
             'insert CONTINENTS (Continent = @missing) ;',
             IssueCode.UNBOUND_HANDLE,
+        ),
+        (
+            'insert CONTINENTS (Continent = "Europe") as h ;\n'
+            'update @h Continent = "y" ;',
+            IssueCode.SYNTAX,
         ),
         # null is kind-compatible with any function; nullability is a
         # store-level rule checked at run time
@@ -692,7 +701,7 @@ def test_fixture_and_workload_scripts_parse_as_the_token_parser(name, monkeypatc
 def test_every_fixture_and_workload_statement_takes_the_fast_path(name, monkeypatch):
     schema, source = _schema_and_script(name, monkeypatch)
     lines = source.split("\n")
-    mutations, _, _, first = _parse_fast(lines, schema)
+    mutations, _, first = _parse_fast(lines, schema)
     assert first == len(lines), f"line {first + 1}: {lines[first]!r}"
     assert len(mutations) == len(_ScriptParser(source, schema).parse())
 
@@ -708,22 +717,29 @@ def _split_midway(source: str) -> str:
 
 
 def _assert_shares_what_repeats(mutations: list[Mutation], schema: Schema) -> None:
-    """Every reference to a handle is one HandleRef object, and every set
-    and function name is the schema's own str object."""
+    """Every reference to a handle is one HandleRef object, whose set_name
+    is the schema's own str for the set its insert names, and every set and
+    function name is the schema's own str object."""
+    bound: dict[str, str] = {}  # each handle's insert's set
     refs: dict[str, HandleRef] = {}
-    handle_sets: dict[str, str] = {}
+
+    def assert_shared(ref: HandleRef) -> None:
+        assert refs.setdefault(ref.name, ref) is ref
+        assert ref.set_name is bound[ref.name]
+
     for m in mutations:
         if m.action is Action.INSERT:
             set_name = m.set_name
             assert set_name is schema.set_def(set_name).name
-            handle_sets[m.handle] = set_name
+            if m.handle is not None:
+                bound[m.handle] = set_name
         else:
-            assert refs.setdefault(m.row_ref.name, m.row_ref) is m.row_ref
-            set_name = handle_sets[m.row_ref.name]
+            assert_shared(m.row_ref)
+            set_name = m.row_ref.set_name
         for binding in m.bindings:
             assert binding.function is schema.function(set_name, binding.function).name
             if isinstance(binding.value, HandleRef):
-                assert refs.setdefault(binding.value.name, binding.value) is binding.value
+                assert_shared(binding.value)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "split-midway"])
@@ -733,7 +749,7 @@ def test_parsed_scripts_share_what_repeats_on_either_path(name, split, monkeypat
     if split:
         source = _split_midway(source)
         lines = source.split("\n")
-        _, _, refs, first = _parse_fast(lines, schema)
+        _, refs, first = _parse_fast(lines, schema)
         assert refs and 0 < first < len(lines) - 1
     _assert_parses_as_the_token_parser(source, schema)
     mutations, _ = parse_script(source, schema)
@@ -800,6 +816,8 @@ _CLASHES = {
         "3:31: error [type-mismatch] link 'Peer' targets 'B' but handle 'a' holds a"
         " row of 'A'",
     ],
+    # a handle is resolved only once its statement reads as an update
+    'update @ghost N = "y" ;': ["3:15: error [syntax] expected 'set', found 'N'"],
     'insert A (N = "x", N = 5, N = @a) ;': [
         "3:1: error [syntax] duplicate binding for 'N'",
         "3:1: error [syntax] duplicate binding for 'N'",
@@ -964,6 +982,13 @@ def test_mutations_differing_only_in_line_are_equal_and_hash_alike():
     second = Mutation(Action.DELETE, row_ref=HandleRef("x"), line=2)
     assert first == second and hash(first) == hash(second)
     assert first != Mutation(Action.DELETE, row_ref=HandleRef("y"), line=1)
+
+
+def test_a_handle_refs_set_takes_no_part_in_equality_hash_or_repr():
+    bound, bare = HandleRef("h", "A"), HandleRef("h")
+    assert bound == bare and hash(bound) == hash(bare)
+    assert repr(bound) == repr(bare) == "HandleRef(name='h')"
+    assert bound.set_name == "A" and bare.set_name is None
 
 
 def test_script_record_reprs():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from funcdiag.dsl import Action, Binding, Mutation, parse_schema, parse_script
-from funcdiag.engine import Outcome, apply_mutation
+from funcdiag.engine import Outcome, ViolationKind, apply_mutation
 from funcdiag.oracle import full_check, oracle_apply
 from funcdiag.store import Database
 
@@ -143,6 +143,21 @@ def test_oracle_rejects_a_write_that_leaves_a_touched_row_violating(geography_sc
         (rogue, handles["europe"], oceania)
     ]
     assert db.snapshot() == before
+
+
+@pytest.mark.parametrize("action", [Action.UPDATE, Action.DELETE])
+def test_an_update_or_delete_naming_no_row_is_one_store_error(geography_schema, action):
+    """A Mutation built through the API without a row_ref: the engine and
+    the oracle each reject it with one store error and change nothing."""
+    for apply in (apply_mutation, oracle_apply):
+        db, _ = seeded_geography(geography_schema)
+        before = db.snapshot()
+        verdict = apply(db, Mutation(action))
+        assert verdict.rejected
+        [violation] = verdict.violations
+        assert violation.kind is ViolationKind.STORE_ERROR
+        assert violation.message == f"{action.value} statement names no row"
+        assert db.snapshot() == before
 
 
 def test_oracle_and_engine_agree_on_fixture_scenarios(geography_schema):

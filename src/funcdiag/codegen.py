@@ -21,11 +21,11 @@ cannot span lines.
 GENERIC_SQL emits portable trigger statements (SQLite-compatible)
 performing the same comparison over the written state. One function
 (_sql_trigger) renders every trigger, and every walk in it, as one flat
-join, so no chain nests its SQL. Precondition: for chains of n and m
-functions each trigger joins n + m - 2 tables, and SQLite joins at most
-64 (https://www.sqlite.org/limits.html); when n + m > 66 the triggers
-install, but a write that fires one is refused with `at most 64 tables
-in a join`, never accepted unchecked.
+join, so no chain nests its SQL. For chains of n and m functions each
+trigger joins n + m - 2 tables, and SQLite joins at most 64
+(https://www.sqlite.org/limits.html), so every constraint here has
+n + m <= 66: model.validate_diagram refuses a longer pair (`join-limit`)
+before anything is emitted for it.
 
 Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
 EXISTS` per link column its triggers walk backwards, the SQL twin of the

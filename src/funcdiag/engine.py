@@ -10,18 +10,23 @@ edited it and cancel and undo on a violation.
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
 column: it evaluates both chains for that row. A link-update check fires
-when an interior chain function changes at some row r, and works on sets,
-as the paper's handlers do with one query: it computes the new composed
-head once (the prefix walk from the written value), collects the ids of
-every domain row whose chain passes through r (the reverse-reachability
-walk over the store's indexes, one bulk read per level for the whole
-frontier), evaluates the other chain over all of those rows one level at
-a time, and compares each value with the head. The walks and the other
-chain are the written position's plan (model.Occurrence), built once per
-schema, and bound once per store to the reverse indexes and columns they
-read (Database.walks), so no level resolves a name. A null anywhere in a
-chain makes the instance vacuously satisfied, so a row leaves the walk at
-the level where it reads null.
+when an interior chain function changes at some row r, and works on
+sets, as the paper's handlers do with one query: it computes the new
+composed head once (the prefix walk from the written value), collects
+the ids of every domain row whose chain passes through r (the
+reverse-reachability walk over the store's indexes, one bulk read per
+level for the whole frontier), evaluates the other chain over all of
+those rows one level at a time, and compares each value with the head. A
+function maps each row to one value, so the preimages of distinct rows
+are disjoint: each level of the walk is a plain list, no row on it
+twice, and only the last one is sorted. Whether any row violates is
+decided in C (`in`, list.count) before anything is built; only a
+violation builds the mask that picks its witnesses. The walks and the
+other chain are the written position's plan (model.Occurrence), built
+once per schema, and bound once per store to the reverse indexes and
+columns they read (Database.walks), so no level resolves a name. A null
+anywhere in a chain makes the instance vacuously satisfied, so a row
+leaves the walk at the level where it reads null.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
@@ -37,9 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne
-from typing import Collection, Iterable, Mapping, MutableMapping, NamedTuple
+from typing import Iterable, Mapping, MutableMapping, NamedTuple
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
 from .model import (
@@ -168,15 +173,19 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
     row ids, one level at a time for the whole frontier, counting as
     Database.inverse would for each of its rows; at the innermost
     position the walk is empty and the row is itself in the domain set.
+    Each level concatenates its rows' preimages, which are disjoint
+    because a function maps each row to one value, so no level holds a
+    row twice and none needs a set.
     """
-    frontier: Collection[int] = (r.x,)
+    frontier = [r.x]
     counter = db.counter
     for index in db.walks[id(occurrence)][0]:
         counter.rows_inspected += len(frontier)
-        frontier = set().union(*map(index.get, frontier, repeat(())))
+        frontier = list(chain.from_iterable(map(index.get, frontier, repeat(()))))
         if not frontier:
-            break
-    return sorted(frontier)
+            return frontier
+    frontier.sort()
+    return frontier
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +239,12 @@ def check_link_update(
             rows = [x for x, value in zip(rows, values) if value is not None]
             values = [value for value in values if value is not None]
         ids = map(_X, values)
-    # True where a row breaks the constraint; compared in C.
-    mask = list(map(ne if _holds_when_equal(constraint) else eq, repeat(head), values))
-    if True not in mask:
+    # Decided in C first; only a violation builds the mask, True where a
+    # row breaks the constraint.
+    holds_when_equal = _holds_when_equal(constraint)
+    if (values.count(head) == len(values)) if holds_when_equal else (head not in values):
         return []
+    mask = list(map(ne if holds_when_equal else eq, repeat(head), values))
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
     witnesses = db.row_ids(constraint.domain_set, compress(rows, mask))
     heads, others = repeat(head), compress(values, mask)
@@ -333,12 +344,14 @@ def apply_mutation(
     except (MutationResolveError, StoreError) as exc:
         return Verdict(_REJECTED, (_store_violation(str(exc)),))
 
-    # One list per check run, sorted by witness and without repeats, so a
-    # verdict that one check alone reports needs no merge.
+    # One list per check that found something, sorted by witness and
+    # without repeats, so a verdict that one check alone reports needs no
+    # merge.
     reports: list[list[Violation]] = []
     if action is _INSERT:
         for constraint in db.schema.constraints_on(row.set_name):
-            reports.append(check_domain_row(db, constraint, row))
+            if report := check_domain_row(db, constraint, row):
+                reports.append(report)
     elif action is _UPDATE:
         changed = {
             name: value
@@ -350,14 +363,17 @@ def apply_mutation(
                 constraint.left.innermost.name in changed
                 or constraint.right.innermost.name in changed
             ):
-                reports.append(check_domain_row(db, constraint, row))
+                if report := check_domain_row(db, constraint, row):
+                    reports.append(report)
         table = dispatch(db.schema)
+        # In name order: of two violations of one constraint at one
+        # witness, _dedupe keeps the first, whatever order the mutation
+        # binds its columns in.
         for fn_name in sorted(changed):
             for occ in table.get((row.set_name, fn_name), ()):
-                if occ.reverse:
-                    reports.append(check_link_update(db, occ, row, changed[fn_name]))
+                if occ.reverse and (report := check_link_update(db, occ, row, changed[fn_name])):
+                    reports.append(report)
 
-    reports = [report for report in reports if report]
     if reports:
         db.undo_write(row, before)
         if len(reports) == 1:

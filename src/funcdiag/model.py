@@ -54,6 +54,8 @@ class Side(Enum):
 
 
 _LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # read once: reading an Enum member from its class is slow
+# The most tables SQLite joins in one SELECT (https://www.sqlite.org/limits.html).
+_SQLITE_MAX_JOIN = 64
 
 
 class IssueCode(Enum):
@@ -74,6 +76,7 @@ class IssueCode(Enum):
     DEGENERATE_IDENTITY = "degenerate-identity"
     REFUSED_HBFP = "refused-hbfp"
     REFUSED_LOCAL = "refused-local"
+    JOIN_LIMIT = "join-limit"
     UNBOUND_HANDLE = "unbound-handle"
     DUPLICATE_HANDLE = "duplicate-handle"
     TYPE_MISMATCH = "type-mismatch"
@@ -491,7 +494,9 @@ def validate_diagram(
     domain set, identity on both sides, unknown names and composition
     breaks, codomain disagreement (an identity side ends where it starts),
     and then the refused classes, a local constraint (exactly one side is
-    the identity) and an HBFP (both sides are single functions). Both
+    the identity) and an HBFP (both sides are single functions), and last
+    chains of n and m functions with n + m > 66, whose generic-SQL
+    triggers would each join n + m - 2 tables, past SQLite's 64. Both
     chains are resolved from `raw.domain_set`, so any pair that resolves
     starts on the same set.
     """
@@ -549,6 +554,16 @@ def validate_diagram(
                 f"constraint {raw.id!r} composes a single function on each side"
                 " (homogeneous binary function product); it is enforced by the"
                 " paired-function reflexivity family, not by diagram checking",
+            )
+        ]
+    joined = left.length + right.length - 2
+    if joined > _SQLITE_MAX_JOIN:
+        return None, [
+            Issue(
+                IssueCode.JOIN_LIMIT,
+                f"constraint {raw.id!r} composes {left.length} + {right.length} functions,"
+                f" so its generic-SQL triggers would join {joined} tables;"
+                f" SQLite joins at most {_SQLITE_MAX_JOIN}",
             )
         ]
     return DiagramConstraint(raw.id, raw.kind, left, right, raw.message), []

@@ -51,7 +51,9 @@ def test_run_reports_a_5000_digit_integer_as_a_positioned_diagnostic(tmp_path):
     assert f"{script}:2:27: error [syntax] integer literal outside" in result.stderr
 
 
-def test_gen_emits_row_sources_for_a_1500_function_chain(tmp_path):
+def test_gen_refuses_a_1500_function_chain_at_the_join_limit(tmp_path):
+    """Its triggers would join 1500 tables, so the schema is refused with
+    a positioned diagnostic before anything is emitted."""
     schema = tmp_path / "loop.fd"
     schema.write_text(
         "schema Loop ;\n"
@@ -60,8 +62,11 @@ def test_gen_emits_row_sources_for_a_1500_function_chain(tmp_path):
         encoding="utf-8",
     )
     result = CliRunner().invoke(main, ["gen", str(schema), "--what", "row-sources"])
-    assert result.exit_code == 0, result.exception
-    assert result.output.count("RIGHT JOIN") == 1499
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert f"{schema}:3:12: error [join-limit] constraint 'c' composes 1501 + 1 functions" in (
+        result.stderr
+    )
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,14 @@ from funcdiag.codegen import (
     gen_row_source,
 )
 from funcdiag.dsl import parse_schema
-from funcdiag.model import ScalarType, Side
+from funcdiag.model import (
+    ConstraintKind,
+    DiagramConstraint,
+    RawChain,
+    ScalarType,
+    Side,
+    resolve_chain,
+)
 
 from conftest import fixture_text
 from randgen import make_schema
@@ -96,6 +103,20 @@ def test_single_function_row_source_shape():
     assert normalize_text(unit.body) == normalize_text(
         "SELECT PLACES.x, [Title] AS [Place], PLACES.Title FROM PLACES ORDER BY [Title];"
     )
+
+
+def test_row_source_for_a_1500_function_chain_builds_without_recursion():
+    """The ladder is built in a loop, so its depth is no recursion limit.
+    parse_schema refuses a chain this long (join-limit), so the constraint
+    is resolved here without it."""
+    schema, diagnostics = parse_schema("schema Loop ;\nset A { name N : text ; f -> A ; }\n")
+    assert schema is not None, diagnostics
+    left, issues = resolve_chain(schema, "A", RawChain(("N",) + ("f",) * 1500), Side.LEFT)
+    right, more = resolve_chain(schema, "A", RawChain(("N",)), Side.RIGHT)
+    assert left is not None and right is not None, issues + more
+    constraint = DiagramConstraint("c", ConstraintKind.COMMUTATIVE, left, right)
+    unit = gen_row_source(schema, constraint, Side.LEFT)
+    assert unit.body.count("RIGHT JOIN") == 1499
 
 
 def test_scalar_single_function_side_has_no_row_source(geography_schema):

@@ -20,7 +20,7 @@ import sqlite3
 import pytest
 
 from funcdiag.dsl import Action
-from funcdiag.engine import apply_mutation, raw_apply, resolve_mutation
+from funcdiag.engine import affected_rows, apply_mutation, raw_apply, resolve_mutation
 from funcdiag.model import Side
 from funcdiag.oracle import oracle_apply
 from funcdiag.store import Database, StoreError
@@ -88,7 +88,13 @@ def test_set_at_a_time_link_checks_match_the_row_at_a_time_reference(seed, incon
     """The engine and the row-at-a-time reference give the same verdict,
     violation for violation in the same order, `changed` included, and
     count the same rows_inspected for every mutation."""
-    rng, db = _start(seed, inconsistent)
+    _match_reference(*_start(seed, inconsistent), seed)
+
+
+def _match_reference(rng: random.Random, db: Database, seed: int) -> None:
+    """Feed MUTATIONS random mutations to `db` through the engine and to a
+    copy through rowwise_engine, asserting after each the same outcome,
+    the same violations and the same rows_inspected."""
     reference = db.clone(share_counter=False)
     for step in range(MUTATIONS):
         m = make_mutation(rng, db)
@@ -101,6 +107,44 @@ def test_set_at_a_time_link_checks_match_the_row_at_a_time_reference(seed, incon
         assert (
             db.rows_inspected - counted == reference.rows_inspected - reference_counted
         ), where
+
+
+# seeds whose chains revisit a set, the first five also looping back to
+# their domain set, on chains of up to 6 functions and of up to LONG_CHAIN
+REVISITING = [(11, 6), (12, 6), (23, 6), (24, 6), (34, 6), (1, LONG_CHAIN), (5, LONG_CHAIN)]
+
+
+@pytest.mark.parametrize("inconsistent", [False, True])
+@pytest.mark.parametrize("seed, max_chain", REVISITING)
+def test_walks_that_revisit_a_set_list_each_affected_row_once(seed, max_chain, inconsistent):
+    """A function maps each row to one value, so the preimages of distinct
+    rows are disjoint and no level of a reverse walk holds a row twice,
+    even on a chain that passes a set more than once. At every live row
+    of every walked position, affected_rows lists the ids the reference's
+    frozenset holds, strictly ascending, and both count the same
+    rows_inspected."""
+    _, db = _start(seed, inconsistent, max_chain)
+    reference = db.clone(share_counter=False)
+    revisiting_walks = 0
+    for constraint in db.schema.constraints:
+        for occ in constraint.occurrences:
+            if not occ.reverse:
+                continue
+            chain = constraint.chain(occ.side)
+            sets = [fn.domain for fn in chain.functions]
+            revisits = len(set(sets)) < len(sets) or chain.codomain == chain.domain_set
+            for r in db.rows(occ.set_name):
+                counted, reference_counted = db.rows_inspected, reference.rows_inspected
+                ids = affected_rows(db, occ, r)
+                expected = rowwise_engine.affected_rows(reference, chain, occ.position, r)
+                where = f"seed {seed} {occ.set_name}.{occ.function_name} at {r}"
+                assert all(a < b for a, b in zip(ids, ids[1:])), where
+                assert ids == sorted(row.x for row in expected), where
+                assert (
+                    db.rows_inspected - counted == reference.rows_inspected - reference_counted
+                ), where
+                revisiting_walks += revisits and len(ids) > 1
+    assert revisiting_walks
 
 
 def _start(

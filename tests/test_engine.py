@@ -244,6 +244,107 @@ def test_link_update_no_witnesses_when_nothing_chains(
     assert check_link_update(geography_db, occ, lonely, asia) == []
 
 
+def link_check_both_ways(db, occ, r, value):
+    """check_link_update on db after writing `value` at r, and the
+    row-at-a-time reference on a clone: the same violations, in witness
+    order, and the same rows_inspected."""
+    db.set_values(r, {occ.function_name: value})
+    reference = db.clone(share_counter=False)
+    counted, reference_counted = db.rows_inspected, reference.rows_inspected
+    violations = check_link_update(db, occ, r, value)
+    expected = rowwise_engine.check_link_update(reference, occ, r, value)
+    assert violations == rowwise_engine.sort_violations(expected)
+    assert db.rows_inspected - counted == reference.rows_inspected - reference_counted
+    return violations
+
+
+def neighbors_hub(schema, colours, clash_at=None):
+    """A Hub country and one partner per colour, each paired with the hub
+    on both sides; with `clash_at`, a red partner paired only as the
+    hub's Neighbor, its pair inserted before partner `clash_at`'s."""
+    db = Database(schema)
+    hub = db.insert_row("COUNTRIES", {"Country": "Hub"})
+    db.insert_row("COUNTRIES", {"Country": "Far", "FrontierColor": "red"})  # no pair
+    clash = None
+    for i, colour in enumerate(colours):
+        if i == clash_at:
+            partner = db.insert_row("COUNTRIES", {"Country": "Clash", "FrontierColor": "red"})
+            clash = db.insert_row(
+                "NEIGHBOR_COUNTRIES", {"Pair": "clash", "Country": hub, "Neighbor": partner}
+            )
+        partner = db.insert_row("COUNTRIES", {"Country": f"P{i}", "FrontierColor": colour})
+        for name, country, neighbor in ((f"l{i}", hub, partner), (f"r{i}", partner, hub)):
+            db.insert_row(
+                "NEIGHBOR_COUNTRIES", {"Pair": name, "Country": country, "Neighbor": neighbor}
+            )
+    return db, hub, clash
+
+
+def recolor(row, colour):
+    return Mutation(Action.UPDATE, row_ref=row, bindings=(Binding("FrontierColor", colour),))
+
+
+@pytest.mark.parametrize("clash_at", [None, 2])
+def test_recolor_decided_after_partners_leave_the_walk_on_null(neighbors_schema, clash_at):
+    """The hub turns red while its partners read null or blue, so its only
+    red partner, if any, is the one clash, paired between partners that
+    read null: the rows that read null leave the walk before the
+    decision, and red elsewhere in the store matters not. Without the
+    clash both sides accept; with it the left side reports exactly that
+    pair."""
+    colours = [None, "blue", None, None, "blue", None]
+    db, hub, clash = neighbors_hub(neighbors_schema, colours, clash_at)
+    reported = {
+        occ.side: link_check_both_ways(db, occ, hub, "red")
+        for occ in dispatch(neighbors_schema)[("COUNTRIES", "FrontierColor")]
+    }
+    witnesses = [] if clash is None else [clash]
+    assert {side: [v.witness for v in vs] for side, vs in reported.items()} == {
+        Side.LEFT: witnesses,
+        Side.RIGHT: [],
+    }
+    db.set_values(hub, {"FrontierColor": None})
+    reference = db.clone(share_counter=False)
+    counted, reference_counted = db.rows_inspected, reference.rows_inspected
+    verdict = apply_mutation(db, recolor(hub, "red"))
+    assert verdict == rowwise_engine.apply_mutation(reference, recolor(hub, "red"))
+    assert list(verdict.violations) == reported[Side.LEFT]
+    assert verdict.rejected is (clash is not None)
+    assert db.rows_inspected - counted == reference.rows_inspected - reference_counted
+
+
+def test_recolor_both_occurrences_pass_is_applied_without_violations(neighbors_schema):
+    """Green, which no partner reads, passes both sides' decision at once:
+    no violation, and the verdict is a plain APPLIED."""
+    colours = ["red", None, "blue", "red", "white"]
+    db, hub, _ = neighbors_hub(neighbors_schema, colours)
+    for occ in dispatch(neighbors_schema)[("COUNTRIES", "FrontierColor")]:
+        assert link_check_both_ways(db, occ, hub, "green") == []
+    db.set_values(hub, {"FrontierColor": None})
+    reference = db.clone(share_counter=False)
+    counted, reference_counted = db.rows_inspected, reference.rows_inspected
+    verdict = apply_mutation(db, recolor(hub, "green"))
+    assert verdict == Verdict(Outcome.APPLIED, ()) == rowwise_engine.apply_mutation(
+        reference, recolor(hub, "green")
+    )
+    assert db.rows_inspected - counted == reference.rows_inspected - reference_counted
+
+
+def test_commutative_link_update_some_affected_rows_agree(geography_schema):
+    """Moving the Alps to Asia reaches three rivers: the Danube, on
+    Europe, disagrees; the Rhone and Ganges, written on Asia without a
+    check, agree. Only the Danube is a witness."""
+    db, handles = seeded_geography(geography_schema)
+    montblanc, asia = handles["montblanc"], handles["asia"]
+    for river in ("Rhone", "Ganges"):
+        db.insert_row("RIVERS", {"River": river, "Continent": asia, "Mountain": montblanc})
+    [occ] = dispatch(geography_schema)[("MOUNTAIN_RANGES", "Continent")]
+    assert len(affected_rows(db, occ, handles["alps"])) == 3
+    violations = link_check_both_ways(db, occ, handles["alps"], asia)
+    assert [v.witness for v in violations] == [handles["danube"]]
+    assert violations[0].left == asia and violations[0].right == handles["europe"]
+
+
 # -- apply_mutation ----------------------------------------------------------
 
 
@@ -393,6 +494,44 @@ def test_rejected_insert_burns_no_id(geography_schema):
     )
     assert verdict.applied
     assert verdict.row == RowId("RIVERS", before["next_ids"]["RIVERS"])
+
+
+TWO_LINKS = """schema TwoLinks ;
+set T { name N : text ; }
+set A { name N : text ; a -> T ? ; }
+set B { name N : text ; b -> T ? ; }
+set S { name N : text ; g2 -> B ? ; g1 -> A ? ; }
+set D { name N : text ; p -> S ? ; }
+constraint C commutative on D {
+    left = a . g1 . p ;
+    right = b . g2 . p ;
+}
+"""
+
+
+@pytest.mark.parametrize("order", [("g1", "g2"), ("g2", "g1")])
+def test_two_link_checks_of_one_witness_keep_one_violation_whatever_the_binding_order(order):
+    """Writing g1 and g2 of one S row runs one link check per column, and
+    both find the D row below it; the verdict keeps one violation, the one
+    that names g1, in whichever order the update binds the two columns."""
+    schema, diagnostics = parse_schema(TWO_LINKS)
+    assert schema is not None, diagnostics
+    db = Database(schema)
+    t1, t2 = (db.insert_row("T", {"N": n}) for n in ("t1", "t2"))
+    targets = {
+        "g1": db.insert_row("A", {"N": "a", "a": t1}),
+        "g2": db.insert_row("B", {"N": "b", "b": t2}),
+    }
+    s = db.insert_row("S", {"N": "s"})
+    d = db.insert_row("D", {"N": "d", "p": s})
+    reference = db.clone(share_counter=False)
+    update = Mutation(
+        Action.UPDATE, row_ref=s, bindings=tuple(Binding(fn, targets[fn]) for fn in order)
+    )
+    verdict = apply_mutation(db, update)
+    assert verdict == rowwise_engine.apply_mutation(reference, update)
+    [violation] = verdict.violations
+    assert violation.witness == d and violation.changed == ChangedLink("S", "g1", s)
 
 
 def test_rejected_two_column_update_restores_both_link_targets(geography_schema):

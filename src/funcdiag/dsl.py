@@ -9,9 +9,12 @@ Both parsers are all-or-nothing: they either return a fully validated
 result or every diagnostic found, each pointing at a source position.
 
 A schema is read in one pass, and each set and function is judged as it is
-read: its name against the names before it, and the set's name attribute.
-A link's target and each constraint are judged once the whole schema has
-been read, since they may name a set or function declared after them.
+read: its name by model.judge_name, and the set's name attribute. A name
+judge_name refuses is not admitted, so a later reference to it is reported
+too. A link's target and each constraint (by model.validate_diagram, which
+also judges its message) are judged once the whole schema has been read,
+since they may name a set or function declared after them. Admission is
+judged in the model alone: Schema(...) runs the same two judges.
 
 A script is read by two paths. The fast path takes one line at a time: a
 line that holds one whole common statement (`insert`, `update` or
@@ -36,16 +39,12 @@ Keywords and punctuation are compared as text; identifiers, integers,
 strings and handles are told apart by their first character when the
 parser reads them, and a string's escapes are resolved then. Identifiers
 are case-sensitive and do not start with a decimal digit, `null` is a
-keyword literal, and strings are double-quoted with backslash escapes. A
-schema may not name a function `x`, nor two of its sets, two functions of
-one set or two constraints alike but for ASCII case: generated SQL could
-not tell them apart.
+keyword literal, and strings are double-quoted with backslash escapes.
 """
 
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
@@ -54,6 +53,7 @@ from .model import (
     ConstraintKind,
     DiagramConstraint,
     FunctionDef,
+    Issue,
     IssueCode,
     RawChain,
     RawConstraint,
@@ -61,7 +61,7 @@ from .model import (
     Schema,
     SetDef,
     Side,
-    message_template_problem,
+    judge_name,
     validate_diagram,
 )
 from .store import RowId
@@ -346,6 +346,10 @@ class _Parser:
             Diagnostic(self.lines[i], self.columns[i], code, message)
         )
 
+    def report(self, issues: list[Issue], i: int) -> None:
+        for issue in issues:
+            self.error(issue.message, i, issue.code)
+
     def skip_to(self, *texts: str) -> None:
         while self.tok and self.tok not in texts:
             self.advance()
@@ -375,8 +379,9 @@ def _describe(tok: str) -> str:
 class _SchemaParser(_Parser):
     """Reads a schema, judging each set and function as it reads it.
 
-    `sets` and `functions` collect them without exact repeats. `links`
-    holds every link read, repeats too, beside its target's token index,
+    `sets` and `functions` collect those whose names judge_name admits
+    (so a Schema of them passes it). `links` holds every link read, those
+    of refused sets and functions too, beside its target's token index,
     and `constraints` every constraint declaration: parse_schema judges
     both once the whole schema is read.
     """
@@ -419,10 +424,8 @@ class _SchemaParser(_Parser):
             self.skip_past("}")
             return
         set_name = self.tokens[pos]
-        earlier = _case_twin(self.set_names, set_name)
-        if earlier is not None:
-            self.error(_repeat("set", set_name, earlier), pos, IssueCode.DUPLICATE_SET)
-        repeated = earlier == set_name
+        refused = judge_name(self.set_names, "set", set_name)[1]
+        self.report(refused, pos)
         seen: dict[str, str] = {}
         name_attr: str | None = None
         while self.tok and self.tok != "}":
@@ -432,21 +435,12 @@ class _SchemaParser(_Parser):
             fn, fn_pos, is_name, target_pos = member
             if target_pos is not None:
                 self.links.append((fn, target_pos))
-            if repeated:
+            if refused:
                 continue
-            earlier = _case_twin(seen, fn.name)
-            if earlier is not None:
-                message = _repeat("function", fn.name, earlier, f" on set {set_name!r}")
-                self.error(message, fn_pos, IssueCode.DUPLICATE_FUNCTION)
-                if earlier == fn.name:
-                    continue
-            if fn.name in ("x", "X"):
-                self.error(
-                    f"function name {fn.name!r} is reserved: generated code"
-                    " names every row's key column x",
-                    fn_pos,
-                    IssueCode.RESERVED_NAME,
-                )
+            earlier, issues = judge_name(seen, "function", fn.name, f" on set {set_name!r}")
+            self.report(issues, fn_pos)
+            if earlier == fn.name:
+                continue
             if is_name:
                 if fn.is_link:
                     self.error(
@@ -463,9 +457,10 @@ class _SchemaParser(_Parser):
                     )
                 else:
                     name_attr = fn.name
-            self.functions.append(fn)
+            if not issues:
+                self.functions.append(fn)
         self.expect("}")
-        if repeated:
+        if refused:
             return
         if name_attr is None:
             message = f"set {set_name!r} designates no name attribute"
@@ -623,18 +618,11 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     constraints: list[DiagramConstraint] = []
     seen_constraints: dict[str, str] = {}
     for raw_c in parser.constraints:
-        earlier = _case_twin(seen_constraints, raw_c.id)
-        if earlier is not None:
-            message = _repeat("constraint", raw_c.id, earlier)
-            parser.error(message, raw_c.pos, IssueCode.DUPLICATE_CONSTRAINT)
-            if earlier == raw_c.id:
-                continue
-        message = None
-        if raw_c.message is not None:
-            message = _string_value(parser.tokens[raw_c.message])
-            problem = message_template_problem(message)
-            if problem is not None:
-                parser.error(problem, raw_c.message, IssueCode.BAD_MESSAGE_TEMPLATE)
+        earlier, issues = judge_name(seen_constraints, "constraint", raw_c.id)
+        parser.report(issues, raw_c.pos)
+        if earlier == raw_c.id:
+            continue
+        message = None if raw_c.message is None else _string_value(parser.tokens[raw_c.message])
         (left, _), (right, _) = raw_c.chains[Side.LEFT], raw_c.chains[Side.RIGHT]
         raw_constraint = RawConstraint(
             raw_c.id, raw_c.kind, raw_c.domain, left, right, message
@@ -644,6 +632,8 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
             tok = raw_c.pos
             if issue.code is IssueCode.UNKNOWN_SET:
                 tok = raw_c.domain_pos
+            elif issue.code is IssueCode.BAD_MESSAGE_TEMPLATE:
+                tok = raw_c.message
             elif issue.side is not None and issue.position is not None:
                 tok = raw_c.chains[issue.side][1][issue.position - 1]
             parser.error(issue.message, tok, issue.code)
@@ -653,31 +643,6 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     if diagnostics:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
     return schema.with_constraints(tuple(constraints)), []
-
-
-# SQLite compares names with ASCII letters folded to one case, and so do
-# case-insensitive file systems, so two sets, two functions of one set or
-# two constraints named alike but for ASCII case would collide as tables,
-# columns, trigger names or emitted files. Other letters are not folded.
-_FOLD_ASCII = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-
-
-def _case_twin(seen: dict[str, str], name: str) -> str | None:
-    """The name in `seen` that `name` equals but for ASCII case (`name`
-    itself if it repeats exactly), or None after adding `name` to `seen`.
-    `seen` maps each ASCII-folded name to its first spelling."""
-    folded = name.translate(_FOLD_ASCII)
-    earlier = seen.get(folded)
-    if earlier is None:
-        seen[folded] = name
-    return earlier
-
-
-def _repeat(what: str, name: str, earlier: str, where: str = "") -> str:
-    """Why a `what` cannot be named `name` after one named `earlier`."""
-    if name == earlier:
-        return f"duplicate {what} {name!r}{where}"
-    return f"{what} {name!r} differs from {what} {earlier!r}{where} only in case"
 
 
 # ---------------------------------------------------------------------------

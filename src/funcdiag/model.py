@@ -13,11 +13,13 @@ values be equal for every row (commutative) or differ for every row
 0 is applied last, the entry at index n-1 is the function defined on the
 common domain and applied first.
 
-Only general diagram constraints are admitted. validate_diagram is where a
-declared constraint is judged: it refuses a chain compared against the
+Admission is judged here alone. validate_diagram judges a declared
+constraint: it refuses, among others, a chain compared against the
 identity of its domain (a local constraint) and a pair of single functions
 (a homogeneous binary function product, HBFP), so neither ever takes the
-DiagramConstraint shape.
+DiagramConstraint shape. judge_name judges each name against those before
+it. parse_schema reports both judges' issues at their tokens; Schema(...)
+runs both and raises ValueError, so it refuses what parse_schema refuses.
 
 A constraint owns its violation message: `template` is the one text
 that the engine formats and that both emitted dialects embed, and
@@ -29,7 +31,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class ScalarType(Enum):
@@ -293,22 +295,53 @@ def message_template_problem(template: str) -> str | None:
     return None
 
 
+# SQLite compares names with ASCII letters folded to one case, and so do
+# case-insensitive file systems, so two sets, two functions of one set or
+# two constraints named alike but for ASCII case would collide as tables,
+# columns, trigger names or emitted files. Other letters are not folded.
+_FOLD_ASCII = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def judge_name(
+    seen: dict[str, str], what: str, name: str, where: str = ""
+) -> tuple[str | None, list[Issue]]:
+    """Judge naming a "set", "function" or "constraint" `name` after the
+    names in `seen`, which maps each ASCII-folded name to its first spelling.
+
+    Returns the name in `seen` that `name` equals but for ASCII case
+    (`name` itself if it repeats exactly), or None after adding `name` to
+    `seen`, and the issues: that twin, reported alone if it is `name`, and
+    a function named `x` or `X`, the key column of every emitted table.
+    """
+    folded = name.translate(_FOLD_ASCII)
+    earlier = seen.get(folded)
+    issues: list[Issue] = []
+    if earlier is None:
+        seen[folded] = name
+    else:
+        code = IssueCode(f"duplicate-{what}")
+        if earlier == name:
+            return earlier, [Issue(code, f"duplicate {what} {name!r}{where}")]
+        message = f"{what} {name!r} differs from {what} {earlier!r}{where} only in case"
+        issues.append(Issue(code, message))
+    if what == "function" and name in ("x", "X"):
+        message = f"function name {name!r} is reserved: generated code names"
+        issues.append(Issue(IssueCode.RESERVED_NAME, message + " every row's key column x"))
+    return earlier, issues
+
+
 @dataclass(frozen=True)
 class Schema:
     """An immutable, validated schema plus its admitted constraints.
 
-    Construction admits only constraints with a side that composes two or
-    more functions and a message template that can always format (see
-    message_template_problem); anything else raises ValueError naming the
-    constraint. The lookup tables, including the
-    per-(set, function) chain occurrences, are built once here.
-
-    Precondition: names are not checked here. parse_schema refuses a
-    function named `x` or `X`, and two sets, two functions of one set or
-    two constraint ids alike but for ASCII case; a schema built through
-    this API must hold none of them, or SQLite refuses its emitted DDL or
-    triggers (tests/test_sql_harness.py::
-    test_names_sqlite_cannot_tell_apart_are_refused shows each error).
+    Construction raises ValueError on what parse_schema refuses: a name
+    judge_name refuses among the sets, the functions of one set or the
+    constraint ids, and a constraint whose names validate_diagram does not
+    resolve, in this schema, to the constraint itself (so its functions
+    are the schema's own and its template can always format). Set-level
+    structure is not judged: a link to an unknown set or a missing name
+    attribute is admitted. The lookup tables, including the per-(set,
+    function) chain occurrences, are built once here.
     """
 
     name: str
@@ -324,6 +357,9 @@ class Schema:
     occurrences: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _refuse_names("set", (("", s.name) for s in self.sets))
+        _refuse_names("function", ((f" on set {fn.domain!r}", fn.name) for fn in self.functions))
+        _refuse_names("constraint", (("", c.id) for c in self.constraints))
         by_name = {s.name: s for s in self.sets}
         by_set: dict[str, dict[str, FunctionDef]] = {s.name: {} for s in self.sets}
         links_into: dict[str, list[FunctionDef]] = {s.name: [] for s in self.sets}
@@ -331,24 +367,27 @@ class Schema:
             by_set.setdefault(fn.domain, {})[fn.name] = fn
             if fn.is_link:
                 links_into.setdefault(fn.codomain, []).append(fn)
-        constraints_on: dict[str, list[DiagramConstraint]] = {}
-        occurrences: dict[tuple[str, str], list[Occurrence]] = {}
-        for c in self.constraints:
-            _admit(c)
-            constraints_on.setdefault(c.domain_set, []).append(c)
-            for occ in c.occurrences:
-                occurrences.setdefault((occ.set_name, occ.function_name), []).append(occ)
         object.__setattr__(self, "_sets_by_name", by_name)
         object.__setattr__(self, "_fns_by_set", by_set)
         object.__setattr__(self, "_links_into", _tuples(links_into))
+        constraints_on: dict[str, list[DiagramConstraint]] = {}
+        occurrences: dict[tuple[str, str], list[Occurrence]] = {}
+        for c in self.constraints:
+            left, right = (RawChain(chain.inward[::-1]) for chain in (c.left, c.right))
+            raw = RawConstraint(c.id, c.kind, c.domain_set, left, right, c.message)
+            resolved, issues = validate_diagram(self, raw)
+            if resolved != c:
+                why = "; ".join(issue.message for issue in issues)
+                why = why or "holds a function unlike the schema's own"
+                raise ValueError(f"constraint {c.id!r}: {why}")
+            constraints_on.setdefault(c.domain_set, []).append(c)
+            for occ in c.occurrences:
+                occurrences.setdefault((occ.set_name, occ.function_name), []).append(occ)
         object.__setattr__(self, "_constraints_on", _tuples(constraints_on))
         object.__setattr__(self, "occurrences", _tuples(occurrences))
 
     def set_def(self, name: str) -> SetDef | None:
         return self._sets_by_name.get(name)
-
-    def has_set(self, name: str) -> bool:
-        return name in self._sets_by_name
 
     def function(self, set_name: str, fn_name: str) -> FunctionDef | None:
         return self._fns_by_set.get(set_name, {}).get(fn_name)
@@ -360,9 +399,6 @@ class Schema:
         """The functions on `set_name` by name, in declaration order; empty
         for an unknown set. Shared by every caller, do not mutate."""
         return self._fns_by_set.get(set_name, {})
-
-    def functions_named(self, fn_name: str) -> tuple[FunctionDef, ...]:
-        return tuple(fn for fn in self.functions if fn.name == fn_name)
 
     def links_into(self, set_name: str) -> tuple[FunctionDef, ...]:
         """Link functions whose codomain is `set_name` (for delete RESTRICT)."""
@@ -381,16 +417,14 @@ class Schema:
         return Schema(self.name, self.sets, self.functions, constraints)
 
 
-def _admit(c: DiagramConstraint) -> None:
-    if c.left.length == 1 and c.right.length == 1:
-        raise ValueError(
-            f"constraint {c.id!r} classifies as hbfp; "
-            "only general diagram constraints are admitted"
-        )
-    if c.message is not None:
-        problem = message_template_problem(c.message)
-        if problem is not None:
-            raise ValueError(f"constraint {c.id!r}: {problem}")
+def _refuse_names(what: str, named: Iterable[tuple[str, str]]) -> None:
+    """Raise ValueError at the first name judge_name refuses among `named`,
+    (where, name) pairs whose names are judged against those alike `where`."""
+    seen: dict[str, dict[str, str]] = {}
+    for where, name in named:
+        issues = judge_name(seen.setdefault(where, {}), what, name, where)[1]
+        if issues:
+            raise ValueError("; ".join(issue.message for issue in issues))
 
 
 def _tuples(table: dict) -> dict:
@@ -441,7 +475,7 @@ def resolve_chain(
         name = raw.names[idx]
         fn = schema.function(current, name)
         if fn is None:
-            elsewhere = schema.functions_named(name)
+            elsewhere = [f for f in schema.functions if f.name == name]
             if elsewhere:
                 actual = ", ".join(sorted({f.domain for f in elsewhere}))
                 issues.append(
@@ -496,24 +530,27 @@ def validate_diagram(
     and then the refused classes, a local constraint (exactly one side is
     the identity) and an HBFP (both sides are single functions), and last
     chains of n and m functions with n + m > 66, whose generic-SQL
-    triggers would each join n + m - 2 tables, past SQLite's 64. Both
-    chains are resolved from `raw.domain_set`, so any pair that resolves
-    starts on the same set.
+    triggers would each join n + m - 2 tables, past SQLite's 64; beside
+    any of them, a message template message_template_problem refuses.
+    Both chains are resolved from `raw.domain_set`, so any pair that
+    resolves starts on the same set.
     """
-    if not schema.has_set(raw.domain_set):
-        return None, [
-            Issue(
-                IssueCode.UNKNOWN_SET,
-                f"constraint {raw.id!r} is declared on unknown set {raw.domain_set!r}",
-            )
-        ]
+    constraint, issues = _resolve_diagram(schema, raw)
+    problem = None if raw.message is None else message_template_problem(raw.message)
+    if problem is not None:
+        return None, [*issues, Issue(IssueCode.BAD_MESSAGE_TEMPLATE, problem)]
+    return constraint, issues
+
+
+def _resolve_diagram(
+    schema: Schema, raw: RawConstraint
+) -> tuple[DiagramConstraint | None, list[Issue]]:
+    if schema.set_def(raw.domain_set) is None:
+        message = f"constraint {raw.id!r} is declared on unknown set {raw.domain_set!r}"
+        return None, [Issue(IssueCode.UNKNOWN_SET, message)]
     if raw.left.identity and raw.right.identity:
-        return None, [
-            Issue(
-                IssueCode.DEGENERATE_IDENTITY,
-                f"constraint {raw.id!r} declares identity on both sides",
-            )
-        ]
+        message = f"constraint {raw.id!r} declares identity on both sides"
+        return None, [Issue(IssueCode.DEGENERATE_IDENTITY, message)]
 
     # None stands for the identity from here on
     chains: list[ChainSpec | None] = []
@@ -531,42 +568,31 @@ def validate_diagram(
     lcod = raw.domain_set if left is None else left.codomain
     rcod = raw.domain_set if right is None else right.codomain
     if lcod != rcod:
-        return None, [
-            Issue(
-                IssueCode.CODOMAIN_MISMATCH,
-                f"chains end in different codomains: {_render_codomain(lcod)}"
-                f" vs {_render_codomain(rcod)}",
-            )
-        ]
-    if left is None or right is None:
-        return None, [
-            Issue(
-                IssueCode.REFUSED_LOCAL,
-                f"constraint {raw.id!r} compares a chain against the identity of"
-                f" {raw.domain_set!r} (local constraint); it is enforced by the"
-                " self-map constraint family, not by diagram checking",
-            )
-        ]
-    if left.length == 1 and right.length == 1:
-        return None, [
-            Issue(
-                IssueCode.REFUSED_HBFP,
-                f"constraint {raw.id!r} composes a single function on each side"
-                " (homogeneous binary function product); it is enforced by the"
-                " paired-function reflexivity family, not by diagram checking",
-            )
-        ]
-    joined = left.length + right.length - 2
-    if joined > _SQLITE_MAX_JOIN:
-        return None, [
-            Issue(
-                IssueCode.JOIN_LIMIT,
-                f"constraint {raw.id!r} composes {left.length} + {right.length} functions,"
-                f" so its generic-SQL triggers would join {joined} tables;"
-                f" SQLite joins at most {_SQLITE_MAX_JOIN}",
-            )
-        ]
-    return DiagramConstraint(raw.id, raw.kind, left, right, raw.message), []
+        code, message = IssueCode.CODOMAIN_MISMATCH, (
+            f"chains end in different codomains: {_render_codomain(lcod)}"
+            f" vs {_render_codomain(rcod)}"
+        )
+    elif left is None or right is None:
+        code, message = IssueCode.REFUSED_LOCAL, (
+            f"constraint {raw.id!r} compares a chain against the identity of"
+            f" {raw.domain_set!r} (local constraint); it is enforced by the"
+            " self-map constraint family, not by diagram checking"
+        )
+    elif left.length == 1 and right.length == 1:
+        code, message = IssueCode.REFUSED_HBFP, (
+            f"constraint {raw.id!r} composes a single function on each side"
+            " (homogeneous binary function product); it is enforced by the"
+            " paired-function reflexivity family, not by diagram checking"
+        )
+    elif (joined := left.length + right.length - 2) > _SQLITE_MAX_JOIN:
+        code, message = IssueCode.JOIN_LIMIT, (
+            f"constraint {raw.id!r} composes {left.length} + {right.length} functions,"
+            f" so its generic-SQL triggers would join {joined} tables;"
+            f" SQLite joins at most {_SQLITE_MAX_JOIN}"
+        )
+    else:
+        return DiagramConstraint(raw.id, raw.kind, left, right, raw.message), []
+    return None, [Issue(code, message)]
 
 
 def _render_codomain(codomain: str | ScalarType) -> str:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from funcdiag.model import (
     ChainSpec,
@@ -20,6 +21,7 @@ from funcdiag.model import (
     Side,
     validate_diagram,
 )
+from funcdiag.dsl import parse_schema
 from funcdiag.store import RowId
 
 from randgen import make_schema
@@ -269,13 +271,13 @@ def test_classification_local():
 
 
 def test_schema_refuses_non_general_constraints():
-    # built in code, not declared: two single functions never pass
-    # validate_diagram, so Schema guards them itself
+    # built in code, not declared: Schema re-judges it with validate_diagram
     pair = DiagramConstraint(
         "pair", ConstraintKind.COMMUTATIVE, _synthetic_chain(1, "f"), _synthetic_chain(1, "g")
     )
     schema = _synthetic_schema(pair.left, pair.right)
-    with pytest.raises(ValueError, match="'pair' classifies as hbfp"):
+    hbfp = r"'pair' composes a single function on each side \(homogeneous binary"
+    with pytest.raises(ValueError, match=hbfp):
         schema.with_constraints((pair,))
 
 
@@ -311,11 +313,15 @@ def test_format_message_fills_every_field_and_writes_null_as_null(geography_sche
 
 
 @given(
-    n=st.integers(min_value=1, max_value=6),
-    m=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=40),
     left_identity=st.booleans(),
     right_identity=st.booleans(),
 )
+# the join limit's edge: 33 + 33 functions join 64 tables, 34 + 33 join 65
+@example(n=33, m=33, left_identity=False, right_identity=False)
+@example(n=34, m=33, left_identity=False, right_identity=False)
+@example(n=1, m=1, left_identity=False, right_identity=False)
 def test_classification_matches_direct_predicate(n, m, left_identity, right_identity):
     # a chain compared against the identity ends where it starts
     codomain = "D" if left_identity or right_identity else "C"
@@ -336,11 +342,18 @@ def test_classification_matches_direct_predicate(n, m, left_identity, right_iden
         expected = [IssueCode.REFUSED_LOCAL]
     elif n == 1 and m == 1:
         expected = [IssueCode.REFUSED_HBFP]
+    elif n + m > 66:
+        expected = [IssueCode.JOIN_LIMIT]
     else:
         expected = []
     assert [i.code for i in issues] == expected
     if expected:
         assert constraint is None
+        if not (left_identity or right_identity):
+            # the API can build the pair by hand; Schema re-judges it
+            built = DiagramConstraint("c", ConstraintKind.COMMUTATIVE, left, right)
+            with pytest.raises(ValueError, match=re.escape(issues[0].message)):
+                schema.with_constraints((built,))
     else:
         assert (constraint.left, constraint.right) == (left, right)
         schema.with_constraints((constraint,))
@@ -365,6 +378,106 @@ def _synthetic_schema(*chains: ChainSpec) -> Schema:
         tuple(SetDef(name, "Name") for name in names),
         tuple(FunctionDef("Name", name, ScalarType.TEXT) for name in names) + tuple(fns),
     )
+
+
+# A, B and C, each named by N; f and g link A to B, h links A to C, k C to B
+PARITY_SETS = (SetDef("A", "N"), SetDef("B", "N"), SetDef("C", "N"))
+PARITY_FUNCTIONS = (
+    *(FunctionDef("N", s.name, ScalarType.TEXT) for s in PARITY_SETS),
+    FunctionDef("f", "A", "B"),
+    FunctionDef("g", "A", "B"),
+    FunctionDef("h", "A", "C"),
+    FunctionDef("k", "C", "B"),
+)
+N_B, F, G, H, K = (
+    next(fn for fn in PARITY_FUNCTIONS if (fn.domain, fn.name) == key)
+    for key in (("B", "N"), ("A", "f"), ("A", "g"), ("A", "h"), ("C", "k"))
+)
+LONG_LEFT, LONG_RIGHT = _synthetic_chain(67, "l"), _synthetic_chain(1, "r")
+LONG = _synthetic_schema(LONG_LEFT, LONG_RIGHT)
+
+
+def _pair(left, right, message=None, constraint_id="c") -> DiagramConstraint:
+    return DiagramConstraint(
+        constraint_id, ConstraintKind.COMMUTATIVE, ChainSpec(left), ChainSpec(right), message
+    )
+
+
+def _parity(case_id, constraints=(), sets=PARITY_SETS, functions=PARITY_FUNCTIONS):
+    return pytest.param(sets, functions, constraints, id=case_id)
+
+
+def _named(*functions: tuple[str, str]) -> tuple[FunctionDef, ...]:
+    """Nullable text functions, given as (set, name)."""
+    return tuple(FunctionDef(name, domain, ScalarType.TEXT, True) for domain, name in functions)
+
+
+S = (SetDef("S", "N"),)
+
+
+@pytest.mark.parametrize(
+    "sets, functions, constraints",
+    [
+        _parity(
+            "join-limit",
+            (_pair(LONG_LEFT.functions, LONG_RIGHT.functions),),
+            LONG.sets,
+            LONG.functions,
+        ),
+        _parity("chains-on-different-sets", (_pair((N_B, F), (N_B, K)),)),
+        _parity("broken-composition", (_pair((K, F), (F,)),)),
+        _parity("unlike-the-schema", (_pair((N_B, replace(F, nullable=True)), (N_B, K, H)),)),
+        _parity("hbfp", (_pair((F,), (G,)),)),
+        _parity("bad-template", (_pair((N_B, F), (N_B, K, H), "bad {left.x}"),)),
+        _parity("unknown-function-and-bad-template", (
+            _pair((N_B, FunctionDef("zz", "A", "B")), (N_B, K, H), "{left!r}"),
+        )),
+        _parity("twin-ids", (
+            _pair((N_B, F), (N_B, K, H)), _pair((N_B, G), (N_B, K, H), None, "C"),
+        )),
+        _parity("twin-sets", (), (*S, SetDef("s", "N")), _named(("S", "N"), ("s", "N"))),
+        _parity("repeated-set", (), S * 2, _named(("S", "N"))),
+        _parity("twin-functions", (), S, _named(("S", "N"), ("S", "Color"), ("S", "color"))),
+        _parity("repeated-function", (), S, _named(("S", "N"), ("S", "N"))),
+        _parity("function-x", (), S, _named(("S", "N"), ("S", "x"))),
+        _parity("function-X", (), S, _named(("S", "N"), ("S", "X"))),
+    ],
+)
+def test_schema_refuses_what_parse_schema_refuses(sets, functions, constraints):
+    # the API and the parser share one judge, so Schema(...) refuses each
+    # case with the message parse_schema gives for the same declarations
+    with pytest.raises(ValueError) as refused:
+        Schema("P", sets, functions, constraints)
+    parsed, diagnostics = parse_schema(_source(sets, functions, constraints))
+    if parsed is None:
+        why = "; ".join(d.message for d in diagnostics)
+        assert str(refused.value) in (why, f"constraint 'c': {why}")
+    else:
+        # text names functions, not FunctionDefs: only the API can hold
+        # one unlike the schema's own
+        unlike = "constraint 'c': holds a function unlike the schema's own"
+        assert str(refused.value) == unlike
+
+
+def _source(sets, functions, constraints) -> str:
+    """Schema text declaring what the API is given, in its order."""
+    lines = ["schema P ;"]
+    for s in sets:
+        members = [
+            f"{'name ' if fn.name == s.name_attribute else ''}{fn.name}"
+            + (f" -> {fn.codomain}" if fn.is_link else f" : {fn.codomain.value}")
+            + (" ? ;" if fn.nullable else " ;")
+            for fn in functions
+            if fn.domain == s.name
+        ]
+        lines.append(f"set {s.name} {{ {' '.join(members)} }}")
+    for c in constraints:
+        message = "" if c.message is None else f' message = "{c.message}" ;'
+        lines.append(
+            f"constraint {c.id} commutative on {c.domain_set} {{"
+            f" left = {c.left.render()} ; right = {c.right.render()} ;{message} }}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def test_chainspec_rejects_empty_non_identity():

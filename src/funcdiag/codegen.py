@@ -27,13 +27,26 @@ trigger joins n + m - 2 tables, and SQLite joins at most 64
 n + m <= 66: model.validate_diagram refuses a longer pair (`join-limit`)
 before anything is emitted for it.
 
+Each trigger joins its tables with CROSS JOIN in walk order, which SQLite
+keeps as its loop order (https://www.sqlite.org/optoverview.html#crossjoin),
+so every loop searches on a value the loops outside it have reached and
+the planner never picks an order that scans. A link trigger walks the head
+first: its hops depend only on the written row, so they run once. The reverse walk follows, back to the
+domain rows, and then the other chain's hops out from each.
+
 Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
-EXISTS` per link column its triggers walk backwards, the SQL twin of the
-store's reverse index; units that walk the same column share its index.
-Every emitted name joins its parts with a dot, which no identifier holds,
-so names from different parts never collide: index `[SET.function]`,
-triggers `[constraint.SET.ins]` and `[constraint.SET.function.left1]`,
-and file names (EmittedUnit.filename).
+EXISTS` per hop its triggers walk backwards, the SQL twin of the store's
+reverse index; units that walk alike share the index. An intermediate hop
+reads the link column and the row id, so `[SET.link]` on the link column
+serves it. The last hop, the one that reaches the domain set, also reads
+the other chain's innermost column there, so its index `[SET.link.other]`
+holds both columns and the hop never reads the table
+(https://www.sqlite.org/queryplanner.html#covidx); where the two columns
+are one, it is `[SET.link]`. Every emitted name joins its parts with a dot,
+which no identifier holds, so names from different parts never collide:
+an index is named by its set and its column list, triggers
+`[constraint.SET.ins]` and `[constraint.SET.function.left1]`, and file
+names (EmittedUnit.filename).
 
 Row-source queries come in one flavor only: a three-column query over the
 right-join ladder of the chain's tables for chains of two or more
@@ -284,9 +297,12 @@ def _sql_trigger(
     function of `back`, outermost first, joins the rows whose link names
     the value (`tK.[fn] = value`); each of `forward`, innermost first, is
     read at the row the value names, joined as `tK.[x] = value` unless a
-    backward hop has just joined it. A trigger that joins `table` runs
-    AFTER the write, since BEFORE it would read the written row's old
-    values; any other runs BEFORE, where every row it joins is post-state.
+    backward hop has just joined it. The tables are joined with CROSS
+    JOIN in walk order, so SQLite loops over them in that order and each
+    loop searches on the value the loop outside it reached. A trigger
+    that joins `table` runs AFTER the write, since BEFORE it would read
+    the written row's old values; any other runs BEFORE, where every row
+    it joins is post-state.
     """
     joined: list[str] = []
     conditions: list[str] = []
@@ -315,7 +331,9 @@ def _sql_trigger(
             *([f"WHEN {guard}"] if guard else []),
             "BEGIN",
             f"    SELECT RAISE(ABORT, {_sql_string(constraint.template)})",
-            "    FROM " + ", ".join(f"{_b(t)} t{k}" for k, t in enumerate(joined, 1)),
+            "    FROM " + "\n    CROSS JOIN ".join(
+                f"{_b(t)} t{k}" for k, t in enumerate(joined, 1)
+            ),
             "    WHERE " + "\n      AND ".join(conditions) + ";",
             "END;",
         ]
@@ -335,10 +353,12 @@ def gen_link_checks(
     Both sides contribute one block per chain position below the
     innermost; blocks landing on the same target (a function used by both
     chains) are concatenated into a single body, left side first. A
-    GENERIC_SQL body starts with one `CREATE INDEX IF NOT EXISTS
-    [SET.function]` per column its triggers' reverse walks read, so every
-    unit installs on its own, in any order and next to units that share
-    an index.
+    GENERIC_SQL body starts with one `CREATE INDEX IF NOT EXISTS` per hop
+    its triggers' reverse walks take, so every unit installs on its own,
+    in any order and next to units that share an index: `[SET.link]` on
+    the link column of an intermediate hop, and `[SET.link.other]` on the
+    link column and the other chain's innermost column for the hop that
+    reaches the domain set, which then reads no table row.
     """
     targets: dict[tuple[str, str], list[Occurrence]] = {}
     for occ in constraint.occurrences:
@@ -356,10 +376,10 @@ def gen_link_checks(
                 ]
             )
         else:
-            walked = dict.fromkeys(fn for occ in occurrences for fn in occ.reverse)
+            indexes = dict.fromkeys(key for occ in occurrences for key in _sql_indexes(occ))
             body = "\n\n".join(
                 [
-                    "\n".join(map(_sql_index, walked)),
+                    "\n".join(_sql_index(table, *columns) for table, *columns in indexes),
                     *map(_sql_link_trigger, occurrences),
                 ]
             )
@@ -371,16 +391,30 @@ def gen_link_checks(
     return units
 
 
-def _sql_index(fn: FunctionDef) -> str:
-    name = _b(f"{fn.domain}.{fn.name}")
-    return f"CREATE INDEX IF NOT EXISTS {name} ON {_b(fn.domain)} ({_b(fn.name)});"
+def _sql_indexes(occ: Occurrence) -> list[tuple[str, ...]]:
+    """(table, columns...) of each index `occ`'s reverse walk searches, in
+    walk order: the link column of each intermediate hop, and the link
+    column with the other chain's innermost column for the domain hop."""
+    *hops, last = occ.reverse
+    covering = dict.fromkeys((last.name, occ.other.innermost.name))
+    return [*((fn.domain, fn.name) for fn in hops), (last.domain, *covering)]
+
+
+def _sql_index(table: str, *columns: str) -> str:
+    name = _b(".".join((table, *columns)))
+    listed = ", ".join(map(_b, columns))
+    return f"CREATE INDEX IF NOT EXISTS {name} ON {_b(table)} ({listed});"
 
 
 def _paper_reverse_where(walk: tuple[FunctionDef, ...], value: str) -> str:
     """Predicate on the domain set selecting the rows whose chain, walked
     back through the link columns of `walk` (outermost first), reaches
-    the VBA variable `value`."""
-    predicate = f'{walk[0].name} =" & {value} & "'
+    the VBA variable `value`. A text value is spliced in as a quoted
+    literal, its quotes doubled; a row id is spliced in bare."""
+    splice = f'" & {value} & "'
+    if walk[0].codomain is ScalarType.TEXT:
+        splice = f"""'" & Replace({value}, "'", "''") & "'"""
+    predicate = f"{walk[0].name} ={splice}"
     for previous, fn in zip(walk, walk[1:]):
         predicate = f"{fn.name} IN (SELECT x FROM {previous.domain} WHERE {predicate})"
     return predicate
@@ -440,9 +474,10 @@ def _sql_link_trigger(occ: Occurrence) -> str:
         f"UPDATE OF {column}",
         table,
         f"NEW.{column} IS NOT NULL AND NEW.{column} IS NOT OLD.{column}",
-        # the affected domain rows, the other chain's value at each, and the new head
-        ("NEW.[x]", occ.reverse, occ.other.functions[::-1]),
+        # the new head, read once; the affected domain rows and the other
+        # chain's value at each
         (f"NEW.{column}", (), occ.head),
+        ("NEW.[x]", occ.reverse, occ.other.functions[::-1]),
     )
 
 

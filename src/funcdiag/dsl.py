@@ -14,7 +14,9 @@ judge_name refuses is not admitted, so a later reference to it is reported
 too. A link's target and each constraint (by model.validate_diagram, which
 also judges its message) are judged once the whole schema has been read,
 since they may name a set or function declared after them. Admission is
-judged in the model alone: Schema(...) runs the same two judges.
+judged in the model alone: Schema(...) runs the same two judges, so
+parse_schema, having run them on every name and constraint once, builds
+its Schema without running them again.
 
 A script is read by two paths. The fast path takes one line at a time: a
 line that holds one whole common statement (`insert`, `update` or
@@ -613,7 +615,9 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     functions = tuple(
         fn for fn in parser.functions if not (fn.is_link and fn.codomain not in set_names)
     )
-    schema = Schema(schema_name or "", tuple(parser.sets), functions)
+    # every name the parser admitted has been judged, and so is every
+    # constraint by the end of the loop below
+    schema = Schema._judged(schema_name or "", tuple(parser.sets), functions)
 
     constraints: list[DiagramConstraint] = []
     seen_constraints: dict[str, str] = {}
@@ -642,7 +646,7 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
 
     if diagnostics:
         return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
-    return schema.with_constraints(tuple(constraints)), []
+    return Schema._judged(schema.name, schema.sets, functions, tuple(constraints)), []
 
 
 # ---------------------------------------------------------------------------

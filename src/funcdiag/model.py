@@ -28,6 +28,7 @@ format_message is the only code that fills its MESSAGE_FIELDS.
 
 from __future__ import annotations
 
+import copy
 import string
 from dataclasses import dataclass, field
 from enum import Enum
@@ -341,7 +342,10 @@ class Schema:
     are the schema's own and its template can always format). Set-level
     structure is not judged: a link to an unknown set or a missing name
     attribute is admitted. The lookup tables, including the per-(set,
-    function) chain occurrences, are built once here.
+    function) chain occurrences, are built once here. with_constraints
+    judges only the constraints it is given and shares the rest, and
+    parse_schema, which judges each name and constraint as it reads it,
+    builds its Schema through _judged without judging them again.
     """
 
     name: str
@@ -359,7 +363,22 @@ class Schema:
     def __post_init__(self) -> None:
         _refuse_names("set", (("", s.name) for s in self.sets))
         _refuse_names("function", ((f" on set {fn.domain!r}", fn.name) for fn in self.functions))
-        _refuse_names("constraint", (("", c.id) for c in self.constraints))
+        self._index_functions()
+        self._refuse_constraints()
+        self._index_constraints()
+
+    @classmethod
+    def _judged(cls, name: str, sets, functions, constraints=()) -> "Schema":
+        """A Schema whose names and constraints the caller has judged with
+        judge_name and validate_diagram, as parse_schema does while it
+        reads them, built without judging them again."""
+        schema = object.__new__(cls)
+        schema.__dict__.update(name=name, sets=sets, functions=functions, constraints=constraints)
+        schema._index_functions()
+        schema._index_constraints()
+        return schema
+
+    def _index_functions(self) -> None:
         by_name = {s.name: s for s in self.sets}
         by_set: dict[str, dict[str, FunctionDef]] = {s.name: {} for s in self.sets}
         links_into: dict[str, list[FunctionDef]] = {s.name: [] for s in self.sets}
@@ -370,8 +389,9 @@ class Schema:
         object.__setattr__(self, "_sets_by_name", by_name)
         object.__setattr__(self, "_fns_by_set", by_set)
         object.__setattr__(self, "_links_into", _tuples(links_into))
-        constraints_on: dict[str, list[DiagramConstraint]] = {}
-        occurrences: dict[tuple[str, str], list[Occurrence]] = {}
+
+    def _refuse_constraints(self) -> None:
+        _refuse_names("constraint", (("", c.id) for c in self.constraints))
         for c in self.constraints:
             left, right = (RawChain(chain.inward[::-1]) for chain in (c.left, c.right))
             raw = RawConstraint(c.id, c.kind, c.domain_set, left, right, c.message)
@@ -380,6 +400,11 @@ class Schema:
                 why = "; ".join(issue.message for issue in issues)
                 why = why or "holds a function unlike the schema's own"
                 raise ValueError(f"constraint {c.id!r}: {why}")
+
+    def _index_constraints(self) -> None:
+        constraints_on: dict[str, list[DiagramConstraint]] = {}
+        occurrences: dict[tuple[str, str], list[Occurrence]] = {}
+        for c in self.constraints:
             constraints_on.setdefault(c.domain_set, []).append(c)
             for occ in c.occurrences:
                 occurrences.setdefault((occ.set_name, occ.function_name), []).append(occ)
@@ -414,7 +439,15 @@ class Schema:
         return self._constraints_on.get(domain_set, ())
 
     def with_constraints(self, constraints: tuple[DiagramConstraint, ...]) -> "Schema":
-        return Schema(self.name, self.sets, self.functions, constraints)
+        """This schema with `constraints` in place of its own. They are
+        judged as Schema(...) judges them; the sets and functions, judged
+        when this schema was built, are not, and their lookup tables are
+        shared."""
+        schema = copy.copy(self)
+        object.__setattr__(schema, "constraints", constraints)
+        schema._refuse_constraints()
+        schema._index_constraints()
+        return schema
 
 
 def _refuse_names(what: str, named: Iterable[tuple[str, str]]) -> None:

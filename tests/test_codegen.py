@@ -167,10 +167,12 @@ def test_sql_domain_check_structure(geography_schema):
     assert "BEFORE UPDATE OF Mountain, Continent ON RIVERS" in body
     assert "WHEN NEW.Mountain IS NOT OLD.Mountain OR NEW.Continent IS NOT OLD.Continent" in body
     assert "RAISE(ABORT," in body
-    # both triggers walk the chain as one flat join, never a nested subquery
+    # both triggers walk the chain as one flat join in walk order, never a
+    # nested subquery
     assert "(SELECT" not in body
     join = (
-        "FROM MOUNTAINS t1, MOUNT_GROUPS t2, MOUNT_SUBRANGES t3, MOUNTAIN_RANGES t4"
+        "FROM MOUNTAINS t1 CROSS JOIN MOUNT_GROUPS t2 CROSS JOIN MOUNT_SUBRANGES t3"
+        " CROSS JOIN MOUNTAIN_RANGES t4"
         " WHERE t1.x = NEW.Mountain AND t2.x = t1.Group AND t3.x = t2.Subrange"
         " AND t4.x = t3.Range AND t4.Continent <> NEW.Continent;"
     )
@@ -253,17 +255,50 @@ def test_paper_anti_link_check_folds_head_into_query(neighbors_schema):
     body = unit.body
     assert "FrontierColor <> FrontierColor.OldValue" in body
     assert "w = FrontierColor" in body
-    # the left-side block scans pairs by Country and matches Neighbor's color
+    # the left-side block scans pairs by Country and matches Neighbor's
+    # color; the row id is spliced bare, the text colour as a quoted literal
     assert (
         'Country =" & x & " AND Neighbor IN (SELECT x FROM COUNTRIES'
-        ' WHERE FrontierColor =" & w & ")' in body
+        """ WHERE FrontierColor ='" & Replace(w, "'", "''") & "')""" in body
     )
     assert (
         'Neighbor =" & x & " AND Country IN (SELECT x FROM COUNTRIES'
-        ' WHERE FrontierColor =" & w & ")' in body
+        """ WHERE FrontierColor ='" & Replace(w, "'", "''") & "')""" in body
     )
     assert "If Not IsNull(v) Then" in body
     assert "Undo" in body
+
+
+SPLICE_SCHEMA = """schema T ;
+set R { name L : text ; }
+set P { name N : text ; Tag : text ? ; Size : integer ? ; Home -> R ? ; }
+set Q { name M : text ; A -> P ; B -> P ; }
+constraint tags anticommutative on Q { left = Tag . A ; right = Tag . B ; }
+constraint sizes anticommutative on Q { left = Size . A ; right = Size . B ; }
+constraint homes anticommutative on Q { left = Home . A ; right = Home . B ; }
+"""
+
+
+@pytest.mark.parametrize(
+    "constraint_id, splice",
+    [
+        ("tags", """Tag ='" & Replace(w, "'", "''") & "'"""),
+        ("sizes", 'Size =" & w & "'),
+        ("homes", 'Home =" & w & "'),
+    ],
+)
+def test_paper_criteria_quote_a_text_splice_and_leave_ids_bare(constraint_id, splice):
+    # Access reads a bare word in a criteria string as a name, so a text
+    # value is spliced in as a quoted literal; numbers and row ids are not
+    schema, diagnostics = parse_schema(SPLICE_SCHEMA)
+    assert schema is not None, diagnostics
+    [unit] = gen_link_checks(schema, schema.constraint(constraint_id), Dialect.PAPER_STYLE)
+    lookups = [line.strip() for line in unit.body.split("\n") if line.strip().startswith("v = ")]
+    assert lookups == [
+        f'v = DLookup("M", "Q", "{near} =" & x & " AND {far} IN'
+        f' (SELECT x FROM P WHERE {splice})")'
+        for near, far in (("A", "B"), ("B", "A"))
+    ]
 
 
 def test_sql_link_checks_structure(geography_schema):
@@ -278,15 +313,18 @@ def test_sql_link_checks_structure(geography_schema):
     # the reverse walk from the written row back to the domain set, and the
     # other chain read on the domain row it reaches
     assert (
-        "FROM MOUNT_SUBRANGES t1, MOUNT_GROUPS t2, MOUNTAINS t3, RIVERS t4"
+        "FROM MOUNT_SUBRANGES t1 CROSS JOIN MOUNT_GROUPS t2 CROSS JOIN MOUNTAINS t3"
+        " CROSS JOIN RIVERS t4"
         " WHERE t1.Range = NEW.x AND t2.Subrange = t1.x AND t3.Group = t2.x"
-        " AND t4.Mountain = t3.x AND t4.Continent <> NEW.Continent;"
+        " AND t4.Mountain = t3.x AND NEW.Continent <> t4.Continent;"
     ) in outermost
-    # the head walk joins the rows ahead of the written one
+    # the head walk joins the rows ahead of the written one, first, so it
+    # runs once; the reverse walk follows
     assert (
-        "FROM RIVERS t1, MOUNT_GROUPS t2, MOUNT_SUBRANGES t3, MOUNTAIN_RANGES t4"
-        " WHERE t1.Mountain = NEW.x AND t2.x = NEW.Group AND t3.x = t2.Subrange"
-        " AND t4.x = t3.Range AND t1.Continent <> t4.Continent;"
+        "FROM MOUNT_GROUPS t1 CROSS JOIN MOUNT_SUBRANGES t2 CROSS JOIN MOUNTAIN_RANGES t3"
+        " CROSS JOIN RIVERS t4"
+        " WHERE t1.x = NEW.Group AND t2.x = t1.Subrange AND t3.x = t2.Range"
+        " AND t4.Mountain = NEW.x AND t3.Continent <> t4.Continent;"
     ) in bodies[3]
 
 
@@ -361,35 +399,50 @@ def test_emitted_bodies_are_deterministic(geography_schema):
 
 @pytest.mark.parametrize("fixture", ["geography", "neighbors"])
 @pytest.mark.parametrize("dialect", list(Dialect))
-def test_emitted_text_matches_golden_apart_from_index_lines(fixture, dialect):
-    """Every unit is pinned byte for byte; a generic-sql link-check unit
-    may only add its block of index lines ahead of the triggers."""
+def test_emitted_text_matches_golden(fixture, dialect):
+    """Every unit is pinned byte for byte, a generic-sql link-check unit's
+    index lines too."""
     schema, diagnostics = parse_schema(fixture_text(f"{fixture}.fd"))
     assert schema is not None, diagnostics
-    parts = []
-    for unit in emit_units(schema, schema.constraints, "all", dialect):
-        body = unit.body
-        if unit.dialect is Dialect.GENERIC_SQL and unit.role == "link-check":
-            indexes, body = body.split("\n\n", 1)
-            for line in indexes.splitlines():
-                assert line.startswith("CREATE INDEX IF NOT EXISTS [")
-        parts.append(f"-- {unit.filename} ({unit.role})\n{body}\n\n")
+    parts = [
+        f"-- {unit.filename} ({unit.role})\n{unit.body}\n\n"
+        for unit in emit_units(schema, schema.constraints, "all", dialect)
+    ]
     assert "".join(parts) == fixture_text(f"emitted/{fixture}.{dialect.value}.txt")
 
 
 def test_sql_link_check_units_carry_their_reverse_walk_indexes(geography_schema):
     units = gen_link_checks(geography_schema, geo(geography_schema), Dialect.GENERIC_SQL)
+    # the domain hop's index also holds the other chain's innermost column
     walk = [
         "CREATE INDEX IF NOT EXISTS [MOUNT_SUBRANGES.Range] ON [MOUNT_SUBRANGES] ([Range]);",
         "CREATE INDEX IF NOT EXISTS [MOUNT_GROUPS.Subrange] ON [MOUNT_GROUPS] ([Subrange]);",
         "CREATE INDEX IF NOT EXISTS [MOUNTAINS.Group] ON [MOUNTAINS] ([Group]);",
-        "CREATE INDEX IF NOT EXISTS [RIVERS.Mountain] ON [RIVERS] ([Mountain]);",
+        "CREATE INDEX IF NOT EXISTS [RIVERS.Mountain.Continent]"
+        " ON [RIVERS] ([Mountain], [Continent]);",
     ]
     for position, unit in enumerate(units, 1):
         indexes = unit.body.split("\n\n", 1)[0]
         assert indexes.splitlines() == walk[position - 1 :]
 
 
+
+
+def test_domain_hop_reading_its_own_link_column_gets_the_one_column_index():
+    # both chains end in F, so the domain hop reads F alone
+    schema, diagnostics = parse_schema(
+        "schema T ;\n"
+        "set P { name N : text ; L : text ? ; }\n"
+        "set S { name M : text ; F -> P ? ; }\n"
+        "constraint same commutative on S { left = N . F ; right = L . F ; }\n"
+    )
+    assert schema is not None, diagnostics
+    bodies = [
+        u.body for u in gen_link_checks(schema, schema.constraints[0], Dialect.GENERIC_SQL)
+    ]
+    assert [body.split("\n\n", 1)[0] for body in bodies] == [
+        "CREATE INDEX IF NOT EXISTS [S.F] ON [S] ([F]);"
+    ] * 2
 
 def _assert_vba_handler_shape(body: str) -> None:
     """A `Sub` ... `End Sub` whose every line sits four spaces deeper per

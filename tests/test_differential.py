@@ -15,19 +15,28 @@ which must agree violation for violation and count the same rows.
 from __future__ import annotations
 
 import random
+import re
 import sqlite3
 
 import pytest
 
-from funcdiag.dsl import Action
+from funcdiag.dsl import Action, parse_schema
 from funcdiag.engine import affected_rows, apply_mutation, raw_apply, resolve_mutation
 from funcdiag.model import Side
 from funcdiag.oracle import oracle_apply
 from funcdiag.store import Database, StoreError
 
 import rowwise_engine
+from conftest import fixture_text
 from randgen import make_mutation, make_schema, seed_database
-from test_sql_harness import contents, generic_sql_units, install, sql_apply, sql_contents
+from test_sql_harness import (
+    contents,
+    generic_sql_units,
+    indexed_columns,
+    install,
+    sql_apply,
+    sql_contents,
+)
 
 # 143-182 are seeds on which BEFORE triggers read a row's old values
 SEEDS = [*range(40), 143, 150, 167, 182]
@@ -240,3 +249,63 @@ def test_seeds_cover_revisiting_chains_and_multi_column_updates():
             multi += m.action is Action.UPDATE and len(m.bindings) > 1
             apply_mutation(db, m)
     assert revisits and loops and multi
+
+
+# -- trigger plans ------------------------------------------------------------
+
+_TRIGGER_RE = re.compile(r"CREATE TRIGGER \[([^\]]*)\].*?\n    (FROM .*?);\nEND;", re.S)
+_NEW_OR_OLD_RE = re.compile(r"\b(?:NEW|OLD)\.\[[^\]]*\]")
+
+
+def plan_gate(schema) -> tuple[int, list[str], list[str], int]:
+    """Plan the join of every emitted trigger as SQLite plans it, with each
+    NEW. and OLD. column read as a constant. Returns the number of
+    triggers, the plan lines that SCAN, the link triggers whose domain-row
+    hop (the last of the reverse walk) reads more than an index, and the
+    number of covering indexes [S.f.g] whose set also gets [S.f]."""
+    units = generic_sql_units(schema)
+    connection = install(sqlite3.connect(":memory:"), schema, units)
+    domain_hop = {
+        f"{c.id}.{occ.set_name}.{occ.function_name}.{occ.side.value}{occ.position}":
+        f"t{len(occ.head) + len(occ.reverse)}"
+        for c in schema.constraints
+        for occ in c.occurrences
+        if occ.reverse
+    }
+    triggers, scans, uncovered = 0, [], []
+    for unit in units:
+        for name, clause in _TRIGGER_RE.findall(unit.body):
+            triggers += 1
+            query = "EXPLAIN QUERY PLAN SELECT 1 " + _NEW_OR_OLD_RE.sub("1", clause)
+            plan = [detail for *_, detail in connection.execute(query)]
+            scans += [f"{name}: {detail}" for detail in plan if detail.startswith("SCAN")]
+            alias = domain_hop.get(name)
+            if alias and not any(
+                detail.startswith(f"SEARCH {alias} USING COVERING INDEX ") for detail in plan
+            ):
+                uncovered.append(f"{name}: {plan}")
+    indexes = indexed_columns(connection)
+    connection.close()
+    both = sum(len(columns) == 2 and (table, columns[:1]) in indexes for table, columns in indexes)
+    return triggers, scans, uncovered, both
+
+
+@pytest.mark.parametrize(
+    "source, max_chain",
+    [("geography", None), ("neighbors", None)]
+    + [(seed, 6) for seed in SEEDS]
+    + [(seed, LONG_CHAIN) for seed in LONG_CHAIN_SEEDS],
+)
+def test_every_trigger_searches_and_reads_its_domain_rows_from_an_index(source, max_chain):
+    """No emitted trigger plans a SCAN, on the fixtures and on random
+    schemas with chains of up to 6 and up to LONG_CHAIN functions, and
+    every link trigger reads its domain rows from a covering index."""
+    if max_chain is None:
+        schema, diagnostics = parse_schema(fixture_text(f"{source}.fd"))
+        assert schema is not None, diagnostics
+    else:
+        schema = _schema(random.Random(source), max_chain)
+    triggers, scans, uncovered, _ = plan_gate(schema)
+    assert triggers
+    assert scans == [], scans
+    assert uncovered == [], uncovered

@@ -6,6 +6,7 @@ import importlib
 import random
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from funcdiag.dsl import (
     parse_schema,
     parse_script,
 )
+from funcdiag import dsl, model
 from funcdiag.model import ConstraintKind, FunctionDef, IssueCode, ScalarType, Schema
 from funcdiag.store import RowId
 
@@ -133,6 +135,33 @@ def test_geography_fixture_parses(geography_schema):
     assert mountain is not None and mountain.nullable
     group = geography_schema.function("MOUNTAINS", "Group")
     assert group is not None and group.nullable
+
+
+@pytest.mark.parametrize("fixture", ["geography", "neighbors"])
+def test_parse_schema_judges_each_name_once(fixture, monkeypatch):
+    """The parser judges every name as it reads it, and the Schema it
+    returns is built without judging any again; with_constraints judges
+    only the constraints it is given."""
+    calls: Counter = Counter()
+    judge_name = model.judge_name
+
+    def counting(seen, what, name, where=""):
+        calls[(what, name, where)] += 1
+        return judge_name(seen, what, name, where)
+
+    monkeypatch.setattr(dsl, "judge_name", counting)
+    monkeypatch.setattr(model, "judge_name", counting)
+    schema, diagnostics = parse_schema(fixture_text(f"{fixture}.fd"))
+    assert schema is not None, diagnostics
+    names = [
+        *(("set", s.name, "") for s in schema.sets),
+        *(("function", fn.name, f" on set {fn.domain!r}") for fn in schema.functions),
+        *(("constraint", c.id, "") for c in schema.constraints),
+    ]
+    assert calls == Counter(names)
+    calls.clear()
+    assert schema.with_constraints(schema.constraints) == schema
+    assert calls == Counter(("constraint", c.id, "") for c in schema.constraints)
 
 
 def test_empty_source_reports_no_schema():

@@ -420,27 +420,34 @@ def test_delete_of_row_referencing_only_itself_matches_sqlite():
 
 # -- reverse-walk indexes -----------------------------------------------------
 
+# (table, indexed columns) of each hop: an intermediate hop's link column,
+# and the domain hop's link column with the other chain's innermost column
+GEOGRAPHY_WALK = [
+    ("MOUNT_SUBRANGES", ("Range",)),
+    ("MOUNT_GROUPS", ("Subrange",)),
+    ("MOUNTAINS", ("Group",)),
+    ("RIVERS", ("Mountain", "Continent")),
+]
 WALKED_COLUMNS = {
-    "geography": {
-        ("MOUNT_SUBRANGES", "Range"),
-        ("MOUNT_GROUPS", "Subrange"),
-        ("MOUNTAINS", "Group"),
-        ("RIVERS", "Mountain"),
-    },
+    "geography": set(GEOGRAPHY_WALK),
     # both sides' triggers live in the one unit on COUNTRIES.FrontierColor
-    "neighbors": {("NEIGHBOR_COUNTRIES", "Country"), ("NEIGHBOR_COUNTRIES", "Neighbor")},
+    "neighbors": {
+        ("NEIGHBOR_COUNTRIES", ("Country", "Neighbor")),
+        ("NEIGHBOR_COUNTRIES", ("Neighbor", "Country")),
+    },
 }
 
 
 def indexed_columns(connection: sqlite3.Connection) -> Counter:
-    """(table, column) of every index made by CREATE INDEX, with its count."""
+    """(table, columns in index order) of every index made by CREATE
+    INDEX, with its count."""
     columns: Counter = Counter()
     tables = connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
     for (table,) in tables.fetchall():
         for _, index, _, origin, _ in connection.execute(f"PRAGMA index_list([{table}])"):
             if origin == "c":
-                for _, _, column in connection.execute(f"PRAGMA index_info([{index}])"):
-                    columns[(table, column)] += 1
+                info = connection.execute(f"PRAGMA index_info([{index}])").fetchall()
+                columns[(table, tuple(column for _, _, column in sorted(info)))] += 1
     return columns
 
 
@@ -465,12 +472,7 @@ def test_one_index_per_walked_column_in_any_install_order(fixture):
 
 
 def test_each_link_check_unit_installs_alone_with_its_own_indexes(geography_schema):
-    walk = [
-        ("MOUNT_SUBRANGES", "Range"),
-        ("MOUNT_GROUPS", "Subrange"),
-        ("MOUNTAINS", "Group"),
-        ("RIVERS", "Mountain"),
-    ]
+    walk = GEOGRAPHY_WALK
     units = [u for u in generic_sql_units(geography_schema) if u.role == "link-check"]
     assert len(units) == len(walk)
     for position, unit in enumerate(units, 1):
@@ -492,8 +494,10 @@ def test_index_names_stay_distinct_when_underscores_could_collide():
     assert schema is not None, diagnostics
     connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
     assert indexed_columns(connection) == Counter(
-        [("A_B", "C"), ("A", "B_C"), ("D", "Y"), ("D", "Z")]
+        [("A_B", ("C",)), ("A", ("B_C",)), ("D", ("Y", "Z")), ("D", ("Z", "Y"))]
     )
+    indexes = connection.execute("SELECT name FROM sqlite_master WHERE type = 'index'")
+    assert sorted(name for (name,) in indexes) == ["A.B_C", "A_B.C", "D.Y.Z", "D.Z.Y"]
     connection.close()
 
 

@@ -31,18 +31,20 @@ Each trigger joins its tables with CROSS JOIN in walk order, which SQLite
 keeps as its loop order (https://www.sqlite.org/optoverview.html#crossjoin),
 so every loop searches on a value the loops outside it have reached and
 the planner never picks an order that scans. A link trigger walks the head
-first: its hops depend only on the written row, so they run once. The reverse walk follows, back to the
-domain rows, and then the other chain's hops out from each.
+first: its hops depend only on the written row, so they run once. The
+reverse walk follows, back to the domain rows, and then the other chain's
+hops out from each.
 
 Each GENERIC_SQL link-check unit starts with one `CREATE INDEX IF NOT
 EXISTS` per hop its triggers walk backwards, the SQL twin of the store's
-reverse index; units that walk alike share the index. An intermediate hop
-reads the link column and the row id, so `[SET.link]` on the link column
-serves it. The last hop, the one that reaches the domain set, also reads
-the other chain's innermost column there, so its index `[SET.link.other]`
-holds both columns and the hop never reads the table
-(https://www.sqlite.org/queryplanner.html#covidx); where the two columns
-are one, it is `[SET.link]`. Every emitted name joins its parts with a dot,
+reverse index; units that walk alike share the index. The last hop, the
+one that reaches the domain set, also reads the other chain's innermost
+column there, so its index `[SET.link.other]` holds both columns and the
+hop never reads the table (https://www.sqlite.org/queryplanner.html#covidx).
+Any other hop (and a domain hop whose other column is its link) reads only
+the link column and the row id, which every index led by the link column
+holds, so it takes the schema's first such `[SET.link.other]` where one
+exists and `[SET.link]` only where none does: a set never keeps both. Every emitted name joins its parts with a dot,
 which no identifier holds, so names from different parts never collide:
 an index is named by its set and its column list, triggers
 `[constraint.SET.ins]` and `[constraint.SET.function.left1]`, and file
@@ -355,15 +357,13 @@ def gen_link_checks(
     chains) are concatenated into a single body, left side first. A
     GENERIC_SQL body starts with one `CREATE INDEX IF NOT EXISTS` per hop
     its triggers' reverse walks take, so every unit installs on its own,
-    in any order and next to units that share an index: `[SET.link]` on
-    the link column of an intermediate hop, and `[SET.link.other]` on the
-    link column and the other chain's innermost column for the hop that
-    reaches the domain set, which then reads no table row.
+    in any order and next to units that share an index (_sql_indexes).
     """
     targets: dict[tuple[str, str], list[Occurrence]] = {}
     for occ in constraint.occurrences:
         if occ.reverse:
             targets.setdefault((occ.set_name, occ.function_name), []).append(occ)
+    covering = _covering_indexes(schema)
     units: list[EmittedUnit] = []
     for (set_name, fn_name), occurrences in targets.items():
         if dialect is Dialect.PAPER_STYLE:
@@ -376,7 +376,9 @@ def gen_link_checks(
                 ]
             )
         else:
-            indexes = dict.fromkeys(key for occ in occurrences for key in _sql_indexes(occ))
+            indexes = dict.fromkeys(
+                key for occ in occurrences for key in _sql_indexes(covering, occ)
+            )
             body = "\n\n".join(
                 [
                     "\n".join(_sql_index(table, *columns) for table, *columns in indexes),
@@ -391,13 +393,32 @@ def gen_link_checks(
     return units
 
 
-def _sql_indexes(occ: Occurrence) -> list[tuple[str, ...]]:
+def _covering_indexes(schema: Schema) -> dict[tuple[str, str], tuple[str, str, str]]:
+    """(set, link) -> (set, link, other) of the schema's first domain hop
+    on that link whose other chain's innermost column is another column."""
+    covering: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for occurrences in schema.occurrences.values():
+        for occ in occurrences:
+            if occ.reverse:
+                last, other = occ.reverse[-1], occ.other.innermost.name
+                if other != last.name:
+                    covering.setdefault((last.domain, last.name), (last.domain, last.name, other))
+    return covering
+
+
+def _sql_indexes(
+    covering: dict[tuple[str, str], tuple[str, str, str]], occ: Occurrence
+) -> list[tuple[str, ...]]:
     """(table, columns...) of each index `occ`'s reverse walk searches, in
-    walk order: the link column of each intermediate hop, and the link
-    column with the other chain's innermost column for the domain hop."""
-    *hops, last = occ.reverse
-    covering = dict.fromkeys((last.name, occ.other.innermost.name))
-    return [*((fn.domain, fn.name) for fn in hops), (last.domain, *covering)]
+    walk order. The domain hop reads the other chain's innermost column
+    too, so it gets (set, link, other) unless that column is the link
+    itself; every other hop reads only the link column and takes the
+    `covering` index on it, from _covering_indexes, or (set, link)."""
+    keys = [covering.get((fn.domain, fn.name), (fn.domain, fn.name)) for fn in occ.reverse]
+    last, other = occ.reverse[-1], occ.other.innermost.name
+    if other != last.name:
+        keys[-1] = (last.domain, last.name, other)
+    return keys
 
 
 def _sql_index(table: str, *columns: str) -> str:

@@ -16,7 +16,9 @@ also judges its message) are judged once the whole schema has been read,
 since they may name a set or function declared after them. Admission is
 judged in the model alone: Schema(...) runs the same two judges, so
 parse_schema, having run them on every name and constraint once, builds
-its Schema without running them again.
+its Schema without running them again. A link's target and a set's name
+attribute are judged here as they are read, and by Schema(...), with the
+same messages, for a schema built through the API.
 
 A script is read by two paths. The fast path takes one line at a time: a
 line that holds one whole common statement (`insert`, `update` or

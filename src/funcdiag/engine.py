@@ -19,9 +19,13 @@ level for the whole frontier), evaluates the other chain over all of
 those rows one level at a time, and compares each value with the head. A
 function maps each row to one value, so the preimages of distinct rows
 are disjoint: each level of the walk is a plain list, no row on it
-twice, and only the last one is sorted. Whether any row violates is
-decided in C (`in`, list.count) before anything is built; only a
-violation builds the mask that picks its witnesses. The walks and the
+twice, and only the last one is sorted. One count of the values equal
+to the head (list.count, in C) decides a commutative check before
+anything is built: all equal accepts, none equal makes every affected row
+a witness as it stands, and only a mix builds the mask that picks the
+witnesses. An anti-commutative check accepts when the head is not among
+the values (`in`), and counts only once it has a violation, to the same
+end. The walks and the
 other chain are the written position's plan (model.Occurrence), built
 once per schema, and bound once per store to the reverse indexes and
 columns they read (Database.walks), so no level resolves a name. A null
@@ -221,7 +225,11 @@ def check_link_update(
     row, the other chain is evaluated over all of them one level at a
     time in the store's current state, and each is compared with the
     head. All violating rows are reported, sorted by witness and each
-    once, each witness the RowId the store holds for it.
+    once, each witness the RowId the store holds for it. The count of
+    values equal to the head (for an anti-commutative check, taken only
+    once `in` has found a violation) decides: when every affected row
+    breaks the constraint, the rows and their values are the witnesses as
+    they stand, and only when some rows hold does a mask pick the rest.
     """
     constraint = occurrence.constraint
     assert occurrence.reverse, "innermost positions are domain checks"
@@ -239,16 +247,24 @@ def check_link_update(
             rows = [x for x, value in zip(rows, values) if value is not None]
             values = [value for value in values if value is not None]
         ids = map(_X, values)
-    # Decided in C first; only a violation builds the mask, True where a
-    # row breaks the constraint.
-    holds_when_equal = _holds_when_equal(constraint)
-    if (values.count(head) == len(values)) if holds_when_equal else (head not in values):
+    # Decided in C: every row holds (accept), every row breaks the
+    # constraint (mask stays falsy), or a mask, True where a row breaks it,
+    # picks the witnesses.
+    if _holds_when_equal(constraint):
+        equal = values.count(head)
+        if equal == len(values):
+            return []
+        mask = equal and list(map(ne, repeat(head), values))
+    elif head not in values:
         return []
-    mask = list(map(ne if holds_when_equal else eq, repeat(head), values))
+    else:
+        mask = values.count(head) != len(values) and list(map(eq, repeat(head), values))
+    if mask:
+        rows, values = compress(rows, mask), compress(values, mask)
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
-    witnesses = db.row_ids(constraint.domain_set, compress(rows, mask))
-    heads, others = repeat(head), compress(values, mask)
-    lefts, rights = (heads, others) if occurrence.side is _LEFT else (others, heads)
+    witnesses = db.row_ids(constraint.domain_set, rows)
+    heads = repeat(head)
+    lefts, rights = (heads, values) if occurrence.side is _LEFT else (values, heads)
     cids, kinds = repeat(constraint.id), repeat(_VIOLATION_KINDS[constraint.kind])
     # zip reuses its result tuple, so tuple.__new__ (no NamedTuple's Python
     # __new__) leaves one new object per witness: the record.

@@ -337,11 +337,11 @@ class Schema:
 
     Construction raises ValueError on what parse_schema refuses: a name
     judge_name refuses among the sets, the functions of one set or the
-    constraint ids, and a constraint whose names validate_diagram does not
-    resolve, in this schema, to the constraint itself (so its functions
-    are the schema's own and its template can always format). Set-level
-    structure is not judged: a link to an unknown set or a missing name
-    attribute is admitted. The lookup tables, including the per-(set,
+    constraint ids; a function on or a link to an unknown set; a set whose
+    name attribute is missing or a link; and a constraint whose names
+    validate_diagram does not resolve, in this schema, to the constraint
+    itself (so its functions are the schema's own and its template can
+    always format). The lookup tables, including the per-(set,
     function) chain occurrences, are built once here. with_constraints
     judges only the constraints it is given and shares the rest, and
     parse_schema, which judges each name and constraint as it reads it,
@@ -364,6 +364,7 @@ class Schema:
         _refuse_names("set", (("", s.name) for s in self.sets))
         _refuse_names("function", ((f" on set {fn.domain!r}", fn.name) for fn in self.functions))
         self._index_functions()
+        self._refuse_structure()
         self._refuse_constraints()
         self._index_constraints()
 
@@ -389,6 +390,30 @@ class Schema:
         object.__setattr__(self, "_sets_by_name", by_name)
         object.__setattr__(self, "_fns_by_set", by_set)
         object.__setattr__(self, "_links_into", _tuples(links_into))
+
+    def _refuse_structure(self) -> None:
+        """Raise ValueError, with parse_schema's issues, at the first
+        function on an unknown set (which schema text cannot declare), link
+        to an unknown set, or set whose name attribute is missing or a link."""
+        sets = self._sets_by_name
+        for fn in self.functions:
+            if fn.domain not in sets:
+                message = f"function {fn.name!r} is on unknown set {fn.domain!r}"
+                _refuse([Issue(IssueCode.UNKNOWN_SET, message)])
+            if fn.is_link and fn.codomain not in sets:
+                message = f"link {fn.name!r} targets unknown set {fn.codomain!r}"
+                _refuse([Issue(IssueCode.UNKNOWN_SET, message)])
+        for s in self.sets:
+            fn = self._fns_by_set[s.name].get(s.name_attribute)
+            if fn is None or fn.is_link:
+                # a link designated as the name leaves none, and the parser
+                # reports the set's issue first
+                message = f"set {s.name!r} designates no name attribute"
+                issues = [Issue(IssueCode.MISSING_NAME_ATTRIBUTE, message)]
+                if fn is not None:
+                    message = f"name designation on {fn.name!r} requires an attribute, not a link"
+                    issues.append(Issue(IssueCode.BAD_NAME_ATTRIBUTE, message))
+                _refuse(issues)
 
     def _refuse_constraints(self) -> None:
         _refuse_names("constraint", (("", c.id) for c in self.constraints))
@@ -455,9 +480,13 @@ def _refuse_names(what: str, named: Iterable[tuple[str, str]]) -> None:
     (where, name) pairs whose names are judged against those alike `where`."""
     seen: dict[str, dict[str, str]] = {}
     for where, name in named:
-        issues = judge_name(seen.setdefault(where, {}), what, name, where)[1]
-        if issues:
-            raise ValueError("; ".join(issue.message for issue in issues))
+        _refuse(judge_name(seen.setdefault(where, {}), what, name, where)[1])
+
+
+def _refuse(issues: list[Issue]) -> None:
+    """Raise ValueError with the messages of `issues`, if there are any."""
+    if issues:
+        raise ValueError("; ".join(issue.message for issue in issues))
 
 
 def _tuples(table: dict) -> dict:

@@ -298,14 +298,16 @@ def plan_gate(schema) -> tuple[int, list[str], list[str], int]:
 )
 def test_every_trigger_searches_and_reads_its_domain_rows_from_an_index(source, max_chain):
     """No emitted trigger plans a SCAN, on the fixtures and on random
-    schemas with chains of up to 6 and up to LONG_CHAIN functions, and
-    every link trigger reads its domain rows from a covering index."""
+    schemas with chains of up to 6 and up to LONG_CHAIN functions, every
+    link trigger reads its domain rows from a covering index, and no set
+    keeps an index [S.f] beside a covering index [S.f.g] on the same link."""
     if max_chain is None:
         schema, diagnostics = parse_schema(fixture_text(f"{source}.fd"))
         assert schema is not None, diagnostics
     else:
         schema = _schema(random.Random(source), max_chain)
-    triggers, scans, uncovered, _ = plan_gate(schema)
+    triggers, scans, uncovered, both = plan_gate(schema)
     assert triggers
     assert scans == [], scans
     assert uncovered == [], uncovered
+    assert both == 0

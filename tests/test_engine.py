@@ -345,6 +345,119 @@ def test_commutative_link_update_some_affected_rows_agree(geography_schema):
     assert violations[0].left == asia and violations[0].right == handles["europe"]
 
 
+# -- one count decides: every affected row a witness, or a mask --------------
+
+
+def apply_both_ways(db, m):
+    """apply_mutation on db and the row-at-a-time reference on a clone: the
+    same verdict, violations in witness order, and rows_inspected."""
+    reference = db.clone(share_counter=False)
+    counted, reference_counted = db.rows_inspected, reference.rows_inspected
+    verdict = apply_mutation(db, m)
+    assert verdict == rowwise_engine.apply_mutation(reference, m)
+    assert db.rows_inspected - counted == reference.rows_inspected - reference_counted
+    return verdict
+
+
+def move(row, function, target):
+    return Mutation(Action.UPDATE, row_ref=row, bindings=(Binding(function, target),))
+
+
+def western_alps_rivers(db, handles, continent):
+    """Two more mountains in the Mont Blanc massif, beside Mont Blanc, each
+    a river's source on `continent`; the Danube already springs from Mont
+    Blanc on Europe."""
+    for i in range(2):
+        mountain = db.insert_row(
+            "MOUNTAINS", {"Mountain": f"M{i}", "Group": handles["mbmassif"]}
+        )
+        db.insert_row("RIVERS", {"River": f"R{i}", "Continent": continent, "Mountain": mountain})
+
+
+def test_subrange_moved_to_another_continent_makes_every_affected_river_a_witness(
+    geography_schema,
+):
+    db, handles = seeded_geography(geography_schema)
+    western_alps_rivers(db, handles, handles["europe"])
+    [occ] = dispatch(geography_schema)[("MOUNT_SUBRANGES", "Range")]
+    affected = db.row_ids("RIVERS", affected_rows(db, occ, handles["walps"]))
+    assert len(affected) == 3
+    verdict = apply_both_ways(db, move(handles["walps"], "Range", handles["himalaya"]))
+    assert verdict.rejected
+    assert [v.witness for v in verdict.violations] == affected
+    assert {(v.left, v.right) for v in verdict.violations} == {
+        (handles["asia"], handles["europe"])
+    }
+
+
+def test_subrange_move_from_an_inconsistent_start_masks_the_rivers_that_agree(
+    geography_schema,
+):
+    # R0 and R1 were written on Asia under the Western Alps, no check run
+    db, handles = seeded_geography(geography_schema)
+    western_alps_rivers(db, handles, handles["asia"])
+    verdict = apply_both_ways(db, move(handles["walps"], "Range", handles["himalaya"]))
+    assert [v.witness for v in verdict.violations] == [handles["danube"]]
+    # and back to Europe, only the two Asian rivers break it
+    db.set_values(handles["walps"], {"Range": handles["himalaya"]})
+    verdict = apply_both_ways(db, move(handles["walps"], "Range", handles["alps"]))
+    assert [db.lookup(v.witness, "River") for v in verdict.violations] == ["R0", "R1"]
+
+
+@pytest.mark.parametrize("colours", [["red"] * 4, ["red", "red", "blue", "red"]])
+def test_recolor_to_a_neighbours_colour_reports_exactly_the_pairs_that_share_it(
+    neighbors_schema, colours
+):
+    """Every partner red: every affected pair is a witness, with no mask.
+    All but one: the mask leaves out the blue partner's pairs."""
+    db, hub, _ = neighbors_hub(neighbors_schema, colours)
+    for occ in dispatch(neighbors_schema)[("COUNTRIES", "FrontierColor")]:
+        # one pair per partner on each side, in the partners' order
+        affected = db.row_ids("NEIGHBOR_COUNTRIES", affected_rows(db, occ, hub))
+        violations = link_check_both_ways(db.clone(), occ, hub, "red")
+        red = [pair for pair, colour in zip(affected, colours, strict=True) if colour == "red"]
+        assert [v.witness for v in violations] == red
+    verdict = apply_both_ways(db, recolor(hub, "red"))
+    assert verdict.rejected and len(verdict.violations) == 2 * colours.count("red")
+
+
+# BASINS.Continent is interior to the right chain, so its link check walks
+# back to the rivers of a basin and reads the left chain, through the
+# nullable Mountain and Group, at each
+BASINS = """
+set BASINS {
+    name Basin : text ;
+    Continent -> CONTINENTS ;
+}
+"""
+
+
+def test_rivers_that_read_null_leave_before_every_other_is_a_witness():
+    text = fixture_text("geography.fd")
+    rivers = "    Mountain -> MOUNTAINS ? ;\n"
+    text = text.replace(rivers, rivers + "    Basin -> BASINS ;\n")
+    text = text.replace("right = Continent ;", "right = Continent . Basin ;") + BASINS
+    schema, diagnostics = parse_schema(text)
+    assert schema is not None, diagnostics
+    # the fixture's continents and mountain paths, without its rivers
+    seed = "\n".join(fixture_text("geography_ac1.fdm").splitlines()[1:11])
+    mutations, diagnostics = parse_script(seed, schema)
+    assert diagnostics == []
+    db, handles = Database(schema), {}
+    assert all(apply_mutation(db, m, handles).applied for m in mutations)
+    danube = db.insert_row("BASINS", {"Basin": "Danube", "Continent": handles["europe"]})
+    for i, mountain in enumerate([None, handles["montblanc"], None, handles["montblanc"]]):
+        river = {"River": f"R{i}", "Mountain": mountain, "Basin": danube}
+        db.insert_row("RIVERS", {**river, "Continent": handles["europe"]})
+    [occ] = dispatch(schema)[("BASINS", "Continent")]
+    assert len(affected_rows(db, occ, danube)) == 4
+    verdict = apply_both_ways(db, move(danube, "Continent", handles["asia"]))
+    assert [db.lookup(v.witness, "River") for v in verdict.violations] == ["R1", "R3"]
+    assert {(v.left, v.right) for v in verdict.violations} == {
+        (handles["europe"], handles["asia"])
+    }
+
+
 # -- apply_mutation ----------------------------------------------------------
 
 

@@ -403,8 +403,12 @@ def _pair(left, right, message=None, constraint_id="c") -> DiagramConstraint:
     )
 
 
-def _parity(case_id, constraints=(), sets=PARITY_SETS, functions=PARITY_FUNCTIONS):
-    return pytest.param(sets, functions, constraints, id=case_id)
+def _parity(
+    case_id, constraints=(), sets=PARITY_SETS, functions=PARITY_FUNCTIONS, api_only=None
+):
+    """A case; `api_only` is the message of one that schema text cannot
+    declare, so parse_schema admits what the text holds."""
+    return pytest.param(sets, functions, constraints, api_only, id=case_id)
 
 
 def _named(*functions: tuple[str, str]) -> tuple[FunctionDef, ...]:
@@ -416,7 +420,7 @@ S = (SetDef("S", "N"),)
 
 
 @pytest.mark.parametrize(
-    "sets, functions, constraints",
+    "sets, functions, constraints, api_only",
     [
         _parity(
             "join-limit",
@@ -426,7 +430,12 @@ S = (SetDef("S", "N"),)
         ),
         _parity("chains-on-different-sets", (_pair((N_B, F), (N_B, K)),)),
         _parity("broken-composition", (_pair((K, F), (F,)),)),
-        _parity("unlike-the-schema", (_pair((N_B, replace(F, nullable=True)), (N_B, K, H)),)),
+        _parity(
+            "unlike-the-schema",
+            (_pair((N_B, replace(F, nullable=True)), (N_B, K, H)),),
+            # text names functions, not FunctionDefs
+            api_only="constraint 'c': holds a function unlike the schema's own",
+        ),
         _parity("hbfp", (_pair((F,), (G,)),)),
         _parity("bad-template", (_pair((N_B, F), (N_B, K, H), "bad {left.x}"),)),
         _parity("unknown-function-and-bad-template", (
@@ -441,22 +450,39 @@ S = (SetDef("S", "N"),)
         _parity("repeated-function", (), S, _named(("S", "N"), ("S", "N"))),
         _parity("function-x", (), S, _named(("S", "N"), ("S", "x"))),
         _parity("function-X", (), S, _named(("S", "N"), ("S", "X"))),
+        _parity("link-to-unknown-set", (), S, (*_named(("S", "N")), FunctionDef("L", "S", "Z"))),
+        _parity(
+            "function-on-unknown-set",
+            (),
+            S,
+            _named(("S", "N"), ("Z", "M")),
+            # text declares each function inside its set
+            api_only="function 'M' is on unknown set 'Z'",
+        ),
+        _parity("missing-name-attribute", (), (SetDef("S", "M"),), _named(("S", "N"))),
+        _parity("empty-name-attribute", (), (SetDef("S", ""),), _named(("S", "N"))),
+        _parity(
+            "name-attribute-is-a-link",
+            (),
+            (SetDef("S", "L"),),
+            (*_named(("S", "N")), FunctionDef("L", "S", "S")),
+        ),
     ],
 )
-def test_schema_refuses_what_parse_schema_refuses(sets, functions, constraints):
+def test_schema_refuses_what_parse_schema_refuses(sets, functions, constraints, api_only):
     # the API and the parser share one judge, so Schema(...) refuses each
     # case with the message parse_schema gives for the same declarations
     with pytest.raises(ValueError) as refused:
         Schema("P", sets, functions, constraints)
     parsed, diagnostics = parse_schema(_source(sets, functions, constraints))
-    if parsed is None:
+    if api_only is None:
+        assert parsed is None
         why = "; ".join(d.message for d in diagnostics)
         assert str(refused.value) in (why, f"constraint 'c': {why}")
     else:
-        # text names functions, not FunctionDefs: only the API can hold
-        # one unlike the schema's own
-        unlike = "constraint 'c': holds a function unlike the schema's own"
-        assert str(refused.value) == unlike
+        # only the API can hold this case; the text of the rest is admitted
+        assert parsed is not None, diagnostics
+        assert str(refused.value) == api_only
 
 
 def _source(sets, functions, constraints) -> str:

@@ -481,6 +481,32 @@ def test_each_link_check_unit_installs_alone_with_its_own_indexes(geography_sche
         connection.close()
 
 
+def test_a_link_two_hops_search_gets_one_covering_index():
+    # S.F is c1's domain hop, whose other column is G, and an intermediate
+    # hop of c2's walk from P.N; the intermediate hop takes [S.F.G] too
+    schema, diagnostics = parse_schema(
+        "schema T ;\n"
+        "set P { name N : text ; }\n"
+        "set S { name M : text ; F -> P ? ; G -> P ? ; }\n"
+        "set D { name K : text ; H -> S ? ; J -> P ? ; }\n"
+        "constraint c1 commutative on S { left = N . F ; right = N . G ; }\n"
+        "constraint c2 commutative on D { left = N . F . H ; right = N . J ; }\n"
+    )
+    assert schema is not None, diagnostics
+    expected = Counter(
+        [("S", ("F", "G")), ("S", ("G", "F")), ("D", ("H", "J")), ("D", ("J", "H"))]
+    )
+    units = generic_sql_units(schema)
+    connection = install(sqlite3.connect(":memory:"), schema, units)
+    assert indexed_columns(connection) == expected
+    connection.close()
+    # each unit alone still creates every index it searches
+    (c2_walk,) = [u for u in units if u.constraint_id == "c2" and u.target_set == "P"]
+    connection = install(sqlite3.connect(":memory:"), schema, [c2_walk])
+    assert indexed_columns(connection) == expected - Counter([("S", ("G", "F"))])
+    connection.close()
+
+
 def test_index_names_stay_distinct_when_underscores_could_collide():
     # A_B.C and A.B_C would both be "A_B_C" if joined with "_"
     schema, diagnostics = parse_schema(

@@ -212,19 +212,26 @@ def test_rows_of_an_unknown_set_raise(db):
         db.rows("SHOPS")
 
 
-def test_a_set_without_functions_keeps_its_rows():
-    db = Database(Schema("Bare", (SetDef("MARKS", "Mark"),), ()))
+# a set whose one function, its name, is nullable: its rows may hold no value
+BARE = Schema(
+    "Bare", (SetDef("MARKS", "Mark"),), (FunctionDef("Mark", "MARKS", ScalarType.TEXT, True),)
+)
+
+
+def test_a_set_of_rows_without_values_keeps_its_rows():
+    db = Database(BARE)
     first, second = db.insert_row("MARKS", {}), db.insert_row("MARKS", {})
     db.delete_row(first)
     assert db.rows("MARKS") == (second,)
-    assert db.read_row(second) == {}
-    assert db.snapshot()["tables"] == {"MARKS": {2: {}}} == db.clone().snapshot()["tables"]
+    assert db.read_row(second) == {"Mark": None}
+    tables = {"MARKS": {2: {"Mark": None}}}
+    assert db.snapshot()["tables"] == tables == db.clone().snapshot()["tables"]
 
 
 def test_read_row_refuses_an_unknown_set_or_a_dead_row_counting_nothing(db):
     saw = db.insert_row("ITEMS", {"Item": "saw"})
     db.delete_row(db.insert_row("ITEMS", {"Item": "kite"}))
-    bare = Database(Schema("Bare", (SetDef("MARKS", "Mark"),), ()))
+    bare = Database(BARE)
     before = db.rows_inspected
     for store, row, message in (
         (db, RowId("SHOPS", 1), "unknown set 'SHOPS'"),

@@ -7,7 +7,10 @@ event-handler code in the VBA idiom: Form_BeforeUpdate for the domain
 row, and <fn>_BeforeUpdate for each interior chain position. Every
 handler is one ladder of nested `If` guards: the controls it reads are
 set, each looked-up value is not Null, and the innermost test finds the
-violation, cancels the update and shows the message. A link handler's
+violation, cancels the update and shows the message. A link handler runs
+only when its control changed: `f <> f.OldValue` is Null when the old
+value is, so a nullable control's guard also takes `IsNull(f.OldValue)`,
+and a Null -> value edit is checked as the engine checks it. Its
 values come from two walks written as DLookup calls over nested IN
 subqueries. The forward walk composes a chain outward to its outermost
 function. The reverse walk selects the domain rows whose chain reaches a
@@ -44,11 +47,11 @@ hop never reads the table (https://www.sqlite.org/queryplanner.html#covidx).
 Any other hop (and a domain hop whose other column is its link) reads only
 the link column and the row id, which every index led by the link column
 holds, so it takes the schema's first such `[SET.link.other]` where one
-exists and `[SET.link]` only where none does: a set never keeps both. Every emitted name joins its parts with a dot,
-which no identifier holds, so names from different parts never collide:
-an index is named by its set and its column list, triggers
-`[constraint.SET.ins]` and `[constraint.SET.function.left1]`, and file
-names (EmittedUnit.filename).
+exists and `[SET.link]` only where none does: a set never keeps both.
+Every emitted name joins its parts with a dot, which no identifier holds,
+so names from different parts never collide: an index is named by its
+set and its column list, triggers `[constraint.SET.ins]` and
+`[constraint.SET.function.left1]`, and file names (EmittedUnit.filename).
 
 Row-source queries come in one flavor only: a three-column query over the
 right-join ladder of the chain's tables for chains of two or more
@@ -458,10 +461,11 @@ def _dlookup(column: str, table: str, where: str) -> str:
 
 def _paper_link_block(schema: Schema, occ: Occurrence) -> str:
     constraint, other, fn_i = occ.constraint, occ.other, occ.function_name
-    guard = (
-        f"Not Cancel And Not NewRecord And {fn_i} <> {fn_i}.OldValue"
-        f" And Not IsNull({fn_i})"
-    )
+    # `f <> f.OldValue` is Null, so false, when the old value is Null
+    changed = f"{fn_i} <> {fn_i}.OldValue"
+    if schema.function(occ.set_name, fn_i).nullable:
+        changed = f"(IsNull({fn_i}.OldValue) Or {changed})"
+    guard = f"Not Cancel And Not NewRecord And {changed} And Not IsNull({fn_i})"
     head = fn_i
     if occ.head:
         head = _paper_forward_lookup(occ.head, f'x =" & {fn_i} & "')

@@ -8,17 +8,12 @@ deletes with symbolic row handles and optional accept/reject expectations.
 Both parsers are all-or-nothing: they either return a fully validated
 result or every diagnostic found, each pointing at a source position.
 
-A schema is read in one pass, and each set and function is judged as it is
-read: its name by model.judge_name, and the set's name attribute. A name
-judge_name refuses is not admitted, so a later reference to it is reported
-too. A link's target and each constraint (by model.validate_diagram, which
-also judges its message) are judged once the whole schema has been read,
-since they may name a set or function declared after them. Admission is
-judged in the model alone: Schema(...) runs the same two judges, so
-parse_schema, having run them on every name and constraint once, builds
-its Schema without running them again. A link's target and a set's name
-attribute are judged here as they are read, and by Schema(...), with the
-same messages, for a schema built through the API.
+A schema is read in one pass that checks only its syntax. The sets, their
+functions and the constraints it declares are then judged by
+model.judge_schema, the one judge Schema(...) runs too, which tags each
+issue with the declaration it belongs to; parse_schema reports it at that
+declaration's token, and a constraint's issue at the part of the
+constraint it names.
 
 A script is read by two paths. The fast path takes one line at a time: a
 line that holds one whole common statement (`insert`, `update` or
@@ -55,18 +50,15 @@ from typing import Mapping, Union
 
 from .model import (
     ConstraintKind,
-    DiagramConstraint,
     FunctionDef,
-    Issue,
     IssueCode,
     RawChain,
     RawConstraint,
     ScalarType,
     Schema,
-    SetDef,
     Side,
-    judge_name,
-    validate_diagram,
+    Where,
+    judge_schema,
 )
 from .store import RowId
 
@@ -350,10 +342,6 @@ class _Parser:
             Diagnostic(self.lines[i], self.columns[i], code, message)
         )
 
-    def report(self, issues: list[Issue], i: int) -> None:
-        for issue in issues:
-            self.error(issue.message, i, issue.code)
-
     def skip_to(self, *texts: str) -> None:
         while self.tok and self.tok not in texts:
             self.advance()
@@ -381,22 +369,19 @@ def _describe(tok: str) -> str:
 
 
 class _SchemaParser(_Parser):
-    """Reads a schema, judging each set and function as it reads it.
+    """Reads a schema's syntax; model.judge_schema judges what it declares.
 
-    `sets` and `functions` collect those whose names judge_name admits
-    (so a Schema of them passes it). `links` holds every link read, those
-    of refused sets and functions too, beside its target's token index,
-    and `constraints` every constraint declaration: parse_schema judges
-    both once the whole schema is read.
+    `declared` holds each set read, with its functions, in judge_schema's
+    form, and `constraints` each constraint declaration; `at` maps the
+    Where of each set, function and link target and each constraint id to
+    its token's index.
     """
 
     def __init__(self, source: str):
         super().__init__(source)
-        self.sets: list[SetDef] = []
-        self.functions: list[FunctionDef] = []
-        self.links: list[tuple[FunctionDef, int]] = []
+        self.declared: list[tuple[str, list[tuple[FunctionDef, bool]]]] = []
         self.constraints: list[_RawConstraintDecl] = []
-        self.set_names: dict[str, str] = {}
+        self.at: dict[Where, int] = {}
 
     def parse(self) -> str | None:
         """Read the whole schema; return its name."""
@@ -414,6 +399,7 @@ class _SchemaParser(_Parser):
             elif self.tok == "constraint":
                 decl = self._constraint_decl()
                 if decl is not None:
+                    self.at[(1, len(self.constraints))] = decl.pos
                     self.constraints.append(decl)
             else:
                 self.error(f"expected 'set' or 'constraint', found {_describe(self.tok)}")
@@ -428,62 +414,25 @@ class _SchemaParser(_Parser):
             self.skip_past("}")
             return
         set_name = self.tokens[pos]
-        refused = judge_name(self.set_names, "set", set_name)[1]
-        self.report(refused, pos)
-        seen: dict[str, str] = {}
-        name_attr: str | None = None
+        i = len(self.declared)
+        self.at[(0, i)] = pos
+        members: list[tuple[FunctionDef, bool]] = []
+        self.declared.append((set_name, members))
         while self.tok and self.tok != "}":
-            member = self._member(set_name)
-            if member is None:
-                continue
-            fn, fn_pos, is_name, target_pos = member
-            if target_pos is not None:
-                self.links.append((fn, target_pos))
-            if refused:
-                continue
-            earlier, issues = judge_name(seen, "function", fn.name, f" on set {set_name!r}")
-            self.report(issues, fn_pos)
-            if earlier == fn.name:
-                continue
-            if is_name:
-                if fn.is_link:
-                    self.error(
-                        f"name designation on {fn.name!r} requires an attribute,"
-                        " not a link",
-                        fn_pos,
-                        IssueCode.BAD_NAME_ATTRIBUTE,
-                    )
-                elif name_attr is not None:
-                    self.error(
-                        f"set {set_name!r} already designates {name_attr!r} as its name",
-                        fn_pos,
-                        IssueCode.DUPLICATE_NAME_ATTRIBUTE,
-                    )
-                else:
-                    name_attr = fn.name
-            if not issues:
-                self.functions.append(fn)
+            self._member(set_name, (0, i, len(members)), members)
         self.expect("}")
-        if refused:
-            return
-        if name_attr is None:
-            message = f"set {set_name!r} designates no name attribute"
-            self.error(message, pos, IssueCode.MISSING_NAME_ATTRIBUTE)
-        self.sets.append(SetDef(set_name, name_attr or ""))
 
     def _member(
-        self, set_name: str
-    ) -> tuple[FunctionDef, int, bool, int | None] | None:
-        """A function of `set_name`, the token index of its name, whether it
-        is declared the set's name, and the token index of its target (None
-        for an attribute)."""
+        self, set_name: str, where: Where, members: list[tuple[FunctionDef, bool]]
+    ) -> None:
+        """Read a function of `set_name` into `members`, beside whether it is
+        declared the set's name, and its Where (and its target's) into `at`."""
         is_name = self.accept("name")
         name = self.expect_kind("IDENT", "function name")
         if name is None:
             self.skip_past(";")
-            return None
+            return
         codomain: str | ScalarType
-        target = None
         if self.accept(":"):
             if self.accept("text"):
                 codomain = ScalarType.TEXT
@@ -492,22 +441,23 @@ class _SchemaParser(_Parser):
             else:
                 self.error(f"expected 'text' or 'integer', found {_describe(self.tok)}")
                 self.skip_past(";")
-                return None
+                return
         elif self.accept("->"):
             target = self.expect_kind("IDENT", "target set name")
             if target is None:
                 self.skip_past(";")
-                return None
+                return
             codomain = self.tokens[target]
+            self.at[(*where, 1)] = target
         else:
             self.error(f"expected ':' or '->', found {_describe(self.tok)}")
             self.skip_past(";")
-            return None
+            return
         nullable = self.accept("?")
         if not self.expect(";"):
             self.skip_past(";")
-        fn = FunctionDef(self.tokens[name], set_name, codomain, nullable)
-        return fn, name, is_name, target
+        self.at[where] = name
+        members.append((FunctionDef(self.tokens[name], set_name, codomain, nullable), is_name))
 
     def _constraint_decl(self) -> _RawConstraintDecl | None:
         self.advance()
@@ -607,48 +557,27 @@ def parse_schema(source: str) -> tuple[Schema | None, list[Diagnostic]]:
     """
     parser = _SchemaParser(source)
     schema_name = parser.parse()
-    diagnostics = parser.diagnostics
-
-    set_names = {s.name for s in parser.sets}
-    for fn, target in parser.links:
-        if fn.codomain not in set_names:
-            message = f"link {fn.name!r} targets unknown set {fn.codomain!r}"
-            parser.error(message, target, IssueCode.UNKNOWN_SET)
-    functions = tuple(
-        fn for fn in parser.functions if not (fn.is_link and fn.codomain not in set_names)
-    )
-    # every name the parser admitted has been judged, and so is every
-    # constraint by the end of the loop below
-    schema = Schema._judged(schema_name or "", tuple(parser.sets), functions)
-
-    constraints: list[DiagramConstraint] = []
-    seen_constraints: dict[str, str] = {}
-    for raw_c in parser.constraints:
-        earlier, issues = judge_name(seen_constraints, "constraint", raw_c.id)
-        parser.report(issues, raw_c.pos)
-        if earlier == raw_c.id:
-            continue
-        message = None if raw_c.message is None else _string_value(parser.tokens[raw_c.message])
-        (left, _), (right, _) = raw_c.chains[Side.LEFT], raw_c.chains[Side.RIGHT]
-        raw_constraint = RawConstraint(
-            raw_c.id, raw_c.kind, raw_c.domain, left, right, message
-        )
-        resolved, issues = validate_diagram(schema, raw_constraint)
-        for issue in issues:
-            tok = raw_c.pos
+    raws = []
+    for decl in parser.constraints:
+        message = None if decl.message is None else _string_value(parser.tokens[decl.message])
+        left, right = (decl.chains[side][0] for side in (Side.LEFT, Side.RIGHT))
+        raws.append(RawConstraint(decl.id, decl.kind, decl.domain, left, right, message))
+    schema, issues = judge_schema(schema_name or "", parser.declared, raws)
+    for where, issue in issues:
+        tok = parser.at.get(where)
+        if tok is None:  # the rest of a constraint
+            decl = parser.constraints[where[1]]
+            tok = decl.pos
             if issue.code is IssueCode.UNKNOWN_SET:
-                tok = raw_c.domain_pos
+                tok = decl.domain_pos
             elif issue.code is IssueCode.BAD_MESSAGE_TEMPLATE:
-                tok = raw_c.message
+                tok = decl.message
             elif issue.side is not None and issue.position is not None:
-                tok = raw_c.chains[issue.side][1][issue.position - 1]
-            parser.error(issue.message, tok, issue.code)
-        if resolved is not None:
-            constraints.append(resolved)
-
-    if diagnostics:
-        return None, sorted(diagnostics, key=lambda d: (d.line, d.column, d.code.value))
-    return Schema._judged(schema.name, schema.sets, functions, tuple(constraints)), []
+                tok = decl.chains[issue.side][1][issue.position - 1]
+        parser.error(issue.message, tok, issue.code)
+    if parser.diagnostics:
+        return None, sorted(parser.diagnostics, key=lambda d: (d.line, d.column, d.code.value))
+    return schema, []
 
 
 # ---------------------------------------------------------------------------

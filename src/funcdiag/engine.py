@@ -25,12 +25,11 @@ anything is built: all equal accepts, none equal makes every affected row
 a witness as it stands, and only a mix builds the mask that picks the
 witnesses. An anti-commutative check accepts when the head is not among
 the values (`in`), and counts only once it has a violation, to the same
-end. The walks and the
-other chain are the written position's plan (model.Occurrence), built
-once per schema, and bound once per store to the reverse indexes and
-columns they read (Database.walks), so no level resolves a name. A null
-anywhere in a chain makes the instance vacuously satisfied, so a row
-leaves the walk at the level where it reads null.
+end. The walks and the other chain are the written position's plan
+(model.Occurrence), built once per schema, and bound once per store to
+the reverse indexes and columns they read (Database.walks), so no level
+resolves a name. A null anywhere in a chain makes the instance vacuously
+satisfied, so a row leaves the walk at the level where it reads null.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or

@@ -13,13 +13,14 @@ values be equal for every row (commutative) or differ for every row
 0 is applied last, the entry at index n-1 is the function defined on the
 common domain and applied first.
 
-Admission is judged here alone. validate_diagram judges a declared
-constraint: it refuses, among others, a chain compared against the
-identity of its domain (a local constraint) and a pair of single functions
-(a homogeneous binary function product, HBFP), so neither ever takes the
-DiagramConstraint shape. judge_name judges each name against those before
-it. parse_schema reports both judges' issues at their tokens; Schema(...)
-runs both and raises ValueError, so it refuses what parse_schema refuses.
+Admission is judged here alone, by judge_schema: each name against those
+before it (judge_name), each set's name attribute, each link's target, and
+each constraint (validate_diagram). validate_diagram refuses, among
+others, a chain compared against the identity of its domain (a local
+constraint) and a pair of single functions (a homogeneous binary function
+product, HBFP), so neither ever takes the DiagramConstraint shape.
+parse_schema reports each issue judge_schema finds at its token, and
+Schema(...) raises ValueError with all of them, so the two refuse alike.
 
 A constraint owns its violation message: `template` is the one text
 that the engine formats and that both emitted dialects embed, and
@@ -28,10 +29,11 @@ format_message is the only code that fills its MESSAGE_FIELDS.
 
 from __future__ import annotations
 
-import copy
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -314,7 +316,8 @@ def judge_name(
     `seen`, and the issues: that twin, reported alone if it is `name`, and
     a function named `x` or `X`, the key column of every emitted table.
     """
-    folded = name.translate(_FOLD_ASCII)
+    # lower() folds only ASCII letters in an ASCII name, and runs in C
+    folded = name.lower() if name.isascii() else name.translate(_FOLD_ASCII)
     earlier = seen.get(folded)
     issues: list[Issue] = []
     if earlier is None:
@@ -335,17 +338,18 @@ def judge_name(
 class Schema:
     """An immutable, validated schema plus its admitted constraints.
 
-    Construction raises ValueError on what parse_schema refuses: a name
-    judge_name refuses among the sets, the functions of one set or the
-    constraint ids; a function on or a link to an unknown set; a set whose
-    name attribute is missing or a link; and a constraint whose names
-    validate_diagram does not resolve, in this schema, to the constraint
-    itself (so its functions are the schema's own and its template can
-    always format). The lookup tables, including the per-(set,
-    function) chain occurrences, are built once here. with_constraints
-    judges only the constraints it is given and shares the rest, and
-    parse_schema, which judges each name and constraint as it reads it,
-    builds its Schema through _judged without judging them again.
+    Construction passes its sets, functions and constraints, by their
+    names, to judge_schema, and raises ValueError with every issue it
+    finds, in Where order: what parse_schema refuses in the same
+    declarations, with the issues validate_diagram finds in a constraint
+    after `constraint 'id': `. Two refusals are
+    the API's alone, since schema text cannot express them: a function on
+    an unknown set, and a constraint that its names resolve, in this
+    schema, to another constraint (one holding a function unlike the
+    schema's own). An admitted schema keeps its sets and functions as
+    given and takes judge_schema's constraints, equal to its own, with the
+    lookup tables, including the per-(set, function) chain occurrences,
+    built once for them there.
     """
 
     name: str
@@ -361,70 +365,41 @@ class Schema:
     occurrences: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _refuse_names("set", (("", s.name) for s in self.sets))
-        _refuse_names("function", ((f" on set {fn.domain!r}", fn.name) for fn in self.functions))
-        self._index_functions()
-        self._refuse_structure()
-        self._refuse_constraints()
-        self._index_constraints()
-
-    @classmethod
-    def _judged(cls, name: str, sets, functions, constraints=()) -> "Schema":
-        """A Schema whose names and constraints the caller has judged with
-        judge_name and validate_diagram, as parse_schema does while it
-        reads them, built without judging them again."""
-        schema = object.__new__(cls)
-        schema.__dict__.update(name=name, sets=sets, functions=functions, constraints=constraints)
-        schema._index_functions()
-        schema._index_constraints()
-        return schema
+        on_set: dict[str, list[FunctionDef]] = {s.name: [] for s in self.sets}
+        stray: list[FunctionDef] = []
+        for fn in self.functions:
+            on_set.get(fn.domain, stray).append(fn)
+        if stray:
+            raise ValueError("; ".join(
+                f"function {fn.name!r} is on unknown set {fn.domain!r}" for fn in stray
+            ))
+        declared = [
+            (s.name, [(fn, fn.name == s.name_attribute) for fn in on_set[s.name]])
+            for s in self.sets
+        ]
+        raws = []
+        for c in self.constraints:
+            left, right = (RawChain(chain.inward[::-1]) for chain in (c.left, c.right))
+            raws.append(RawConstraint(c.id, c.kind, c.domain_set, left, right, c.message))
+        judged, issues = judge_schema(self.name, declared, raws)
+        if issues:
+            raise ValueError(_refusal(issues, self.constraints))
+        for own, resolved in zip(self.constraints, judged.constraints):
+            if own != resolved:
+                raise ValueError(f"constraint {own.id!r}: holds a function unlike the schema's own")
+        vars(self).update(vars(judged), sets=self.sets, functions=self.functions)
 
     def _index_functions(self) -> None:
         by_name = {s.name: s for s in self.sets}
         by_set: dict[str, dict[str, FunctionDef]] = {s.name: {} for s in self.sets}
         links_into: dict[str, list[FunctionDef]] = {s.name: [] for s in self.sets}
         for fn in self.functions:
-            by_set.setdefault(fn.domain, {})[fn.name] = fn
+            by_set[fn.domain][fn.name] = fn
             if fn.is_link:
-                links_into.setdefault(fn.codomain, []).append(fn)
+                links_into[fn.codomain].append(fn)
         object.__setattr__(self, "_sets_by_name", by_name)
         object.__setattr__(self, "_fns_by_set", by_set)
         object.__setattr__(self, "_links_into", _tuples(links_into))
-
-    def _refuse_structure(self) -> None:
-        """Raise ValueError, with parse_schema's issues, at the first
-        function on an unknown set (which schema text cannot declare), link
-        to an unknown set, or set whose name attribute is missing or a link."""
-        sets = self._sets_by_name
-        for fn in self.functions:
-            if fn.domain not in sets:
-                message = f"function {fn.name!r} is on unknown set {fn.domain!r}"
-                _refuse([Issue(IssueCode.UNKNOWN_SET, message)])
-            if fn.is_link and fn.codomain not in sets:
-                message = f"link {fn.name!r} targets unknown set {fn.codomain!r}"
-                _refuse([Issue(IssueCode.UNKNOWN_SET, message)])
-        for s in self.sets:
-            fn = self._fns_by_set[s.name].get(s.name_attribute)
-            if fn is None or fn.is_link:
-                # a link designated as the name leaves none, and the parser
-                # reports the set's issue first
-                message = f"set {s.name!r} designates no name attribute"
-                issues = [Issue(IssueCode.MISSING_NAME_ATTRIBUTE, message)]
-                if fn is not None:
-                    message = f"name designation on {fn.name!r} requires an attribute, not a link"
-                    issues.append(Issue(IssueCode.BAD_NAME_ATTRIBUTE, message))
-                _refuse(issues)
-
-    def _refuse_constraints(self) -> None:
-        _refuse_names("constraint", (("", c.id) for c in self.constraints))
-        for c in self.constraints:
-            left, right = (RawChain(chain.inward[::-1]) for chain in (c.left, c.right))
-            raw = RawConstraint(c.id, c.kind, c.domain_set, left, right, c.message)
-            resolved, issues = validate_diagram(self, raw)
-            if resolved != c:
-                why = "; ".join(issue.message for issue in issues)
-                why = why or "holds a function unlike the schema's own"
-                raise ValueError(f"constraint {c.id!r}: {why}")
 
     def _index_constraints(self) -> None:
         constraints_on: dict[str, list[DiagramConstraint]] = {}
@@ -463,30 +438,112 @@ class Schema:
     def constraints_on(self, domain_set: str) -> tuple[DiagramConstraint, ...]:
         return self._constraints_on.get(domain_set, ())
 
-    def with_constraints(self, constraints: tuple[DiagramConstraint, ...]) -> "Schema":
-        """This schema with `constraints` in place of its own. They are
-        judged as Schema(...) judges them; the sets and functions, judged
-        when this schema was built, are not, and their lookup tables are
-        shared."""
-        schema = copy.copy(self)
-        object.__setattr__(schema, "constraints", constraints)
-        schema._refuse_constraints()
-        schema._index_constraints()
-        return schema
+
+Where = tuple[int, ...]
+"""Where an issue of judge_schema belongs: (0, i) set i, (0, i, j) function
+j of set i, (0, i, j, 1) that link's target, (1, k) constraint k's id and
+(1, k, 1) the rest of constraint k. Sorting by it follows the declarations."""
 
 
-def _refuse_names(what: str, named: Iterable[tuple[str, str]]) -> None:
-    """Raise ValueError at the first name judge_name refuses among `named`,
-    (where, name) pairs whose names are judged against those alike `where`."""
-    seen: dict[str, dict[str, str]] = {}
-    for where, name in named:
-        _refuse(judge_name(seen.setdefault(where, {}), what, name, where)[1])
+def judge_schema(
+    name: str,
+    declared: Iterable[tuple[str, Iterable[tuple[FunctionDef, bool]]]],
+    raw_constraints: Iterable[RawConstraint],
+) -> tuple[Schema, list[tuple[Where, Issue]]]:
+    """Admit a schema: every rule of admission, for parse_schema and for
+    Schema(...) alike.
+
+    `declared` holds each set's name beside its functions, each with
+    whether it is declared the set's name. A set is admitted unless
+    judge_name refuses its name among the sets before it; a refused set's
+    functions are not judged. A function of an admitted set is admitted
+    unless judge_name refuses its name among the set's functions before
+    it; an exact repeat is judged no further. Each admitted set designates
+    exactly one function its name, and no link. Every link, a refused
+    set's too, must target an admitted set, or it is not admitted. Each
+    constraint's id is judged by judge_name, and each constraint but an
+    exact repeat by validate_diagram against what was admitted.
+
+    Returns the admitted schema, whole only when there is no issue, and
+    every issue beside its Where, in Where order; the issues of one set,
+    function or target, which share a token, in the order of their codes,
+    as parse_schema orders them.
+    """
+    issues: list[tuple[Where, Issue]] = []
+    set_names: dict[str, str] = {}
+    sets: list[SetDef] = []
+    functions: list[FunctionDef] = []
+    links: list[tuple[Where, FunctionDef]] = []
+    for i, (set_name, members) in enumerate(declared):
+        refused = judge_name(set_names, "set", set_name)[1]
+        issues += [((0, i), issue) for issue in refused]
+        seen: dict[str, str] = {}
+        on_set = f" on set {set_name!r}"
+        name_attr: str | None = None
+        for j, (fn, is_name) in enumerate(members):
+            if fn.is_link:
+                links.append(((0, i, j, 1), fn))
+            if refused:
+                continue
+            earlier, found = judge_name(seen, "function", fn.name, on_set)
+            if not found:
+                functions.append(fn)
+            if is_name and earlier != fn.name:
+                if fn.is_link:
+                    message = f"name designation on {fn.name!r} requires an attribute, not a link"
+                    found.append(Issue(IssueCode.BAD_NAME_ATTRIBUTE, message))
+                elif name_attr is not None:
+                    message = f"set {set_name!r} already designates {name_attr!r} as its name"
+                    found.append(Issue(IssueCode.DUPLICATE_NAME_ATTRIBUTE, message))
+                else:
+                    name_attr = fn.name
+            if found:
+                issues += [((0, i, j), issue) for issue in found]
+        if not refused:
+            if name_attr is None:
+                message = f"set {set_name!r} designates no name attribute"
+                issues.append(((0, i), Issue(IssueCode.MISSING_NAME_ATTRIBUTE, message)))
+            sets.append(SetDef(set_name, name_attr or ""))
+
+    admitted = {s.name for s in sets}
+    stray = [(where, fn) for where, fn in links if fn.codomain not in admitted]
+    for where, fn in stray:
+        message = f"link {fn.name!r} targets unknown set {fn.codomain!r}"
+        issues.append((where, Issue(IssueCode.UNKNOWN_SET, message)))
+    if stray:
+        functions = [fn for fn in functions if not fn.is_link or fn.codomain in admitted]
+    schema = object.__new__(Schema)
+    vars(schema).update(name=name, sets=tuple(sets), functions=tuple(functions))
+    schema._index_functions()
+
+    ids: dict[str, str] = {}
+    constraints: list[DiagramConstraint] = []
+    for k, raw in enumerate(raw_constraints):
+        earlier, found = judge_name(ids, "constraint", raw.id)
+        issues += [((1, k), issue) for issue in found]
+        if earlier != raw.id:
+            resolved, found = validate_diagram(schema, raw)
+            issues += [((1, k, 1), issue) for issue in found]
+            if resolved is not None:
+                constraints.append(resolved)
+    vars(schema)["constraints"] = tuple(constraints)
+    schema._index_constraints()
+    # a set's, function's or target's issues share a token, and parse_schema
+    # orders those by code; the issues of a constraint's rest keep their order
+    issues.sort(key=lambda item: (item[0], item[1].code.value if item[0][0] == 0 else ""))
+    return schema, issues
 
 
-def _refuse(issues: list[Issue]) -> None:
-    """Raise ValueError with the messages of `issues`, if there are any."""
-    if issues:
-        raise ValueError("; ".join(issue.message for issue in issues))
+def _refusal(issues: list[tuple[Where, Issue]], constraints: tuple[DiagramConstraint, ...]) -> str:
+    """Schema(...)'s ValueError text for `issues`: their messages in order,
+    those of the rest of a constraint after its id."""
+    parts = []
+    for where, group in groupby(issues, itemgetter(0)):
+        text = "; ".join(issue.message for _, issue in group)
+        if where[0] == 1 and len(where) == 3:
+            text = f"constraint {constraints[where[1]].id!r}: {text}"
+        parts.append(text)
+    return "; ".join(parts)
 
 
 def _tuples(table: dict) -> dict:

@@ -170,9 +170,8 @@ class Database:
         try:
             values = {name: column[row.x] for name, column in self._columns[row.set_name].items()}
         except KeyError:
-            values = {}
-        if not values:  # an unknown set or a dead row raises; a set without functions reads {}
-            self._row(row)
+            self._row(row)  # an unknown set or a dead row raises, counting nothing
+            raise
         self.counter.rows_inspected += 1
         return values
 

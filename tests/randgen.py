@@ -146,7 +146,7 @@ def make_schema(rng: random.Random, n_constraints: int = 1, max_chain: int = 6) 
         resolved, issues = validate_diagram(schema, raw)
         assert resolved is not None, issues
         constraints.append(resolved)
-    return schema.with_constraints(tuple(constraints))
+    return Schema(schema.name, schema.sets, schema.functions, tuple(constraints))
 
 
 def _vacuous_columns(schema: Schema) -> set[tuple[str, str]]:

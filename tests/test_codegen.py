@@ -269,6 +269,26 @@ def test_paper_anti_link_check_folds_head_into_query(neighbors_schema):
     assert "Undo" in body
 
 
+def test_paper_link_guard_checks_an_edit_from_null(geography_schema, neighbors_schema):
+    # VBA's `f <> f.OldValue` is Null when the old value is, and an If
+    # skips a Null test, so a nullable control's guard takes
+    # IsNull(f.OldValue) too: the engine and the SQLite triggers both
+    # check a Null -> value edit
+    units = gen_link_checks(geography_schema, geo(geography_schema), Dialect.PAPER_STYLE)
+    by_target = {(u.target_set, u.target_function): u.body for u in units}
+    [neighbors] = gen_link_checks(
+        neighbors_schema, neighbors_schema.constraints[0], Dialect.PAPER_STYLE
+    )
+    guard = "If Not Cancel And Not NewRecord And {} And Not IsNull({}) Then"
+    nullable = "(IsNull({0}.OldValue) Or {0} <> {0}.OldValue)"
+    assert guard.format(nullable.format("Group"), "Group") in by_target[("MOUNTAINS", "Group")]
+    assert neighbors.body.count(guard.format(nullable.format("FrontierColor"), "FrontierColor")) == 2
+    # a required control is never Null before the edit
+    required = guard.format("Range <> Range.OldValue", "Range")
+    assert required in by_target[("MOUNT_SUBRANGES", "Range")]
+    assert "IsNull(Range.OldValue)" not in by_target[("MOUNT_SUBRANGES", "Range")]
+
+
 SPLICE_SCHEMA = """schema T ;
 set R { name L : text ; }
 set P { name N : text ; Tag : text ? ; Size : integer ? ; Home -> R ? ; }

@@ -25,7 +25,7 @@ from funcdiag.dsl import (
     parse_schema,
     parse_script,
 )
-from funcdiag import dsl, model
+from funcdiag import model
 from funcdiag.model import ConstraintKind, FunctionDef, IssueCode, ScalarType, Schema
 from funcdiag.store import RowId
 
@@ -33,6 +33,7 @@ from conftest import fixture_text, mutilate
 from randgen import make_schema
 
 GEOGRAPHY = fixture_text("geography.fd")
+NEIGHBORS = fixture_text("neighbors.fd")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -139,29 +140,33 @@ def test_geography_fixture_parses(geography_schema):
 
 @pytest.mark.parametrize("fixture", ["geography", "neighbors"])
 def test_parse_schema_judges_each_name_once(fixture, monkeypatch):
-    """The parser judges every name as it reads it, and the Schema it
-    returns is built without judging any again; with_constraints judges
-    only the constraints it is given."""
+    """judge_schema judges every name once, for parse_schema and for
+    Schema(...) alike, and Schema(...) builds its lookup tables once."""
     calls: Counter = Counter()
-    judge_name = model.judge_name
+    judge_name, index_functions = model.judge_name, Schema._index_functions
 
     def counting(seen, what, name, where=""):
         calls[(what, name, where)] += 1
         return judge_name(seen, what, name, where)
 
-    monkeypatch.setattr(dsl, "judge_name", counting)
+    def indexing(schema):
+        calls["tables"] += 1
+        index_functions(schema)
+
     monkeypatch.setattr(model, "judge_name", counting)
+    monkeypatch.setattr(Schema, "_index_functions", indexing)
     schema, diagnostics = parse_schema(fixture_text(f"{fixture}.fd"))
     assert schema is not None, diagnostics
-    names = [
+    names = Counter([
         *(("set", s.name, "") for s in schema.sets),
         *(("function", fn.name, f" on set {fn.domain!r}") for fn in schema.functions),
         *(("constraint", c.id, "") for c in schema.constraints),
-    ]
-    assert calls == Counter(names)
+        "tables",
+    ])
+    assert calls == names
     calls.clear()
-    assert schema.with_constraints(schema.constraints) == schema
-    assert calls == Counter(("constraint", c.id, "") for c in schema.constraints)
+    assert Schema(schema.name, schema.sets, schema.functions, schema.constraints) == schema
+    assert calls == names
 
 
 def test_empty_source_reports_no_schema():
@@ -530,9 +535,13 @@ def _assert_points_at_offending_text(source: str, diagnostics) -> None:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutilated_sources_keep_diagnostics_in_bounds(data):
-    source = mutilate(data, GEOGRAPHY)
-    _, diagnostics = parse_schema(source)
+    printed = format_schema(make_schema(random.Random(7), n_constraints=2))
+    source = mutilate(data, data.draw(st.sampled_from([GEOGRAPHY, NEIGHBORS, printed])))
+    schema, diagnostics = parse_schema(source)
     _assert_points_at_offending_text(source, diagnostics)
+    if schema is not None:
+        # what parse_schema admits, the API admits unchanged
+        assert Schema(schema.name, schema.sets, schema.functions, schema.constraints) == schema
 
 
 @settings(max_examples=150, deadline=None)

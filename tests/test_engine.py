@@ -21,7 +21,7 @@ from funcdiag.engine import (
     eval_chain,
     eval_prefix,
 )
-from funcdiag.model import Side, message_template_problem
+from funcdiag.model import Schema, Side, message_template_problem
 from funcdiag.oracle import full_check
 from funcdiag.store import Database, RowId
 
@@ -198,7 +198,7 @@ def test_dispatch_shared_function_gets_one_occurrence_per_side(neighbors_schema)
 
 
 def test_dispatch_empty_without_constraints(geography_schema):
-    bare = geography_schema.with_constraints(())
+    bare = Schema("G", geography_schema.sets, geography_schema.functions)
     assert dispatch(bare) == {}
 
 

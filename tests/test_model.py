@@ -222,7 +222,8 @@ def test_classification_general(geography_schema):
     )
     constraint, issues = validate_diagram(geography_schema, raw)
     assert issues == []
-    assert geography_schema.with_constraints((constraint,)).constraints == (constraint,)
+    schema = Schema("G", geography_schema.sets, geography_schema.functions, (constraint,))
+    assert schema.constraints == (constraint,)
 
 
 def test_classification_hbfp():
@@ -278,7 +279,7 @@ def test_schema_refuses_non_general_constraints():
     schema = _synthetic_schema(pair.left, pair.right)
     hbfp = r"'pair' composes a single function on each side \(homogeneous binary"
     with pytest.raises(ValueError, match=hbfp):
-        schema.with_constraints((pair,))
+        Schema("S", schema.sets, schema.functions, (pair,))
 
 
 @pytest.mark.parametrize("template", ["bad {left.x}", "{left[a]}", "{right!r}", "unclosed {left"])
@@ -287,8 +288,6 @@ def test_schema_refuses_a_message_template_that_cannot_format(geography_schema, 
     # and raise AttributeError at the first violation
     constraint = replace(geography_schema.constraints[0], message=template)
     with pytest.raises(ValueError, match="GeoContinent.*message template"):
-        geography_schema.with_constraints((constraint,))
-    with pytest.raises(ValueError, match="GeoContinent"):
         Schema("G", geography_schema.sets, geography_schema.functions, (constraint,))
 
 
@@ -353,10 +352,10 @@ def test_classification_matches_direct_predicate(n, m, left_identity, right_iden
             # the API can build the pair by hand; Schema re-judges it
             built = DiagramConstraint("c", ConstraintKind.COMMUTATIVE, left, right)
             with pytest.raises(ValueError, match=re.escape(issues[0].message)):
-                schema.with_constraints((built,))
+                Schema("S", schema.sets, schema.functions, (built,))
     else:
         assert (constraint.left, constraint.right) == (left, right)
-        schema.with_constraints((constraint,))
+        Schema("S", schema.sets, schema.functions, (constraint,))
 
 
 def _synthetic_chain(length: int, prefix: str = "h", codomain: str = "C") -> ChainSpec:
@@ -461,6 +460,30 @@ S = (SetDef("S", "N"),)
         ),
         _parity("missing-name-attribute", (), (SetDef("S", "M"),), _named(("S", "N"))),
         _parity("empty-name-attribute", (), (SetDef("S", ""),), _named(("S", "N"))),
+        _parity(
+            "twin-functions-and-link-to-unknown-set",
+            (),
+            S,
+            (*_named(("S", "N"), ("S", "Color"), ("S", "color")), FunctionDef("L", "S", "Z")),
+        ),
+        _parity(
+            "twin-sets-and-function-x",
+            (),
+            (*S, SetDef("s", "N"), SetDef("T", "N")),
+            _named(("S", "N"), ("s", "N"), ("T", "N"), ("T", "x")),
+        ),
+        _parity(
+            "twin-functions-one-a-link-named",
+            (),
+            (SetDef("S", "Color"),),
+            (*_named(("S", "color")), FunctionDef("Color", "S", "S")),
+        ),
+        _parity(
+            "repeated-function-and-missing-name-attribute",
+            (),
+            (*S, SetDef("T", "M")),
+            _named(("S", "N"), ("S", "N"), ("T", "N")),
+        ),
         _parity(
             "name-attribute-is-a-link",
             (),

@@ -292,7 +292,7 @@ def api_schema(
         constraint, issues = validate_diagram(schema, raw)
         assert constraint is not None, issues
         resolved.append(constraint)
-    return schema.with_constraints(tuple(resolved))
+    return Schema(schema.name, schema.sets, schema.functions, tuple(resolved))
 
 
 def chain_pair(

@@ -316,8 +316,7 @@ def judge_name(
     `seen`, and the issues: that twin, reported alone if it is `name`, and
     a function named `x` or `X`, the key column of every emitted table.
     """
-    # lower() folds only ASCII letters in an ASCII name, and runs in C
-    folded = name.lower() if name.isascii() else name.translate(_FOLD_ASCII)
+    folded = name.translate(_FOLD_ASCII)
     earlier = seen.get(folded)
     issues: list[Issue] = []
     if earlier is None:
@@ -349,7 +348,9 @@ class Schema:
     schema's own). An admitted schema keeps its sets and functions as
     given and takes judge_schema's constraints, equal to its own, with the
     lookup tables, including the per-(set, function) chain occurrences,
-    built once for them there.
+    built once for them there. judge_schema holds the functions set by
+    set, so when the given ones interleave sets their tables are built
+    again in the given order, which links_into follows.
     """
 
     name: str
@@ -388,6 +389,9 @@ class Schema:
             if own != resolved:
                 raise ValueError(f"constraint {own.id!r}: holds a function unlike the schema's own")
         vars(self).update(vars(judged), sets=self.sets, functions=self.functions)
+        if judged.functions != self.functions:
+            # the functions interleave sets: list each set's links in their order
+            self._index_functions()
 
     def _index_functions(self) -> None:
         by_name = {s.name: s for s in self.sets}

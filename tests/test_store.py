@@ -163,6 +163,30 @@ def test_delete_restrict_lists_referencing_rows(db):
     assert not db.row_exists(tools)
 
 
+def test_delete_restrict_lists_referrers_in_the_order_functions_are_given():
+    """A hand-built schema may list its functions interleaving sets; delete
+    RESTRICT lists the referencing rows link by link in that order."""
+    schema = Schema(
+        "Shop",
+        (SetDef("SHELVES", "Shelf"), SetDef("CATEGORIES", "Category"), SetDef("ITEMS", "Item")),
+        (
+            FunctionDef("Category", "CATEGORIES", ScalarType.TEXT),
+            FunctionDef("Item", "ITEMS", ScalarType.TEXT),
+            FunctionDef("Category", "ITEMS", "CATEGORIES"),
+            FunctionDef("Shelf", "SHELVES", ScalarType.TEXT),
+            FunctionDef("Category", "SHELVES", "CATEGORIES"),
+        ),
+    )
+    assert [fn.domain for fn in schema.links_into("CATEGORIES")] == ["ITEMS", "SHELVES"]
+    db = Database(schema)
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    shelf = db.insert_row("SHELVES", {"Shelf": "top", "Category": tools})
+    item = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    with pytest.raises(RestrictViolation) as exc:
+        db.delete_row(tools)
+    assert exc.value.referencing == (item, shelf)
+
+
 def test_surrogates_never_reused_after_delete(db):
     a = db.insert_row("CATEGORIES", {"Category": "a"})
     db.delete_row(a)

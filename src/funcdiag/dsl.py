@@ -60,7 +60,7 @@ from .model import (
     Where,
     judge_schema,
 )
-from .store import RowId
+from .store import INT_MAX, INT_MIN, RowId
 
 
 @dataclass(frozen=True)
@@ -805,8 +805,6 @@ class _NoValue:
 
 _NO_VALUE = _NoValue()
 
-# Integer values are SQLite's: signed 64-bit.
-_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 _TEXT, _INTEGER = ScalarType.TEXT, ScalarType.INTEGER  # read once: Enum reads are slow
 
 
@@ -814,10 +812,10 @@ def _int_value(tok: str) -> int | None:
     """The value of integer token `tok`, or None outside the 64-bit range."""
     # Measure before converting: int() refuses very long strings.
     digits = tok.lstrip("-").lstrip("0") or "0"
-    if len(digits) > len(str(_INT_MAX)):
+    if len(digits) > len(str(INT_MAX)):
         return None
     value = -int(digits) if tok[0] == "-" else int(digits)
-    return value if _INT_MIN <= value <= _INT_MAX else None
+    return value if INT_MIN <= value <= INT_MAX else None
 
 
 # ---------------------------------------------------------------------------

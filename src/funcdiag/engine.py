@@ -174,13 +174,15 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
 
     Walks the store's bound reverse indexes of occurrence.reverse over
     row ids, one level at a time for the whole frontier, counting as
-    Database.inverse would for each of its rows; at the innermost
-    position the walk is empty and the row is itself in the domain set.
+    Database.inverse would for each of its rows; the innermost position
+    has no walk, and the row is itself in the domain set.
     Each level concatenates its rows' preimages, which are disjoint
     because a function maps each row to one value, so no level holds a
     row twice and none needs a set.
     """
     frontier = [r.x]
+    if not occurrence.reverse:
+        return frontier
     counter = db.counter
     for index in db.walks[id(occurrence)][0]:
         counter.rows_inspected += len(frontier)

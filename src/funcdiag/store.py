@@ -13,8 +13,8 @@ Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
 index and target set's live ids, and link checks read each occurrence's
 walk, bound to its reverse indexes and columns. Both hold the store's own
-dicts, never copies; clone() binds them afresh to the copy's, from a
-recipe derived once from the schema.
+dicts, never copies; clone() binds them afresh to the copy's, from the
+schema as the new store does.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -30,8 +30,7 @@ logical state captured by snapshot().
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .model import ScalarType, Schema
 
@@ -51,6 +50,8 @@ class RowId(NamedTuple):
 
 Value = Union[int, str, RowId, None]
 _TEXT = ScalarType.TEXT  # read once: reading an Enum member from its class is slow
+# Integer values are SQLite's: signed 64-bit.
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
 
 
 class StoreError(Exception):
@@ -103,10 +104,10 @@ class Database:
     maps them to values. `_tables[set][function]` is (function, column,
     reverse index or None, linked set's ids or None); `walks[id(occ)]` is
     (reverse indexes outermost first, other chain's columns innermost
-    first) for each occurrence in schema.occurrences. Single writer;
-    readers interleave only between mutations. clone() shares the counter
-    by default, so scratch work counts, and rebinds tables and walks from
-    the recipe it shares.
+    first) for each occurrence whose reverse walk is not empty, the ones
+    link checks read. Single writer; readers interleave only between
+    mutations. clone() shares the counter by default, so scratch work
+    counts, and binds its own tables and walks as __init__ does.
     """
 
     def __init__(self, schema: Schema):
@@ -120,24 +121,26 @@ class Database:
         }
         self._next_id: dict[str, int] = {s.name: 1 for s in schema.sets}
         self.counter = RowCounter()
-        self._recipe = _recipe(schema)
         self._bind()
 
     def _bind(self) -> None:
-        """Bind tables and walks to this store's own dicts, from the recipe
-        that __init__ derived from the schema and every clone shares."""
+        """Bind tables and walks to this store's own dicts, by the schema's names."""
         columns, reverse, ids = self._columns, self._reverse, self._ids
-        tables, walks = self._recipe
         self._tables = {
-            s: {n: (f, cs[n], reverse.get(link), ids.get(target)) for n, f, link, target in slots}
-            for s, cs, slots in zip(ids, columns.values(), tables)
+            s: {
+                f.name: (f, cs[f.name], reverse.get((s, f.name)), ids.get(f.codomain))
+                for f in self.schema.functions_of(s)
+            }
+            for s, cs in columns.items()
         }
-        self.walks = {  # lists in tuple(): a generator costs more, once per clone
-            key: (
-                tuple([reverse[link] for link in links]),
-                tuple([columns[s][n] for s, n in column_names]),
+        self.walks = {
+            id(occ): (
+                tuple(reverse[f.domain, f.name] for f in occ.reverse),
+                tuple(columns[f.domain][f.name] for f in occ.other.functions[::-1]),
             )
-            for key, links, column_names in walks
+            for c in self.schema.constraints
+            for occ in c.occurrences
+            if occ.reverse
         }
 
     @property
@@ -275,7 +278,6 @@ class Database:
             for key, index in self._reverse.items()
         }
         other._next_id = dict(self._next_id)
-        other._recipe = self._recipe
         other._bind()
         return other
 
@@ -284,7 +286,7 @@ class Database:
         return {
             "next_ids": dict(self._next_id),
             "tables": {
-                s: _table_builder(tuple(cs))(self._ids[s], *map(dict.values, cs.values()))
+                s: {x: {n: column[x] for n, column in cs.items()} for x in self._ids[s]}
                 for s, cs in self._columns.items()
             },
             "reverse": {
@@ -372,40 +374,10 @@ class Database:
                 raise ValueTypeMismatch(
                     f"{fn.name!r} on {fn.domain!r} holds integers, got {type(value).__name__}"
                 )
+            elif not INT_MIN <= value <= INT_MAX:
+                raise ValueTypeMismatch(
+                    f"{fn.name!r} on {fn.domain!r} holds 64-bit integers, got one out of range"
+                )
             normalized[name] = value
         return normalized
 
-
-def _recipe(schema: Schema) -> tuple[list, list]:
-    """What _bind binds, by name. Per set, in the order of the store's
-    dicts: (name, function, reverse-index key, linked set) for each
-    function, the last two None for an attribute. Per occurrence:
-    (id(occurrence), its reverse-index keys outermost first, its other
-    chain's (set, function) columns innermost first)."""
-    tables = [
-        [
-            (f.name, f, (f.domain, f.name), f.codomain) if f.is_link else (f.name, f, None, None)
-            for f in schema.function_table(s.name).values()
-        ]
-        for s in schema.sets
-    ]
-    walks = [
-        (
-            id(occ),
-            tuple((fn.domain, fn.name) for fn in occ.reverse),
-            tuple((fn.domain, fn.name) for fn in occ.other.functions[::-1]),
-        )
-        for occs in schema.occurrences.values()
-        for occ in occs
-    ]
-    return tables, walks
-
-
-@lru_cache(maxsize=256)
-def _table_builder(names: tuple[str, ...]) -> Callable[..., dict[int, dict[str, Value]]]:
-    """`lambda ids, *columns: {x: {names[0]: _0, names[1]: _1} for x, _0, _1,
-    in zip(ids, *columns)}` and so on, names as repr() literals: one dict
-    display per row, in one frame, rebuilds a table faster than dict(zip())."""
-    targets = "".join(f"_{i}, " for i in range(len(names)))
-    cells = ", ".join(f"{name!r}: _{i}" for i, name in enumerate(names))
-    return eval(f"lambda ids, *columns: {{x: {{{cells}}} for x, {targets}in zip(ids, *columns)}}")

@@ -315,11 +315,16 @@ def test_constraint_declaration_diagnostics(declaration, expected):
                 "2:45: error [unknown-set] link 'L' targets unknown set 'ELSEWHERE'",
             ],
         ),
+        (
+            "set A { name N : text ; f -> ; }",
+            ["2:30: error [syntax] expected target set name, found ';'"],
+        ),
     ],
 )
 def test_unknown_link_targets_are_reported_inside_exact_repeats(sets, expected):
     """A repeated set or function is not judged again, but its links'
-    targets still are."""
+    targets still are. A link that names no target is refused where the
+    name should be."""
     schema, diagnostics = parse_schema(f"schema S ;\n{sets}\n")
     assert schema is None
     assert [d.render() for d in diagnostics] == expected

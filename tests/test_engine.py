@@ -689,6 +689,27 @@ def test_store_error_rejects_with_store_violation(geography_schema):
     assert db.snapshot() == before
 
 
+@pytest.mark.parametrize("depth", [2**63, -(2**63) - 1], ids=["2^63", "-2^63-1"])
+def test_integer_outside_64_bits_rejects_with_store_violation(depth):
+    """The parser refuses such a literal; a mutation built through the API
+    meets the same bound in the store."""
+    schema, _ = parse_schema("schema T ;\nset A { name N : text ; Depth : integer ? ; }\n")
+    db, handles = Database(schema), {}
+    insert = Mutation(Action.INSERT, set_name="A", bindings=(Binding("N", "x"),), handle="a")
+    assert apply_mutation(db, insert, handles).applied
+    before = db.snapshot()
+    for m in (
+        Mutation(Action.INSERT, set_name="A", bindings=(Binding("N", "y"), Binding("Depth", depth))),
+        Mutation(Action.UPDATE, row_ref=HandleRef("a"), bindings=(Binding("Depth", depth),)),
+    ):
+        verdict = apply_mutation(db, m, handles)
+        assert verdict.rejected
+        [v] = verdict.violations
+        assert v.kind is ViolationKind.STORE_ERROR
+        assert "64-bit" in v.message
+        assert db.snapshot() == before
+
+
 def test_unresolvable_handle_rejects(geography_schema):
     db, _ = seeded_geography(geography_schema)
     from funcdiag.dsl import HandleRef

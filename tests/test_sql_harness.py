@@ -170,7 +170,7 @@ def replay(schema: Schema, script: str) -> None:
 
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
-        next_x = db.snapshot()["next_ids"].get(resolved.set_name)
+        next_x = db._next_id.get(resolved.set_name)
         verdict = apply_mutation(db, m, handles)
         sql_applied = sql_apply(connection, resolved, next_x)
         assert sql_applied == verdict.applied, (

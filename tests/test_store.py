@@ -135,6 +135,16 @@ def test_value_type_checks(db):
         db.insert_row("ITEMS", {"Item": "saw", "Category": RowId("ITEMS", 1)})
     with pytest.raises(MissingRequired):
         db.insert_row("ITEMS", {"Item": None})
+    # integers are SQLite's, signed 64-bit
+    saw = db.insert_row("ITEMS", {"Item": "saw", "Stock": 2**63 - 1})
+    db.set_values(saw, {"Stock": -(2**63)})
+    for stock in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueTypeMismatch, match="64-bit"):
+            db.insert_row("ITEMS", {"Item": "drill", "Stock": stock})
+        with pytest.raises(ValueTypeMismatch, match="64-bit"):
+            db.set_values(saw, {"Stock": stock})
+    assert db.lookup(saw, "Stock") == -(2**63)
+    assert db.rows("ITEMS") == (saw,)
 
 
 def test_set_value_moves_reverse_index(db):
@@ -285,6 +295,24 @@ def test_clone_is_deep_and_shares_counter_by_default(db):
 
 def _same_objects(got, expected) -> bool:
     return len(got) == len(expected) and all(map(operator.is_, got, expected))
+
+
+@pytest.mark.parametrize("fixture", ["geography_schema", "neighbors_schema"])
+def test_walks_bind_each_link_checked_occurrence_to_the_stores_own_dicts(fixture, request):
+    """A store binds a walk for each occurrence whose reverse walk is not
+    empty, the ones link checks read, over its own reverse indexes and
+    columns; a clone binds the same walks over its own."""
+    schema = request.getfixturevalue(fixture)
+    db = Database(schema)
+    checked = [occ for c in schema.constraints for occ in c.occurrences if occ.reverse]
+    for store in (db, db.clone()):
+        assert list(store.walks) == [id(occ) for occ in checked]
+        for occ in checked:
+            indexes, columns = store.walks[id(occ)]
+            assert _same_objects(indexes, [store._reverse[f.domain, f.name] for f in occ.reverse])
+            assert _same_objects(
+                columns, [store._columns[f.domain][f.name] for f in occ.other.functions[::-1]]
+            )
 
 
 def test_rows_inverse_and_row_ids_hand_out_the_row_ids_insert_row_returned(db):

@@ -186,7 +186,7 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
     counter = db.counter
     for index in db.walks[id(occurrence)][0]:
         counter.rows_inspected += len(frontier)
-        frontier = list(chain.from_iterable(map(index.get, frontier, repeat(()))))
+        frontier = list(chain.from_iterable(map(index.__getitem__, frontier)))
         if not frontier:
             return frontier
     frontier.sort()

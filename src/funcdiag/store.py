@@ -1,31 +1,34 @@
-"""In-memory column store with surrogate keys and reverse link indexes.
+"""In-memory column store with dense surrogate keys and reverse link indexes.
 
-Each set maps its live rows' surrogate ids (from 1, never reused) to the
-RowIds insert_row returned, which rows, inverse and row_ids hand out. Each
-(set, function) is one column, a dict from id to value in the order the
-set's ids were inserted. Link cells hold RowIds, which every reader of a
-link wants, and are mirrored in a reverse index (target row -> set of
-source rows). Writes enforce referential integrity and nullability;
-deletes are RESTRICT-only. undo_write takes back the latest insert or
-update and, trusting the pre-write state, validates nothing.
+Row ids start at 1 in each set, only grow, and are never reused (an
+undone insert gives back only the last one), so every per-row structure
+is a list indexed by the row id, like a column store's virtual-id column;
+Database lists them. Link cells hold RowIds, which every reader of a link
+wants, and are mirrored in a reverse index (target row -> set of source
+rows). A read is one list index, but a deleted row keeps its slots, so
+memory follows the ids issued, not the rows live. Writes enforce
+referential integrity and nullability; deletes are RESTRICT-only.
+undo_write takes back the latest insert or update and, trusting the
+pre-write state, validates nothing.
 
 Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
-index and target set's live ids, and link checks read each occurrence's
+index and target set's ids, and link checks read each occurrence's
 walk, bound to its reverse indexes and columns. Both hold the store's own
-dicts, never copies; clone() binds them afresh to the copy's, from the
+lists, never copies; clone() binds them afresh to the copy's, from the
 schema as the new store does.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
 and +1 per reverse-index consultation. A link check's bound walk counts
 as lookup and inverse would: +1 per row read and +1 per target
-consulted. lookup and read_row read the cells directly and look for what is
-missing only when that fails, and count the same on either path: +1 for
-a live row, even when the function is unknown, and nothing for an
-unknown set or a dead row. The counter measures work done, so it keeps
-advancing during mutations that end up rejected; it is not part of the
-logical state captured by snapshot().
+consulted. lookup reads the cell directly and looks for what is missing
+only when that fails; it and read_row count +1 for a live row, even when
+the function is unknown, and nothing for an unknown set or a row that is
+not live: an id below 1, past the last, of a deleted row or not an int
+names no row, never another one. The counter
+measures work done, so it keeps advancing during mutations that end up
+rejected; it is not part of the logical state captured by snapshot().
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ Value = Union[int, str, RowId, None]
 _TEXT = ScalarType.TEXT  # read once: reading an Enum member from its class is slow
 # Integer values are SQLite's: signed 64-bit.
 INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+_DEAD = object()  # every cell of a dead row, and slot 0 of every column
 
 
 class StoreError(Exception):
@@ -100,31 +104,38 @@ class RowCounter:
 class Database:
     """Mutable column store bound to an immutable schema.
 
-    `_ids[set]` maps live row ids to their RowIds, `_columns[set][function]`
-    maps them to values. `_tables[set][function]` is (function, column,
-    reverse index or None, linked set's ids or None); `walks[id(occ)]` is
-    (reverse indexes outermost first, other chain's columns innermost
-    first) for each occurrence whose reverse walk is not empty, the ones
-    link checks read. Single writer; readers interleave only between
-    mutations. clone() shares the counter by default, so scratch work
-    counts, and binds its own tables and walks as __init__ does.
+    Lists indexed by row id: `_ids[set]` holds the RowId insert_row
+    returned for each live row, which rows, inverse and row_ids hand out,
+    and None for a dead row and at slot 0, so its length is the next id;
+    `_columns[set][function]` holds each row's value, and _DEAD for a dead
+    row and at slot 0; `_reverse[(set, link)]`, indexed by the target's id,
+    holds each target's set of source ids, and () for one without sources.
+    A dead row keeps its slots, so memory follows the ids issued.
+    `_tables[set][function]` is (function, column, reverse index or
+    None, linked set's ids or None); `_into[set]` holds the reverse indexes
+    of the links into the set, which grow and shrink with its ids;
+    `walks[id(occ)]` is (reverse indexes outermost first, other chain's
+    columns innermost first) for each occurrence whose reverse walk is not
+    empty, the ones link checks read. Single writer; readers interleave
+    only between mutations. clone() shares the counter by default, so
+    scratch work counts, and binds its own tables and walks as __init__
+    does.
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        self._ids: dict[str, dict[int, RowId]] = {s.name: {} for s in schema.sets}
-        self._columns: dict[str, dict[str, dict[int, Value]]] = {
-            s.name: {fn.name: {} for fn in schema.functions_of(s.name)} for s in schema.sets
+        self._ids: dict[str, list[RowId | None]] = {s.name: [None] for s in schema.sets}
+        self._columns: dict[str, dict[str, list]] = {
+            s.name: {fn.name: [_DEAD] for fn in schema.functions_of(s.name)} for s in schema.sets
         }
-        self._reverse: dict[tuple[str, str], dict[int, set[int]]] = {
-            (fn.domain, fn.name): {} for fn in schema.functions if fn.is_link
+        self._reverse: dict[tuple[str, str], list[set[int] | tuple]] = {
+            (fn.domain, fn.name): [()] for fn in schema.functions if fn.is_link
         }
-        self._next_id: dict[str, int] = {s.name: 1 for s in schema.sets}
         self.counter = RowCounter()
         self._bind()
 
     def _bind(self) -> None:
-        """Bind tables and walks to this store's own dicts, by the schema's names."""
+        """Bind tables and walks to this store's own lists, by the schema's names."""
         columns, reverse, ids = self._columns, self._reverse, self._ids
         self._tables = {
             s: {
@@ -132,6 +143,9 @@ class Database:
                 for f in self.schema.functions_of(s)
             }
             for s, cs in columns.items()
+        }
+        self._into = {
+            s: tuple(reverse[f.domain, f.name] for f in self.schema.links_into(s)) for s in ids
         }
         self.walks = {
             id(occ): (
@@ -153,30 +167,30 @@ class Database:
         ids = self._ids.get(set_name)
         if ids is None:
             raise UnknownSet(f"unknown set {set_name!r}")
-        return tuple(ids.values())
+        return tuple(filter(None, ids))
 
     def row_exists(self, row: RowId) -> bool:
-        return row.x in self._ids.get(row.set_name, {})
+        return _slot(self._ids.get(row.set_name, ()), row.x) is not None
 
     def lookup(self, row: RowId, fn_name: str) -> Value:
+        x = row.x
         try:
-            value = self._columns[row.set_name][fn_name][row.x]
-        except KeyError:
+            value = self._columns[row.set_name][fn_name][x]
+            if value is _DEAD or x < 1:  # a dead row's cell, or slot -1 read as the last row's
+                raise IndexError
+        except (KeyError, IndexError, TypeError):
             self._row(row)  # an unknown set or a dead row raises, counting nothing
             self.counter.rows_inspected += 1
-            raise UnknownFunction(f"no function {fn_name!r} on {row.set_name!r}") from None
+            raise UnknownFunction(f"no function {fn_name!r} on {row.set_name!r}")
         self.counter.rows_inspected += 1
         return value
 
     def read_row(self, row: RowId) -> dict[str, Value]:
-        """The row's values by name; reads the cells as lookup does."""
-        try:
-            values = {name: column[row.x] for name, column in self._columns[row.set_name].items()}
-        except KeyError:
-            self._row(row)  # an unknown set or a dead row raises, counting nothing
-            raise
+        """The row's values by name; counts as lookup does."""
+        self._row(row)  # an unknown set or a dead row raises, counting nothing
         self.counter.rows_inspected += 1
-        return values
+        x = row.x
+        return {name: column[x] for name, column in self._columns[row.set_name].items()}
 
     def inverse(self, domain_set: str, fn_name: str, target: RowId) -> frozenset[RowId]:
         """Exact preimage of `target` under the link (domain_set, fn_name);
@@ -185,7 +199,7 @@ class Database:
         if index is None:
             raise UnknownFunction(f"no link function {fn_name!r} on {domain_set!r}")
         self.counter.rows_inspected += 1
-        return frozenset(self.row_ids(domain_set, index.get(target.x, ())))
+        return frozenset(self.row_ids(domain_set, _slot(index, target.x) or ()))
 
     def row_ids(self, set_name: str, xs: Iterable[int]) -> list[RowId]:
         """The stored RowId of each of the live rows `xs` of set_name; counts nothing."""
@@ -234,9 +248,13 @@ class Database:
 
     def insert_row(self, set_name: str, values: Mapping[str, Value]) -> RowId:
         normalized = self.validate_insert(set_name, values)
-        x = self._next_id[set_name]
-        self._next_id[set_name] = x + 1
-        row = self._ids[set_name][x] = tuple.__new__(RowId, (set_name, x))
+        ids = self._ids[set_name]
+        row = tuple.__new__(RowId, (set_name, len(ids)))
+        ids.append(row)
+        for column in self._columns[set_name].values():
+            column.append(None)
+        for index in self._into[set_name]:
+            index.append(())
         self._write(row, normalized)
         return row
 
@@ -253,15 +271,17 @@ class Database:
 
         `before` is the row's pre-write image as read_row returned it, or
         None when the write was an insert. An undone insert removes the
-        row and its reverse-index entries and steps the set's next id
-        back, so a rejected insert burns no id; an undone update writes
+        row and its reverse-index entries and drops its slots, the last
+        ones, so a rejected insert burns no id; an undone update writes
         the old values back and re-points the reverse index. Nothing is
         validated and RESTRICT is not consulted: the pre-write state was
         valid and only this write has changed it since.
         """
         if before is None:
             self._remove(row)
-            self._next_id[row.set_name] = row.x
+            s = row.set_name
+            for slots in (self._ids[s], *self._columns[s].values(), *self._into[s]):
+                slots.pop()
         else:
             self._write(row, before)
 
@@ -271,26 +291,22 @@ class Database:
         other = object.__new__(Database)  # no empty store to throw away
         other.schema = self.schema
         other.counter = self.counter if share_counter else RowCounter()
-        other._ids = {s: dict(ids) for s, ids in self._ids.items()}
-        other._columns = {s: {n: dict(c) for n, c in t.items()} for s, t in self._columns.items()}
-        other._reverse = {
-            key: {t: set(sources) for t, sources in index.items()}
-            for key, index in self._reverse.items()
-        }
-        other._next_id = dict(self._next_id)
+        other._ids = {s: ids.copy() for s, ids in self._ids.items()}
+        other._columns = {s: {n: c.copy() for n, c in t.items()} for s, t in self._columns.items()}
+        other._reverse = {k: [s and set(s) for s in index] for k, index in self._reverse.items()}
         other._bind()
         return other
 
     def snapshot(self) -> dict:
         """Deep, comparison-friendly image of the logical state."""
         return {
-            "next_ids": dict(self._next_id),
+            "next_ids": {s: len(ids) for s, ids in self._ids.items()},
             "tables": {
-                s: {x: {n: column[x] for n, column in cs.items()} for x in self._ids[s]}
+                s: {x: {n: column[x] for n, column in cs.items()} for _, x in self.rows(s)}
                 for s, cs in self._columns.items()
             },
             "reverse": {
-                f"{d}.{f}": {t: tuple(sorted(s)) for t, s in index.items() if s}
+                f"{d}.{f}": {t: tuple(sorted(s)) for t, s in enumerate(index) if s}
                 for (d, f), index in self._reverse.items()
             },
         }
@@ -306,34 +322,37 @@ class Database:
         for name, value in values.items():
             _, column, index, _ = table[name]
             if index is not None:  # a link: its cells hold RowIds or None
-                old = column.get(x)
+                old = column[x]
                 if old is not None:
                     sources = index[old.x]
                     sources.discard(x)
                     if not sources:
-                        del index[old.x]
+                        index[old.x] = ()
                 if value is not None:
-                    sources = index.get(value.x)
-                    if sources is None:
-                        index[value.x] = {x}
-                    else:
+                    sources = index[value.x]
+                    if sources:
                         sources.add(x)
+                    else:
+                        index[value.x] = {x}
             column[x] = value
 
     def _remove(self, row: RowId) -> None:
         self._write(row, dict.fromkeys(self._row(row)))
-        for column in (self._ids[row.set_name], *self._columns[row.set_name].values()):
-            del column[row.x]
+        self._ids[row.set_name][row.x] = None
+        for column in self._columns[row.set_name].values():
+            column[row.x] = _DEAD
 
     def _row(self, row: RowId) -> dict[str, tuple]:
         """The table of row's set; raises unless row is live."""
+        x = row.x
         try:
-            self._ids[row.set_name][row.x]
-        except KeyError:
-            if row.set_name not in self._ids:
-                raise UnknownSet(f"unknown set {row.set_name!r}") from None
-            raise UnknownRow(f"no row {row!r}") from None
-        return self._tables[row.set_name]
+            if x > 0 and self._ids[row.set_name][x] is not None:
+                return self._tables[row.set_name]
+        except (KeyError, IndexError, TypeError):
+            pass
+        if row.set_name not in self._ids:
+            raise UnknownSet(f"unknown set {row.set_name!r}")
+        raise UnknownRow(f"no row {row!r}")
 
     def _check_values(
         self, set_name: str, table: Mapping[str, tuple], values: Mapping[str, Value]
@@ -361,7 +380,7 @@ class Database:
                         f" got row of {value.set_name!r}"
                     )
                 self.counter.rows_inspected += 1
-                if value.x not in targets:
+                if _slot(targets, value.x) is None:
                     raise DanglingReference(
                         f"{fn.name!r} on {fn.domain!r} references missing {value!r}"
                     )
@@ -381,3 +400,10 @@ class Database:
             normalized[name] = value
         return normalized
 
+
+def _slot(slots: list, x: int):
+    """slots[x] when x is a row id, from 1 to the last; None otherwise."""
+    try:
+        return slots[x] if x > 0 else None
+    except (IndexError, TypeError):
+        return None

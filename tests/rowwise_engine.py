@@ -32,7 +32,9 @@ from funcdiag.engine import (
     sort_violations,
 )
 from funcdiag.model import ChainSpec, Occurrence, Side
-from funcdiag.store import Database, RowId, StoreError, UnknownSet, Value
+from funcdiag.store import Database, RowId, StoreError, Value
+
+import store_layout
 
 
 def lookup_ids(db: Database, set_name: str, fn_name: str, xs: list[int]) -> list[Value]:
@@ -44,12 +46,8 @@ def lookup_ids(db: Database, set_name: str, fn_name: str, xs: list[int]) -> list
     lookup raises, after counting the rows lookup would have read
     before it.
     """
-    columns = db._columns.get(set_name)
-    if columns is None:
-        raise UnknownSet(f"unknown set {set_name!r}")
-    try:
-        values = list(map(columns.get(fn_name, {}).__getitem__, xs))
-    except KeyError:
+    values = store_layout.cells(db, set_name, fn_name, xs)
+    if values is None:
         return [db.lookup(RowId(set_name, x), fn_name) for x in xs]
     db.counter.rows_inspected += len(values)
     return values

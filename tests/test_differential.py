@@ -27,6 +27,7 @@ from funcdiag.oracle import oracle_apply
 from funcdiag.store import Database, StoreError
 
 import rowwise_engine
+import store_layout
 from conftest import fixture_text
 from randgen import make_mutation, make_schema, seed_database
 from test_sql_harness import (
@@ -190,29 +191,13 @@ def _three_ways(rng: random.Random, db, seed: int) -> None:
         assert verdict.outcome is expected.outcome, where
         if verdict.rejected:
             assert _contents(verdict) == _contents(expected), where
-            assert _same_state(db, before), where
-        assert _same_state(db, reference), where
+            assert store_layout.same_state(db, before), where
+        assert store_layout.same_state(db, reference), where
         resolved = resolve_mutation(m, {})
-        next_x = before._next_id.get(resolved.set_name)
+        next_x = store_layout.next_id(before, resolved.set_name)
         assert sql_apply(connection, resolved, next_x) == verdict.applied, where
     assert contents(connection, schema) == sql_contents(db)
     connection.close()
-
-
-def _same_state(a: Database, b: Database) -> bool:
-    """Whether a.snapshot() == b.snapshot(), without building either: the
-    same next ids, rows, columns and reverse-index entries, empty source
-    sets ignored as snapshot() ignores them."""
-    return (
-        a._next_id == b._next_id
-        and a._ids == b._ids
-        and a._columns == b._columns
-        and _reverse_entries(a) == _reverse_entries(b)
-    )
-
-
-def _reverse_entries(db: Database) -> dict:
-    return {key: {t: s for t, s in index.items() if s} for key, index in db._reverse.items()}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -223,8 +208,8 @@ def test_same_state_agrees_with_snapshot_equality(seed):
     other = db.clone(share_counter=False)
     answers = set()
     for _ in range(RAW_WRITES):
-        same = _same_state(db, other)
-        assert same == (db.snapshot() == other.snapshot()) == _same_state(other, db)
+        same = store_layout.same_state(db, other)
+        assert same == (db.snapshot() == other.snapshot()) == store_layout.same_state(other, db)
         answers.add(same)
         try:
             raw_apply(other, resolve_mutation(make_mutation(rng, other), {}))

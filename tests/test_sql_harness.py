@@ -29,6 +29,7 @@ from funcdiag.model import (
 )
 from funcdiag.store import Database, RowId
 
+import store_layout
 from conftest import fixture_text
 
 EXTRA_GEOGRAPHY_MUTATIONS = """
@@ -170,7 +171,7 @@ def replay(schema: Schema, script: str) -> None:
 
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
-        next_x = db._next_id.get(resolved.set_name)
+        next_x = store_layout.next_id(db, resolved.set_name)
         verdict = apply_mutation(db, m, handles)
         sql_applied = sql_apply(connection, resolved, next_x)
         assert sql_applied == verdict.applied, (

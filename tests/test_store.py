@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from funcdiag.dsl import parse_script
+from funcdiag.engine import apply_mutation
 from funcdiag.model import FunctionDef, ScalarType, Schema, SetDef
 from funcdiag.store import (
     DanglingReference,
@@ -18,6 +20,8 @@ from funcdiag.store import (
     Value,
     ValueTypeMismatch,
 )
+import store_layout
+from conftest import fixture_text
 from rowwise_engine import lookup_ids
 
 
@@ -298,21 +302,46 @@ def _same_objects(got, expected) -> bool:
 
 
 @pytest.mark.parametrize("fixture", ["geography_schema", "neighbors_schema"])
-def test_walks_bind_each_link_checked_occurrence_to_the_stores_own_dicts(fixture, request):
+def test_walks_bind_and_clone_inserts_grow_the_stores_own_lists(fixture, request):
     """A store binds a walk for each occurrence whose reverse walk is not
     empty, the ones link checks read, over its own reverse indexes and
-    columns; a clone binds the same walks over its own."""
+    columns; a clone binds the same walks over its own. Inserts into a
+    clone, into every set, grow the clone's id, column and reverse-index
+    lists alone: the original's keep their length and their contents."""
     schema = request.getfixturevalue(fixture)
     db = Database(schema)
     checked = [occ for c in schema.constraints for occ in c.occurrences if occ.reverse]
-    for store in (db, db.clone()):
+    clone = db.clone()
+    for store in (db, clone):
         assert list(store.walks) == [id(occ) for occ in checked]
         for occ in checked:
             indexes, columns = store.walks[id(occ)]
-            assert _same_objects(indexes, [store._reverse[f.domain, f.name] for f in occ.reverse])
             assert _same_objects(
-                columns, [store._columns[f.domain][f.name] for f in occ.other.functions[::-1]]
+                indexes, [store_layout.reverse_index(store, f.domain, f.name) for f in occ.reverse]
             )
+            assert _same_objects(
+                columns,
+                [store_layout.column(store, f.domain, f.name) for f in occ.other.functions[::-1]],
+            )
+    script = {"geography_schema": "geography_ac1.fdm", "neighbors_schema": "neighbors_ac2.fdm"}
+    mutations, _ = parse_script(fixture_text(script[fixture]), schema)
+    handles: dict = {}
+    for m in mutations:
+        apply_mutation(clone, m, handles)
+    assert all(clone.rows(s.name) for s in schema.sets)
+    links = [f for f in schema.functions if f.is_link]
+    lists = {
+        store: [
+            *(store_layout.ids(store, s.name) for s in schema.sets),
+            *(store_layout.column(store, f.domain, f.name) for f in schema.functions),
+            *(store_layout.reverse_index(store, f.domain, f.name) for f in links),
+        ]
+        for store in (db, clone)
+    }
+    assert all(len(got) == 1 for got in lists[db])  # slot 0 alone
+    assert all(len(got) > 1 for got in lists[clone])
+    assert not any(map(operator.is_, lists[db], lists[clone]))
+    assert db.snapshot() == Database(schema).snapshot()
 
 
 def test_rows_inverse_and_row_ids_hand_out_the_row_ids_insert_row_returned(db):
@@ -356,6 +385,58 @@ def test_a_clone_shares_the_row_ids_while_writes_stay_apart(db):
     assert _same_objects(clone.rows("ITEMS"), (kite,))
     assert _same_objects(db.rows("ITEMS"), (drill,))
     assert clone.read_row(kite)["Item"] == "kite" and db.read_row(drill)["Item"] == "drill"
+
+
+# Ids that name no live row: slots 0 and -1 (the live row 3's, were it
+# read as an index), the next id, an int's look-alikes, a deleted row's,
+# and an undone insert's (which is also the next id, on another history).
+BAD_IDS = {
+    "0": (0, False),
+    "-1": (-1, False),
+    "next": (4, False),
+    "1.0": (1.0, False),
+    "'1'": ("1", False),
+    "deleted": (2, False),
+    "undone": (4, True),
+}
+
+
+@pytest.mark.parametrize("x, undone", BAD_IDS.values(), ids=BAD_IDS)
+def test_no_bad_id_wraps_around_or_aliases_a_row(db, x, undone):
+    """In each set rows 1 and 3 are live and row 2 is deleted (and, with
+    `undone`, row 4 was inserted and taken back): an id that names none of
+    the live rows is refused by every read and write as no row, as a link
+    target as a missing one, and has an empty preimage; reads count
+    nothing, and nothing changes."""
+    tools = db.insert_row("CATEGORIES", {"Category": "tools"})
+    db.delete_row(db.insert_row("CATEGORIES", {"Category": "gone"}))
+    toys = db.insert_row("CATEGORIES", {"Category": "toys"})
+    saw = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
+    db.delete_row(db.insert_row("ITEMS", {"Item": "gone"}))
+    db.insert_row("ITEMS", {"Item": "kite", "Category": toys})
+    if undone:
+        db.undo_write(db.insert_row("CATEGORIES", {"Category": "undone"}), None)
+        db.undo_write(db.insert_row("ITEMS", {"Item": "undone", "Category": toys}), None)
+    snapshot, before = db.snapshot(), db.rows_inspected
+    for set_name, name in (("CATEGORIES", "Category"), ("ITEMS", "Item")):
+        row = RowId(set_name, x)
+        assert not db.row_exists(row)
+        for refused in (
+            lambda: db.lookup(row, name),
+            lambda: db.read_row(row),
+            lambda: db.set_values(row, {name: "renamed"}),
+            lambda: db.delete_row(row),
+        ):
+            with pytest.raises(UnknownRow, match=f"^no row {set_name}#{x}$"):
+                refused()
+    assert db.rows_inspected == before
+    target = RowId("CATEGORIES", x)
+    assert db.inverse("ITEMS", "Category", target) == frozenset()
+    with pytest.raises(DanglingReference):
+        db.insert_row("ITEMS", {"Item": "drill", "Category": target})
+    with pytest.raises(DanglingReference):
+        db.set_values(saw, {"Category": target})
+    assert db.snapshot() == snapshot
 
 
 def test_dump_text_mentions_rows(db):
@@ -652,7 +733,8 @@ def _model_refusal(model: dict, set_name: str, values: dict, insert: bool):
 def _random_values(rng: random.Random, model: dict, set_name: str, insert: bool) -> dict:
     """One to all of set_name's functions bound, now and then to a value the
     store must refuse: a wrong kind, a null for a required function, a
-    row that does not exist, a row of the wrong set or an unknown name."""
+    row that does not exist (ids 0 and -1 among them), a row of the wrong
+    set or an unknown name."""
     functions = list(MODEL_SCHEMA.functions_of(set_name))
     chosen = functions if insert and rng.random() < 0.8 else rng.sample(
         functions, rng.randint(1, len(functions))
@@ -670,6 +752,7 @@ def _random_values(rng: random.Random, model: dict, set_name: str, insert: bool)
         fn = rng.choice(chosen)
         values[fn.name] = rng.choice(
             [None, "text", 5, True, RowId("ITEMS", 99), RowId("CATEGORIES", 99)]
+            + [RowId("ITEMS", 0), RowId("ITEMS", -1)]
         )
     if rng.random() < 0.03:
         values["Colour"] = "red"
@@ -692,13 +775,20 @@ def _assert_matches(
     db: Database, model: dict, next_ids: dict, issued: dict, rng: random.Random
 ) -> None:
     """`issued` maps each row to the RowId object insert_row returned for it:
-    every read that hands out a live row must hand out that object."""
+    every read that hands out a live row must hand out that object. Every
+    column and reverse index has one slot per id issued in its set, and
+    no reverse-index slot holds an empty set, which a clone would share."""
     snapshot = db.snapshot()
     assert snapshot == {
         "next_ids": next_ids,
         "tables": model,
         "reverse": _model_reverse(model),
     }
+    for fn in MODEL_SCHEMA.functions:
+        assert len(store_layout.column(db, fn.domain, fn.name)) == next_ids[fn.domain]
+        if fn.is_link:
+            index = store_layout.reverse_index(db, fn.domain, fn.name)
+            assert len(index) == next_ids[fn.codomain] and set() not in index
     for set_name, table in model.items():
         rows = db.rows(set_name)
         assert rows == tuple(RowId(set_name, x) for x in table)

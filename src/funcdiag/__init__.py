@@ -3,8 +3,8 @@
 Parse a schema and its constraints from the DSL, hold rows in an
 in-memory store with reverse link indexes, enforce commutativity and
 anti-commutativity of composition chains incrementally on every mutation,
-verify against a brute-force oracle, and emit row-source queries and
-trigger-style check procedures as text.
+verify against a brute-force oracle, and emit row-source queries, SQL
+tables and trigger-style check procedures as text.
 """
 
 from .codegen import (

@@ -331,7 +331,10 @@ def gen(
     dialect: str,
     out_dir: str | None,
 ) -> None:
-    """Emit row-source queries and check procedures."""
+    """Emit row-source queries (paper-style only) and check procedures;
+    generic-sql output starts with every set's table, so it installs alone."""
+    if what == "row-sources" and dialect == codegen.Dialect.GENERIC_SQL.value:
+        _fail("row sources exist only in the paper-style dialect")
     schema = _load_schema(schema_path)
     constraints = schema.constraints
     if constraint_id is not None:

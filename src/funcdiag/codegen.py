@@ -1,4 +1,4 @@
-"""Text emission: combo row-source queries and trigger-style check code.
+"""Text emission: combo row-source queries, SQL tables and check code.
 
 Two dialects are supported for the check procedures, and both take a
 link check's walks from its chain position's plan (model.Occurrence:
@@ -53,9 +53,15 @@ so names from different parts never collide: an index is named by its
 set and its column list, triggers `[constraint.SET.ins]` and
 `[constraint.SET.function.left1]`, and file names (EmittedUnit.filename).
 
-Row-source queries come in one flavor only: a three-column query over the
-right-join ladder of the chain's tables for chains of two or more
-functions, and a two-column query over the codomain set for single
+Every GENERIC_SQL emission starts with one table unit per set, the layout
+every trigger reads, so its units install alone, in emission order, into
+an empty SQLite database with foreign keys on. `gen` prints them (with
+`--out`, their paths) in that order, and its `---` and `-- ` lines are
+SQL comments.
+
+Row sources are Access SQL, so only PAPER_STYLE emits them: a three-column
+query over the right-join ladder of the chain's tables for chains of two
+or more functions, and a two-column query over the codomain set for single
 functions. Output is deterministic: identical inputs give byte-identical
 bodies.
 """
@@ -87,9 +93,9 @@ class Dialect(Enum):
 class EmittedUnit:
     """One generated text artifact aimed at a (set, function) target.
 
-    `target_function` is None for row-level (whole-row) checks, and
-    `side` names the chain of a row source. Bodies are non-empty and
-    deterministic for a given input.
+    `target_function` is None for row-level (whole-row) checks and for a
+    table, whose `constraint_id` is "", and `side` names the chain of a
+    row source. Bodies are non-empty and deterministic for a given input.
     """
 
     constraint_id: str
@@ -516,11 +522,14 @@ def emit_units(
     what: str,
     dialect: Dialect,
 ) -> list[EmittedUnit]:
-    """All requested units in deterministic order: constraint order, then
-    row sources (left, right), domain check, link checks (left first)."""
+    """All requested units in deterministic order: GENERIC_SQL's tables
+    (_sql_table) always, then in constraint order PAPER_STYLE row sources
+    (left, right), domain check, link checks (left first)."""
     units: list[EmittedUnit] = []
+    if dialect is Dialect.GENERIC_SQL:
+        units = [_sql_table(schema, set_def.name) for set_def in schema.sets]
     for constraint in constraints:
-        if what in ("row-sources", "all"):
+        if what in ("row-sources", "all") and dialect is Dialect.PAPER_STYLE:
             for side in (Side.LEFT, Side.RIGHT):
                 chain = constraint.chain(side)
                 if chain.length == 1 and isinstance(chain.codomain, ScalarType):
@@ -531,6 +540,18 @@ def emit_units(
         if what in ("link-checks", "all"):
             units.extend(gen_link_checks(schema, constraint, dialect))
     return units
+
+
+def _sql_table(schema: Schema, set_name: str) -> EmittedUnit:
+    columns = ["[x] INTEGER PRIMARY KEY"]
+    for fn in schema.functions_of(set_name):
+        if fn.is_link:
+            column = f"{_b(fn.name)} INTEGER REFERENCES {_b(fn.codomain)}([x])"
+        else:
+            column = f"{_b(fn.name)} {fn.codomain.value.upper()}"
+        columns.append(column + ("" if fn.nullable else " NOT NULL"))
+    body = f"CREATE TABLE {_b(set_name)} ({', '.join(columns)});"
+    return EmittedUnit("", set_name, None, Dialect.GENERIC_SQL, "table", body)
 
 
 def _vba_string(text: str) -> str:

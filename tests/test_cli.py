@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -295,7 +296,7 @@ def test_gen_out_writes_one_file_per_unit_and_prints_each_path(tmp_path, geograp
         assert (out / unit.filename).read_text(encoding="utf-8") == unit.body + "\n"
 
 
-def test_gen_constraint_emits_only_that_constraints_units(tmp_path):
+def test_gen_constraint_emits_only_that_constraints_units(tmp_path, geography_schema):
     schema = tmp_path / "two.fd"
     second = fixture_text("geography.fd").split("constraint ")[1].replace(
         "GeoContinent commutative", "GeoCopy anticommutative", 1
@@ -309,6 +310,25 @@ def test_gen_constraint_emits_only_that_constraints_units(tmp_path):
     headers = [line for line in result.stdout.splitlines() if line.startswith("-- ")]
     assert headers and all(".GeoCopy." in line for line in headers)
     assert "GeoContinent" not in result.stdout
+    # generic-sql still emits every set's table, so its output installs alone
+    args = ["gen", str(schema), "--constraint", "GeoCopy", "--dialect", "generic-sql"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    connection = sqlite3.connect(":memory:")
+    connection.executescript(result.stdout)
+    tables = connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    assert [name for (name,) in tables] == [s.name for s in geography_schema.sets]
+    triggers = connection.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")
+    assert {name.split(".")[0] for (name,) in triggers} == {"GeoCopy"}
+    connection.close()
+
+
+def test_gen_row_sources_in_generic_sql_are_a_usage_error():
+    args = ["gen", str(FIXTURES / "geography.fd"), "--what", "row-sources"]
+    result = CliRunner().invoke(main, args + ["--dialect", "generic-sql"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: row sources exist only in the paper-style dialect\n"
 
 
 def test_gen_constraint_names_an_unknown_id():

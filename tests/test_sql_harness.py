@@ -1,9 +1,11 @@
-"""Replay fixture scripts against the emitted generic-SQL triggers.
+"""Replay fixture scripts against the emitted generic-SQL units.
 
-Builds the schema as real SQLite tables, installs the generated domain
-and link-check triggers, and re-executes every mutation the engine saw.
-The engine and the trigger-guarded database must accept and reject the
-same statements and end up with identical contents.
+Installs what codegen emits for the generic-sql dialect, every set's
+table and then the domain and link-check triggers, and re-executes every
+mutation the engine saw. The engine and the trigger-guarded database must
+accept and reject the same statements and end up with identical
+contents. No table layout is written here, and the fixture scripts replay
+through exactly what `funcdiag gen --dialect generic-sql` prints.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import sqlite3
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
+from funcdiag.cli import main
 from funcdiag.codegen import Dialect, EmittedUnit, emit_units
 from funcdiag.dsl import Action, parse_schema, parse_script
 from funcdiag.engine import ResolvedMutation, apply_mutation, resolve_mutation
@@ -30,7 +34,7 @@ from funcdiag.model import (
 from funcdiag.store import Database, RowId
 
 import store_layout
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 
 EXTRA_GEOGRAPHY_MUTATIONS = """
 // walk the rejection up every interior chain position
@@ -47,29 +51,9 @@ update @danube set Mountain = @everest expect accept ;
 """
 
 
-def sqlite_ddl(schema: Schema) -> str:
-    statements = []
-    for set_def in schema.sets:
-        columns = ["[x] INTEGER PRIMARY KEY"]
-        for fn in schema.functions_of(set_def.name):
-            if fn.is_link:
-                column = f"[{fn.name}] INTEGER REFERENCES [{fn.codomain}]([x])"
-            else:
-                sql_type = "TEXT" if fn.codomain is ScalarType.TEXT else "INTEGER"
-                column = f"[{fn.name}] {sql_type}"
-            if not fn.nullable:
-                column += " NOT NULL"
-            columns.append(column)
-        statements.append(
-            f"CREATE TABLE [{set_def.name}] ({', '.join(columns)});"
-        )
-    return "\n".join(statements)
-
-
 def generic_sql_units(schema: Schema) -> list[EmittedUnit]:
-    """Domain and link checks in emission order; row sources are not SQL."""
-    units = emit_units(schema, schema.constraints, "all", Dialect.GENERIC_SQL)
-    return [u for u in units if u.dialect is Dialect.GENERIC_SQL]
+    """Every generic-sql unit in emission order: the tables, then the checks."""
+    return emit_units(schema, schema.constraints, "all", Dialect.GENERIC_SQL)
 
 
 def install(
@@ -78,10 +62,12 @@ def install(
     units: list[EmittedUnit],
     db: Database | None = None,
 ) -> sqlite3.Connection:
-    """Create the tables, copy in `db`'s rows if given (foreign keys are
-    still off, so rows may name rows inserted after them), switch foreign
-    keys on and install `units`."""
-    connection.executescript(sqlite_ddl(schema))
+    """Run the table units among `units`, copy in `db`'s rows if given
+    (foreign keys are still off, so rows may name rows inserted after
+    them), switch foreign keys on and run the other units."""
+    for unit in units:
+        if unit.role == "table":
+            connection.executescript(unit.body)
     if db is not None:
         for set_name, table in sql_contents(db).items():
             marks = ", ".join("?" * (len(schema.functions_of(set_name)) + 1))
@@ -92,7 +78,8 @@ def install(
         connection.commit()
     connection.execute("PRAGMA foreign_keys = ON;")
     for unit in units:
-        connection.executescript(unit.body)
+        if unit.role != "table":
+            connection.executescript(unit.body)
     return connection
 
 
@@ -161,13 +148,17 @@ def sql_apply(
         return False
 
 
-def replay(schema: Schema, script: str) -> None:
+def replay(schema: Schema, script: str, connection: sqlite3.Connection | None = None) -> int:
+    """Assert the engine and `connection` (by default generic_sql_units
+    installed) agree on every statement and on the final tables; return
+    the number of statements."""
     mutations, diagnostics = parse_script(script, schema)
     assert mutations is not None, diagnostics
 
     db = Database(schema)
     handles: dict[str, RowId] = {}
-    connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
+    if connection is None:
+        connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
 
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
@@ -183,11 +174,24 @@ def replay(schema: Schema, script: str) -> None:
 
     assert contents(connection, schema) == sql_contents(db)
     connection.close()
+    return len(mutations)
+
+
+def gen_sql(fixture: str) -> sqlite3.Connection:
+    """An empty database, foreign keys on, that ran the stdout of
+    `funcdiag gen <fixture>.fd --dialect generic-sql` and nothing else."""
+    args = ["gen", str(FIXTURES / f"{fixture}.fd"), "--dialect", "generic-sql"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    connection = sqlite3.connect(":memory:")
+    connection.execute("PRAGMA foreign_keys = ON;")
+    connection.executescript(result.stdout)
+    return connection
 
 
 def test_geography_replay_matches_engine(geography_schema):
     script = fixture_text("geography_ac1.fdm") + EXTRA_GEOGRAPHY_MUTATIONS
-    replay(geography_schema, script)
+    replay(geography_schema, script, gen_sql("geography"))
 
 
 def test_neighbors_replay_matches_engine(neighbors_schema):
@@ -206,21 +210,7 @@ def test_neighbors_replay_matches_engine(neighbors_schema):
         " Neighbor = @andorra) expect accept ;\n"
         'update @andorra set FrontierColor = "blue" expect reject ;\n'
     )
-    replay(neighbors_schema, script)
-
-
-def test_emitted_triggers_install_cleanly(geography_schema, neighbors_schema):
-    for schema in (geography_schema, neighbors_schema):
-        connection = sqlite3.connect(":memory:")
-        install(connection, schema, generic_sql_units(schema))
-        names = [
-            row[0]
-            for row in connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'trigger'"
-            )
-        ]
-        assert names
-        connection.close()
+    replay(neighbors_schema, script, gen_sql("neighbors"))
 
 
 # -- emitted names -----------------------------------------------------------
@@ -241,9 +231,10 @@ constraint x_Y commutative on Z { left = row . Y ; right = row ; }
 def test_names_built_from_identifiers_holding_underscores_do_not_collide():
     schema, diagnostics = parse_schema(UNDERSCORE_SCHEMA)
     assert schema is not None, diagnostics
-    for dialect in Dialect:
+    # four row sources or three tables, and four checks
+    for dialect, count in ((Dialect.PAPER_STYLE, 8), (Dialect.GENERIC_SQL, 7)):
         units = emit_units(schema, schema.constraints, "all", dialect)
-        assert len({unit.filename for unit in units}) == len(units) == 8
+        assert len({unit.filename for unit in units}) == len(units) == count
     connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
     triggers = connection.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")
     assert sorted(name for (name,) in triggers) == [
@@ -467,17 +458,20 @@ def test_one_index_per_walked_column_in_any_install_order(fixture):
         for (name,) in triggers:
             connection.execute(f"DROP TRIGGER [{name}]")
         for unit in order:
-            connection.executescript(unit.body)
+            if unit.role != "table":
+                connection.executescript(unit.body)
         assert indexed_columns(connection) == expected
         connection.close()
 
 
 def test_each_link_check_unit_installs_alone_with_its_own_indexes(geography_schema):
     walk = GEOGRAPHY_WALK
-    units = [u for u in generic_sql_units(geography_schema) if u.role == "link-check"]
-    assert len(units) == len(walk)
-    for position, unit in enumerate(units, 1):
-        connection = install(sqlite3.connect(":memory:"), geography_schema, [unit])
+    units = generic_sql_units(geography_schema)
+    tables = [u for u in units if u.role == "table"]
+    links = [u for u in units if u.role == "link-check"]
+    assert len(links) == len(walk)
+    for position, unit in enumerate(links, 1):
+        connection = install(sqlite3.connect(":memory:"), geography_schema, [*tables, unit])
         assert indexed_columns(connection) == Counter(walk[position - 1 :])
         connection.close()
 
@@ -503,7 +497,8 @@ def test_a_link_two_hops_search_gets_one_covering_index():
     connection.close()
     # each unit alone still creates every index it searches
     (c2_walk,) = [u for u in units if u.constraint_id == "c2" and u.target_set == "P"]
-    connection = install(sqlite3.connect(":memory:"), schema, [c2_walk])
+    tables = [u for u in units if u.role == "table"]
+    connection = install(sqlite3.connect(":memory:"), schema, [*tables, c2_walk])
     assert indexed_columns(connection) == expected - Counter([("S", ("G", "F"))])
     connection.close()
 
@@ -535,8 +530,8 @@ def vm_steps_of_regroup(schema: Schema, fillers: int) -> dict[str, int]:
     """VM steps SQLite spends on two accepted interior-link updates over
     one mountain with three rivers, next to `fillers` unrelated mountains
     and rivers."""
-    connection = sqlite3.connect(":memory:", isolation_level=None)
-    connection.executescript(sqlite_ddl(schema))
+    units = generic_sql_units(schema)
+    connection = install(sqlite3.connect(":memory:", isolation_level=None), schema, units)
     connection.executescript(
         "INSERT INTO CONTINENTS VALUES (1, 'Europe');"
         "INSERT INTO MOUNTAIN_RANGES VALUES (1, 'Alps', 1);"
@@ -553,8 +548,6 @@ def vm_steps_of_regroup(schema: Schema, fillers: int) -> dict[str, int]:
         "INSERT INTO RIVERS VALUES (?, ?, 1, ?)",
         [(x, f"r{x}", x - 2) for x in range(4, fillers + 4)],
     )
-    for unit in generic_sql_units(schema):
-        connection.executescript(unit.body)
     steps = 0
 
     def count() -> int:
@@ -587,8 +580,8 @@ def vm_steps_of_rejected_continent_move(schema: Schema, mountains: int) -> int:
     """VM steps SQLite spends refusing to move the one range, whose
     `mountains` mountains each have one river, to another continent:
     every river is a witness."""
-    connection = sqlite3.connect(":memory:", isolation_level=None)
-    connection.executescript(sqlite_ddl(schema))
+    units = generic_sql_units(schema)
+    connection = install(sqlite3.connect(":memory:", isolation_level=None), schema, units)
     connection.executescript(
         "INSERT INTO CONTINENTS VALUES (1, 'Europe'), (2, 'Asia');"
         "INSERT INTO MOUNTAIN_RANGES VALUES (1, 'Alps', 1);"
@@ -602,8 +595,6 @@ def vm_steps_of_rejected_continent_move(schema: Schema, mountains: int) -> int:
         "INSERT INTO RIVERS VALUES (?, ?, 1, ?)",
         [(x, f"r{x}", x) for x in range(1, mountains + 1)],
     )
-    for unit in generic_sql_units(schema):
-        connection.executescript(unit.body)
     steps = 0
 
     def count() -> int:
@@ -665,7 +656,7 @@ def test_deep_chains_install_and_agree_with_the_engine(n):
     """n + 1 - 2 = n - 1 tables per trigger, up to SQLite's 64."""
     schema, script = deep_chain(n)
     units = generic_sql_units(schema)
-    assert len(units) == n  # the domain check and one unit per interior position
+    assert len(units) == (n + 1) + n  # the tables, the domain check, a unit per interior position
     install(sqlite3.connect(":memory:"), schema, units).close()
     positions = (1, n // 2, n - 1)  # outermost, middle and innermost interior
     script += f'insert D (N = "e", Up = @a{n - 1}, G = @b0) expect reject ;\n'

@@ -14,12 +14,26 @@ and a Null -> value edit is checked as the engine checks it. Its
 values come from two walks written as DLookup calls over nested IN
 subqueries. The forward walk composes a chain outward to its outermost
 function. The reverse walk selects the domain rows whose chain reaches a
-given value. A commutative block compares the other chain's value at an
-affected row with the new head; an anti-commutative block looks for an
-affected row whose other chain already reaches the new head. A line
-break in a message is spliced into its VBA literal as `" & vbLf & "`
-(`" & vbCr & "` for a carriage return), because a VBA string literal
-cannot span lines.
+given value. Both constraint kinds share one block: `w` is the new head,
+and `v` the id of a witness, an affected domain row whose other chain
+compares with `w` by the violation operator (`<>` commutative, `=`
+anti-commutative, as in the domain checks and the triggers); the block
+cancels when `v` is not Null. So a handler, like the engine, looks at
+every affected row, not at one sample. Every identifier written into
+SQL text (DLookup's column, table and criteria, their subqueries, and
+the row sources) is bracketed, since a schema name may be an Access SQL
+keyword such as Group; VBA control names are not. A line break in a
+message is spliced into its VBA literal as `" & vbLf & "` (`" & vbCr &
+"` for a carriage return), because a VBA string literal cannot span
+lines.
+
+Stale-row precondition: a handler runs at BeforeUpdate, before the edit
+is written, so it reads the row being edited as it was, while the engine
+checks the written state. The two agree unless the handler's walks read
+a column of the edited row's set that the edit changes (a pair naming
+one country on both sides, or an update of several columns of a row its
+own walk reaches); tests/test_paper_dlookup.py runs the handlers'
+DLookups against the engine and allows a difference only there.
 
 GENERIC_SQL emits portable trigger statements (SQLite-compatible)
 performing the same comparison over the written state. One function
@@ -53,11 +67,12 @@ so names from different parts never collide: an index is named by its
 set and its column list, triggers `[constraint.SET.ins]` and
 `[constraint.SET.function.left1]`, and file names (EmittedUnit.filename).
 
-Every GENERIC_SQL emission starts with one table unit per set, the layout
-every trigger reads, so its units install alone, in emission order, into
-an empty SQLite database with foreign keys on. `gen` prints them (with
-`--out`, their paths) in that order, and its `---` and `-- ` lines are
-SQL comments.
+Every GENERIC_SQL emission starts with one unit that switches foreign
+keys on (`PRAGMA foreign_keys = ON;`, file `foreign-keys.generic-sql.txt`)
+and one table unit per set, the layout every trigger reads, so its units
+install alone, in emission order, into an empty SQLite database and
+enforce what the store enforces. `gen` prints them (with `--out`, their
+paths) in that order, and its `---` and `-- ` lines are SQL comments.
 
 Row sources are Access SQL, so only PAPER_STYLE emits them: a three-column
 query over the right-join ladder of the chain's tables for chains of two
@@ -93,9 +108,10 @@ class Dialect(Enum):
 class EmittedUnit:
     """One generated text artifact aimed at a (set, function) target.
 
-    `target_function` is None for row-level (whole-row) checks and for a
-    table, whose `constraint_id` is "", and `side` names the chain of a
-    row source. Bodies are non-empty and deterministic for a given input.
+    `target_function` is None for row-level (whole-row) checks, for a
+    table, whose `constraint_id` is "", and for the foreign-key pragma,
+    whose `target_set` is "" too; `side` names the chain of a row source.
+    Bodies are non-empty and deterministic for a given input.
     """
 
     constraint_id: str
@@ -149,7 +165,7 @@ def gen_row_source(
         assert set_def is not None
         name = set_def.name_attribute
         body = (
-            f"SELECT [{codomain}].[x], [{codomain}].[{name}] FROM {codomain}\n"
+            f"SELECT [{codomain}].[x], [{codomain}].[{name}] FROM [{codomain}]\n"
             f"ORDER BY [{name}];"
         )
     else:
@@ -183,19 +199,19 @@ def _ladder_query(schema: Schema, chain: ChainSpec) -> str:
     display = ' & ", " & '.join(pieces)
     alias = ", ".join(fn.name for fn in chain.functions[1:])
 
-    ladder = tables[k - 1]
+    ladder = f"[{tables[k - 1]}]"
     for j in range(k - 1, 0, -1):
         inner = f"({ladder})" if j + 1 < k else ladder
         joining_fn = chain.functions[j].name
         if j + 1 == k:
-            cond = f"{tables[j]}.{joining_fn} = {tables[j - 1]}.x"
+            cond = f"[{tables[j]}].[{joining_fn}] = [{tables[j - 1]}].[x]"
         else:
-            cond = f"{tables[j - 1]}.x = {tables[j]}.{joining_fn}"
-        ladder = f"{tables[j - 1]} RIGHT JOIN {inner} ON {cond}"
+            cond = f"[{tables[j - 1]}].[x] = [{tables[j]}].[{joining_fn}]"
+        ladder = f"[{tables[j - 1]}] RIGHT JOIN {inner} ON {cond}"
 
     outer = chain.functions[0]
     lines = [
-        f"SELECT {tables[-1]}.x, {display} AS [{alias}], {tables[0]}.{outer.name}",
+        f"SELECT [{tables[-1]}].[x], {display} AS [{alias}], [{tables[0]}].[{outer.name}]",
         f"FROM {ladder}",
         f"ORDER BY {display};",
     ]
@@ -436,17 +452,20 @@ def _sql_index(table: str, *columns: str) -> str:
     return f"CREATE INDEX IF NOT EXISTS {name} ON {_b(table)} ({listed});"
 
 
-def _paper_reverse_where(walk: tuple[FunctionDef, ...], value: str) -> str:
+def _paper_reverse_where(walk: tuple[FunctionDef, ...], value: str, op: str) -> str:
     """Predicate on the domain set selecting the rows whose chain, walked
-    back through the link columns of `walk` (outermost first), reaches
-    the VBA variable `value`. A text value is spliced in as a quoted
-    literal, its quotes doubled; a row id is spliced in bare."""
+    back through the link columns of `walk` (outermost first), reaches a
+    value that compares by `op` with the VBA variable `value`: `=` for
+    the rows a link reaches, _comparison_op for a witness. `op` applies
+    at the outermost function, so a row whose chain stops at a Null is
+    never selected. A text value is spliced in as a quoted literal, its
+    quotes doubled; a row id is spliced in bare."""
     splice = f'" & {value} & "'
     if walk[0].codomain is ScalarType.TEXT:
         splice = f"""'" & Replace({value}, "'", "''") & "'"""
-    predicate = f"{walk[0].name} ={splice}"
+    predicate = f"{_b(walk[0].name)} {op}{splice}"
     for previous, fn in zip(walk, walk[1:]):
-        predicate = f"{fn.name} IN (SELECT x FROM {previous.domain} WHERE {predicate})"
+        predicate = f"{_b(fn.name)} IN (SELECT [x] FROM {_b(previous.domain)} WHERE {predicate})"
     return predicate
 
 
@@ -456,17 +475,17 @@ def _paper_forward_lookup(walk: tuple[FunctionDef, ...], condition: str) -> str:
     one nested IN subquery."""
     *inner, outer = walk
     for fn in inner:
-        condition = f"x IN (SELECT {fn.name} FROM {fn.domain} WHERE {condition})"
+        condition = f"[x] IN (SELECT {_b(fn.name)} FROM {_b(fn.domain)} WHERE {condition})"
     return _dlookup(outer.name, outer.domain, condition)
 
 
 def _dlookup(column: str, table: str, where: str) -> str:
     # a splice that ends `where` leaves an empty literal behind; drop it
-    return f'DLookup("{column}", "{table}", "{where}")'.replace(' & "")', ")")
+    return f'DLookup("{_b(column)}", "{_b(table)}", "{where}")'.replace(' & "")', ")")
 
 
 def _paper_link_block(schema: Schema, occ: Occurrence) -> str:
-    constraint, other, fn_i = occ.constraint, occ.other, occ.function_name
+    constraint, fn_i = occ.constraint, occ.function_name
     # `f <> f.OldValue` is Null, so false, when the old value is Null
     changed = f"{fn_i} <> {fn_i}.OldValue"
     if schema.function(occ.set_name, fn_i).nullable:
@@ -474,26 +493,17 @@ def _paper_link_block(schema: Schema, occ: Occurrence) -> str:
     guard = f"Not Cancel And Not NewRecord And {changed} And Not IsNull({fn_i})"
     head = fn_i
     if occ.head:
-        head = _paper_forward_lookup(occ.head, f'x =" & {fn_i} & "')
-    affected = _paper_reverse_where(occ.reverse, "x")
-    message = _vba_string(constraint.template)
+        head = _paper_forward_lookup(occ.head, f'[x] =" & {fn_i} & "')
+    # a witness: an affected row whose other chain compares with the new
+    # head as a violation
+    affected = _paper_reverse_where(occ.reverse, "x", "=")
+    other = _paper_reverse_where(occ.other.functions, "w", _comparison_op(constraint.kind))
+    witness = _dlookup("x", constraint.domain_set, f"{affected} AND {other}")
+    steps = [(f"w = {head}", "Not IsNull(w)"), (f"v = {witness}", "Not IsNull(v)")]
     comment = (
         f"' {constraint.id}: {occ.side.value} position {occ.position} of {constraint.render()}"
     )
-    if constraint.kind is ConstraintKind.COMMUTATIVE:
-        lookup = _paper_forward_lookup(other.functions[::-1], affected)
-        steps = [
-            (f"v = {lookup}", "Not IsNull(v)"),
-            (f"w = {head}", "Not IsNull(w)"),
-            (None, "v <> w"),
-        ]
-    else:
-        domain = schema.set_def(constraint.domain_set)
-        assert domain is not None
-        fold = _paper_reverse_where(other.functions, "w")
-        lookup = _dlookup(domain.name_attribute, domain.name, f"{affected} AND {fold}")
-        steps = [(f"w = {head}", "Not IsNull(w)"), (f"v = {lookup}", "Not IsNull(v)")]
-    body = ["Cancel = True", f"MsgBox {message}", "Undo"]
+    body = ["Cancel = True", f"MsgBox {_vba_string(constraint.template)}", "Undo"]
     return "\n".join([comment, *_vba_ifs([(None, guard), *steps], body)])
 
 
@@ -522,12 +532,14 @@ def emit_units(
     what: str,
     dialect: Dialect,
 ) -> list[EmittedUnit]:
-    """All requested units in deterministic order: GENERIC_SQL's tables
-    (_sql_table) always, then in constraint order PAPER_STYLE row sources
-    (left, right), domain check, link checks (left first)."""
+    """All requested units in deterministic order: GENERIC_SQL's
+    foreign-key pragma and tables (_sql_table) always, then in constraint
+    order PAPER_STYLE row sources (left, right), domain check, link
+    checks (left first)."""
     units: list[EmittedUnit] = []
     if dialect is Dialect.GENERIC_SQL:
-        units = [_sql_table(schema, set_def.name) for set_def in schema.sets]
+        pragma = EmittedUnit("", "", None, dialect, "foreign-keys", "PRAGMA foreign_keys = ON;")
+        units = [pragma, *(_sql_table(schema, set_def.name) for set_def in schema.sets)]
     for constraint in constraints:
         if what in ("row-sources", "all") and dialect is Dialect.PAPER_STYLE:
             for side in (Side.LEFT, Side.RIGHT):

@@ -226,26 +226,31 @@ def test_paper_link_check_structure(geography_schema):
     assert "Sub Continent_BeforeUpdate(Cancel As Integer)" in outermost
     assert "Not NewRecord" in outermost
     assert "Continent <> Continent.OldValue" in outermost
+    # the witness: an affected river whose continent differs from the new
+    # head, looked for among every affected river
     assert (
-        'Mountain IN (SELECT x FROM MOUNTAINS WHERE Group IN '
-        "(SELECT x FROM MOUNT_GROUPS WHERE Subrange IN "
-        '(SELECT x FROM MOUNT_SUBRANGES WHERE Range =" & x & ")))' in outermost
+        'v = DLookup("[x]", "[RIVERS]", "[Mountain] IN (SELECT [x] FROM [MOUNTAINS]'
+        " WHERE [Group] IN (SELECT [x] FROM [MOUNT_GROUPS] WHERE [Subrange] IN"
+        ' (SELECT [x] FROM [MOUNT_SUBRANGES] WHERE [Range] =" & x & ")))'
+        ' AND [Continent] <>" & w)' in outermost
     )
     assert "w = Continent" in outermost
-    assert "If v <> w Then" in outermost
+    assert "v <> w" not in outermost
     assert "Undo" in outermost
 
     second = by_target[("MOUNT_SUBRANGES", "Range")]
-    assert 'w = DLookup("Continent", "MOUNTAIN_RANGES", "x =" & Range)' in second
-    assert 'v = DLookup("Continent", "RIVERS", "Mountain IN' in second
+    assert 'w = DLookup("[Continent]", "[MOUNTAIN_RANGES]", "[x] =" & Range)' in second
+    assert 'v = DLookup("[x]", "[RIVERS]", "[Mountain] IN' in second
 
     innermost = by_target[("MOUNTAINS", "Group")]
     assert (
-        'w = DLookup("Continent", "MOUNTAIN_RANGES", "x IN (SELECT Range FROM'
-        " MOUNT_SUBRANGES WHERE x IN (SELECT Subrange FROM MOUNT_GROUPS WHERE"
-        ' x =" & Group & "))")' in innermost
+        'w = DLookup("[Continent]", "[MOUNTAIN_RANGES]", "[x] IN (SELECT [Range] FROM'
+        " [MOUNT_SUBRANGES] WHERE [x] IN (SELECT [Subrange] FROM [MOUNT_GROUPS] WHERE"
+        ' [x] =" & Group & "))")' in innermost
     )
-    assert 'v = DLookup("Continent", "RIVERS", "Mountain =" & x)' in innermost
+    assert 'v = DLookup("[x]", "[RIVERS]", "[Mountain] =" & x & " AND [Continent] <>" & w)' in innermost
+    # w is read before v, so each block tests the new head first
+    assert innermost.index("w = ") < innermost.index("v = ")
 
 
 def test_paper_anti_link_check_folds_head_into_query(neighbors_schema):
@@ -256,15 +261,19 @@ def test_paper_anti_link_check_folds_head_into_query(neighbors_schema):
     assert "FrontierColor <> FrontierColor.OldValue" in body
     assert "w = FrontierColor" in body
     # the left-side block scans pairs by Country and matches Neighbor's
-    # color; the row id is spliced bare, the text colour as a quoted literal
+    # color; the row id is spliced bare, the text colour as a quoted
+    # literal, and the witness is the pair's id, never its nullable name
     assert (
-        'Country =" & x & " AND Neighbor IN (SELECT x FROM COUNTRIES'
-        """ WHERE FrontierColor ='" & Replace(w, "'", "''") & "')""" in body
+        'v = DLookup("[x]", "[NEIGHBOR_COUNTRIES]", "[Country] =" & x & " AND [Neighbor] IN'
+        """ (SELECT [x] FROM [COUNTRIES] WHERE [FrontierColor] ='" & Replace(w, "'", "''") & "')")"""
+        in body
     )
     assert (
-        'Neighbor =" & x & " AND Country IN (SELECT x FROM COUNTRIES'
-        """ WHERE FrontierColor ='" & Replace(w, "'", "''") & "')""" in body
+        'v = DLookup("[x]", "[NEIGHBOR_COUNTRIES]", "[Neighbor] =" & x & " AND [Country] IN'
+        """ (SELECT [x] FROM [COUNTRIES] WHERE [FrontierColor] ='" & Replace(w, "'", "''") & "')")"""
+        in body
     )
+    assert "Pair" not in body
     assert "If Not IsNull(v) Then" in body
     assert "Undo" in body
 
@@ -309,14 +318,16 @@ constraint homes anticommutative on Q { left = Home . A ; right = Home . B ; }
 )
 def test_paper_criteria_quote_a_text_splice_and_leave_ids_bare(constraint_id, splice):
     # Access reads a bare word in a criteria string as a name, so a text
-    # value is spliced in as a quoted literal; numbers and row ids are not
+    # value is spliced in as a quoted literal; numbers and row ids are not.
+    # Every column name is bracketed.
+    column, comparison = splice.split(" ", 1)
     schema, diagnostics = parse_schema(SPLICE_SCHEMA)
     assert schema is not None, diagnostics
     [unit] = gen_link_checks(schema, schema.constraint(constraint_id), Dialect.PAPER_STYLE)
     lookups = [line.strip() for line in unit.body.split("\n") if line.strip().startswith("v = ")]
     assert lookups == [
-        f'v = DLookup("M", "Q", "{near} =" & x & " AND {far} IN'
-        f' (SELECT x FROM P WHERE {splice})")'
+        f'v = DLookup("[x]", "[Q]", "[{near}] =" & x & " AND [{far}] IN'
+        f' (SELECT [x] FROM [P] WHERE [{column}] {comparison})")'
         for near, far in (("A", "B"), ("B", "A"))
     ]
 
@@ -496,6 +507,15 @@ def test_paper_handlers_on_random_schemas_are_well_formed(seed):
     assert handlers
     for unit in handlers:
         _assert_vba_handler_shape(unit.body)
+        if unit.role == "link-check":
+            # both kinds look a witness up by its id, never a name
+            domain = schema.constraint(unit.constraint_id).domain_set
+            lines = [line.strip() for line in unit.body.split("\n")]
+            lookups = [line for line in lines if line.startswith("v = ")]
+            assert lookups and all(
+                line.startswith(f'v = DLookup("[x]", "[{domain}]", ') for line in lookups
+            )
+            assert "v <> w" not in unit.body
 
 
 @pytest.mark.parametrize("fixture", ["geography", "neighbors"])

@@ -1,17 +1,19 @@
 """Replay fixture scripts against the emitted generic-SQL units.
 
 Installs what codegen emits for the generic-sql dialect, every set's
-table and then the domain and link-check triggers, and re-executes every
-mutation the engine saw. The engine and the trigger-guarded database must
-accept and reject the same statements and end up with identical
-contents. No table layout is written here, and the fixture scripts replay
-through exactly what `funcdiag gen --dialect generic-sql` prints.
+table, the foreign-key pragma and then the domain and link-check
+triggers, and re-executes every mutation the engine saw. The engine and
+the trigger-guarded database must accept and reject the same statements
+and end up with identical contents. No table layout is written here, and
+the fixture scripts replay through exactly what `funcdiag gen --dialect
+generic-sql` prints.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -64,7 +66,7 @@ def install(
 ) -> sqlite3.Connection:
     """Run the table units among `units`, copy in `db`'s rows if given
     (foreign keys are still off, so rows may name rows inserted after
-    them), switch foreign keys on and run the other units."""
+    them), then run the other units, the foreign-key pragma among them."""
     for unit in units:
         if unit.role == "table":
             connection.executescript(unit.body)
@@ -76,7 +78,6 @@ def install(
                 [(x, *values) for x, values in table.items()],
             )
         connection.commit()
-    connection.execute("PRAGMA foreign_keys = ON;")
     for unit in units:
         if unit.role != "table":
             connection.executescript(unit.body)
@@ -177,21 +178,20 @@ def replay(schema: Schema, script: str, connection: sqlite3.Connection | None = 
     return len(mutations)
 
 
-def gen_sql(fixture: str) -> sqlite3.Connection:
-    """An empty database, foreign keys on, that ran the stdout of
-    `funcdiag gen <fixture>.fd --dialect generic-sql` and nothing else."""
-    args = ["gen", str(FIXTURES / f"{fixture}.fd"), "--dialect", "generic-sql"]
+def gen_sql(schema_path: Path) -> sqlite3.Connection:
+    """An empty database that ran the stdout of `funcdiag gen
+    <schema_path> --dialect generic-sql` and nothing else."""
+    args = ["gen", str(schema_path), "--dialect", "generic-sql"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     connection = sqlite3.connect(":memory:")
-    connection.execute("PRAGMA foreign_keys = ON;")
     connection.executescript(result.stdout)
     return connection
 
 
 def test_geography_replay_matches_engine(geography_schema):
     script = fixture_text("geography_ac1.fdm") + EXTRA_GEOGRAPHY_MUTATIONS
-    replay(geography_schema, script, gen_sql("geography"))
+    replay(geography_schema, script, gen_sql(FIXTURES / "geography.fd"))
 
 
 def test_neighbors_replay_matches_engine(neighbors_schema):
@@ -210,7 +210,7 @@ def test_neighbors_replay_matches_engine(neighbors_schema):
         " Neighbor = @andorra) expect accept ;\n"
         'update @andorra set FrontierColor = "blue" expect reject ;\n'
     )
-    replay(neighbors_schema, script, gen_sql("neighbors"))
+    replay(neighbors_schema, script, gen_sql(FIXTURES / "neighbors.fd"))
 
 
 # -- emitted names -----------------------------------------------------------
@@ -231,8 +231,9 @@ constraint x_Y commutative on Z { left = row . Y ; right = row ; }
 def test_names_built_from_identifiers_holding_underscores_do_not_collide():
     schema, diagnostics = parse_schema(UNDERSCORE_SCHEMA)
     assert schema is not None, diagnostics
-    # four row sources or three tables, and four checks
-    for dialect, count in ((Dialect.PAPER_STYLE, 8), (Dialect.GENERIC_SQL, 7)):
+    # four row sources, or the foreign-key pragma and three tables; and
+    # four checks
+    for dialect, count in ((Dialect.PAPER_STYLE, 8), (Dialect.GENERIC_SQL, 8)):
         units = emit_units(schema, schema.constraints, "all", dialect)
         assert len({unit.filename for unit in units}) == len(units) == count
     connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
@@ -407,6 +408,22 @@ def test_delete_of_row_referencing_only_itself_matches_sqlite():
         "update @leaf set Parent = @leaf ;\n"
         "delete @root expect accept ;\n"
         "delete @leaf expect accept ;\n",
+    )
+
+
+def test_generated_sql_alone_refuses_to_delete_a_referenced_row(tmp_path):
+    # the emitted pragma, not the installing connection, switches foreign
+    # keys on, so `gen` stdout alone refuses what the store refuses
+    schema, diagnostics = parse_schema(SELF_LINK_SCHEMA)
+    assert schema is not None, diagnostics
+    source = tmp_path / "tree.fd"
+    source.write_text(SELF_LINK_SCHEMA, encoding="utf-8")
+    replay(
+        schema,
+        'insert NODES (Label = "root") as root ;\n'
+        'insert NODES (Label = "leaf", Parent = @root) ;\n'
+        "delete @root expect reject ;\n",
+        gen_sql(source),
     )
 
 
@@ -656,7 +673,8 @@ def test_deep_chains_install_and_agree_with_the_engine(n):
     """n + 1 - 2 = n - 1 tables per trigger, up to SQLite's 64."""
     schema, script = deep_chain(n)
     units = generic_sql_units(schema)
-    assert len(units) == (n + 1) + n  # the tables, the domain check, a unit per interior position
+    # the pragma, the tables, the domain check, a unit per interior position
+    assert len(units) == 1 + (n + 1) + n
     install(sqlite3.connect(":memory:"), schema, units).close()
     positions = (1, n // 2, n - 1)  # outermost, middle and innermost interior
     script += f'insert D (N = "e", Up = @a{n - 1}, G = @b0) expect reject ;\n'

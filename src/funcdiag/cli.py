@@ -293,8 +293,7 @@ def check(schema_path: str, script_path: str) -> None:
     handles: dict[str, RowId] = {}
     for index, m in enumerate(mutations):
         try:
-            resolved = engine.resolve_mutation(m, handles)
-            row = engine.raw_apply(db, resolved)
+            row = engine.raw_apply(db, m, *engine.resolve_mutation(m, handles))
         except (engine.MutationResolveError, StoreError) as exc:
             click.echo(f"statement {index} (line {m.line}) failed: {exc}", err=True)
             sys.exit(1)

@@ -1,11 +1,13 @@
 """Incremental enforcement of diagram constraints on mutations.
 
-Every mutation is written to the store first, through the store's own
-validation, and then checked on the written state; on any violation the
-store takes the write back (Database.undo_write), so a rejected mutation
-leaves the database bit-identical to its pre-mutation state. This is the
-shape of the paper's generated handlers, which check the row as the user
-edited it and cancel and undo on a violation.
+A mutation passes one resolver, resolve_mutation, and one writer,
+raw_apply; apply_mutation reads an update's before-image between them.
+The store validates the write itself, and the checks run on the written
+state; on any violation the store takes the write back from that image
+(Database.undo_write), so a rejected mutation leaves the database
+bit-identical to its pre-mutation state. This is the shape of the paper's
+generated handlers, which check the row as the user edited it and cancel
+and undo on a violation.
 
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne
-from typing import Iterable, Mapping, MutableMapping, NamedTuple
+from typing import Iterable, Mapping, MutableMapping, NamedTuple, NoReturn
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
 from .model import (
@@ -289,50 +291,42 @@ class MutationResolveError(Exception):
     """A symbolic reference in a mutation has no applied row behind it."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ResolvedMutation:
-    action: Action
-    set_name: str | None
-    row: RowId | None
-    values: dict[str, Value]
-
-
-def resolve_mutation(m: Mutation, handles: Mapping[str, RowId]) -> ResolvedMutation:
-    """Replace symbolic handles with concrete rows."""
+def resolve_mutation(
+    m: Mutation, handles: Mapping[str, RowId]
+) -> tuple[dict[str, Value], RowId | None]:
+    """The mutation's values by function and the row it names (None for an
+    insert), each handle looked up in `handles` where it stands: plain
+    store values, ready for raw_apply."""
     values: dict[str, Value] = {}
     for binding in m.bindings:
         value: BindingValue = binding.value
-        if isinstance(value, HandleRef):
-            value = _resolve_ref(value, handles)
+        if type(value) is HandleRef:
+            value = handles.get(value.name) or _unbound(value)
         values[binding.function] = value
-    row = _resolve_ref(m.row_ref, handles)
+    row = m.row_ref
+    if type(row) is HandleRef:
+        row = handles.get(row.name) or _unbound(row)
+    elif row is None and m.action is not _INSERT:
+        raise MutationResolveError(f"{m.action.value} statement names no row")
+    return values, row
+
+
+def _unbound(ref: HandleRef) -> NoReturn:
+    raise MutationResolveError(f"handle @{ref.name} does not name an applied insert")
+
+
+def raw_apply(
+    db: Database, m: Mutation, values: Mapping[str, Value], row: RowId | None
+) -> RowId | None:
+    """Write `m`, resolved into `values` and `row`, with store-level
+    validation only; returns the inserted or updated row, None on a delete."""
     action = m.action
     if action is _INSERT:
-        return ResolvedMutation(action, m.set_name, row, values)
-    if row is None:
-        raise MutationResolveError(f"{action.value} statement names no row")
-    return ResolvedMutation(action, None, row, values)
-
-
-def _resolve_ref(ref: HandleRef | RowId | None, handles: Mapping[str, RowId]) -> RowId | None:
-    if ref is None or isinstance(ref, RowId):
-        return ref
-    row = handles.get(ref.name)
-    if row is None:
-        raise MutationResolveError(f"handle @{ref.name} does not name an applied insert")
-    return row
-
-
-def raw_apply(db: Database, resolved: ResolvedMutation) -> RowId | None:
-    """Apply a resolved mutation with store-level validation only."""
-    if resolved.action is _INSERT:
-        assert resolved.set_name is not None
-        return db.insert_row(resolved.set_name, resolved.values)
-    assert resolved.row is not None
-    if resolved.action is _UPDATE:
-        db.set_values(resolved.row, resolved.values)
-        return resolved.row
-    db.delete_row(resolved.row)
+        return db.insert_row(m.set_name, values)
+    if action is _UPDATE:
+        db.set_values(row, values)
+        return row
+    db.delete_row(row)
     return None
 
 
@@ -354,10 +348,10 @@ def apply_mutation(
     """
     handles = handles if handles is not None else {}
     try:
-        resolved = resolve_mutation(m, handles)
-        action = resolved.action
-        before = db.read_row(resolved.row) if action is _UPDATE else None
-        row = raw_apply(db, resolved)
+        values, row = resolve_mutation(m, handles)
+        action = m.action
+        before = db.read_row(row) if action is _UPDATE else None
+        row = raw_apply(db, m, values, row)
     except (MutationResolveError, StoreError) as exc:
         return Verdict(_REJECTED, (_store_violation(str(exc)),))
 
@@ -372,7 +366,7 @@ def apply_mutation(
     elif action is _UPDATE:
         changed = {
             name: value
-            for name, value in resolved.values.items()
+            for name, value in values.items()
             if before[name] != value
         }
         for constraint in db.schema.constraints_on(row.set_name):

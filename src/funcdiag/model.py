@@ -304,6 +304,27 @@ def message_template_problem(template: str) -> str | None:
 # columns, trigger names or emitted files. Other letters are not folded.
 _FOLD_ASCII = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
+# The paper-style handlers write each control bare (`End <> End.OldValue`),
+# so VBA must read a function's name as an identifier. These are the
+# statement, operator and literal keywords it reserves, folded to lower
+# case, as VBA ignores case. Source: the "Keywords (VBA)" and "Statements"
+# reference pages at learn.microsoft.com (office/vba/language/reference).
+# Statements VBA runs as plain procedures (Beep, Kill, Name, ...) are not
+# keywords: a control may be named like one.
+VBA_KEYWORDS = frozenset(
+    """
+    addressof and any as byref byval call case close const declare defbool
+    defbyte defcur defdate defdbl defdec defint deflng deflnglng deflngptr
+    defobj defsng defstr defvar dim do each else elseif empty end endif enum
+    eqv erase event exit false for friend function get global gosub goto if
+    imp implements in input is let like lock loop lset me mod new next not
+    nothing null on open option optional or paramarray preserve print private
+    public put raiseevent redim rem resume return rset seek select set shared
+    static step stop sub then to true type typeof unlock until wend while with
+    withevents write xor
+    """.split()
+)
+
 
 def judge_name(
     seen: dict[str, str], what: str, name: str, where: str = ""
@@ -313,8 +334,9 @@ def judge_name(
 
     Returns the name in `seen` that `name` equals but for ASCII case
     (`name` itself if it repeats exactly), or None after adding `name` to
-    `seen`, and the issues: that twin, reported alone if it is `name`, and
-    a function named `x` or `X`, the key column of every emitted table.
+    `seen`, and the issues: that twin, reported alone if it is `name`, a
+    function named `x` or `X`, the key column of every emitted table, and
+    a function named like one of VBA_KEYWORDS, in any case.
     """
     folded = name.translate(_FOLD_ASCII)
     earlier = seen.get(folded)
@@ -330,6 +352,9 @@ def judge_name(
     if what == "function" and name in ("x", "X"):
         message = f"function name {name!r} is reserved: generated code names"
         issues.append(Issue(IssueCode.RESERVED_NAME, message + " every row's key column x"))
+    elif what == "function" and folded in VBA_KEYWORDS:
+        message = f"function name {name!r} is reserved: VBA reads it as a keyword,"
+        issues.append(Issue(IssueCode.RESERVED_NAME, message + " not as a control"))
     return earlier, issues
 
 

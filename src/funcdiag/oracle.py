@@ -62,13 +62,13 @@ def oracle_apply(
     """
     handles = handles if handles is not None else {}
     try:
-        resolved = resolve_mutation(m, handles)
+        values, row = resolve_mutation(m, handles)
     except MutationResolveError as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
     scratch = db.clone()
     try:
-        written = raw_apply(scratch, resolved) or resolved.row
+        written = raw_apply(scratch, m, values, row) or row
     except StoreError as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
@@ -84,7 +84,7 @@ def oracle_apply(
     if violations:
         return Verdict(Outcome.REJECTED, tuple(sort_violations(violations)))
 
-    applied_row = raw_apply(db, resolved)
+    applied_row = raw_apply(db, m, values, row)
     if m.action is Action.INSERT and m.handle and applied_row is not None:
         handles[m.handle] = applied_row
     return Verdict(Outcome.APPLIED, (), row=applied_row)

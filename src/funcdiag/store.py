@@ -7,9 +7,10 @@ Database lists them. Link cells hold RowIds, which every reader of a link
 wants, and are mirrored in a reverse index (target row -> set of source
 rows). A read is one list index, but a deleted row keeps its slots, so
 memory follows the ids issued, not the rows live. Writes enforce
-referential integrity and nullability; deletes are RESTRICT-only.
-undo_write takes back the latest insert or update and, trusting the
-pre-write state, validates nothing.
+referential integrity and nullability; deletes are RESTRICT-only. An
+insert validates its whole row, then appends and indexes it in one pass,
+so a refused insert grows no list. undo_write takes back the latest
+insert or update and, trusting the pre-write state, validates nothing.
 
 Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
@@ -247,15 +248,25 @@ class Database:
     # -- writes ----------------------------------------------------------
 
     def insert_row(self, set_name: str, values: Mapping[str, Value]) -> RowId:
+        """Validate the row whole, then append and index it in one pass; counts +1, as _write."""
         normalized = self.validate_insert(set_name, values)
         ids = self._ids[set_name]
-        row = tuple.__new__(RowId, (set_name, len(ids)))
+        x = len(ids)
+        row = tuple.__new__(RowId, (set_name, x))
         ids.append(row)
-        for column in self._columns[set_name].values():
-            column.append(None)
         for index in self._into[set_name]:
             index.append(())
-        self._write(row, normalized)
+        self.counter.rows_inspected += 1
+        table = self._tables[set_name]
+        for name, value in normalized.items():
+            _, column, index, _ = table[name]
+            column.append(value)
+            if index is not None and value is not None:  # a link to an earlier row
+                sources = index[value.x]
+                if sources:
+                    sources.add(x)
+                else:
+                    index[value.x] = {x}
         return row
 
     def set_values(self, row: RowId, values: Mapping[str, Value]) -> None:

@@ -111,20 +111,20 @@ def apply_mutation(db: Database, m: Mutation, handles: dict | None = None) -> Ve
     """engine.apply_mutation, with the checks above."""
     handles = handles if handles is not None else {}
     try:
-        resolved = resolve_mutation(m, handles)
-        before = db.read_row(resolved.row) if resolved.action is Action.UPDATE else None
-        row = raw_apply(db, resolved)
+        values, row = resolve_mutation(m, handles)
+        before = db.read_row(row) if m.action is Action.UPDATE else None
+        row = raw_apply(db, m, values, row)
     except (MutationResolveError, StoreError) as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 
     violations: list[Violation] = []
-    if resolved.action is Action.INSERT:
+    if m.action is Action.INSERT:
         for constraint in db.schema.constraints_on(row.set_name):
             violations.extend(check_domain_row(db, constraint, row))
-    elif resolved.action is Action.UPDATE:
+    elif m.action is Action.UPDATE:
         changed = {
             name: value
-            for name, value in resolved.values.items()
+            for name, value in values.items()
             if before[name] != value
         }
         for constraint in db.schema.constraints_on(row.set_name):

@@ -4,9 +4,10 @@ Database keeps every per-row structure as a list indexed by the row id:
 `_ids[set]` (a RowId, or None for a dead row and at slot 0),
 `_columns[set][function]` (a value, or the dead-row sentinel) and
 `_reverse[(set, link)]`, indexed by the target row's id (a set of source
-ids, or () when none). Tests that compare stores, read a whole column at
-once or need the next id read them here and nowhere else, so a change of
-layout changes this module alone.
+ids, or () when none), with `_into[set]` holding the reverse indexes of
+the links into the set. Tests that compare stores, read a whole column at
+once, need the next id or measure what an insert grows read them here and
+nowhere else, so a change of layout changes this module alone.
 """
 
 from __future__ import annotations
@@ -48,3 +49,10 @@ def same_state(a: Database, b: Database) -> bool:
     (None ids, sentinel cells) and a target without sources holds (), so
     equal lists mean equal snapshots and back."""
     return a._ids == b._ids and a._columns == b._columns and a._reverse == b._reverse
+
+
+def slot_lengths(db: Database, set_name: str) -> list[int]:
+    """The lengths of the lists an insert into set_name grows: its ids, each
+    of its columns and the reverse index of each link into it."""
+    lists = (db._ids[set_name], *db._columns[set_name].values(), *db._into[set_name])
+    return list(map(len, lists))

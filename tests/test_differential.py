@@ -168,8 +168,9 @@ def _start(
     db = seed_database(rng, schema)
     if inconsistent:
         for _ in range(RAW_WRITES):
+            m = make_mutation(rng, db)
             try:
-                raw_apply(db, resolve_mutation(make_mutation(rng, db), {}))
+                raw_apply(db, m, *resolve_mutation(m, {}))
             except StoreError:
                 pass
     return rng, db
@@ -193,9 +194,8 @@ def _three_ways(rng: random.Random, db, seed: int) -> None:
             assert _contents(verdict) == _contents(expected), where
             assert store_layout.same_state(db, before), where
         assert store_layout.same_state(db, reference), where
-        resolved = resolve_mutation(m, {})
-        next_x = store_layout.next_id(before, resolved.set_name)
-        assert sql_apply(connection, resolved, next_x) == verdict.applied, where
+        next_x = store_layout.next_id(before, m.set_name)
+        assert sql_apply(connection, m, *resolve_mutation(m, {}), next_x) == verdict.applied, where
     assert contents(connection, schema) == sql_contents(db)
     connection.close()
 
@@ -211,8 +211,9 @@ def test_same_state_agrees_with_snapshot_equality(seed):
         same = store_layout.same_state(db, other)
         assert same == (db.snapshot() == other.snapshot()) == store_layout.same_state(other, db)
         answers.add(same)
+        m = make_mutation(rng, other)
         try:
-            raw_apply(other, resolve_mutation(make_mutation(rng, other), {}))
+            raw_apply(other, m, *resolve_mutation(m, {}))
         except StoreError:
             pass
     assert answers == {True, False}

@@ -4,8 +4,10 @@ import operator
 from dataclasses import replace
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from funcdiag import cli
 from funcdiag.dsl import Action, Binding, HandleRef, Mutation, parse_schema, parse_script
 from funcdiag.engine import (
     ChangedLink,
@@ -22,11 +24,11 @@ from funcdiag.engine import (
     eval_prefix,
 )
 from funcdiag.model import Schema, Side, message_template_problem
-from funcdiag.oracle import full_check
+from funcdiag.oracle import full_check, oracle_apply
 from funcdiag.store import Database, RowId
 
 import rowwise_engine
-from conftest import fixture_text, seeded_geography
+from conftest import FIXTURES, fixture_text, seeded_geography
 
 
 def geo_constraint(schema):
@@ -710,15 +712,42 @@ def test_integer_outside_64_bits_rejects_with_store_violation(depth):
         assert db.snapshot() == before
 
 
-def test_unresolvable_handle_rejects(geography_schema):
-    db, _ = seeded_geography(geography_schema)
-    from funcdiag.dsl import HandleRef
+_GHOST, _UNBOUND = HandleRef("ghost"), "handle @ghost does not name an applied insert"
+_STYX, _TO_GHOST = Binding("River", "Styx"), Binding("Continent", _GHOST)
 
-    verdict = apply_mutation(
-        db, Mutation(Action.DELETE, row_ref=HandleRef("ghost")), handles={}
-    )
-    assert verdict.rejected
-    assert verdict.violations[0].kind is ViolationKind.STORE_ERROR
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (Mutation(Action.INSERT, "RIVERS", bindings=(_STYX, _TO_GHOST), line=3), _UNBOUND),
+        (Mutation(Action.UPDATE, None, RowId("RIVERS", 1), (_TO_GHOST,), line=3), _UNBOUND),
+        (Mutation(Action.UPDATE, row_ref=_GHOST, bindings=(_STYX,), line=3), _UNBOUND),
+        (Mutation(Action.DELETE, row_ref=_GHOST, line=3), _UNBOUND),
+        (Mutation(Action.UPDATE, bindings=(_STYX,), line=3), "update statement names no row"),
+        (Mutation(Action.DELETE, line=3), "delete statement names no row"),
+    ],
+    ids=["insert-binding", "update-binding", "update-row", "delete-row", "update", "delete"],
+)
+def test_a_resolution_error_reads_the_same_through_every_caller(
+    geography_schema, monkeypatch, m, message
+):
+    """An unbound handle in a binding or as the row, or an update or delete
+    built with no row, fails before anything is read or written: the
+    engine and the oracle reject with the same store error, and `funcdiag
+    check` stops at the statement with it."""
+    error = Violation(None, ViolationKind.STORE_ERROR, None, None, None, None, message)
+    for apply in (apply_mutation, oracle_apply):
+        db, handles = seeded_geography(geography_schema)
+        bound, snapshot, before = dict(handles), db.snapshot(), db.rows_inspected
+        assert apply(db, m, handles) == Verdict(Outcome.REJECTED, (error,))
+        assert (handles, db.snapshot(), db.rows_inspected) == (bound, snapshot, before)
+    europe = Binding("Continent", "Europe")
+    script = [Mutation(Action.INSERT, "CONTINENTS", bindings=(europe,), line=1), m]
+    monkeypatch.setattr(cli, "_load_script", lambda path, schema: script)
+    result = CliRunner().invoke(cli.main, ["check", str(FIXTURES / "geography.fd"), "unread"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"statement 1 (line 3) failed: {message}\n"
 
 
 def test_delete_restrict_and_delete_free_row(geography_schema):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from funcdiag.model import (
+    VBA_KEYWORDS,
     ChainSpec,
     ConstraintKind,
     DiagramConstraint,
@@ -24,6 +25,7 @@ from funcdiag.model import (
 from funcdiag.dsl import parse_schema
 from funcdiag.store import RowId
 
+from conftest import FIXTURES
 from randgen import make_schema
 from test_differential import SEEDS, _schema
 
@@ -449,6 +451,7 @@ S = (SetDef("S", "N"),)
         _parity("repeated-function", (), S, _named(("S", "N"), ("S", "N"))),
         _parity("function-x", (), S, _named(("S", "N"), ("S", "x"))),
         _parity("function-X", (), S, _named(("S", "N"), ("S", "X"))),
+        _parity("function-vba-keyword", (), S, _named(("S", "N"), ("S", "End"))),
         _parity("link-to-unknown-set", (), S, (*_named(("S", "N")), FunctionDef("L", "S", "Z"))),
         _parity(
             "function-on-unknown-set",
@@ -527,6 +530,41 @@ def _source(sets, functions, constraints) -> str:
             f" left = {c.left.render()} ; right = {c.right.render()} ;{message} }}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _one_function_named(name: str) -> str:
+    return f"schema P ;\nset S {{ name N : text ; {name} : text ? ; }}\n"
+
+
+@pytest.mark.parametrize("name", ["End", "then", "DIM", "Sub", "If", "wEnD", "Xor", "Nothing"])
+def test_a_function_named_like_a_vba_keyword_is_refused_in_any_case(name):
+    # a paper-style handler writes the control bare (`End <> End.OldValue`)
+    assert name.lower() in VBA_KEYWORDS
+    message = f"function name {name!r} is reserved: VBA reads it as a keyword, not as a control"
+    parsed, diagnostics = parse_schema(_one_function_named(name))
+    assert parsed is None
+    assert [d.render() for d in diagnostics] == [f"2:25: error [reserved-name] {message}"]
+    with pytest.raises(ValueError) as refused:
+        Schema("P", S, _named(("S", "N"), ("S", name)))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "name", ["Name", "Group", "Range", "Continent", "Date", "Beep", "Endless", "Ifs", "Énd"]
+)
+def test_a_function_named_like_a_procedure_or_a_longer_word_is_admitted(name):
+    # VBA's Name statement is a procedure, not a keyword; randgen names
+    # every set's name attribute Name
+    schema, diagnostics = parse_schema(_one_function_named(name))
+    assert schema is not None, diagnostics
+    assert [fn.name for fn in schema.functions] == ["N", name]
+    assert Schema("P", S, _named(("S", "N"), ("S", name))).functions[1].name == name
+
+
+def test_no_fixture_names_a_function_like_a_vba_keyword():
+    for path in sorted(FIXTURES.glob("*.fd")):
+        _, diagnostics = parse_schema(path.read_text(encoding="utf-8"))
+        assert IssueCode.RESERVED_NAME not in {d.code for d in diagnostics}, path.name
 
 
 def test_chainspec_rejects_empty_non_identity():

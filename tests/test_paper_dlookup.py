@@ -127,17 +127,17 @@ def compare_update(
     `differences`: a block that disagrees with the engine on the written
     state, or whose two answers differ outside the stale-row
     precondition; to `stale`: one whose answers differ under it."""
-    resolved = resolve_mutation(m, {})
-    row, written = resolved.row, db.clone(share_counter=False)
+    values, row = resolve_mutation(m, {})
+    written = db.clone(share_counter=False)
     try:
         before = db.read_row(row)
-        raw_apply(written, resolved)
+        raw_apply(written, m, values, row)
     except StoreError:
         return 0
-    edited = {name for name, value in resolved.values.items() if before[name] != value}
+    edited = {name for name, value in values.items() if before[name] != value}
     runs = [
         (occ, value)
-        for name, value in sorted(resolved.values.items())
+        for name, value in sorted(values.items())
         if name in edited and value is not None
         for occ in db.schema.occurrences.get((row.set_name, name), ())
         if occ.reverse

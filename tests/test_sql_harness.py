@@ -20,8 +20,8 @@ from click.testing import CliRunner
 
 from funcdiag.cli import main
 from funcdiag.codegen import Dialect, EmittedUnit, emit_units
-from funcdiag.dsl import Action, parse_schema, parse_script
-from funcdiag.engine import ResolvedMutation, apply_mutation, resolve_mutation
+from funcdiag.dsl import Action, Mutation, parse_schema, parse_script
+from funcdiag.engine import apply_mutation, resolve_mutation
 from funcdiag.model import (
     ConstraintKind,
     FunctionDef,
@@ -33,7 +33,7 @@ from funcdiag.model import (
     SetDef,
     validate_diagram,
 )
-from funcdiag.store import Database, RowId
+from funcdiag.store import Database, RowId, Value
 
 import store_layout
 from conftest import FIXTURES, fixture_text
@@ -116,33 +116,38 @@ def contents(connection: sqlite3.Connection, schema: Schema) -> dict[str, dict]:
 
 
 def sql_apply(
-    connection: sqlite3.Connection, resolved: ResolvedMutation, next_x: int | None
+    connection: sqlite3.Connection,
+    m: Mutation,
+    values: dict[str, Value],
+    row: RowId | None,
+    next_x: int | None,
 ) -> bool:
-    """Run one resolved mutation as its own transaction; False when SQLite
-    refuses it. An insert gets row id `next_x`, as the store would give."""
+    """Run `m`, resolved into `values` and `row` by resolve_mutation, as its
+    own transaction; False when SQLite refuses it. An insert gets row id
+    `next_x`, as the store would give."""
     try:
         with connection:
-            if resolved.action is Action.INSERT:
-                names = list(resolved.values)
+            if m.action is Action.INSERT:
+                names = list(values)
                 columns = ", ".join(f"[{n}]" for n in ["x"] + names)
                 marks = ", ".join("?" for _ in range(len(names) + 1))
-                args = [next_x] + [to_sql_value(resolved.values[n]) for n in names]
+                args = [next_x] + [to_sql_value(values[n]) for n in names]
                 connection.execute(
-                    f"INSERT INTO [{resolved.set_name}] ({columns}) VALUES ({marks})",
+                    f"INSERT INTO [{m.set_name}] ({columns}) VALUES ({marks})",
                     args,
                 )
-            elif resolved.action is Action.UPDATE:
-                names = list(resolved.values)
+            elif m.action is Action.UPDATE:
+                names = list(values)
                 assignments = ", ".join(f"[{n}] = ?" for n in names)
-                args = [to_sql_value(resolved.values[n]) for n in names]
+                args = [to_sql_value(values[n]) for n in names]
                 connection.execute(
-                    f"UPDATE [{resolved.row.set_name}] SET {assignments} WHERE [x] = ?",
-                    args + [resolved.row.x],
+                    f"UPDATE [{row.set_name}] SET {assignments} WHERE [x] = ?",
+                    args + [row.x],
                 )
             else:
                 connection.execute(
-                    f"DELETE FROM [{resolved.row.set_name}] WHERE [x] = ?",
-                    (resolved.row.x,),
+                    f"DELETE FROM [{row.set_name}] WHERE [x] = ?",
+                    (row.x,),
                 )
         return True
     except sqlite3.Error:
@@ -163,9 +168,9 @@ def replay(schema: Schema, script: str, connection: sqlite3.Connection | None = 
 
     for index, m in enumerate(mutations):
         resolved = resolve_mutation(m, handles)
-        next_x = store_layout.next_id(db, resolved.set_name)
+        next_x = store_layout.next_id(db, m.set_name)
         verdict = apply_mutation(db, m, handles)
-        sql_applied = sql_apply(connection, resolved, next_x)
+        sql_applied = sql_apply(connection, m, *resolved, next_x)
         assert sql_applied == verdict.applied, (
             f"statement {index} (line {m.line}): engine={verdict.outcome.value},"
             f" sqlite={'applied' if sql_applied else 'rejected'}"

@@ -371,6 +371,61 @@ def test_an_undone_insert_is_gone_and_a_reinsert_gets_an_equal_row_id(db):
     assert _same_objects(db.inverse("ITEMS", "Category", tools), (again,))
 
 
+# NODES links to itself by Parent and TAGS links into it by Node, so an
+# insert into NODES grows its ids, three columns and two reverse indexes.
+TREE = Schema(
+    "Tree",
+    (SetDef("NODES", "Label"), SetDef("TAGS", "Tag")),
+    (
+        FunctionDef("Label", "NODES", ScalarType.TEXT),
+        FunctionDef("Weight", "NODES", ScalarType.INTEGER, nullable=True),
+        FunctionDef("Parent", "NODES", "NODES", nullable=True),
+        FunctionDef("Tag", "TAGS", ScalarType.TEXT),
+        FunctionDef("Node", "TAGS", "NODES", nullable=True),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "values, error, counted",
+    [
+        ({"Label": "b", "Weight": 1, "Parent": RowId("NODES", 9)}, DanglingReference, 1),
+        ({"Label": "b", "Parent": RowId("NODES", 1), "Weight": "heavy"}, ValueTypeMismatch, 1),
+        ({"Label": "b", "Parent": RowId("NODES", 1), "Colour": "red"}, UnknownFunction, 1),
+        ({"Weight": 2, "Parent": RowId("NODES", 1)}, MissingRequired, 1),
+    ],
+    ids=["dangling-link", "type-mismatch", "unknown-function", "missing-required"],
+)
+def test_an_insert_refused_at_its_last_binding_grows_nothing(values, error, counted):
+    """Validation runs whole before the one writing pass, so an insert that
+    fails after every other binding passed leaves every list the insert
+    would grow at its length and the state as it was; it counts the
+    existence checks it made, +1 per link checked."""
+    db = Database(TREE)
+    root = db.insert_row("NODES", {"Label": "root"})
+    db.insert_row("TAGS", {"Tag": "t", "Node": root})
+    lengths = store_layout.slot_lengths(db, "NODES")
+    snapshot, before = db.snapshot(), db.rows_inspected
+    with pytest.raises(error):
+        db.insert_row("NODES", values)
+    assert store_layout.slot_lengths(db, "NODES") == lengths == [2, 2, 2, 2, 2, 2]
+    assert db.snapshot() == snapshot
+    assert db.rows_inspected == before + counted
+
+
+def test_a_self_set_link_lands_in_its_targets_reverse_slot():
+    db = Database(TREE)
+    root = db.insert_row("NODES", {"Label": "root"})
+    before = db.rows_inspected
+    leaf = db.insert_row("NODES", {"Label": "leaf", "Parent": root})
+    assert db.rows_inspected == before + 2  # the target's existence, the write
+    assert store_layout.reverse_index(db, "NODES", "Parent") == [(), {2}, ()]
+    assert store_layout.reverse_index(db, "TAGS", "Node") == [(), (), ()]
+    assert db.inverse("NODES", "Parent", root) == {leaf}
+    assert db.read_row(leaf) == {"Label": "leaf", "Weight": None, "Parent": root}
+    assert store_layout.slot_lengths(db, "NODES") == [3] * 6
+
+
 def test_a_clone_shares_the_row_ids_while_writes_stay_apart(db):
     tools = db.insert_row("CATEGORIES", {"Category": "tools"})
     saw = db.insert_row("ITEMS", {"Item": "saw", "Category": tools})
@@ -698,7 +753,7 @@ MODEL_SCHEMA = Schema(
         FunctionDef("Item", "ITEMS", ScalarType.TEXT),
         FunctionDef("Stock", "ITEMS", ScalarType.INTEGER, nullable=True),
         FunctionDef("Category", "ITEMS", "CATEGORIES", nullable=True),
-        FunctionDef("Next", "ITEMS", "ITEMS", nullable=True),
+        FunctionDef("Successor", "ITEMS", "ITEMS", nullable=True),
     ),
 )
 
@@ -882,5 +937,5 @@ def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
         assert clone.snapshot() == clone_image, f"seed {seed} step {step}"
         clone.insert_row("CATEGORIES", {"Category": "from the clone"})
         for row in clone.rows("ITEMS")[:2]:
-            clone.set_values(row, {"Item": "cloned", "Stock": 1, "Next": row})
+            clone.set_values(row, {"Item": "cloned", "Stock": 1, "Successor": row})
         _assert_matches(db, model, next_ids, issued, rng)

@@ -11,27 +11,32 @@ and undo on a violation.
 
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
-column: it evaluates both chains for that row. A link-update check fires
-when an interior chain function changes at some row r, and works on
-sets, as the paper's handlers do with one query: it computes the new
-composed head once (the prefix walk from the written value), collects
-the ids of every domain row whose chain passes through r (the
-reverse-reachability walk over the store's indexes, one bulk read per
-level for the whole frontier), evaluates the other chain over all of
-those rows one level at a time, and compares each value with the head. A
-function maps each row to one value, so the preimages of distinct rows
-are disjoint: each level of the walk is a plain list, no row on it
-twice, and only the last one is sorted. One count of the values equal
-to the head (list.count, in C) decides a commutative check before
-anything is built: all equal accepts, none equal makes every affected row
-a witness as it stands, and only a mix builds the mask that picks the
-witnesses. An anti-commutative check accepts when the head is not among
-the values (`in`), and counts only once it has a violation, to the same
-end. The walks and the other chain are the written position's plan
-(model.Occurrence), built once per schema, and bound once per store to
-the reverse indexes and columns they read (Database.walks), so no level
-resolves a name. A null anywhere in a chain makes the instance vacuously
-satisfied, so a row leaves the walk at the level where it reads null.
+column: it evaluates both chains for that row, which must be a row of
+the domain set. Its one guarded read, the left chain's first cell
+through Database.lookup, refuses a row that is not live; every later
+read is a column of the constraint's domain walks, bound once per store
+(Database.walks), and follows a link cell the store keeps pointing at a
+live row. A link-update check fires when an interior chain function
+changes at some row r, and works on sets, as the paper's handlers do
+with one query: it computes the new composed head once (the prefix walk
+from the written value), collects the ids of every domain row whose
+chain passes through r (the reverse-reachability walk over the store's
+indexes, one bulk read per level for the whole frontier), evaluates the
+other chain over all of those rows one level at a time, and compares
+each value with the head. A function maps each row to one value, so the
+preimages of distinct rows are disjoint: each level of the walk is a
+plain list, no row on it twice, and only the last one is sorted. One
+count of the values equal to the head (list.count, in C) decides a
+commutative check before anything is built: all equal accepts, none
+equal makes every affected row a witness as it stands, and only a mix
+builds the mask that picks the witnesses. An anti-commutative check
+accepts when the head is not among the values (`in`), and counts only
+once it has a violation, to the same end. The walks and the other chain
+are the written position's plan (model.Occurrence), built once per
+schema, and bound once per store to the reverse indexes and columns they
+read (Database.walks), so no level resolves a name. A null anywhere in a
+chain makes the instance vacuously satisfied, so a row leaves the walk
+at the level where it reads null.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
@@ -60,7 +65,7 @@ from .model import (
     Schema,
     Side,
 )
-from .store import Database, RowId, StoreError, Value
+from .store import Database, RowId, StoreError, UnknownRow, Value
 
 
 class Outcome(Enum):
@@ -150,7 +155,10 @@ def dispatch(schema: Schema) -> dict[tuple[str, str], tuple[Occurrence, ...]]:
 
 
 def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
-    """Composed chain value at x, innermost function first; null propagates."""
+    """Composed chain value at x, innermost function first; null propagates.
+
+    Every hop resolves a name through Database.lookup. No check calls
+    this: domain and link checks read the store's bound walks."""
     current: Value = x
     for name in chain.inward:
         if current is None:
@@ -203,17 +211,39 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
 def check_domain_row(
     db: Database, constraint: DiagramConstraint, x: RowId
 ) -> list[Violation]:
-    """Evaluate both chains at x in the store's current state.
+    """Evaluate both chains at x, a row of the domain set, in the store's
+    current state.
 
     The engine calls this after writing the mutation, so it judges the
     post-mutation state; the oracle calls it on whole databases. No
-    violation when either side is null.
+    violation when either side is null. The one guarded read, lookup of
+    the left chain's first cell, refuses a row that is not live; every
+    later read is a bound column (Database.domain_walks), counted +1 as
+    lookup counts, and a chain stops at its first null. A constraint the
+    store did not bind, one built with replace() say, is bound for this
+    call alone.
     """
-    left = eval_chain(db, constraint.left, x)
-    if left is None:
-        return []
-    right = eval_chain(db, constraint.right, x)
-    if right is None or (left == right) is _holds_when_equal(constraint):
+    left = db.lookup(x, constraint.left.inward[0])
+    if x.set_name != constraint.domain_set:
+        raise UnknownRow(
+            f"{x!r} is not a row of {constraint.domain_set!r}, the domain set of {constraint.id!r}"
+        )
+    lefts, rights = db.walks.get(id(constraint)) or db.domain_walks(constraint)
+    right = x
+    reads = 0
+    for column in lefts:
+        if left is None:
+            break
+        left = column[left.x]
+        reads += 1
+    if left is not None:
+        for column in rights:
+            right = column[right.x]
+            reads += 1
+            if right is None:
+                break
+    db.counter.rows_inspected += reads
+    if left is None or right is None or (left == right) is _holds_when_equal(constraint):
         return []
     return [_constraint_violation(constraint, x, left, right, None)]
 

@@ -184,8 +184,9 @@ class DiagramConstraint:
     Both sides are compositions, and at least one composes two or more
     functions; validate_diagram builds nothing else, and a Schema admits
     nothing else. Built once each: `template`, the declared message or a
-    default naming both chains, and `occurrences`, one per chain position,
-    left side first and each side in position order.
+    default naming both chains, `occurrences`, one per chain position,
+    left side first and each side in position order, and `domain_set`,
+    which every domain-row check reads.
     """
 
     id: str
@@ -195,6 +196,7 @@ class DiagramConstraint:
     message: str | None = None
     template: str = field(init=False, compare=False, repr=False)
     occurrences: tuple[Occurrence, ...] = field(init=False, compare=False, repr=False)
+    domain_set: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         verb = "must equal" if self.kind is ConstraintKind.COMMUTATIVE else "must never equal"
@@ -208,10 +210,7 @@ class DiagramConstraint:
             for side in (_LEFT, _RIGHT)
             for position in range(1, self.chain(side).length + 1)
         ))
-
-    @property
-    def domain_set(self) -> str:
-        return self.left.domain_set
+        object.__setattr__(self, "domain_set", self.left.domain_set)
 
     def chain(self, side: Side) -> ChainSpec:
         return self.left if side is _LEFT else self.right

@@ -14,15 +14,16 @@ insert or update and, trusting the pre-write state, validates nothing.
 
 Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
-index and target set's ids, and link checks read each occurrence's
-walk, bound to its reverse indexes and columns. Both hold the store's own
-lists, never copies; clone() binds them afresh to the copy's, from the
-schema as the new store does.
+index and target set's ids; domain checks read each constraint's two
+domain walks, bound to its chains' columns, and link checks each
+occurrence's walk, bound to its reverse indexes and columns. All hold the
+store's own lists, never copies; clone() binds them afresh to the copy's,
+from the schema as the new store does.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
-and +1 per reverse-index consultation. A link check's bound walk counts
-as lookup and inverse would: +1 per row read and +1 per target
+and +1 per reverse-index consultation. A check's bound walk counts as
+lookup and inverse would: +1 per row read and +1 per target
 consulted. lookup reads the cell directly and looks for what is missing
 only when that fails; it and read_row count +1 for a live row, even when
 the function is unknown, and nothing for an unknown set or a row that is
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .model import ScalarType, Schema
+from .model import ChainSpec, DiagramConstraint, ScalarType, Schema
 
 
 class RowId(NamedTuple):
@@ -115,6 +116,11 @@ class Database:
     `_tables[set][function]` is (function, column, reverse index or
     None, linked set's ids or None); `_into[set]` holds the reverse indexes
     of the links into the set, which grow and shrink with its ids;
+    `walks[id(constraint)]` is (left chain's columns after the first, right
+    chain's columns), innermost first, for each constraint: a domain check
+    reads the left chain's first cell through lookup, its one guarded read,
+    which refuses a row that is not live, then these, at ids that link
+    cells hold or at the row it found live in the domain set.
     `walks[id(occ)]` is (reverse indexes outermost first, other chain's
     columns innermost first) for each occurrence whose reverse walk is not
     empty, the ones link checks read. Single writer; readers interleave
@@ -148,15 +154,25 @@ class Database:
         self._into = {
             s: tuple(reverse[f.domain, f.name] for f in self.schema.links_into(s)) for s in ids
         }
-        self.walks = {
-            id(occ): (
-                tuple(reverse[f.domain, f.name] for f in occ.reverse),
-                tuple(columns[f.domain][f.name] for f in occ.other.functions[::-1]),
-            )
-            for c in self.schema.constraints
-            for occ in c.occurrences
-            if occ.reverse
-        }
+        self.walks = {}
+        for c in self.schema.constraints:
+            self.walks[id(c)] = self.domain_walks(c)
+            for occ in c.occurrences:
+                if occ.reverse:
+                    self.walks[id(occ)] = (
+                        tuple(reverse[f.domain, f.name] for f in occ.reverse),
+                        self._chain_columns(occ.other),
+                    )
+
+    def domain_walks(self, constraint: DiagramConstraint) -> tuple[tuple[list, ...], ...]:
+        """The columns of the constraint's left chain after its first, which
+        a domain check reads through lookup, and of its right chain, each
+        innermost first: this store's own lists, bound by their names."""
+        return self._chain_columns(constraint.left)[1:], self._chain_columns(constraint.right)
+
+    def _chain_columns(self, chain: ChainSpec) -> tuple[list, ...]:
+        columns = self._columns
+        return tuple(columns[f.domain][f.name] for f in reversed(chain.functions))
 
     @property
     def rows_inspected(self) -> int:

@@ -1,13 +1,16 @@
-"""The row-at-a-time link check, kept as a reference for the engine's
-set-at-a-time one, and lookup_ids, the bulk column read its tests compare
-with Database.lookup.
+"""Row-at-a-time domain and link checks, kept as a reference for the
+engine's bound and set-at-a-time ones, and lookup_ids, the bulk column
+read its tests compare with Database.lookup.
 
-check_link_update here walks the reverse indexes one target row at a
-time, through Database.inverse, and evaluates the other chain at each
-affected row on its own, through Database.lookup. It derives every walk
-from the occurrence's side and position, not from the plan the engine
-reads (Occurrence.head, reverse and other). apply_mutation merges
-every check's violations through dedupe, sorting them with a key.
+check_domain_row here evaluates both chains at the row through
+Database.lookup, one name at every hop (engine.eval_chain), where the
+engine reads the store's bound columns after one guarded read.
+check_link_update walks the reverse indexes one target row at a time,
+through Database.inverse, and evaluates the other chain at each affected
+row on its own, through Database.lookup. It derives every walk from the
+occurrence's side and position, not from the plan the engine reads
+(Occurrence.head, reverse and other). apply_mutation merges every
+check's violations through dedupe, sorting them with a key.
 tests/test_differential.py asserts the engine gives the same verdicts,
 violation for violation, and counts the same rows_inspected.
 """
@@ -24,14 +27,13 @@ from funcdiag.engine import (
     _constraint_violation,
     _holds_when_equal,
     _store_violation,
-    check_domain_row,
     dispatch,
     eval_chain,
     raw_apply,
     resolve_mutation,
     sort_violations,
 )
-from funcdiag.model import ChainSpec, Occurrence, Side
+from funcdiag.model import ChainSpec, DiagramConstraint, Occurrence, Side
 from funcdiag.store import Database, RowId, StoreError, Value
 
 import store_layout
@@ -71,6 +73,17 @@ def eval_head(db: Database, chain: ChainSpec, position: int, start: Value) -> Va
             return None
         start = db.lookup(start, fn.name)
     return start
+
+
+def check_domain_row(db: Database, constraint: DiagramConstraint, x: RowId) -> list[Violation]:
+    """Both chains at x, each through Database.lookup; none when either is null."""
+    left = eval_chain(db, constraint.left, x)
+    if left is None:
+        return []
+    right = eval_chain(db, constraint.right, x)
+    if right is None or (left == right) is _holds_when_equal(constraint):
+        return []
+    return [_constraint_violation(constraint, x, left, right, None)]
 
 
 def check_link_update(

@@ -25,9 +25,10 @@ from funcdiag.engine import (
 )
 from funcdiag.model import Schema, Side, message_template_problem
 from funcdiag.oracle import full_check, oracle_apply
-from funcdiag.store import Database, RowId
+from funcdiag.store import Database, RowId, StoreError, UnknownFunction, UnknownRow, UnknownSet
 
 import rowwise_engine
+import store_layout
 from conftest import FIXTURES, fixture_text, seeded_geography
 
 
@@ -171,6 +172,123 @@ def test_domain_row_anti_commutative_equal_is_violation(neighbors_schema):
     [v] = check_domain_row(db, neighbors_schema.constraints[0], pair)
     assert v.kind is ViolationKind.ANTI_COMMUTATIVE
     assert v.left == v.right == "red"
+
+
+def _refusal(check, db, constraint, row) -> tuple[type, str, int]:
+    """The StoreError `check` raises at row: its type, its text and the rows
+    it counted first."""
+    counted = db.rows_inspected
+    with pytest.raises(StoreError) as raised:
+        check(db, constraint, row)
+    return type(raised.value), str(raised.value), db.rows_inspected - counted
+
+
+@pytest.mark.parametrize(
+    "row, refusal",
+    [
+        ("dead", (UnknownRow, "no row RIVERS#2", 0)),
+        (RowId("RIVERS", 0), (UnknownRow, "no row RIVERS#0", 0)),
+        (RowId("RIVERS", -1), (UnknownRow, "no row RIVERS#-1", 0)),
+        (RowId("RIVERS", 3), (UnknownRow, "no row RIVERS#3", 0)),  # one past the last
+        (RowId("RIVERS", "one"), (UnknownRow, "no row RIVERS#one", 0)),
+        (RowId("LAKES", 1), (UnknownSet, "unknown set 'LAKES'", 0)),
+        # a set without the left chain's first function: its row is read
+        (
+            RowId("MOUNTAIN_RANGES", 1),
+            (UnknownFunction, "no function 'Mountain' on 'MOUNTAIN_RANGES'", 1),
+        ),
+    ],
+)
+def test_a_row_lookup_refuses_is_refused_with_its_error_and_count(geography_schema, row, refusal):
+    """The one guarded read refuses what the lookup at every hop refused,
+    with its error, text and count; the reference still walks that way."""
+    db, handles = seeded_geography(geography_schema)
+    c = geo_constraint(geography_schema)
+    db.delete_row(handles["indus"])
+    row = handles["indus"] if row == "dead" else row
+    assert store_layout.next_id(db, "RIVERS") == 3
+    assert _refusal(check_domain_row, db, c, row) == refusal
+    assert _refusal(rowwise_engine.check_domain_row, db, c, row) == refusal
+
+
+def test_a_live_row_outside_the_domain_set_is_refused(geography_schema):
+    """MOUNTAINS has a text function named like the left chain's first one,
+    Mountain: the lookup reads the row, and the check refuses it, naming
+    the row and the domain set, instead of walking on from its text."""
+    db, handles = seeded_geography(geography_schema)
+    c = geo_constraint(geography_schema)
+    assert db.lookup(handles["montblanc"], "Mountain") == "Mont Blanc"
+    message = "MOUNTAINS#1 is not a row of 'RIVERS', the domain set of 'GeoContinent'"
+    assert _refusal(check_domain_row, db, c, handles["montblanc"]) == (UnknownRow, message, 1)
+
+
+def test_a_clones_domain_walks_read_the_clone_alone(geography_schema):
+    """A write on the clone, at the left chain's last hop, is seen by the
+    clone's checks alone, and a write on the original, at the right chain's
+    only hop, by the original's alone; a row inserted into the clone is no
+    row of the original."""
+    db, h = seeded_geography(geography_schema)
+    c = geo_constraint(geography_schema)
+    clone = db.clone()
+    clone.set_values(h["alps"], {"Continent": h["asia"]})
+    db.set_values(h["danube"], {"Continent": h["asia"]})
+    [mine] = check_domain_row(db, c, h["danube"])
+    [theirs] = check_domain_row(clone, c, h["danube"])
+    assert (mine.left, mine.right) == (h["europe"], h["asia"])
+    assert (theirs.left, theirs.right) == (h["asia"], h["europe"])
+    rhone = clone.insert_row(
+        "RIVERS", {"River": "Rhone", "Continent": h["asia"], "Mountain": h["montblanc"]}
+    )
+    assert check_domain_row(clone, c, rhone) == []
+    with pytest.raises(UnknownRow, match="no row RIVERS#3"):
+        check_domain_row(db, c, rhone)
+
+
+NULLABLE_HOPS = """
+schema Hops ;
+set A { name Label : text ; F -> B ? ; G -> C ? ; }
+set B { name Label : text ; H -> C ? ; }
+set C { name Label : text ; V : integer ? ; }
+constraint K commutative on A { left = V . H . F ; right = V . G ; }
+"""
+
+
+def test_a_constraint_the_store_did_not_bind_is_checked_alike():
+    """A replace()d constraint, equal to the schema's own but not bound by
+    the store, gives the same violations and rows_inspected, with a null at
+    each hop of either chain; it is bound for the call alone."""
+    schema, diagnostics = parse_schema(NULLABLE_HOPS)
+    assert schema is not None, diagnostics
+    [own] = schema.constraints
+    unbound = replace(own)
+    db = Database(schema)
+    assert unbound == own and id(unbound) not in db.walks
+    one, two, null = (db.insert_row("C", {"Label": str(v), "V": v}) for v in (1, 2, None))
+    to_one = db.insert_row("B", {"Label": "to one", "H": one})
+    to_null = db.insert_row("B", {"Label": "to null", "H": null})
+    to_none = db.insert_row("B", {"Label": "to none", "H": None})
+    rows = {
+        "violated": (to_one, two),
+        "held": (to_one, one),
+        "null at the left's first hop": (None, two),
+        "null at the left's second hop": (to_none, two),
+        "null at the left's last hop": (to_null, two),
+        "null at the right's first hop": (to_one, None),
+        "null at the right's last hop": (to_one, null),
+    }
+    for name, (f, g) in rows.items():
+        x = db.insert_row("A", {"Label": name, "F": f, "G": g})
+        results = []
+        for check, constraint in (
+            (check_domain_row, own),
+            (check_domain_row, unbound),
+            (rowwise_engine.check_domain_row, own),
+        ):
+            counted = db.rows_inspected
+            results.append((check(db, constraint, x), db.rows_inspected - counted))
+        assert results[0] == results[1] == results[2], name
+        assert bool(results[0][0]) is (name == "violated"), name
+    assert id(unbound) not in db.walks
 
 
 # -- dispatch ----------------------------------------------------------------

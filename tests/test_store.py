@@ -303,17 +303,26 @@ def _same_objects(got, expected) -> bool:
 
 @pytest.mark.parametrize("fixture", ["geography_schema", "neighbors_schema"])
 def test_walks_bind_and_clone_inserts_grow_the_stores_own_lists(fixture, request):
-    """A store binds a walk for each occurrence whose reverse walk is not
-    empty, the ones link checks read, over its own reverse indexes and
-    columns; a clone binds the same walks over its own. Inserts into a
-    clone, into every set, grow the clone's id, column and reverse-index
-    lists alone: the original's keep their length and their contents."""
+    """A store binds each constraint's two domain walks, the ones domain
+    checks read, over its own columns, and a walk for each occurrence
+    whose reverse walk is not empty, the ones link checks read, over its
+    own reverse indexes and columns; a clone binds the same walks over its
+    own. Inserts into a clone, into every set, grow the clone's id, column
+    and reverse-index lists alone: the original's keep their length and
+    their contents."""
     schema = request.getfixturevalue(fixture)
     db = Database(schema)
     checked = [occ for c in schema.constraints for occ in c.occurrences if occ.reverse]
     clone = db.clone()
     for store in (db, clone):
-        assert list(store.walks) == [id(occ) for occ in checked]
+        assert set(store.walks) == {id(c) for c in schema.constraints} | {id(o) for o in checked}
+        for c in schema.constraints:
+            lefts, rights = (
+                [store_layout.column(store, f.domain, f.name) for f in chain.functions[::-1]]
+                for chain in (c.left, c.right)
+            )
+            walked_left, walked_right = store.walks[id(c)]
+            assert _same_objects(walked_left, lefts[1:]) and _same_objects(walked_right, rights)
         for occ in checked:
             indexes, columns = store.walks[id(occ)]
             assert _same_objects(

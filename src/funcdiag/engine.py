@@ -215,13 +215,12 @@ def check_domain_row(
     current state.
 
     The engine calls this after writing the mutation, so it judges the
-    post-mutation state; the oracle calls it on whole databases. No
-    violation when either side is null. The one guarded read, lookup of
-    the left chain's first cell, refuses a row that is not live; every
-    later read is a bound column (Database.domain_walks), counted +1 as
-    lookup counts, and a chain stops at its first null. A constraint the
-    store did not bind, one built with replace() say, is bound for this
-    call alone.
+    post-mutation state. No violation when either side is null. The one
+    guarded read, lookup of the left chain's first cell, refuses a row
+    that is not live; every later read is a bound column
+    (Database.domain_walks), counted +1 as lookup counts, and a chain
+    stops at its first null. A constraint the store did not bind, one
+    built with replace() say, is bound for this call alone.
     """
     left = db.lookup(x, constraint.left.inward[0])
     if x.set_name != constraint.domain_set:

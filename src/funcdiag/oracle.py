@@ -1,21 +1,24 @@
-"""Brute-force ground truth for the incremental engine.
+"""Brute-force ground truth for the incremental engine, sharing no check
+with it.
 
-full_check re-evaluates every constraint at every domain row, with the
-same comparison and null semantics the engine uses. oracle_apply judges a
-mutation with the engine's definition of "violated": it applies the
-mutation raw to a clone, finds every cell whose value changed by comparing
-the written row (the one row a store write changes) in the two states,
-and checks every domain row whose post-state chain, on either side, reads
-a changed cell. A row that violates but reads no changed cell is not
-blamed on the mutation; a row that reads one is, even if it violated
-before. Deliberately O(rows x chain length) per check; tests lean on it,
+judge_row decides one constraint at one domain row. Null: each chain is
+walked by name, innermost first, one Database.lookup per hop, and stops
+at its first null; a null side holds vacuously. The right chain is read
+only when the left is non-null, as the engine reads, so both count the
+same rows_inspected. Comparison: commutative holds when the values are
+equal, anti-commutative when they differ. Blame: full_check blames every
+violating row; oracle_apply applies the mutation raw to a clone, takes
+the cells of the written row (the one row a store write changes) whose
+value differs between the two states, and blames a violating row when
+a walk of either chain read one of them, even if it violated before.
+Deliberately O(rows x chain length) per check; tests lean on it,
 production paths do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import MutableMapping
+from typing import Container, MutableMapping
 
 from .dsl import Action, Mutation
 from .engine import (
@@ -23,13 +26,13 @@ from .engine import (
     Outcome,
     Verdict,
     Violation,
+    ViolationKind,
     _store_violation,
-    check_domain_row,
     raw_apply,
     resolve_mutation,
     sort_violations,
 )
-from .model import ChainSpec
+from .model import ChainSpec, ConstraintKind, DiagramConstraint
 from .store import Database, RowId, StoreError, Value
 
 
@@ -46,7 +49,7 @@ def full_check(db: Database) -> OracleReport:
     for constraint in db.schema.constraints:
         for x in db.rows(constraint.domain_set):
             scanned += 1
-            violations.extend(check_domain_row(db, constraint, x))
+            violations.extend(judge_row(db, constraint, x))
     return OracleReport(tuple(sort_violations(violations)), scanned)
 
 
@@ -77,9 +80,7 @@ def oracle_apply(
         v
         for constraint in scratch.schema.constraints
         for x in scratch.rows(constraint.domain_set)
-        if _reads_any(scratch, constraint.left, x, changed)
-        or _reads_any(scratch, constraint.right, x, changed)
-        for v in check_domain_row(scratch, constraint, x)
+        for v in judge_row(scratch, constraint, x, changed)
     ]
     if violations:
         return Verdict(Outcome.REJECTED, tuple(sort_violations(violations)))
@@ -88,6 +89,33 @@ def oracle_apply(
     if m.action is Action.INSERT and m.handle and applied_row is not None:
         handles[m.handle] = applied_row
     return Verdict(Outcome.APPLIED, (), row=applied_row)
+
+
+def judge_row(
+    db: Database, constraint: DiagramConstraint, x: RowId, changed: Container | None = None
+) -> list[Violation]:
+    """The violation of `constraint` at x, a live row of its domain set, as
+    a list of none or one; given `changed` cells, only if a walk read one."""
+    left, read = _walk(db, constraint.left, x, changed or ())
+    if left is None:
+        return []
+    right, read_right = _walk(db, constraint.right, x, changed or ())
+    holds = right is None or (left == right) is (constraint.kind is ConstraintKind.COMMUTATIVE)
+    if holds or not (changed is None or read or read_right):
+        return []
+    kind = ViolationKind(constraint.kind.value)
+    return [Violation(constraint.id, kind, x, left, right, None, constraint)]
+
+
+def _walk(db: Database, chain: ChainSpec, x: RowId, cells: Container) -> tuple[Value, bool]:
+    """`chain`'s value at x, and whether its walk read one of `cells`."""
+    current, read = x, False
+    for name in chain.inward:
+        if current is None:
+            break
+        read = read or (current, name) in cells
+        current = db.lookup(current, name)
+    return current, read
 
 
 def _changed_cells(before: Database, after: Database, row: RowId) -> set[tuple[RowId, str]]:
@@ -99,15 +127,3 @@ def _changed_cells(before: Database, after: Database, row: RowId) -> set[tuple[R
         (row, name) for name in old or new
         if old is None or new is None or old[name] != new[name]
     }
-
-
-def _reads_any(db: Database, chain: ChainSpec, x: RowId, cells: set) -> bool:
-    """Whether evaluating `chain` at x reads one of `cells`."""
-    current: Value = x
-    for name in chain.inward:
-        if current is None:
-            return False
-        if (current, name) in cells:
-            return True
-        current = db.lookup(current, name)
-    return False

@@ -2,17 +2,18 @@
 engine's bound and set-at-a-time ones, and lookup_ids, the bulk column
 read its tests compare with Database.lookup.
 
-check_domain_row here evaluates both chains at the row through
-Database.lookup, one name at every hop (engine.eval_chain), where the
-engine reads the store's bound columns after one guarded read.
-check_link_update walks the reverse indexes one target row at a time,
-through Database.inverse, and evaluates the other chain at each affected
-row on its own, through Database.lookup. It derives every walk from the
-occurrence's side and position, not from the plan the engine reads
-(Occurrence.head, reverse and other). apply_mutation merges every
+A domain row is judged by the oracle's judge (oracle.judge_row), which
+walks both chains at the row through Database.lookup, one name at every
+hop, where the engine reads the store's bound columns after one guarded
+read. check_link_update walks the reverse indexes one target row at a
+time, through Database.inverse, and evaluates the other chain at each
+affected row on its own, through Database.lookup. It derives every walk
+from the occurrence's side and position, not from the plan the engine
+reads (Occurrence.head, reverse and other). apply_mutation merges every
 check's violations through dedupe, sorting them with a key.
-tests/test_differential.py asserts the engine gives the same verdicts,
-violation for violation, and counts the same rows_inspected.
+tests/test_differential.py replays it beside the engine, the oracle and
+SQLite, and asserts the engine gives the same verdicts, violation for
+violation, and counts the same rows_inspected.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from funcdiag.engine import (
     resolve_mutation,
     sort_violations,
 )
-from funcdiag.model import ChainSpec, DiagramConstraint, Occurrence, Side
+from funcdiag.model import ChainSpec, Occurrence, Side
+from funcdiag.oracle import judge_row
 from funcdiag.store import Database, RowId, StoreError, Value
 
 import store_layout
@@ -73,17 +75,6 @@ def eval_head(db: Database, chain: ChainSpec, position: int, start: Value) -> Va
             return None
         start = db.lookup(start, fn.name)
     return start
-
-
-def check_domain_row(db: Database, constraint: DiagramConstraint, x: RowId) -> list[Violation]:
-    """Both chains at x, each through Database.lookup; none when either is null."""
-    left = eval_chain(db, constraint.left, x)
-    if left is None:
-        return []
-    right = eval_chain(db, constraint.right, x)
-    if right is None or (left == right) is _holds_when_equal(constraint):
-        return []
-    return [_constraint_violation(constraint, x, left, right, None)]
 
 
 def check_link_update(
@@ -133,7 +124,7 @@ def apply_mutation(db: Database, m: Mutation, handles: dict | None = None) -> Ve
     violations: list[Violation] = []
     if m.action is Action.INSERT:
         for constraint in db.schema.constraints_on(row.set_name):
-            violations.extend(check_domain_row(db, constraint, row))
+            violations.extend(judge_row(db, constraint, row))
     elif m.action is Action.UPDATE:
         changed = {
             name: value
@@ -145,7 +136,7 @@ def apply_mutation(db: Database, m: Mutation, handles: dict | None = None) -> Ve
                 constraint.left.innermost.name in changed
                 or constraint.right.innermost.name in changed
             ):
-                violations.extend(check_domain_row(db, constraint, row))
+                violations.extend(judge_row(db, constraint, row))
         table = dispatch(db.schema)
         for fn_name in sorted(changed):
             for occ in table.get((row.set_name, fn_name), ()):

@@ -24,7 +24,7 @@ from funcdiag.engine import (
     eval_prefix,
 )
 from funcdiag.model import Schema, Side, message_template_problem
-from funcdiag.oracle import full_check, oracle_apply
+from funcdiag.oracle import full_check, judge_row, oracle_apply
 from funcdiag.store import Database, RowId, StoreError, UnknownFunction, UnknownRow, UnknownSet
 
 import rowwise_engine
@@ -201,14 +201,14 @@ def _refusal(check, db, constraint, row) -> tuple[type, str, int]:
 )
 def test_a_row_lookup_refuses_is_refused_with_its_error_and_count(geography_schema, row, refusal):
     """The one guarded read refuses what the lookup at every hop refused,
-    with its error, text and count; the reference still walks that way."""
+    with its error, text and count; the oracle's judge still walks that way."""
     db, handles = seeded_geography(geography_schema)
     c = geo_constraint(geography_schema)
     db.delete_row(handles["indus"])
     row = handles["indus"] if row == "dead" else row
     assert store_layout.next_id(db, "RIVERS") == 3
     assert _refusal(check_domain_row, db, c, row) == refusal
-    assert _refusal(rowwise_engine.check_domain_row, db, c, row) == refusal
+    assert _refusal(judge_row, db, c, row) == refusal
 
 
 def test_a_live_row_outside_the_domain_set_is_refused(geography_schema):
@@ -282,7 +282,7 @@ def test_a_constraint_the_store_did_not_bind_is_checked_alike():
         for check, constraint in (
             (check_domain_row, own),
             (check_domain_row, unbound),
-            (rowwise_engine.check_domain_row, own),
+            (judge_row, own),
         ):
             counted = db.rows_inspected
             results.append((check(db, constraint, x), db.rows_inspected - counted))

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 semantic failure (failed expectations, store
 errors in unguarded statements, refused constraint classes, standing
 violations found by check), 2 I/O, parse or usage failure, including an
 input file that is not UTF-8, a `gen --out` path that cannot be made a
-directory or written into, and a `gen --constraint` id that the schema
-does not declare.
+directory or written into, a `gen --constraint` id that the schema
+does not declare, and a statement that `check` cannot write raw, one the
+store refuses, unless the script expects it rejected.
 
 This module alone lays out the two report formats: the text line of a
 violation, which `run` and `check` both print (_render_line), and the
@@ -285,7 +286,11 @@ def _render_line(v: engine.Violation) -> str:
 @click.argument("script_path")
 def check(schema_path: str, script_path: str) -> None:
     """Apply a script raw (no constraint checks), then report every
-    standing violation. Useful for seeding deliberately invalid states."""
+    standing violation. Useful for seeding deliberately invalid states.
+
+    A statement the store refuses is reported on stderr; it is skipped
+    when the script expects it rejected, and otherwise stops the check
+    with exit code 2."""
     schema = _load_schema(schema_path)
     mutations = _load_script(script_path, schema)
 
@@ -295,8 +300,12 @@ def check(schema_path: str, script_path: str) -> None:
         try:
             row = engine.raw_apply(db, m, *engine.resolve_mutation(m, handles))
         except (engine.MutationResolveError, StoreError) as exc:
-            click.echo(f"statement {index} (line {m.line}) failed: {exc}", err=True)
-            sys.exit(1)
+            where = f"statement {index} (line {m.line})"
+            if m.expectation is dsl.Expectation.REJECT:
+                click.echo(f"{where} refused, as expected: {exc}", err=True)
+                continue
+            click.echo(f"{where} failed: {exc}", err=True)
+            sys.exit(2)
         if m.action is dsl.Action.INSERT and m.handle and row is not None:
             handles[m.handle] = row
 

@@ -1,13 +1,15 @@
 """Incremental enforcement of diagram constraints on mutations.
 
-A mutation passes one resolver, resolve_mutation, and one writer,
-raw_apply; apply_mutation reads an update's before-image between them.
-The store validates the write itself, and the checks run on the written
-state; on any violation the store takes the write back from that image
-(Database.undo_write), so a rejected mutation leaves the database
-bit-identical to its pre-mutation state. This is the shape of the paper's
-generated handlers, which check the row as the user edited it and cancel
-and undo on a violation.
+A mutation passes one resolver, resolve_mutation, and then the store's
+writer for its action, which raw_apply picks; apply_mutation writes an
+update through that writer, Database.set_values, itself, because it
+returns the old values of the columns it writes. The store validates the
+write itself, and the checks run on the written state; on any violation
+the store takes the write back from those values (Database.undo_write),
+so a rejected mutation leaves the database bit-identical to its
+pre-mutation state. This is the shape of the paper's generated
+handlers, which check the row as the user edited it and cancel and undo
+on a violation.
 
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
@@ -36,7 +38,13 @@ are the written position's plan (model.Occurrence), built once per
 schema, and bound once per store to the reverse indexes and columns they
 read (Database.walks), so no level resolves a name. A null anywhere in a
 chain makes the instance vacuously satisfied, so a row leaves the walk
-at the level where it reads null.
+at the interior level where it reads null. Only a nullable function can
+read null there: the store validates every write and RESTRICT keeps
+every link pointing at a live row, so a level of a non-nullable function
+is not searched for nulls. At the last level no row need leave: a null
+never equals the non-null head, so `in` decides an anti-commutative
+check as the values stand, and only a commutative check, whose count
+and mask would take a null for a witness, leaves the null rows out.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
@@ -262,6 +270,14 @@ def check_link_update(
     once `in` has found a violation) decides: when every affected row
     breaks the constraint, the rows and their values are the witnesses as
     they stand, and only when some rows hold does a mask pick the rest.
+
+    A row that reads null at an interior level leaves the walk, as its
+    instance is vacuously satisfied, but only a nullable level is searched
+    for nulls: a non-nullable column of a live row never holds one. At
+    the last level a null stays among the values unless the constraint is
+    commutative: it never equals the head, so it neither fails an
+    anti-commutative check nor matches its mask, where a commutative
+    count and mask would take it for a witness.
     """
     constraint = occurrence.constraint
     assert occurrence.reverse, "innermost positions are domain checks"
@@ -269,20 +285,24 @@ def check_link_update(
     if head is None:
         return []
     # The other chain over every affected row, one bound column per level,
-    # +1 per row read, as Database.lookup counts; a row leaves at its first null.
+    # +1 per row read, as Database.lookup counts.
     rows = ids = affected_rows(db, occurrence, r)
     counter = db.counter
-    for column in db.walks[id(occurrence)][1]:
-        values = list(map(column.__getitem__, ids))
+    _, interior, (column, nullable) = db.walks[id(occurrence)]
+    for level, level_nullable in interior:
+        values = list(map(level.__getitem__, ids))
         counter.rows_inspected += len(values)
-        if None in values:
-            rows = [x for x, value in zip(rows, values) if value is not None]
-            values = [value for value in values if value is not None]
+        if level_nullable and None in values:
+            rows, values = _drop_nulls(rows, values)
         ids = map(_X, values)
+    values = list(map(column.__getitem__, ids))
+    counter.rows_inspected += len(values)
     # Decided in C: every row holds (accept), every row breaks the
     # constraint (mask stays falsy), or a mask, True where a row breaks it,
     # picks the witnesses.
     if _holds_when_equal(constraint):
+        if nullable and None in values:
+            rows, values = _drop_nulls(rows, values)
         equal = values.count(head)
         if equal == len(values):
             return []
@@ -302,6 +322,14 @@ def check_link_update(
     # __new__) leaves one new object per witness: the record.
     fields = zip(cids, kinds, witnesses, lefts, rights, repeat(changed), repeat(constraint))
     return list(map(tuple.__new__, repeat(Violation), fields))
+
+
+def _drop_nulls(rows: list[int], values: list[Value]) -> tuple[list[int], list[Value]]:
+    """The rows, and their values, whose value is not null."""
+    return (
+        [x for x, value in zip(rows, values) if value is not None],
+        [value for value in values if value is not None],
+    )
 
 
 def _holds_when_equal(constraint: DiagramConstraint) -> bool:
@@ -379,8 +407,10 @@ def apply_mutation(
     try:
         values, row = resolve_mutation(m, handles)
         action = m.action
-        before = db.read_row(row) if action is _UPDATE else None
-        row = raw_apply(db, m, values, row)
+        if action is _UPDATE:
+            before = db.set_values(row, values)
+        else:
+            before, row = None, raw_apply(db, m, values, row)
     except (MutationResolveError, StoreError) as exc:
         return Verdict(_REJECTED, (_store_violation(str(exc)),))
 

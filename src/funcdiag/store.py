@@ -28,7 +28,8 @@ consulted. lookup reads the cell directly and looks for what is missing
 only when that fails; it and read_row count +1 for a live row, even when
 the function is unknown, and nothing for an unknown set or a row that is
 not live: an id below 1, past the last, of a deleted row or not an int
-names no row, never another one. The counter
+names no row, never another one. set_values counts the +1 of the
+before-image it returns in the same way, before it validates. The counter
 measures work done, so it keeps advancing during mutations that end up
 rejected; it is not part of the logical state captured by snapshot().
 """
@@ -122,11 +123,15 @@ class Database:
     which refuses a row that is not live, then these, at ids that link
     cells hold or at the row it found live in the domain set.
     `walks[id(occ)]` is (reverse indexes outermost first, other chain's
-    columns innermost first) for each occurrence whose reverse walk is not
-    empty, the ones link checks read. Single writer; readers interleave
-    only between mutations. clone() shares the counter by default, so
-    scratch work counts, and binds its own tables and walks as __init__
-    does.
+    interior levels innermost first, its last level) for each occurrence
+    whose reverse walk is not empty, the ones link checks read; a level is
+    (column, whether its function is nullable). A non-nullable column of a
+    live row never holds null, because every write is validated and
+    RESTRICT keeps each link cell pointing at a live row, so a link check
+    looks for nulls only in a nullable level's values. Single writer;
+    readers interleave only between mutations. clone() shares the counter
+    by default, so scratch work counts, and binds its own tables and walks
+    as __init__ does.
     """
 
     def __init__(self, schema: Schema):
@@ -159,9 +164,14 @@ class Database:
             self.walks[id(c)] = self.domain_walks(c)
             for occ in c.occurrences:
                 if occ.reverse:
+                    *interior, last = (
+                        (columns[f.domain][f.name], f.nullable)
+                        for f in reversed(occ.other.functions)
+                    )
                     self.walks[id(occ)] = (
                         tuple(reverse[f.domain, f.name] for f in occ.reverse),
-                        self._chain_columns(occ.other),
+                        tuple(interior),
+                        last,
                     )
 
     def domain_walks(self, constraint: DiagramConstraint) -> tuple[tuple[list, ...], ...]:
@@ -285,9 +295,18 @@ class Database:
                     index[value.x] = {x}
         return row
 
-    def set_values(self, row: RowId, values: Mapping[str, Value]) -> None:
-        """Replace several values of one row; validates all before writing."""
-        self._write(row, self.validate_update(row, values))
+    def set_values(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
+        """Replace several values of one row, validating all before writing,
+        and return the row's before-image: the old value of each column
+        written, by name, which undo_write takes back.
+
+        Counts +1 for that image once the row is found live, as read_row
+        counts it, before the values are validated, so an update refused on
+        a live row still counts it; then as validation and _write count.
+        """
+        table = self._row(row)
+        self.counter.rows_inspected += 1
+        return self._write(row, self._check_values(row.set_name, table, values))
 
     def delete_row(self, row: RowId) -> None:
         self.validate_delete(row)
@@ -296,13 +315,13 @@ class Database:
     def undo_write(self, row: RowId, before: Mapping[str, Value] | None) -> None:
         """Take back the latest write to the store, made to `row`.
 
-        `before` is the row's pre-write image as read_row returned it, or
-        None when the write was an insert. An undone insert removes the
-        row and its reverse-index entries and drops its slots, the last
-        ones, so a rejected insert burns no id; an undone update writes
-        the old values back and re-points the reverse index. Nothing is
-        validated and RESTRICT is not consulted: the pre-write state was
-        valid and only this write has changed it since.
+        `before` is the before-image set_values returned, or None when the
+        write was an insert. An undone insert removes the row and its
+        reverse-index entries and drops its slots, the last ones, so a
+        rejected insert burns no id; an undone update writes back the old
+        values of the columns it wrote and re-points the reverse index.
+        Nothing is validated and RESTRICT is not consulted: the pre-write
+        state was valid and only this write has changed it since.
         """
         if before is None:
             self._remove(row)
@@ -340,16 +359,18 @@ class Database:
 
     # -- internals ---------------------------------------------------------
 
-    def _write(self, row: RowId, values: Mapping[str, Value]) -> None:
-        """Store already-validated values and re-point the reverse index.
-        Its caller has found the row live or trusts it (undo_write)."""
+    def _write(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
+        """Store already-validated values, re-point the reverse index and
+        return the values replaced, by name. Its caller has found the row
+        live or trusts it (undo_write)."""
         table = self._tables[row.set_name]
         self.counter.rows_inspected += 1
         x = row.x
+        before = {}
         for name, value in values.items():
             _, column, index, _ = table[name]
+            old = before[name] = column[x]
             if index is not None:  # a link: its cells hold RowIds or None
-                old = column[x]
                 if old is not None:
                     sources = index[old.x]
                     sources.discard(x)
@@ -362,6 +383,7 @@ class Database:
                     else:
                         index[value.x] = {x}
             column[x] = value
+        return before
 
     def _remove(self, row: RowId) -> None:
         self._write(row, dict.fromkeys(self._row(row)))

@@ -4,7 +4,9 @@ Schemas are grown backward from a chosen codomain so both chains always
 compose; link reuse lets chains share functions, revisit sets, and loop.
 Databases are seeded valid by leaving one nullable innermost chain column
 null everywhere (every instance starts vacuously satisfied); mutation
-streams then push non-null values through the checks.
+streams then push non-null values through the checks. Every function
+drawn is nullable unless make_schema is asked for `required` ones, which
+it draws only then, so the seeded streams without them stay as they were.
 """
 
 from __future__ import annotations
@@ -103,10 +105,14 @@ def _grow_chain(builder: _Builder, length: int, codomain: str | ScalarType) -> l
     return fns
 
 
-def make_schema(rng: random.Random, n_constraints: int = 1, max_chain: int = 6) -> Schema:
+def make_schema(
+    rng: random.Random, n_constraints: int = 1, max_chain: int = 6, required: bool = False
+) -> Schema:
     """`n_constraints` constraints whose chains compose 1 to `max_chain`
     functions each, at least one of them two or more; the default draws
-    what every seed drew before chains could be longer."""
+    what every seed drew before chains could be longer. With `required`,
+    about half the functions that may be are made non-nullable
+    (_require)."""
     builder = _Builder(rng)
     raws: list[RawConstraint] = []
     for index in range(n_constraints):
@@ -140,6 +146,8 @@ def make_schema(rng: random.Random, n_constraints: int = 1, max_chain: int = 6) 
     # a couple of decoy functions beyond the chains
     for _ in range(rng.randint(0, 3)):
         builder.make_fn(builder.pick_set(0.2), rng.choice([ScalarType.TEXT, ScalarType.INTEGER]))
+    if required:
+        _require(rng, builder, raws)
     schema = builder.schema(f"Random{rng.randint(0, 10**6)}")
     constraints = []
     for raw in raws:
@@ -147,6 +155,27 @@ def make_schema(rng: random.Random, n_constraints: int = 1, max_chain: int = 6) 
         assert resolved is not None, issues
         constraints.append(resolved)
     return Schema(schema.name, schema.sets, schema.functions, tuple(constraints))
+
+
+def _require(rng: random.Random, builder: _Builder, raws: list[RawConstraint]) -> None:
+    """Make about half the functions that may be required non-nullable:
+    an attribute, or a link into a set made, and so seeded, before its
+    own, so that seeding can bind it on insert. The innermost function
+    that _vacuous_columns keeps null for each constraint stays nullable."""
+    kept = set()
+    for raw in raws:
+        innermost = [builder.functions[raw.domain_set][c.names[-1]] for c in (raw.left, raw.right)]
+        kept.add(next((fn.domain, fn.name) for fn in innermost if fn.nullable))
+    order = {name: index for index, name in enumerate(builder.sets)}
+    for set_name in builder.sets:
+        for fn in list(builder.functions[set_name].values()):
+            if (
+                fn.nullable
+                and (set_name, fn.name) not in kept
+                and (fn.is_attribute or order[fn.codomain] < order[set_name])
+                and rng.random() < 0.5
+            ):
+                builder._add(FunctionDef(fn.name, fn.domain, fn.codomain, nullable=False))
 
 
 def _vacuous_columns(schema: Schema) -> set[tuple[str, str]]:
@@ -176,8 +205,10 @@ def seed_database(
             for fn in schema.functions_of(set_name):
                 if fn.name == "Name":
                     values[fn.name] = f"{set_name.lower()}-{i}"
-                elif not fn.nullable and fn.is_attribute:
-                    values[fn.name] = _scalar(rng, fn)
+                elif not fn.nullable:  # a required link's set is seeded before
+                    values[fn.name] = (
+                        _scalar(rng, fn) if fn.is_attribute else _random_row(rng, db, fn.codomain)
+                    )
             db.insert_row(set_name, values)
     skip = _vacuous_columns(schema)
     for set_name in sizes:
@@ -231,7 +262,7 @@ def make_mutation(rng: random.Random, db: Database) -> Mutation:
         for fn in schema.functions_of(set_name):
             if fn.name == "Name":
                 continue
-            if rng.random() < 0.6:
+            if not fn.nullable or rng.random() < 0.6:
                 bindings.append(Binding(fn.name, _value_for(rng, db, fn)))
         return Mutation(Action.INSERT, set_name=set_name, bindings=tuple(bindings))
     if roll < 0.8:

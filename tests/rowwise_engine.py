@@ -116,8 +116,10 @@ def apply_mutation(db: Database, m: Mutation, handles: dict | None = None) -> Ve
     handles = handles if handles is not None else {}
     try:
         values, row = resolve_mutation(m, handles)
-        before = db.read_row(row) if m.action is Action.UPDATE else None
-        row = raw_apply(db, m, values, row)
+        if m.action is Action.UPDATE:
+            before = db.set_values(row, values)
+        else:
+            before, row = None, raw_apply(db, m, values, row)
     except (MutationResolveError, StoreError) as exc:
         return Verdict(Outcome.REJECTED, (_store_violation(str(exc)),))
 

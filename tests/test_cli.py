@@ -413,14 +413,49 @@ def test_run_on_a_missing_script_is_an_io_error(tmp_path):
 
 
 def test_check_stops_at_a_failing_statement(tmp_path):
+    """A refusal the script does not expect stops check with exit 2, not
+    the 1 of violations found, even when it expects the statement
+    accepted."""
     script = tmp_path / "twice.fdm"
+    for expect in ("", " expect accept"):
+        script.write_text(
+            'insert CONTINENTS (Continent = "Europe") as c ;\n'
+            "delete @c ;\n"
+            f"delete @c{expect} ;\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["check", str(FIXTURES / "geography.fd"), str(script)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == "statement 2 (line 3) failed: no row CONTINENTS#1\n"
+
+
+def test_check_skips_a_refusal_the_script_expects(tmp_path):
+    """A store refusal of a statement marked `expect reject` is reported on
+    stderr and skipped, and check goes on to the standing violations; a
+    handle that a refused insert left unbound is refused alike."""
+    script = tmp_path / "refused.fdm"
     script.write_text(
-        'insert CONTINENTS (Continent = "Europe") as c ;\n'
-        "delete @c ;\n"
-        "delete @c ;\n",
+        'insert CONTINENTS (Continent = "Europe") as eu ;\n'
+        'insert CONTINENTS (Continent = "Asia") as asia ;\n'
+        'insert MOUNTAIN_RANGES (Range = "Alps", Continent = @eu) as alps ;\n'
+        "delete @eu expect reject ;\n"
+        'insert MOUNTAIN_RANGES (Range = "Urals") as urals expect reject ;\n'
+        "update @urals set Continent = @asia expect reject ;\n"
+        'insert MOUNT_SUBRANGES (Subrange = "West", Range = @alps) as west ;\n'
+        'insert MOUNT_GROUPS (MountGroup = "Massif", Subrange = @west) as massif ;\n'
+        'insert MOUNTAINS (Mountain = "Blanc", Group = @massif) as blanc ;\n'
+        'insert RIVERS (River = "Po", Continent = @asia, Mountain = @blanc) ;\n',
         encoding="utf-8",
     )
     result = CliRunner().invoke(main, ["check", str(FIXTURES / "geography.fd"), str(script)])
     assert result.exit_code == 1, result.output
-    assert result.stdout == ""
-    assert result.stderr == "statement 2 (line 3) failed: no row CONTINENTS#1\n"
+    assert result.stdout.splitlines()[0] == "1 rows scanned, 1 violations"
+    assert result.stderr == (
+        "statement 3 (line 4) refused, as expected:"
+        " cannot delete CONTINENTS#1: referenced by MOUNTAIN_RANGES#1\n"
+        "statement 4 (line 5) refused, as expected:"
+        " insert into 'MOUNTAIN_RANGES' misses required 'Continent'\n"
+        "statement 5 (line 6) refused, as expected:"
+        " handle @urals does not name an applied insert\n"
+    )

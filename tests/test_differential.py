@@ -10,7 +10,8 @@ triggers on a fourth. After every step the four agree on the verdict,
 the reference violation for violation and on rows_inspected. A second
 run starts them from a database that random raw writes have left
 violating some constraints. A few more seeds grow chains of up to 30
-functions.
+functions, and a few more make some functions required (non-nullable),
+so that link checks walk levels that cannot read null.
 """
 
 from __future__ import annotations
@@ -53,14 +54,16 @@ RAW_WRITES = 15
 # nested subqueries overflowed SQLite's parser stack from about 12
 LONG_CHAIN_SEEDS = [0, 1, 5, 11, 17]
 LONG_CHAIN = 30
+# seeds replayed on schemas with required functions, from both starts
+REQUIRED_SEEDS = range(20)
 # Hypothesis examples of the drawn replay, each a schema, a start and a
 # stream of MUTATIONS, about 2 s in all; derandomized, so every run draws
 # the same ones
 DRAWN_EXAMPLES = 10
 
 
-def _schema(rng: random.Random, max_chain: int = 6):
-    return make_schema(rng, rng.randint(1, 3), max_chain)
+def _schema(rng: random.Random, max_chain: int = 6, required: bool = False):
+    return make_schema(rng, rng.randint(1, 3), max_chain, required)
 
 
 def _contents(verdict) -> list:
@@ -120,6 +123,30 @@ def test_engine_agrees_with_oracle_on_long_chains(seed, inconsistent):
     lengths = [c.chain(side).length for c in db.schema.constraints for side in Side]
     assert 8 <= max(lengths) <= LONG_CHAIN, lengths
     _three_ways(rng, db, seed)
+
+
+@pytest.mark.parametrize("inconsistent", [False, True])
+@pytest.mark.parametrize("seed", REQUIRED_SEEDS)
+def test_engine_agrees_with_oracle_with_required_functions(seed, inconsistent):
+    """As above, on schemas where about half the functions that may be are
+    required: SQLite's columns are NOT NULL, the store refuses a null in
+    them, and a link check does not look for nulls in their levels."""
+    _three_ways(*_start(seed, inconsistent, required=True), seed)
+
+
+def test_required_seeds_walk_levels_that_cannot_read_null():
+    """The required seeds' link checks walk non-nullable levels, interior
+    and last, beside nullable ones."""
+    interior, last = set(), set()
+    for seed in REQUIRED_SEEDS:
+        db = _start(seed, False, required=True)[1]
+        for constraint in db.schema.constraints:
+            for occ in constraint.occurrences:
+                if occ.reverse:
+                    *inner, outermost = reversed(occ.other.functions)
+                    interior.update(fn.nullable for fn in inner)
+                    last.add(outermost.nullable)
+    assert interior == last == {False, True}
 
 
 class DrawnRandom:
@@ -197,13 +224,14 @@ def test_walks_that_revisit_a_set_list_each_affected_row_once(seed, max_chain, i
 
 
 def _start(
-    seed: int | DrawnRandom, inconsistent: bool, max_chain: int = 6
+    seed: int | DrawnRandom, inconsistent: bool, max_chain: int = 6, required: bool = False
 ) -> tuple[random.Random, Database]:
     """The seed's random stream, or `seed` itself when it is one, and its
-    seeded database, on chains of up to `max_chain` functions; when
-    `inconsistent`, after RAW_WRITES unchecked random writes."""
+    seeded database, on chains of up to `max_chain` functions, with
+    `required` functions or none; when `inconsistent`, after RAW_WRITES
+    unchecked random writes."""
     rng = random.Random(seed) if isinstance(seed, int) else seed
-    schema = _schema(rng, max_chain)
+    schema = _schema(rng, max_chain, required)
     db = seed_database(rng, schema)
     if inconsistent:
         for _ in range(RAW_WRITES):

@@ -408,8 +408,9 @@ def recolor(row, colour):
 def test_recolor_decided_after_partners_leave_the_walk_on_null(neighbors_schema, clash_at):
     """The hub turns red while its partners read null or blue, so its only
     red partner, if any, is the one clash, paired between partners that
-    read null: the rows that read null leave the walk before the
-    decision, and red elsewhere in the store matters not. Without the
+    read null: a null at the last level never equals the head, so the
+    rows that read it decide nothing and are never witnesses, and red
+    elsewhere in the store matters not. Without the
     clash both sides accept; with it the left side reports exactly that
     pair."""
     colours = [None, "blue", None, None, "blue", None]
@@ -576,6 +577,136 @@ def test_rivers_that_read_null_leave_before_every_other_is_a_witness():
     assert {(v.left, v.right) for v in verdict.violations} == {
         (handles["europe"], handles["asia"])
     }
+
+
+# -- the null rules, level by level -----------------------------------------
+
+# A category's Owner is interior to the left chain, so its link check walks
+# back to the category's items and reads the right chain at each: the
+# items' own nullable Owner, one level, or the non-nullable Keeper of their
+# nullable Shelf, two
+OWNERS = """
+schema Owners ;
+set SHELVES { name Shelf : text ; Keeper : text ; }
+set CATEGORIES { name Category : text ; Owner : text ? ; }
+set ITEMS {
+    name Item : text ;
+    Category -> CATEGORIES ;
+    Shelf -> SHELVES ? ;
+    Owner : text ? ;
+}
+constraint Owned %s on ITEMS { left = Owner . Category ; right = %s ; }
+"""
+
+
+def owners_db(kind, right, levels):
+    """The Owners schema with one constraint, and a Tools category whose
+    items read `right` as `levels`: one Owner or one Shelf per item, a
+    shelf given by its keeper's name and None for no shelf. The nullable
+    flags the store binds for the link check's levels are checked too."""
+    schema, diagnostics = parse_schema(OWNERS % (kind, right))
+    assert schema is not None, diagnostics
+    db = Database(schema)
+    tools = db.insert_row("CATEGORIES", {"Category": "Tools"})
+    shelves = {}
+    for i, level in enumerate(levels):
+        item = {"Item": f"I{i}", "Category": tools}
+        if right == "Owner":
+            item["Owner"] = level
+        elif level is not None:
+            if level not in shelves:
+                shelves[level] = db.insert_row("SHELVES", {"Shelf": level, "Keeper": level})
+            item["Shelf"] = shelves[level]
+        db.insert_row("ITEMS", item)
+    [occ] = dispatch(schema)[("CATEGORIES", "Owner")]
+    _, interior, (_, last_nullable) = db.walks[id(occ)]
+    nullable = [n for _, n in interior] + [last_nullable]
+    assert nullable == ([True] if right == "Owner" else [True, False])
+    return db, tools
+
+
+def item_names(db, verdict):
+    return [db.lookup(v.witness, "Item") for v in verdict.violations]
+
+
+@pytest.mark.parametrize(
+    "owners, witnesses",
+    [
+        ([None, "ann", None, "ann"], []),
+        ([None, "ann", None, "bob", None], ["I3"]),
+        ([None, None], []),
+    ],
+)
+def test_commutative_check_with_a_nullable_last_level_leaves_its_null_rows_out(
+    owners, witnesses
+):
+    """Items reading a null Owner at the last level neither keep the
+    category's new owner from being accepted nor become witnesses."""
+    db, tools = owners_db("commutative", "Owner", owners)
+    verdict = apply_both_ways(db, move(tools, "Owner", "ann"))
+    assert verdict.rejected is bool(witnesses)
+    assert item_names(db, verdict) == witnesses
+
+
+@pytest.mark.parametrize(
+    "owners, witnesses",
+    [
+        ([None, "bob", None, "cid"], []),
+        ([None, "ann", None, "bob", "ann"], ["I1", "I4"]),
+        ([None], []),
+    ],
+)
+def test_anti_commutative_check_with_nulls_at_the_last_level(owners, witnesses):
+    """Nulls at the last level stay among the values and never equal the
+    head: with no other owner equal to it, the update is accepted, and
+    only the rows that share it are witnesses."""
+    db, tools = owners_db("anticommutative", "Owner", owners)
+    verdict = apply_both_ways(db, move(tools, "Owner", "ann"))
+    assert verdict.rejected is bool(witnesses)
+    assert item_names(db, verdict) == witnesses
+
+
+@pytest.mark.parametrize(
+    "kind, keepers, witnesses",
+    [
+        ("commutative", [None, "ann", None, "ann"], []),
+        ("commutative", [None, "ann", None, "bob"], ["I3"]),
+        ("anticommutative", [None, "bob", None], []),
+        ("anticommutative", [None, "ann", None, "bob"], ["I1"]),
+    ],
+)
+def test_a_row_reading_null_at_a_nullable_interior_level_leaves_the_walk(
+    kind, keepers, witnesses
+):
+    """Items without a shelf read null at the nullable interior level and
+    leave the walk there: they count as read once, as the reference
+    counts them, and are never witnesses; the non-nullable Keeper at the
+    last level is read for the rest."""
+    db, tools = owners_db(kind, "Keeper . Shelf", keepers)
+    verdict = apply_both_ways(db, move(tools, "Owner", "ann"))
+    assert verdict.rejected is bool(witnesses)
+    assert item_names(db, verdict) == witnesses
+
+
+def test_an_update_the_store_refuses_on_a_live_row_counts_its_before_image():
+    """The before-image of a live row is counted once the row is found
+    live, before the values are validated, so a refused update still
+    counts it; an update of a dead row counts nothing."""
+    db, tools = owners_db("commutative", "Keeper . Shelf", ["ann"])
+    shelf = db.rows("SHELVES")[0]
+    dead = db.insert_row("CATEGORIES", {"Category": "Gone"})
+    db.delete_row(dead)
+    for row, function, value, counted in [
+        (shelf, "Keeper", None, 1),  # a required attribute
+        (tools, "Colour", "red", 1),  # no such function
+        (db.rows("ITEMS")[0], "Shelf", RowId("SHELVES", 9), 2),  # and the missing target
+        (dead, "Owner", "ann", 0),
+    ]:
+        counted_before = db.rows_inspected
+        verdict = apply_both_ways(db, move(row, function, value))
+        assert verdict.rejected
+        assert [v.kind for v in verdict.violations] == [ViolationKind.STORE_ERROR]
+        assert db.rows_inspected - counted_before == counted
 
 
 # -- apply_mutation ----------------------------------------------------------
@@ -852,7 +983,7 @@ def test_a_resolution_error_reads_the_same_through_every_caller(
     """An unbound handle in a binding or as the row, or an update or delete
     built with no row, fails before anything is read or written: the
     engine and the oracle reject with the same store error, and `funcdiag
-    check` stops at the statement with it."""
+    check` stops at the statement with it, with exit code 2."""
     error = Violation(None, ViolationKind.STORE_ERROR, None, None, None, None, message)
     for apply in (apply_mutation, oracle_apply):
         db, handles = seeded_geography(geography_schema)
@@ -863,7 +994,7 @@ def test_a_resolution_error_reads_the_same_through_every_caller(
     script = [Mutation(Action.INSERT, "CONTINENTS", bindings=(europe,), line=1), m]
     monkeypatch.setattr(cli, "_load_script", lambda path, schema: script)
     result = CliRunner().invoke(cli.main, ["check", str(FIXTURES / "geography.fd"), "unread"])
-    assert result.exit_code == 1, result.output
+    assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr == f"statement 1 (line 3) failed: {message}\n"
 

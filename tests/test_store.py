@@ -226,8 +226,8 @@ def test_undo_write_takes_back_an_update_and_an_insert(db):
     toys = db.insert_row("CATEGORIES", {"Category": "toys"})
     item = db.insert_row("ITEMS", {"Item": "kite", "Category": tools})
     before = db.snapshot()
-    image = db.read_row(item)
-    db.set_values(item, {"Item": "yo-yo", "Category": toys})
+    image = db.set_values(item, {"Category": toys, "Item": "yo-yo"})
+    assert list(image.items()) == [("Category", tools), ("Item", "kite")]
     db.undo_write(item, image)
     assert db.snapshot() == before
     assert db.inverse("ITEMS", "Category", toys) == frozenset()
@@ -306,8 +306,10 @@ def test_walks_bind_and_clone_inserts_grow_the_stores_own_lists(fixture, request
     """A store binds each constraint's two domain walks, the ones domain
     checks read, over its own columns, and a walk for each occurrence
     whose reverse walk is not empty, the ones link checks read, over its
-    own reverse indexes and columns; a clone binds the same walks over its
-    own. Inserts into a clone, into every set, grow the clone's id, column
+    own reverse indexes and columns, each column beside whether its
+    function is nullable and the last level apart from the interior
+    ones; a clone binds the same walks over its own.
+    Inserts into a clone, into every set, grow the clone's id, column
     and reverse-index lists alone: the original's keep their length and
     their contents."""
     schema = request.getfixturevalue(fixture)
@@ -324,14 +326,16 @@ def test_walks_bind_and_clone_inserts_grow_the_stores_own_lists(fixture, request
             walked_left, walked_right = store.walks[id(c)]
             assert _same_objects(walked_left, lefts[1:]) and _same_objects(walked_right, rights)
         for occ in checked:
-            indexes, columns = store.walks[id(occ)]
+            indexes, interior, last = store.walks[id(occ)]
             assert _same_objects(
                 indexes, [store_layout.reverse_index(store, f.domain, f.name) for f in occ.reverse]
             )
+            columns, nullable = zip(*interior, last)
             assert _same_objects(
                 columns,
                 [store_layout.column(store, f.domain, f.name) for f in occ.other.functions[::-1]],
             )
+            assert nullable == tuple(f.nullable for f in occ.other.functions[::-1])
     script = {"geography_schema": "geography_ac1.fdm", "neighbors_schema": "neighbors_ac2.fdm"}
     mutations, _ = parse_script(fixture_text(script[fixture]), schema)
     handles: dict = {}
@@ -659,11 +663,12 @@ def test_validate_update_refuses_each_bad_update_and_writes_nothing(
     db.insert_row("ITEMS", {"Item": "saw", "Category": tools, "Stock": 2})
     db.delete_row(db.insert_row("ITEMS", {"Item": "kite"}))
     snapshot = db.snapshot()
-    for update in (db.validate_update, db.set_values):
+    # set_values also counts the before-image it reads once the row is live
+    for update, image in ((db.validate_update, 0), (db.set_values, db.row_exists(row))):
         before = db.rows_inspected
         with pytest.raises(error, match=f"^{message}$"):
             update(row, values)
-        assert db.rows_inspected == before + counted
+        assert db.rows_inspected == before + counted + image
         assert db.snapshot() == snapshot
 
 
@@ -885,7 +890,7 @@ def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
     model: dict[str, dict[int, dict[str, Value]]] = {s.name: {} for s in MODEL_SCHEMA.sets}
     next_ids = {s.name: 1 for s in MODEL_SCHEMA.sets}
     issued: dict[RowId, RowId] = {}  # each row inserted -> the RowId insert_row returned
-    undoable = None  # (row, read_row image or None, model, next_ids) of the last write
+    undoable = None  # (row, set_values' image or None, model, next_ids) of the last write
     for step in range(120):
         clone = db.clone()
         clone_image = clone.snapshot()
@@ -918,12 +923,12 @@ def test_store_matches_a_row_dict_model_through_random_writes_and_undos(seed):
             row = rng.choice(live)
             values = _random_values(rng, model, set_name, insert=False)
             refusal = _model_refusal(model, set_name, values, insert=False)
-            image = db.read_row(row)
             if refusal is not None:
                 with pytest.raises(refusal):
                     db.set_values(row, values)
             else:
-                db.set_values(row, values)
+                image = db.set_values(row, values)
+                assert image == {name: model[set_name][row.x][name] for name in values}
                 model[set_name][row.x].update(values)
                 undoable = (row, image, *saved)
         else:

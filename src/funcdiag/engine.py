@@ -20,7 +20,7 @@ read is a column of the constraint's domain walks, bound once per store
 (Database.walks), and follows a link cell the store keeps pointing at a
 live row. A link-update check fires when an interior chain function
 changes at some row r, and works on sets, as the paper's handlers do
-with one query: it computes the new composed head once (the prefix walk
+with one query: it computes the new composed head once (the head walk
 from the written value), collects the ids of every domain row whose
 chain passes through r (the reverse-reachability walk over the store's
 indexes, one bulk read per level for the whole frontier), evaluates the
@@ -35,8 +35,9 @@ builds the mask that picks the witnesses. An anti-commutative check
 accepts when the head is not among the values (`in`), and counts only
 once it has a violation, to the same end. The walks and the other chain
 are the written position's plan (model.Occurrence), built once per
-schema, and bound once per store to the reverse indexes and columns they
-read (Database.walks), so no level resolves a name. A null anywhere in a
+schema, and bound once per store, one walk per chain position, to the
+columns and reverse indexes they read (Database.walks), so no level
+resolves a name and no check binds one for a call. A null anywhere in a
 chain makes the instance vacuously satisfied, so a row leaves the walk
 at the interior level where it reads null. Only a nullable function can
 read null there: the store validates every write and RESTRICT keeps
@@ -177,13 +178,16 @@ def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
 
 def eval_prefix(db: Database, occurrence: Occurrence, start: Value) -> Value:
     """Take `start`, a value written at the occurrence's position, to the
-    chain's codomain through occurrence.head; null propagates."""
-    current = start
-    for fn in occurrence.head:
-        if current is None:
-            return None
-        current = db.lookup(current, fn.name)
-    return current
+    chain's codomain through the head's bound columns (Database.walks),
+    counting +1 per row read as lookup does; null propagates."""
+    if not occurrence.head:
+        return start
+    for column in db.walks[id(occurrence)][0]:
+        if start is None:
+            break
+        start = column[start.x]
+        db.counter.rows_inspected += 1
+    return start
 
 
 def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
@@ -192,17 +196,15 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
 
     Walks the store's bound reverse indexes of occurrence.reverse over
     row ids, one level at a time for the whole frontier, counting as
-    Database.inverse would for each of its rows; the innermost position
-    has no walk, and the row is itself in the domain set.
+    Database.inverse would for each of its rows; at the innermost position
+    there is no index to walk, and the row is itself in the domain set.
     Each level concatenates its rows' preimages, which are disjoint
     because a function maps each row to one value, so no level holds a
     row twice and none needs a set.
     """
     frontier = [r.x]
-    if not occurrence.reverse:
-        return frontier
     counter = db.counter
-    for index in db.walks[id(occurrence)][0]:
+    for index in db.walks[id(occurrence)][1]:
         counter.rows_inspected += len(frontier)
         frontier = list(chain.from_iterable(map(index.__getitem__, frontier)))
         if not frontier:
@@ -225,17 +227,18 @@ def check_domain_row(
     The engine calls this after writing the mutation, so it judges the
     post-mutation state. No violation when either side is null. The one
     guarded read, lookup of the left chain's first cell, refuses a row
-    that is not live; every later read is a bound column
-    (Database.domain_walks), counted +1 as lookup counts, and a chain
-    stops at its first null. A constraint the store did not bind, one
-    built with replace() say, is bound for this call alone.
+    that is not live; every later read is a column of the constraint's
+    domain walks (Database.walks), counted +1 as lookup counts, and a
+    chain stops at its first null. A constraint the store did not bind
+    raises KeyError before anything is counted; oracle.judge_row judges
+    one at a row without a binding.
     """
+    lefts, rights = db.walks[id(constraint)]
     left = db.lookup(x, constraint.left.inward[0])
     if x.set_name != constraint.domain_set:
         raise UnknownRow(
             f"{x!r} is not a row of {constraint.domain_set!r}, the domain set of {constraint.id!r}"
         )
-    lefts, rights = db.walks.get(id(constraint)) or db.domain_walks(constraint)
     right = x
     reads = 0
     for column in lefts:
@@ -288,7 +291,7 @@ def check_link_update(
     # +1 per row read, as Database.lookup counts.
     rows = ids = affected_rows(db, occurrence, r)
     counter = db.counter
-    _, interior, (column, nullable) = db.walks[id(occurrence)]
+    _, _, interior, (column, nullable) = db.walks[id(occurrence)]
     for level, level_nullable in interior:
         values = list(map(level.__getitem__, ids))
         counter.rows_inspected += len(values)

@@ -334,8 +334,11 @@ def judge_name(
     Returns the name in `seen` that `name` equals but for ASCII case
     (`name` itself if it repeats exactly), or None after adding `name` to
     `seen`, and the issues: that twin, reported alone if it is `name`, a
-    function named `x` or `X`, the key column of every emitted table, and
-    a function named like one of VBA_KEYWORDS, in any case.
+    function named `x` or `X`, the key column of every emitted table, a
+    function named like one of VBA_KEYWORDS, in any case, and a set or a
+    constraint named `sqlite_...`, in any ASCII case: SQLite refuses such
+    a table, and every index name starts with its set's name and every
+    trigger name with its constraint's id.
     """
     folded = name.translate(_FOLD_ASCII)
     earlier = seen.get(folded)
@@ -354,6 +357,10 @@ def judge_name(
     elif what == "function" and folded in VBA_KEYWORDS:
         message = f"function name {name!r} is reserved: VBA reads it as a keyword,"
         issues.append(Issue(IssueCode.RESERVED_NAME, message + " not as a control"))
+    elif what != "function" and folded.startswith("sqlite_"):
+        label = "id" if what == "constraint" else "name"
+        message = f"{what} {label} {name!r} is reserved: SQLite keeps names"
+        issues.append(Issue(IssueCode.RESERVED_NAME, message + " that start with sqlite_"))
     return earlier, issues
 
 

@@ -15,10 +15,11 @@ insert or update and, trusting the pre-write state, validates nothing.
 Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
 index and target set's ids; domain checks read each constraint's two
-domain walks, bound to its chains' columns, and link checks each
-occurrence's walk, bound to its reverse indexes and columns. All hold the
-store's own lists, never copies; clone() binds them afresh to the copy's,
-from the schema as the new store does.
+domain walks, bound to its chains' columns, and link checks the one walk
+of each chain position, bound to its head's columns, reverse indexes and
+other chain's columns. All hold the store's own lists, never copies, and
+are the only bindings; clone() binds them afresh to the copy's, from the
+schema as the new store does.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -27,8 +28,8 @@ lookup and inverse would: +1 per row read and +1 per target
 consulted. lookup reads the cell directly and looks for what is missing
 only when that fails; it and read_row count +1 for a live row, even when
 the function is unknown, and nothing for an unknown set or a row that is
-not live: an id below 1, past the last, of a deleted row or not an int
-names no row, never another one. set_values counts the +1 of the
+not live: an id below 1, past the last, of a deleted row, a bool or not
+an int names no row, never another one. set_values counts the +1 of the
 before-image it returns in the same way, before it validates. The counter
 measures work done, so it keeps advancing during mutations that end up
 rejected; it is not part of the logical state captured by snapshot().
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .model import ChainSpec, DiagramConstraint, ScalarType, Schema
+from .model import FunctionDef, ScalarType, Schema
 
 
 class RowId(NamedTuple):
@@ -122,13 +123,15 @@ class Database:
     reads the left chain's first cell through lookup, its one guarded read,
     which refuses a row that is not live, then these, at ids that link
     cells hold or at the row it found live in the domain set.
-    `walks[id(occ)]` is (reverse indexes outermost first, other chain's
-    interior levels innermost first, its last level) for each occurrence
-    whose reverse walk is not empty, the ones link checks read; a level is
-    (column, whether its function is nullable). A non-nullable column of a
-    live row never holds null, because every write is validated and
-    RESTRICT keeps each link cell pointing at a live row, so a link check
-    looks for nulls only in a nullable level's values. Single writer;
+    `walks[id(occ)]` is (head's columns innermost first, reverse indexes
+    outermost first, other chain's interior levels innermost first, its
+    last level) for every occurrence, innermost included, the ones link
+    checks read; a level is (column, whether its function is nullable).
+    No check binds a walk for one call; oracle.judge_row judges an ad-hoc
+    constraint. A non-nullable column of a live row never holds null,
+    because every write is validated and RESTRICT keeps each link cell
+    pointing at a live row, so a link check looks for nulls only in a
+    nullable level's values. Single writer;
     readers interleave only between mutations. clone() shares the counter
     by default, so scratch work counts, and binds its own tables and walks
     as __init__ does.
@@ -160,29 +163,21 @@ class Database:
             s: tuple(reverse[f.domain, f.name] for f in self.schema.links_into(s)) for s in ids
         }
         self.walks = {}
+
+        def column(f: FunctionDef) -> list:
+            return columns[f.domain][f.name]
+
         for c in self.schema.constraints:
-            self.walks[id(c)] = self.domain_walks(c)
+            lefts, rights = (tuple(map(column, reversed(ch.functions))) for ch in (c.left, c.right))
+            self.walks[id(c)] = lefts[1:], rights
             for occ in c.occurrences:
-                if occ.reverse:
-                    *interior, last = (
-                        (columns[f.domain][f.name], f.nullable)
-                        for f in reversed(occ.other.functions)
-                    )
-                    self.walks[id(occ)] = (
-                        tuple(reverse[f.domain, f.name] for f in occ.reverse),
-                        tuple(interior),
-                        last,
-                    )
-
-    def domain_walks(self, constraint: DiagramConstraint) -> tuple[tuple[list, ...], ...]:
-        """The columns of the constraint's left chain after its first, which
-        a domain check reads through lookup, and of its right chain, each
-        innermost first: this store's own lists, bound by their names."""
-        return self._chain_columns(constraint.left)[1:], self._chain_columns(constraint.right)
-
-    def _chain_columns(self, chain: ChainSpec) -> tuple[list, ...]:
-        columns = self._columns
-        return tuple(columns[f.domain][f.name] for f in reversed(chain.functions))
+                *interior, last = ((column(f), f.nullable) for f in reversed(occ.other.functions))
+                self.walks[id(occ)] = (
+                    tuple(map(column, occ.head)),
+                    tuple(reverse[f.domain, f.name] for f in occ.reverse),
+                    tuple(interior),
+                    last,
+                )
 
     @property
     def rows_inspected(self) -> int:
@@ -203,7 +198,7 @@ class Database:
         x = row.x
         try:
             value = self._columns[row.set_name][fn_name][x]
-            if value is _DEAD or x < 1:  # a dead row's cell, or slot -1 read as the last row's
+            if value is _DEAD or x < 1 or x is True:  # a dead row's cell, slot -1 or True
                 raise IndexError
         except (KeyError, IndexError, TypeError):
             self._row(row)  # an unknown set or a dead row raises, counting nothing
@@ -395,7 +390,7 @@ class Database:
         """The table of row's set; raises unless row is live."""
         x = row.x
         try:
-            if x > 0 and self._ids[row.set_name][x] is not None:
+            if x > 0 and x is not True and self._ids[row.set_name][x] is not None:
                 return self._tables[row.set_name]
         except (KeyError, IndexError, TypeError):
             pass
@@ -453,6 +448,6 @@ class Database:
 def _slot(slots: list, x: int):
     """slots[x] when x is a row id, from 1 to the last; None otherwise."""
     try:
-        return slots[x] if x > 0 else None
+        return slots[x] if x > 0 and x is not True else None
     except (IndexError, TypeError):
         return None

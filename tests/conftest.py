@@ -51,11 +51,6 @@ def geography_db(geography_schema):
     return db
 
 
-@pytest.fixture()
-def geography_handles(geography_schema):
-    return seeded_geography(geography_schema)
-
-
 def mutilate(data, source: str) -> str:
     """`source` after one to six random one-character edits drawn from `data`."""
     n_edits = data.draw(st.integers(min_value=1, max_value=6))

@@ -23,8 +23,14 @@ import sqlite3
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
-from funcdiag.dsl import Action, parse_schema
-from funcdiag.engine import affected_rows, apply_mutation, raw_apply, resolve_mutation
+from funcdiag.dsl import Action, parse_schema, parse_script
+from funcdiag.engine import (
+    affected_rows,
+    apply_mutation,
+    eval_prefix,
+    raw_apply,
+    resolve_mutation,
+)
 from funcdiag.model import Side
 from funcdiag.oracle import oracle_apply
 from funcdiag.store import Database, StoreError
@@ -183,6 +189,50 @@ def test_engine_agrees_with_oracle_on_drawn_schemas_and_streams(data):
     rng, db = _start(DrawnRandom(data), data.draw(st.booleans(), "inconsistent"))
     note(format_schema(db.schema))
     _three_ways(rng, db, "drawn")
+
+
+FIXTURE_SCRIPTS = {"geography": "geography_ac1", "neighbors": "neighbors_ac2"}
+
+
+def _fixture_start(name: str) -> Database:
+    """The fixture schema's store after its script, each statement applied
+    or rejected as the engine decides."""
+    schema, _ = parse_schema(fixture_text(f"{name}.fd"))
+    db = Database(schema)
+    handles: dict = {}
+    for m in parse_script(fixture_text(f"{FIXTURE_SCRIPTS[name]}.fdm"), schema)[0]:
+        apply_mutation(db, m, handles)
+    return db
+
+
+@pytest.mark.parametrize("start", [*FIXTURE_SCRIPTS, *SEEDS])
+def test_head_walks_match_the_reference_at_every_seeded_value(start):
+    """At every occurrence, innermost included, eval_prefix takes the
+    value each live row holds at its position to the value the
+    reference's eval_head gives, through Database.lookup at every hop,
+    and both count the same rows_inspected."""
+    if isinstance(start, int):
+        db = _start(start, inconsistent=False)[1]
+    else:
+        db = _fixture_start(start)
+    reference = db.clone(share_counter=False)
+    walked = set()
+    for constraint in db.schema.constraints:
+        for occ in constraint.occurrences:
+            chain = constraint.chain(occ.side)
+            column = store_layout.column(db, occ.set_name, occ.function_name)
+            for r in db.rows(occ.set_name):
+                counted, reference_counted = db.rows_inspected, reference.rows_inspected
+                head = eval_prefix(db, occ, column[r.x])
+                expected = rowwise_engine.eval_head(reference, chain, occ.position, column[r.x])
+                where = f"{start}: {occ.set_name}.{occ.function_name} at {r}"
+                assert head == expected, where
+                assert (
+                    db.rows_inspected - counted == reference.rows_inspected - reference_counted
+                ), where
+                walked.add((bool(occ.head), bool(occ.reverse)))
+    if not isinstance(start, int):  # an innermost position's head was walked
+        assert (True, False) in walked, walked
 
 
 # seeds whose chains revisit a set, the first five also looping back to

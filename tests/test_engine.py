@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from click.testing import CliRunner
@@ -224,13 +225,19 @@ def test_a_live_row_outside_the_domain_set_is_refused(geography_schema):
 
 def test_a_clones_domain_walks_read_the_clone_alone(geography_schema):
     """A write on the clone, at the left chain's last hop, is seen by the
-    clone's checks alone, and a write on the original, at the right chain's
-    only hop, by the original's alone; a row inserted into the clone is no
-    row of the original."""
+    clone's checks alone: its domain check and, where that column is a
+    head column, its link check. A write on the original, at the right
+    chain's only hop, is seen by the original's alone; a row inserted into
+    the clone is no row of the original."""
     db, h = seeded_geography(geography_schema)
     c = geo_constraint(geography_schema)
     clone = db.clone()
     clone.set_values(h["alps"], {"Continent": h["asia"]})
+    [occ] = dispatch(geography_schema)[("MOUNT_SUBRANGES", "Range")]
+    assert [(f.domain, f.name) for f in occ.head] == [("MOUNTAIN_RANGES", "Continent")]
+    [seen] = check_link_update(clone, occ, h["walps"], h["alps"])
+    assert (seen.witness, seen.left, seen.right) == (h["danube"], h["asia"], h["europe"])
+    assert check_link_update(db, occ, h["walps"], h["alps"]) == []
     db.set_values(h["danube"], {"Continent": h["asia"]})
     [mine] = check_domain_row(db, c, h["danube"])
     [theirs] = check_domain_row(clone, c, h["danube"])
@@ -253,10 +260,13 @@ constraint K commutative on A { left = V . H . F ; right = V . G ; }
 """
 
 
-def test_a_constraint_the_store_did_not_bind_is_checked_alike():
-    """A replace()d constraint, equal to the schema's own but not bound by
-    the store, gives the same violations and rows_inspected, with a null at
-    each hop of either chain; it is bound for the call alone."""
+def test_a_constraint_the_store_did_not_bind_is_refused_by_both_checks():
+    """A replace()d constraint or occurrence, equal to the schema's own but
+    not bound by the store, is refused by the domain check, the link check
+    and each of the link check's walks alike: the walks table's KeyError,
+    before anything is counted. oracle.judge_row judges the unbound
+    constraint without a binding, with the same violations and count as
+    the bound one's domain check, with a null at each hop of either chain."""
     schema, diagnostics = parse_schema(NULLABLE_HOPS)
     assert schema is not None, diagnostics
     [own] = schema.constraints
@@ -279,15 +289,29 @@ def test_a_constraint_the_store_did_not_bind_is_checked_alike():
     for name, (f, g) in rows.items():
         x = db.insert_row("A", {"Label": name, "F": f, "G": g})
         results = []
-        for check, constraint in (
-            (check_domain_row, own),
-            (check_domain_row, unbound),
-            (judge_row, own),
-        ):
+        for check, constraint in ((check_domain_row, own), (judge_row, unbound)):
             counted = db.rows_inspected
             results.append((check(db, constraint, x), db.rows_inspected - counted))
-        assert results[0] == results[1] == results[2], name
+        assert results[0] == results[1], name
         assert bool(results[0][0]) is (name == "violated"), name
+    x = db.rows("A")[0]
+    # a live row of each occurrence's set, and a value its function holds
+    written = {"A": (x, to_one), "B": (to_one, one), "C": (two, 2)}
+    refusals = [partial(check_domain_row, db, unbound, x)]
+    for occ in map(replace, own.occurrences):
+        assert id(occ) not in db.walks
+        r, value = written[occ.set_name]
+        refusals.append(partial(affected_rows, db, occ, r))
+        if occ.head:
+            refusals.append(partial(eval_prefix, db, occ, value))
+        if occ.reverse:
+            refusals.append(partial(check_link_update, db, occ, r, value))
+    assert len(refusals) == 12
+    counted = db.rows_inspected
+    for refused in refusals:
+        with pytest.raises(KeyError):
+            refused()
+    assert db.rows_inspected == counted
     assert id(unbound) not in db.walks
 
 
@@ -619,7 +643,7 @@ def owners_db(kind, right, levels):
             item["Shelf"] = shelves[level]
         db.insert_row("ITEMS", item)
     [occ] = dispatch(schema)[("CATEGORIES", "Owner")]
-    _, interior, (_, last_nullable) = db.walks[id(occ)]
+    _, _, interior, (_, last_nullable) = db.walks[id(occ)]
     nullable = [n for _, n in interior] + [last_nullable]
     assert nullable == ([True] if right == "Owner" else [True, False])
     return db, tools
@@ -1303,8 +1327,11 @@ def test_accepted_message_templates_never_crash_the_engine(geography_schema, tem
     # check rejects
     if message_template_problem(template) is not None:
         return
-    constraint = replace(geography_schema.constraints[0], message=template)
-    db, handles = seeded_geography(geography_schema)
+    s = geography_schema
+    templated = replace(s.constraints[0], message=template)
+    schema = Schema(s.name, s.sets, s.functions, (templated,))
+    [constraint] = schema.constraints
+    db, handles = seeded_geography(schema)
     rhone = db.insert_row(
         "RIVERS",
         {"River": "Rhone", "Continent": handles["asia"], "Mountain": handles["montblanc"]},

@@ -353,6 +353,22 @@ constraint K1 anticommutative on S { left = N . F ; right = N . G ; }
             " constraint 'k1' only in case",
             id="constraint-ids",
         ),
+        pytest.param(
+            {"SQLite_A": [("N", TEXT)]},
+            (),
+            "schema P ;\nset SQLite_A { name N : text ; }\n",
+            "2:5: error [reserved-name] set name 'SQLite_A' is reserved:"
+            " SQLite keeps names that start with sqlite_",
+            id="set-sqlite_",
+        ),
+        pytest.param(
+            {"T": [("N", TEXT)], "S": [("N", TEXT), ("F", "T"), ("G", "T")]},
+            (chain_pair("sqlite_k1"),),
+            CLASHING_IDS.split("constraint K1")[0].replace("k1", "sqlite_k1"),
+            "4:12: error [reserved-name] constraint id 'sqlite_k1' is reserved:"
+            " SQLite keeps names that start with sqlite_",
+            id="constraint-sqlite_",
+        ),
     ],
 )
 def test_names_sqlite_cannot_tell_apart_are_refused(sets, constraints, source, diagnostic):
@@ -390,6 +406,31 @@ def test_names_apart_only_in_non_ascii_case_are_accepted():
         'update @b set ü = "w" ;\n'
         "update @c set Down = @b expect accept ;\n"
         'update @b set ü = "u" expect reject ;\n',
+    )
+
+
+def test_functions_named_sqlite_are_accepted_and_install():
+    # SQLite reserves sqlite_... names for its own tables, indexes and
+    # triggers, not for columns; an index named after a link, [S.sqlite_f...],
+    # installs
+    schema, diagnostics = parse_schema(
+        "schema P ;\n"
+        "set T { name N : text ; }\n"
+        "set S { name N : text ; sqlite_f -> T ; SQLITE_g -> T ; }\n"
+        "constraint k commutative on S { left = N . sqlite_f ; right = N . SQLITE_g ; }\n"
+    )
+    assert schema is not None, diagnostics
+    connection = install(sqlite3.connect(":memory:"), schema, generic_sql_units(schema))
+    names = [name for (name,) in connection.execute("SELECT name FROM sqlite_master")]
+    assert any(name.startswith("S.sqlite_f") for name in names)
+    replay(
+        schema,
+        'insert T (N = "a") as a ;\n'
+        'insert T (N = "b") as b ;\n'
+        'insert S (N = "s", sqlite_f = @a, SQLITE_g = @b) expect reject ;\n'
+        'insert S (N = "s", sqlite_f = @a, SQLITE_g = @a) as s expect accept ;\n'
+        "update @s set sqlite_f = @b expect reject ;\n",
+        connection,
     )
 
 

@@ -304,20 +304,22 @@ def _same_objects(got, expected) -> bool:
 @pytest.mark.parametrize("fixture", ["geography_schema", "neighbors_schema"])
 def test_walks_bind_and_clone_inserts_grow_the_stores_own_lists(fixture, request):
     """A store binds each constraint's two domain walks, the ones domain
-    checks read, over its own columns, and a walk for each occurrence
-    whose reverse walk is not empty, the ones link checks read, over its
-    own reverse indexes and columns, each column beside whether its
-    function is nullable and the last level apart from the interior
-    ones; a clone binds the same walks over its own.
+    checks read, over its own columns, and a walk for every occurrence,
+    innermost included, the ones link checks read: its head's columns,
+    its reverse indexes, and its other chain's columns, each beside
+    whether its function is nullable and the last level apart from the
+    interior ones; a clone binds the same walks over its own.
     Inserts into a clone, into every set, grow the clone's id, column
     and reverse-index lists alone: the original's keep their length and
     their contents."""
     schema = request.getfixturevalue(fixture)
     db = Database(schema)
-    checked = [occ for c in schema.constraints for occ in c.occurrences if occ.reverse]
+    occurrences = [occ for c in schema.constraints for occ in c.occurrences]
+    assert any(not occ.reverse for occ in occurrences)
     clone = db.clone()
     for store in (db, clone):
-        assert set(store.walks) == {id(c) for c in schema.constraints} | {id(o) for o in checked}
+        bound = {id(c) for c in schema.constraints} | {id(o) for o in occurrences}
+        assert set(store.walks) == bound
         for c in schema.constraints:
             lefts, rights = (
                 [store_layout.column(store, f.domain, f.name) for f in chain.functions[::-1]]
@@ -325,8 +327,11 @@ def test_walks_bind_and_clone_inserts_grow_the_stores_own_lists(fixture, request
             )
             walked_left, walked_right = store.walks[id(c)]
             assert _same_objects(walked_left, lefts[1:]) and _same_objects(walked_right, rights)
-        for occ in checked:
-            indexes, interior, last = store.walks[id(occ)]
+        for occ in occurrences:
+            head, indexes, interior, last = store.walks[id(occ)]
+            assert _same_objects(
+                head, [store_layout.column(store, f.domain, f.name) for f in occ.head]
+            )
             assert _same_objects(
                 indexes, [store_layout.reverse_index(store, f.domain, f.name) for f in occ.reverse]
             )
@@ -464,6 +469,7 @@ BAD_IDS = {
     "next": (4, False),
     "1.0": (1.0, False),
     "'1'": ("1", False),
+    "True": (True, False),
     "deleted": (2, False),
     "undone": (4, True),
 }

@@ -805,7 +805,9 @@ class _NoValue:
 
 _NO_VALUE = _NoValue()
 
-_TEXT, _INTEGER = ScalarType.TEXT, ScalarType.INTEGER  # read once: Enum reads are slow
+# Read once: reading an Enum member from its class is slow.
+_TEXT, _INTEGER = ScalarType.TEXT, ScalarType.INTEGER
+_INSERT, _UPDATE, _DELETE = Action.INSERT, Action.UPDATE, Action.DELETE
 
 
 def _int_value(tok: str) -> int | None:
@@ -875,12 +877,12 @@ def _parse_fast(
             set_name = set_names.get(set_name)
             if handle in refs or handle in _KEYWORDS:
                 return mutations, refs, n
-            action, row_ref, fns = Action.INSERT, None, function_table(set_name)
+            action, row_ref, fns = _INSERT, None, function_table(set_name)
         else:
             # an update's groups are (handle, bindings, expect), a delete's
             # (handle, expect)
             ref, *rest, expect = m.groups()
-            action = Action.UPDATE if rest else Action.DELETE
+            action = _UPDATE if rest else _DELETE
             set_name, body, handle = None, rest[0] if rest else None, None
             row_ref = refs.get(ref)
             fns = function_table(row_ref.set_name) if row_ref is not None else None

@@ -14,11 +14,7 @@ on a violation.
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
 column: it evaluates both chains for that row, which must be a row of
-the domain set. Its one guarded read, the left chain's first cell
-through Database.lookup, refuses a row that is not live; every later
-read is a column of the constraint's domain walks, bound once per store
-(Database.walks), and follows a link cell the store keeps pointing at a
-live row. A link-update check fires when an interior chain function
+the domain set. A link-update check fires when an interior chain function
 changes at some row r, and works on sets, as the paper's handlers do
 with one query: it computes the new composed head once (the head walk
 from the written value), collects the ids of every domain row whose
@@ -27,25 +23,48 @@ indexes, one bulk read per level for the whole frontier), evaluates the
 other chain over all of those rows one level at a time, and compares
 each value with the head. A function maps each row to one value, so the
 preimages of distinct rows are disjoint: each level of the walk is a
-plain list, no row on it twice, and only the last one is sorted. One
-count of the values equal to the head (list.count, in C) decides a
-commutative check before anything is built: all equal accepts, none
-equal makes every affected row a witness as it stands, and only a mix
-builds the mask that picks the witnesses. An anti-commutative check
-accepts when the head is not among the values (`in`), and counts only
-once it has a violation, to the same end. The walks and the other chain
-are the written position's plan (model.Occurrence), built once per
-schema, and bound once per store, one walk per chain position, to the
-columns and reverse indexes they read (Database.walks), so no level
-resolves a name and no check binds one for a call. A null anywhere in a
-chain makes the instance vacuously satisfied, so a row leaves the walk
-at the interior level where it reads null. Only a nullable function can
-read null there: the store validates every write and RESTRICT keeps
-every link pointing at a live row, so a level of a non-nullable function
-is not searched for nulls. At the last level no row need leave: a null
-never equals the non-null head, so `in` decides an anti-commutative
-check as the values stand, and only a commutative check, whose count
-and mask would take a null for a witness, leaves the null rows out.
+plain list, no row on it twice, and only the last one is sorted, in
+place.
+
+Each check runs a kernel: straight-line Python generated for the shape
+of its chains, as the paper generates each constraint's handlers. A
+domain kernel is one guarded read, the left chain's first cell through
+Database.lookup, which refuses a row that is not live, then one column
+read per remaining hop of either chain, each followed by its null test,
+and the comparison. A link kernel is the head's hops; the reverse levels
+(one level is `sorted(R0[r.x])`); the other chain's interior levels,
+with a null search emitted only after a level whose function is
+nullable; its last level; and the kind's decision. One count of the
+values equal to the head (list.count, in C) decides a commutative check
+before anything is built: all equal accepts, none equal makes every
+affected row a witness as it stands, and only a mix builds the mask that
+picks the witnesses. An anti-commutative check accepts when the head is
+not among the values (`in`), and counts only once it has a violation, to
+the same end. Rows read are counted as Database.lookup and inverse
+would, +1 per row read and +1 per target consulted, as one sum at each
+exit of the kernel.
+
+A kernel's source holds only names the generator makes (H0, R1, I0, L,
+head, rows, ...) and this module's helpers; it is generated from the
+chain's shape alone (how many hops, how deep, which levels nullable, the
+kind), so no schema name, value or template is ever spliced into it.
+The source is compiled once per shape, so at most once per schema
+(_domain_binder, _link_binder). Binding is separate: a kernel is bound
+once per store, on first use, to that store's columns, reverse indexes
+and counter, read from the walks Database._bind binds by name once per
+store (Database.walks), and kept in Database.kernels, which clone() leaves
+empty for the copy to bind its own. No level resolves a name, and no
+check binds or compiles anything per call.
+
+A null anywhere in a chain makes the instance vacuously satisfied, so a
+row leaves the link walk at the interior level where it reads null. Only
+a nullable function can read null there: the store validates every write
+and RESTRICT keeps every link pointing at a live row, so a level of a
+non-nullable function is not searched for nulls. At the last level no
+row need leave: a null never equals the non-null head, so `in` decides
+an anti-commutative check as the values stand, and only a commutative
+check, whose count and mask would take a null for a witness, leaves the
+null rows out.
 
 A link check reports its witnesses sorted and each once, so a rejection
 that one check alone reports needs no merging; violations from two or
@@ -61,6 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne
 from typing import Iterable, Mapping, MutableMapping, NamedTuple, NoReturn
@@ -167,7 +187,7 @@ def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
     """Composed chain value at x, innermost function first; null propagates.
 
     Every hop resolves a name through Database.lookup. No check calls
-    this: domain and link checks read the store's bound walks."""
+    this: the checks run kernels bound to the store's columns."""
     current: Value = x
     for name in chain.inward:
         if current is None:
@@ -179,7 +199,8 @@ def eval_chain(db: Database, chain: ChainSpec, x: RowId) -> Value:
 def eval_prefix(db: Database, occurrence: Occurrence, start: Value) -> Value:
     """Take `start`, a value written at the occurrence's position, to the
     chain's codomain through the head's bound columns (Database.walks),
-    counting +1 per row read as lookup does; null propagates."""
+    counting +1 per row read as lookup does; null propagates. A link
+    kernel unrolls the same walk; no check calls this."""
     if not occurrence.head:
         return start
     for column in db.walks[id(occurrence)][0]:
@@ -200,7 +221,8 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
     there is no index to walk, and the row is itself in the domain set.
     Each level concatenates its rows' preimages, which are disjoint
     because a function maps each row to one value, so no level holds a
-    row twice and none needs a set.
+    row twice and none needs a set. A link kernel unrolls the same walk;
+    no check calls this.
     """
     frontier = [r.x]
     counter = db.counter
@@ -214,7 +236,7 @@ def affected_rows(db: Database, occurrence: Occurrence, r: RowId) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# Checks: one kernel per constraint and per chain position
 # ---------------------------------------------------------------------------
 
 
@@ -225,37 +247,25 @@ def check_domain_row(
     current state.
 
     The engine calls this after writing the mutation, so it judges the
-    post-mutation state. No violation when either side is null. The one
-    guarded read, lookup of the left chain's first cell, refuses a row
-    that is not live; every later read is a column of the constraint's
-    domain walks (Database.walks), counted +1 as lookup counts, and a
-    chain stops at its first null. A constraint the store did not bind
-    raises KeyError before anything is counted; oracle.judge_row judges
-    one at a row without a binding.
+    post-mutation state. No violation when either side is null. It runs
+    the constraint's domain kernel, bound to this store on first use. The
+    kernel's one guarded read, lookup of the left chain's first cell,
+    refuses a row that is not live; every later read is a column of the
+    constraint's domain walks (Database.walks), counted +1 as lookup
+    counts, and a chain stops at its first null. A constraint the store
+    did not bind raises KeyError before anything is counted;
+    oracle.judge_row judges one at a row without a binding.
     """
-    lefts, rights = db.walks[id(constraint)]
-    left = db.lookup(x, constraint.left.inward[0])
-    if x.set_name != constraint.domain_set:
-        raise UnknownRow(
-            f"{x!r} is not a row of {constraint.domain_set!r}, the domain set of {constraint.id!r}"
+    try:
+        kernel = db.kernels[id(constraint)]
+    except KeyError:
+        lefts, rights = db.walks[id(constraint)]
+        binder = _domain_binder(len(lefts), len(rights), _holds_when_equal(constraint))
+        first = constraint.left.inward[0]
+        kernel = db.kernels[id(constraint)] = binder(
+            db.counter, constraint, first, constraint.domain_set, *lefts, *rights
         )
-    right = x
-    reads = 0
-    for column in lefts:
-        if left is None:
-            break
-        left = column[left.x]
-        reads += 1
-    if left is not None:
-        for column in rights:
-            right = column[right.x]
-            reads += 1
-            if right is None:
-                break
-    db.counter.rows_inspected += reads
-    if left is None or right is None or (left == right) is _holds_when_equal(constraint):
-        return []
-    return [_constraint_violation(constraint, x, left, right, None)]
+    return kernel(db, x)
 
 
 def check_link_update(
@@ -263,59 +273,155 @@ def check_link_update(
 ) -> list[Violation]:
     """Check every domain row affected by the link at r taking `new_value`.
 
-    The new composed head is computed once from `new_value`. The check
-    then works on sets: affected_rows gives the ids of every affected
-    row, the other chain is evaluated over all of them one level at a
-    time in the store's current state, and each is compared with the
-    head. All violating rows are reported, sorted by witness and each
-    once, each witness the RowId the store holds for it. The count of
-    values equal to the head (for an anti-commutative check, taken only
-    once `in` has found a violation) decides: when every affected row
-    breaks the constraint, the rows and their values are the witnesses as
-    they stand, and only when some rows hold does a mask pick the rest.
-
-    A row that reads null at an interior level leaves the walk, as its
-    instance is vacuously satisfied, but only a nullable level is searched
-    for nulls: a non-nullable column of a live row never holds one. At
-    the last level a null stays among the values unless the constraint is
-    commutative: it never equals the head, so it neither fails an
-    anti-commutative check nor matches its mask, where a commutative
-    count and mask would take it for a witness.
+    It runs the occurrence's link kernel, bound to this store on first
+    use; an occurrence the store did not bind raises KeyError before
+    anything is counted, whatever the value. The kernel computes the new
+    composed head once from `new_value`, collects the ids of every
+    affected row, evaluates the other chain over all of them one level at
+    a time in the store's current state, and compares each value with the
+    head (see the module docstring). All violating rows are reported,
+    sorted by witness and each once, each witness the RowId the store
+    holds for it.
     """
-    constraint = occurrence.constraint
-    assert occurrence.reverse, "innermost positions are domain checks"
-    head = eval_prefix(db, occurrence, new_value)
-    if head is None:
-        return []
-    # The other chain over every affected row, one bound column per level,
-    # +1 per row read, as Database.lookup counts.
-    rows = ids = affected_rows(db, occurrence, r)
-    counter = db.counter
-    _, _, interior, (column, nullable) = db.walks[id(occurrence)]
-    for level, level_nullable in interior:
-        values = list(map(level.__getitem__, ids))
-        counter.rows_inspected += len(values)
-        if level_nullable and None in values:
-            rows, values = _drop_nulls(rows, values)
-        ids = map(_X, values)
-    values = list(map(column.__getitem__, ids))
-    counter.rows_inspected += len(values)
-    # Decided in C: every row holds (accept), every row breaks the
-    # constraint (mask stays falsy), or a mask, True where a row breaks it,
-    # picks the witnesses.
-    if _holds_when_equal(constraint):
-        if nullable and None in values:
-            rows, values = _drop_nulls(rows, values)
-        equal = values.count(head)
-        if equal == len(values):
-            return []
-        mask = equal and list(map(ne, repeat(head), values))
-    elif head not in values:
-        return []
+    try:
+        kernel = db.kernels[id(occurrence)]
+    except KeyError:
+        heads, reverse, interior, (last, last_nullable) = db.walks[id(occurrence)]
+        assert reverse, "innermost positions are domain checks"
+        binder = _link_binder(
+            len(heads),
+            len(reverse),
+            tuple(nullable for _, nullable in interior),
+            last_nullable,
+            _holds_when_equal(occurrence.constraint),
+        )
+        kernel = db.kernels[id(occurrence)] = binder(
+            db.counter, occurrence, *heads, *reverse, *(column for column, _ in interior), last
+        )
+    return kernel(db, r, new_value)
+
+
+# The binders are compiled once per chain shape, so at most once per schema:
+# binding a kernel to a store, or to a clone, calls one and compiles nothing.
+
+
+@lru_cache(maxsize=1024)
+def _domain_binder(lefts: int, rights: int, commutative: bool):
+    """The binder of a domain kernel: `lefts` columns after the left
+    chain's first cell, `rights` columns of the right chain.
+
+    bind(C, O, F, S, A0.., B0..) takes the counter, the constraint, the
+    name of the left chain's first function, the domain set and the
+    columns, innermost first; check(D, x) judges row x of store D.
+    """
+    body = ["a = D.lookup(x, F)", "if x[0] != S:", "    _not_in_domain(O, x)"]
+    body += _accept_if("a is None")
+    for i in range(lefts):
+        body += [f"a = A{i}[a[1]]", *_accept_if("a is None", i + 1)]
+    for j in range(rights):
+        body.append(f"b = B{j}[{'b' if j else 'x'}[1]]")
+        if j + 1 < rights:
+            body += _accept_if("b is None", lefts + j + 1)
+    body.append(f"C.rows_inspected += {lefts + rights}")
+    body += _accept_if(f"b is None or a {'==' if commutative else '!='} b")
+    body.append("return [_constraint_violation(O, x, a, b, None)]")
+    columns = [*(f"A{i}" for i in range(lefts)), *(f"B{j}" for j in range(rights))]
+    return _compile(["C", "O", "F", "S", *columns], "D, x", body)
+
+
+@lru_cache(maxsize=1024)
+def _link_binder(
+    heads: int, depth: int, nullable: tuple[bool, ...], last_nullable: bool, commutative: bool
+):
+    """The binder of a link kernel: `heads` head columns, `depth` reverse
+    indexes, an interior level of the other chain per flag of `nullable`
+    (whether its function is), and its last level.
+
+    bind(C, O, H0.., R0.., I0.., L) takes the counter, the occurrence and
+    the walk's columns and indexes in the order Database.walks holds them;
+    check(D, r, head) checks row r of store D taking the value `head`.
+    Rows read are counted once per exit, as one sum.
+    """
+    body = _accept_if("head is None")
+    for i in range(heads):
+        body += [f"head = H{i}[head[1]]", *_accept_if("head is None", i + 1)]
+    if depth == 1:
+        body.append("rows = sorted(R0[r[1]])")
     else:
-        mask = values.count(head) != len(values) and list(map(eq, repeat(head), values))
-    if mask:
-        rows, values = compress(rows, mask), compress(values, mask)
+        body.append("F0 = R0[r[1]]")
+        for i in range(1, depth):
+            frontier = "rows" if i + 1 == depth else f"F{i}"
+            body.append(f"{frontier} = list(chain.from_iterable(map(R{i}.__getitem__, F{i - 1})))")
+    # The head's reads and the reverse walk's: one row, then each frontier.
+    constant, terms = heads + 1, [f"len(F{i})" for i in range(depth - 1)]
+
+    def count(levels: int) -> str:
+        """Rows read so far, `levels` of the other chain's read since the
+        last nullable one, each over every row of `rows`."""
+        read = [f"{levels} * len(rows)" if levels > 1 else "len(rows)"] if levels else []
+        return " + ".join([str(constant)] * bool(constant) + terms + read)
+
+    body += _accept_if("not rows", count(0))
+    if depth > 1:
+        body.append("rows.sort()")
+    ids, levels = "rows", 0
+    for i, can_be_null in enumerate(nullable):
+        body.append(f"values = list(map(I{i}.__getitem__, {ids}))")
+        levels += 1
+        if can_be_null:
+            body += [f"n = {count(levels)}", "if None in values:"]
+            body.append("    rows, values = _drop_nulls(rows, values)")
+            constant, terms, levels = 0, ["n"], 0
+        ids = "map(_X, values)"
+    body.append(f"values = list(map(L.__getitem__, {ids}))")
+    body.append(f"C.rows_inspected += {count(levels + 1)}")
+    if commutative:
+        if last_nullable:
+            body += ["if None in values:", "    rows, values = _drop_nulls(rows, values)"]
+        body += ["equal = values.count(head)", *_accept_if("equal == len(values)"), "if equal:"]
+        body.append("    mask = list(map(ne, repeat(head), values))")
+    else:
+        body += [*_accept_if("head not in values"), "if values.count(head) != len(values):"]
+        body.append("    mask = list(map(eq, repeat(head), values))")
+    body += [
+        "    rows, values = compress(rows, mask), compress(values, mask)",
+        "return _link_violations(D, O, r, head, rows, values)",
+    ]
+    columns = [
+        *(f"H{i}" for i in range(heads)),
+        *(f"R{i}" for i in range(depth)),
+        *(f"I{i}" for i in range(len(nullable))),
+        "L",
+    ]
+    return _compile(["C", "O", *columns], "D, r, head", body)
+
+
+def _accept_if(test: str, counted: int | str = 0) -> list[str]:
+    """Kernel lines that accept when `test` holds, once they have counted
+    `counted`, the rows read so far."""
+    count = [f"    C.rows_inspected += {counted}"] if counted else []
+    return [f"if {test}:", *count, "    return []"]
+
+
+def _compile(bound: list[str], arguments: str, body: list[str]):
+    """bind(*bound), which returns check(arguments) running `body`. Both
+    read this module's globals, so the helpers a kernel calls are the ones
+    a tracer may have wrapped."""
+    lines = "".join(f"        {line}\n" for line in body)
+    head = f"def bind({', '.join(bound)}):\n    def check({arguments}):\n"
+    source = f"{head}{lines}    return check\n"
+    namespace: dict = {}
+    exec(compile(source, "<funcdiag kernel>", "exec"), globals(), namespace)
+    return namespace["bind"]
+
+
+def _link_violations(
+    db: Database, occurrence: Occurrence, r: RowId, head: Value, rows: Iterable[int], values
+) -> list[Violation]:
+    """One violation per witness: each of `rows`, ids of the domain set in
+    ascending order, whose other chain reads the matching item of
+    `values` where the link at r now gives `head`."""
+    constraint = occurrence.constraint
     changed = ChangedLink(occurrence.set_name, occurrence.function_name, r)
     witnesses = db.row_ids(constraint.domain_set, rows)
     heads = repeat(head)
@@ -325,6 +431,12 @@ def check_link_update(
     # __new__) leaves one new object per witness: the record.
     fields = zip(cids, kinds, witnesses, lefts, rights, repeat(changed), repeat(constraint))
     return list(map(tuple.__new__, repeat(Violation), fields))
+
+
+def _not_in_domain(constraint: DiagramConstraint, x: RowId) -> NoReturn:
+    raise UnknownRow(
+        f"{x!r} is not a row of {constraint.domain_set!r}, the domain set of {constraint.id!r}"
+    )
 
 
 def _drop_nulls(rows: list[int], values: list[Value]) -> tuple[list[int], list[Value]]:

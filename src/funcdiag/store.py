@@ -14,12 +14,14 @@ insert or update and, trusting the pre-write state, validates nothing.
 
 Names are resolved once per store, not per value: validation and writes
 read each set's table, which binds each function to its column, reverse
-index and target set's ids; domain checks read each constraint's two
-domain walks, bound to its chains' columns, and link checks the one walk
-of each chain position, bound to its head's columns, reverse indexes and
-other chain's columns. All hold the store's own lists, never copies, and
-are the only bindings; clone() binds them afresh to the copy's, from the
-schema as the new store does.
+index and target set's ids; each constraint's two domain walks are
+bound to its chains' columns, and the one walk of each chain position to
+its head's columns, reverse indexes and other chain's columns. The walks
+feed the engine's check kernels, which it binds to them on first use and
+keeps in `kernels`. All hold the store's own lists, never copies, and are
+the only bindings; clone() binds the walks afresh to the copy's, from the
+schema as the new store does, and leaves the copy's kernels to be bound
+to those.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -127,14 +129,18 @@ class Database:
     outermost first, other chain's interior levels innermost first, its
     last level) for every occurrence, innermost included, the ones link
     checks read; a level is (column, whether its function is nullable).
-    No check binds a walk for one call; oracle.judge_row judges an ad-hoc
-    constraint. A non-nullable column of a live row never holds null,
-    because every write is validated and RESTRICT keeps each link cell
-    pointing at a live row, so a link check looks for nulls only in a
-    nullable level's values. Single writer;
+    The walks feed the check kernels: `kernels[id(constraint)]` and
+    `kernels[id(occ)]` hold the engine's kernels bound to these walks
+    and to the counter, which _bind empties and the engine fills on each
+    kernel's first use. No check binds a walk for one call;
+    oracle.judge_row judges an ad-hoc constraint. A non-nullable column
+    of a live row never holds null, because every write is validated and
+    RESTRICT keeps each link cell pointing at a live row, so a link check
+    looks for nulls only in a nullable level's values. Single writer;
     readers interleave only between mutations. clone() shares the counter
-    by default, so scratch work counts, and binds its own tables and walks
-    as __init__ does.
+    by default, so scratch work counts, and binds its own tables and
+    walks as __init__ does, so its kernels, bound anew on first use, read
+    and count the clone alone.
     """
 
     def __init__(self, schema: Schema):
@@ -150,7 +156,8 @@ class Database:
         self._bind()
 
     def _bind(self) -> None:
-        """Bind tables and walks to this store's own lists, by the schema's names."""
+        """Bind tables and walks to this store's own lists, by the schema's
+        names, and empty the kernels bound to them."""
         columns, reverse, ids = self._columns, self._reverse, self._ids
         self._tables = {
             s: {
@@ -163,6 +170,7 @@ class Database:
             s: tuple(reverse[f.domain, f.name] for f in self.schema.links_into(s)) for s in ids
         }
         self.walks = {}
+        self.kernels = {}
 
         def column(f: FunctionDef) -> list:
             return columns[f.domain][f.name]

@@ -264,7 +264,8 @@ def test_a_constraint_the_store_did_not_bind_is_refused_by_both_checks():
     """A replace()d constraint or occurrence, equal to the schema's own but
     not bound by the store, is refused by the domain check, the link check
     and each of the link check's walks alike: the walks table's KeyError,
-    before anything is counted. oracle.judge_row judges the unbound
+    before anything is counted, and by the link check even when the value
+    written is null. oracle.judge_row judges the unbound
     constraint without a binding, with the same violations and count as
     the bound one's domain check, with a null at each hop of either chain."""
     schema, diagnostics = parse_schema(NULLABLE_HOPS)
@@ -306,7 +307,8 @@ def test_a_constraint_the_store_did_not_bind_is_refused_by_both_checks():
             refusals.append(partial(eval_prefix, db, occ, value))
         if occ.reverse:
             refusals.append(partial(check_link_update, db, occ, r, value))
-    assert len(refusals) == 12
+            refusals.append(partial(check_link_update, db, occ, r, None))
+    assert len(refusals) == 15
     counted = db.rows_inspected
     for refused in refusals:
         with pytest.raises(KeyError):

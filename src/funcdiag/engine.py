@@ -1,15 +1,32 @@
 """Incremental enforcement of diagram constraints on mutations.
 
-A mutation passes one resolver, resolve_mutation, and then the store's
-writer for its action, which raw_apply picks; apply_mutation writes an
-update through that writer, Database.set_values, itself, because it
-returns the old values of the columns it writes. The store validates the
-write itself, and the checks run on the written state; on any violation
-the store takes the write back from those values (Database.undo_write),
-so a rejected mutation leaves the database bit-identical to its
-pre-mutation state. This is the shape of the paper's generated
-handlers, which check the row as the user edited it and cancel and undo
-on a violation.
+Each insert and update runs the handler of its statement shape, as the
+paper generates one event handler per form and per control. A shape is
+the action, the set (an update's is its row's) and the bound function
+names in binding order; apply_mutation finds the shape's handler with
+one dict lookup (Database.handlers), after looking up an update's row
+handle to learn its set. The handler resolves the bindings' handles
+inline, in order, with resolve_mutation's errors (resolve_mutation
+itself first takes an insert that names a row, which no script writes,
+for its errors alone); calls the store's writer for the set and the
+names (Database.writer), which validates the values in binding order and
+writes them; and then runs exactly the kernels the shape can fire, each
+called directly: the domain kernels of the set's constraints in
+constraint order (an update's only when it changed a column one of their
+chains starts with), then, on an update, the link kernels of each changed
+column, in name order. A function bound twice takes its first position
+and its last value, as a dict would. Deletes, and statements whose set is
+unknown or whose update row resolves to no row, take one path:
+resolve_mutation, then raw_apply, which refuses all but a delete.
+
+The store validates the write itself, and the checks run on the written
+state; on any violation the store takes the write back from its
+before-image (Database.undo_write), so a rejected mutation leaves the
+database bit-identical to its pre-mutation state. This is the shape of
+the paper's generated handlers, which check the row as the user edited
+it and cancel and undo on a violation. A verdict is whole when
+apply_mutation returns: every check has run and every witness is built,
+and no work is left for later.
 
 Checks come in two flavors. A domain-row check fires when a row of a
 constraint's domain set is inserted, or updated in either chain's own
@@ -47,14 +64,21 @@ exit of the kernel.
 A kernel's source holds only names the generator makes (H0, R1, I0, L,
 head, rows, ...) and this module's helpers; it is generated from the
 chain's shape alone (how many hops, how deep, which levels nullable, the
-kind), so no schema name, value or template is ever spliced into it.
-The source is compiled once per shape, so at most once per schema
-(_domain_binder, _link_binder). Binding is separate: a kernel is bound
-once per store, on first use, to that store's columns, reverse indexes
-and counter, read from the walks Database._bind binds by name once per
-store (Database.walks), and kept in Database.kernels, which clone() leaves
-empty for the copy to bind its own. No level resolves a name, and no
-check binds or compiles anything per call.
+kind), so no schema name, value or template is ever spliced into it. A
+handler's source is generated from its statement's shape alone in the
+same way (how many values, which is each function's last, which kernels
+test which changed columns), and so is a writer's (store.py). Each
+source is compiled once per shape, so at most once per schema
+(_domain_binder, _link_binder, _handler_binder). Binding is separate: a
+kernel is bound once per store, on first use, to that store's columns,
+reverse indexes and counter, read from the walks Database._bind binds by
+name once per store (Database.walks), and kept in Database.kernels; a
+handler is bound once per store to its writer, its kernels and the names
+whose change it tests, and kept in Database.handlers. clone() leaves
+both empty for the copy to bind its own. No level resolves a name, and
+no statement binds or compiles anything but on its shape's first use.
+check_domain_row and check_link_update run one kernel each, bound on
+first use; the handlers do not call them.
 
 A null anywhere in a chain makes the instance vacuously satisfied, so a
 row leaves the link walk at the interior level where it reads null. Only
@@ -82,7 +106,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import eq, itemgetter, ne
+from operator import attrgetter, eq, itemgetter, ne
 from typing import Iterable, Mapping, MutableMapping, NamedTuple, NoReturn
 
 from .dsl import Action, BindingValue, HandleRef, Mutation
@@ -94,7 +118,7 @@ from .model import (
     Schema,
     Side,
 )
-from .store import Database, RowId, StoreError, UnknownRow, Value
+from .store import Database, RowId, StoreError, UnknownRow, Value, compile_binder
 
 
 class Outcome(Enum):
@@ -256,16 +280,7 @@ def check_domain_row(
     did not bind raises KeyError before anything is counted;
     oracle.judge_row judges one at a row without a binding.
     """
-    try:
-        kernel = db.kernels[id(constraint)]
-    except KeyError:
-        lefts, rights = db.walks[id(constraint)]
-        binder = _domain_binder(len(lefts), len(rights), _holds_when_equal(constraint))
-        first = constraint.left.inward[0]
-        kernel = db.kernels[id(constraint)] = binder(
-            db.counter, constraint, first, constraint.domain_set, *lefts, *rights
-        )
-    return kernel(db, x)
+    return _domain_kernel(db, constraint)(db, x)
 
 
 def check_link_update(
@@ -283,9 +298,26 @@ def check_link_update(
     sorted by witness and each once, each witness the RowId the store
     holds for it.
     """
-    try:
-        kernel = db.kernels[id(occurrence)]
-    except KeyError:
+    return _link_kernel(db, occurrence)(db, r, new_value)
+
+
+def _domain_kernel(db: Database, constraint: DiagramConstraint):
+    """The constraint's domain kernel, bound to `db` on first use."""
+    kernel = db.kernels.get(id(constraint))
+    if kernel is None:
+        lefts, rights = db.walks[id(constraint)]
+        binder = _domain_binder(len(lefts), len(rights), _holds_when_equal(constraint))
+        first = constraint.left.inward[0]
+        kernel = db.kernels[id(constraint)] = binder(
+            db.counter, constraint, first, constraint.domain_set, *lefts, *rights
+        )
+    return kernel
+
+
+def _link_kernel(db: Database, occurrence: Occurrence):
+    """The occurrence's link kernel, bound to `db` on first use."""
+    kernel = db.kernels.get(id(occurrence))
+    if kernel is None:
         heads, reverse, interior, (last, last_nullable) = db.walks[id(occurrence)]
         assert reverse, "innermost positions are domain checks"
         binder = _link_binder(
@@ -298,7 +330,7 @@ def check_link_update(
         kernel = db.kernels[id(occurrence)] = binder(
             db.counter, occurrence, *heads, *reverse, *(column for column, _ in interior), last
         )
-    return kernel(db, r, new_value)
+    return kernel
 
 
 # The binders are compiled once per chain shape, so at most once per schema:
@@ -403,16 +435,11 @@ def _accept_if(test: str, counted: int | str = 0) -> list[str]:
     return [f"if {test}:", *count, "    return []"]
 
 
-def _compile(bound: list[str], arguments: str, body: list[str]):
-    """bind(*bound), which returns check(arguments) running `body`. Both
-    read this module's globals, so the helpers a kernel calls are the ones
-    a tracer may have wrapped."""
-    lines = "".join(f"        {line}\n" for line in body)
-    head = f"def bind({', '.join(bound)}):\n    def check({arguments}):\n"
-    source = f"{head}{lines}    return check\n"
-    namespace: dict = {}
-    exec(compile(source, "<funcdiag kernel>", "exec"), globals(), namespace)
-    return namespace["bind"]
+def _compile(bound: list[str], arguments: str, body: list[str], name: str = "check"):
+    """bind(*bound), which returns `name`(arguments) running `body`. Both
+    read this module's globals, so the helpers a kernel or handler calls
+    are the ones a tracer may have wrapped."""
+    return compile_binder(bound, arguments, body, name, globals())
 
 
 def _link_violations(
@@ -517,57 +544,161 @@ def apply_mutation(
     one violation per offending witness row, and the write is undone, so
     a rejected mutation leaves the store as it was. On an applied insert
     carrying a handle, `handles` gains the new row.
+
+    An insert or update runs its shape's handler (see the module
+    docstring), found by one lookup of (action, set, bound names); an
+    update's set is its row's, so the row's handle is looked up first,
+    and a row it does not resolve to is left for the one path to refuse.
     """
-    handles = handles if handles is not None else {}
+    if handles is None:
+        handles = {}
+    action, row = m.action, m.row_ref
+    if action is _INSERT:
+        if row is not None:  # an insert's row is resolved for its errors alone
+            try:
+                resolve_mutation(m, handles)
+            except MutationResolveError as exc:
+                return _refused(exc)
+        set_name = m.set_name
+    elif action is _UPDATE:
+        if type(row) is HandleRef:
+            row = handles.get(row.name)
+        set_name = row[0] if isinstance(row, RowId) else None
+    else:
+        return _one_path(db, m, handles)
+    key = (action, set_name, *map(_FUNCTION, m.bindings))
+    handler = db.handlers.get(key) or _bind_handler(db, key)
+    if handler is None:
+        return _one_path(db, m, handles)
+    return handler(db, m, handles, row)
+
+
+def _one_path(db: Database, m: Mutation, handles: Mapping[str, RowId]) -> Verdict:
+    """A delete, or an insert or update that no handler takes because it
+    names an unknown set or a row that does not resolve: resolve it and
+    write it through raw_apply, which refuses all but a delete."""
     try:
         values, row = resolve_mutation(m, handles)
-        action = m.action
-        if action is _UPDATE:
-            before = db.set_values(row, values)
-        else:
-            before, row = None, raw_apply(db, m, values, row)
-    except (MutationResolveError, StoreError) as exc:
-        return Verdict(_REJECTED, (_store_violation(str(exc)),))
-
-    # One list per check that found something, sorted by witness and
-    # without repeats, so a verdict that one check alone reports needs no
-    # merge.
-    reports: list[list[Violation]] = []
-    if action is _INSERT:
-        for constraint in db.schema.constraints_on(row.set_name):
-            if report := check_domain_row(db, constraint, row):
-                reports.append(report)
-    elif action is _UPDATE:
-        changed = {
-            name: value
-            for name, value in values.items()
-            if before[name] != value
-        }
-        for constraint in db.schema.constraints_on(row.set_name):
-            if (
-                constraint.left.innermost.name in changed
-                or constraint.right.innermost.name in changed
-            ):
-                if report := check_domain_row(db, constraint, row):
-                    reports.append(report)
-        table = dispatch(db.schema)
-        # In name order: of two violations of one constraint at one
-        # witness, _dedupe keeps the first, whatever order the mutation
-        # binds its columns in.
-        for fn_name in sorted(changed):
-            for occ in table.get((row.set_name, fn_name), ()):
-                if occ.reverse and (report := check_link_update(db, occ, row, changed[fn_name])):
-                    reports.append(report)
-
-    if reports:
-        db.undo_write(row, before)
-        if len(reports) == 1:
-            return Verdict(_REJECTED, tuple(reports[0]))
-        merged = [violation for report in reports for violation in report]
-        return Verdict(_REJECTED, tuple(_dedupe(merged)))
-    if action is _INSERT and m.handle:
-        handles[m.handle] = row
+        row = raw_apply(db, m, values, row)
+    except _REFUSALS as exc:
+        return _refused(exc)
+    assert m.action is Action.DELETE, "every insert and update with a set has a handler"
     return Verdict(_APPLIED, (), row)
+
+
+def _bind_handler(db: Database, key: tuple):
+    """The handler of the statement shape `key`, (action, set, bound names
+    in binding order), bound to `db` and kept in db.handlers; None for an
+    unknown set."""
+    action, set_name, *names = key
+    bound = list(dict.fromkeys(names))  # a name bound twice: first position, last value
+    lasts = tuple(len(names) - 1 - names[::-1].index(name) for name in bound)
+    insert = action is _INSERT
+    try:
+        write = db.writer(set_name, tuple(bound), insert)
+    except StoreError:
+        return None
+    schema = db.schema
+    domain, triggers = [], []
+    for constraint in schema.constraints_on(set_name):
+        innermost = {constraint.left.innermost.name, constraint.right.innermost.name}
+        fired = () if insert else tuple(j for j, name in enumerate(bound) if name in innermost)
+        if insert or fired:
+            domain.append(_domain_kernel(db, constraint))
+            triggers.append(fired)
+    links, positions = [], []
+    if not insert:
+        # In name order: of two violations of one constraint at one
+        # witness, _dedupe keeps the first, whatever order the statement
+        # binds its columns in.
+        for name in sorted(bound):
+            for occ in schema.occurrences.get((set_name, name), ()):
+                if occ.reverse:
+                    links.append(_link_kernel(db, occ))
+                    positions.append(bound.index(name))
+    triggers, positions = tuple(triggers), tuple(positions)
+    binder = _handler_binder(insert, len(names), lasts, triggers, positions)
+    tested = (bound[j] for j in _tested(triggers, positions))
+    handler = db.handlers[key] = binder(write, *domain, *links, *tested)
+    return handler
+
+
+@lru_cache(maxsize=1024)
+def _handler_binder(
+    insert: bool, n: int, lasts: tuple[int, ...], triggers: tuple, positions: tuple[int, ...]
+):
+    """The binder of the handler of an insert (`insert`) or update binding
+    `n` values, whose j-th distinct function takes binding lasts[j]'s;
+    that runs a domain kernel per item of `triggers`, on an update only
+    when one of the distinct functions it lists changed, and a link
+    kernel per item of `positions`, when that function changed.
+
+    bind(W, K0.., L0.., N0..) takes the shape's writer, its domain and
+    link kernels and the names of the functions whose change is tested;
+    handle(D, m, handles, row) applies statement m to store D, `row`
+    being an update's row, resolved.
+    """
+    values = [f"v{i}" for i in range(n)]
+    body = [f"{', '.join(f'b{i}' for i in range(n))}{',' * (n == 1)} = m.bindings"] if n else []
+    body.append("try:")
+    for v, i in zip(values, range(n)):
+        body += [
+            f"    {v} = b{i}.value",
+            f"    if type({v}) is HandleRef:",
+            f"        {v} = handles.get({v}.name) or _unbound({v})",
+        ]
+    written = ", ".join(values[i] for i in lasts)
+    body.append(f"    row = W({written})" if insert else f"    before = W(row, {written})")
+    body += ["except _REFUSALS as e:", "    return _refused(e)"]
+    tested = _tested(triggers, positions)
+    names = {j: f"N{k}" for k, j in enumerate(tested)}
+    if not insert:
+        body += [f"c{j} = before[{names[j]}] != {values[lasts[j]]}" for j in tested]
+    reports = []
+    for k, fired in enumerate(triggers):
+        reports.append(f"r{len(reports)}")
+        guard = f"({' or '.join(f'c{j}' for j in fired)}) and " if not insert else ""
+        body.append(f"{reports[-1]} = {guard}K{k}(D, row)")
+    for k, j in enumerate(positions):
+        reports.append(f"r{len(reports)}")
+        body.append(f"{reports[-1]} = c{j} and L{k}(D, row, {values[lasts[j]]})")
+    if reports:
+        undone = "None" if insert else "before"
+        body.append(f"if {' or '.join(reports)}:")
+        body.append(f"    return _reject(D, row, {undone}, {', '.join(reports)})")
+    if insert:
+        body += ["h = m.handle", "if h:", "    handles[h] = row"]
+    body.append("return Verdict(_APPLIED, (), row)")
+    bound = [
+        "W",
+        *(f"K{k}" for k in range(len(triggers))),
+        *(f"L{k}" for k in range(len(positions))),
+        *names.values(),
+    ]
+    return _compile(bound, "D, m, handles, row", body, "handle")
+
+
+def _tested(triggers: tuple, positions: tuple[int, ...]) -> list[int]:
+    """The distinct functions, by position, whose change a handler tests."""
+    return sorted({j for fired in triggers for j in fired} | set(positions))
+
+
+_REFUSALS = (MutationResolveError, StoreError)
+_FUNCTION = attrgetter("function")  # a binding's function, read in C
+
+
+def _refused(exc: Exception) -> Verdict:
+    return Verdict(_REJECTED, (_store_violation(str(exc)),))
+
+
+def _reject(db: Database, row: RowId, before: dict | None, *reports) -> Verdict:
+    """Undo the write to `row` and reject with the reports' violations:
+    one non-empty report as it stands, several merged."""
+    db.undo_write(row, before)
+    found = [report for report in reports if report]
+    if len(found) == 1:
+        return Verdict(_REJECTED, tuple(found[0]))
+    return Verdict(_REJECTED, tuple(_dedupe([v for report in found for v in report])))
 
 
 def sort_violations(violations: Iterable[Violation]) -> list[Violation]:

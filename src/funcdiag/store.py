@@ -7,21 +7,34 @@ Database lists them. Link cells hold RowIds, which every reader of a link
 wants, and are mirrored in a reverse index (target row -> set of source
 rows). A read is one list index, but a deleted row keeps its slots, so
 memory follows the ids issued, not the rows live. Writes enforce
-referential integrity and nullability; deletes are RESTRICT-only. An
-insert validates its whole row, then appends and indexes it in one pass,
-so a refused insert grows no list. undo_write takes back the latest
-insert or update and, trusting the pre-write state, validates nothing.
+referential integrity and nullability; deletes are RESTRICT-only.
+Inserts and updates run one writer per statement shape: the set, whether
+it inserts, and the function names bound, in order. A writer is
+straight-line Python generated from that shape alone (how many values,
+each one's kind and nullability, the functions an insert leaves unbound
+and whether one of those is required), compiled once per shape, so no
+schema name or value is ever spliced into its source. It validates the
+values in binding order, with the errors and counts written out below;
+then an insert's appends and indexes the row in one pass, so a refused
+insert grows no list, and an update's writes the row in place, moves its
+reverse-index entries and returns the before-image. insert_row,
+set_values, validate_insert and validate_update each run the writer of
+their shape, the last two with W=0, which validates alone. undo_write
+takes back the latest insert or update and, trusting the pre-write
+state, validates nothing.
 
-Names are resolved once per store, not per value: validation and writes
-read each set's table, which binds each function to its column, reverse
-index and target set's ids; each constraint's two domain walks are
-bound to its chains' columns, and the one walk of each chain position to
-its head's columns, reverse indexes and other chain's columns. The walks
-feed the engine's check kernels, which it binds to them on first use and
-keeps in `kernels`. All hold the store's own lists, never copies, and are
-the only bindings; clone() binds the walks afresh to the copy's, from the
-schema as the new store does, and leaves the copy's kernels to be bound
-to those.
+Names are resolved once per store, not per value: a writer is bound, on
+its shape's first use, to the set's table, which binds each function to
+its column, reverse index and target set's ids, and kept in `writers`;
+each constraint's two domain walks are bound to its chains' columns, and
+the one walk of each chain position to its head's columns, reverse
+indexes and other chain's columns. The walks feed the engine's check
+kernels, which it binds to them on first use and keeps in `kernels`, and
+the engine keeps a handler per statement shape in `handlers`, bound to
+the shape's writer and kernels. All hold the store's own lists, never
+copies, and are the only bindings; clone() binds the walks afresh to the
+copy's, from the schema as the new store does, and leaves the copy's
+writers, kernels and handlers to be bound to those.
 
 The store counts rows it touches: +1 for every row whose values are read
 (lookups, full-row reads, existence checks performed during validation)
@@ -39,9 +52,10 @@ rejected; it is not part of the logical state captured by snapshot().
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Union
 
-from .model import FunctionDef, ScalarType, Schema
+from .model import FunctionDef, Schema
 
 
 class RowId(NamedTuple):
@@ -58,7 +72,6 @@ class RowId(NamedTuple):
 
 
 Value = Union[int, str, RowId, None]
-_TEXT = ScalarType.TEXT  # read once: reading an Enum member from its class is slow
 # Integer values are SQLite's: signed 64-bit.
 INT_MIN, INT_MAX = -(2**63), 2**63 - 1
 _DEAD = object()  # every cell of a dead row, and slot 0 of every column
@@ -132,15 +145,18 @@ class Database:
     The walks feed the check kernels: `kernels[id(constraint)]` and
     `kernels[id(occ)]` hold the engine's kernels bound to these walks
     and to the counter, which _bind empties and the engine fills on each
-    kernel's first use. No check binds a walk for one call;
+    kernel's first use. `writers[(insert, set, names)]` holds the writer
+    of each statement shape used so far, and `handlers`, keyed by the
+    engine, the engine's handlers bound to them and to the kernels; _bind
+    empties both. No check binds a walk for one call;
     oracle.judge_row judges an ad-hoc constraint. A non-nullable column
     of a live row never holds null, because every write is validated and
     RESTRICT keeps each link cell pointing at a live row, so a link check
     looks for nulls only in a nullable level's values. Single writer;
     readers interleave only between mutations. clone() shares the counter
     by default, so scratch work counts, and binds its own tables and
-    walks as __init__ does, so its kernels, bound anew on first use, read
-    and count the clone alone.
+    walks as __init__ does, so its writers, kernels and handlers, bound
+    anew on first use, read, write and count the clone alone.
     """
 
     def __init__(self, schema: Schema):
@@ -157,7 +173,7 @@ class Database:
 
     def _bind(self) -> None:
         """Bind tables and walks to this store's own lists, by the schema's
-        names, and empty the kernels bound to them."""
+        names, and empty the writers, kernels and handlers bound to them."""
         columns, reverse, ids = self._columns, self._reverse, self._ids
         self._tables = {
             s: {
@@ -171,6 +187,8 @@ class Database:
         }
         self.walks = {}
         self.kernels = {}
+        self.writers = {}
+        self.handlers = {}
 
         def column(f: FunctionDef) -> list:
             return columns[f.domain][f.name]
@@ -238,23 +256,12 @@ class Database:
     # -- validation (read-only, raises StoreError) ----------------------
 
     def validate_insert(self, set_name: str, values: Mapping[str, Value]) -> dict[str, Value]:
-        """Check an insert and return the full normalized row value map."""
-        table = self._tables.get(set_name)
-        if table is None:
-            raise UnknownSet(f"unknown set {set_name!r}")
-        normalized = self._check_values(set_name, table, values)
-        if len(normalized) < len(table):  # some function is left unbound
-            for name, slot in table.items():
-                if name not in normalized:
-                    if not slot[0].nullable:
-                        raise MissingRequired(
-                            f"insert into {set_name!r} misses required {name!r}"
-                        )
-                    normalized[name] = None
-        return normalized
+        """Check an insert and return the full normalized row value map:
+        `values` in order, then each function left unbound, null."""
+        return self.writer(set_name, tuple(values), True)(*values.values(), W=0)
 
     def validate_update(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
-        return self._check_values(row.set_name, self._row(row), values)
+        return self.writer(row.set_name, tuple(values), False)(row, *values.values(), W=0)
 
     def validate_delete(self, row: RowId) -> None:
         """Refuse (RESTRICT) deleting a row that another row links to.
@@ -278,25 +285,7 @@ class Database:
 
     def insert_row(self, set_name: str, values: Mapping[str, Value]) -> RowId:
         """Validate the row whole, then append and index it in one pass; counts +1, as _write."""
-        normalized = self.validate_insert(set_name, values)
-        ids = self._ids[set_name]
-        x = len(ids)
-        row = tuple.__new__(RowId, (set_name, x))
-        ids.append(row)
-        for index in self._into[set_name]:
-            index.append(())
-        self.counter.rows_inspected += 1
-        table = self._tables[set_name]
-        for name, value in normalized.items():
-            _, column, index, _ = table[name]
-            column.append(value)
-            if index is not None and value is not None:  # a link to an earlier row
-                sources = index[value.x]
-                if sources:
-                    sources.add(x)
-                else:
-                    index[value.x] = {x}
-        return row
+        return self.writer(set_name, tuple(values), True)(*values.values())
 
     def set_values(self, row: RowId, values: Mapping[str, Value]) -> dict[str, Value]:
         """Replace several values of one row, validating all before writing,
@@ -307,9 +296,48 @@ class Database:
         counts it, before the values are validated, so an update refused on
         a live row still counts it; then as validation and _write count.
         """
-        table = self._row(row)
-        self.counter.rows_inspected += 1
-        return self._write(row, self._check_values(row.set_name, table, values))
+        return self.writer(row.set_name, tuple(values), False)(row, *values.values())
+
+    def writer(self, set_name: str, names: tuple[str, ...], insert: bool):
+        """The writer of an insert into set_name (`insert`) or of an update
+        of one of its rows, binding the functions `names` in that order,
+        bound to this store on first use and kept in `writers`.
+
+        An insert's writer takes the values, an update's the row and then
+        the values. Each validates them in order, then writes, counting
+        as the module docstring says; called with W=0 it only validates,
+        counting no image and no write, and returns the normalized values.
+        An unknown set raises UnknownSet.
+        """
+        key = (insert, set_name, names)
+        write = self.writers.get(key)
+        if write is not None:
+            return write
+        table = self._tables.get(set_name)
+        if table is None:
+            raise UnknownSet(f"unknown set {set_name!r}")
+        kinds: list[tuple[str, bool] | None] = []
+        bound = [self.counter, self._ids[set_name], set_name]
+        shape = None  # an insert's (links into the set, unbound functions, any required)
+        for name in names:
+            if name not in table:  # it raises, so no later position is reached
+                kinds.append(None)
+                bound.append(name)
+                break
+            fn, column, index, targets = table[name]
+            kinds.append(("link" if index is not None else fn.codomain.value, fn.nullable))
+            bound += [fn, column] if index is None else [fn, column, index, targets, fn.codomain]
+        else:
+            bound += names
+            if insert:
+                unbound = [fn for name, (fn, *_) in table.items() if name not in names]
+                missing = [fn.name for fn in unbound if not fn.nullable][:1]
+                bound += [*self._into[set_name], *(table[fn.name][1] for fn in unbound)]
+                bound += [*(fn.name for fn in unbound), *missing]
+                shape = (len(self._into[set_name]), len(unbound), bool(missing))
+        binder = _writer_binder(insert, tuple(kinds), shape)
+        write = self.writers[key] = binder(*bound)
+        return write
 
     def delete_row(self, row: RowId) -> None:
         self.validate_delete(row)
@@ -406,52 +434,6 @@ class Database:
             raise UnknownSet(f"unknown set {row.set_name!r}")
         raise UnknownRow(f"no row {row!r}")
 
-    def _check_values(
-        self, set_name: str, table: Mapping[str, tuple], values: Mapping[str, Value]
-    ) -> dict[str, Value]:
-        """Each of `values` checked by its function in `table`, the table
-        of `set_name`, in order."""
-        normalized: dict[str, Value] = {}
-        for name, value in values.items():
-            slot = table.get(name)
-            if slot is None:
-                raise UnknownFunction(f"no function {name!r} on {set_name!r}")
-            fn, _, _, targets = slot
-            if value is None:
-                if not fn.nullable:
-                    raise MissingRequired(f"{fn.name!r} on {fn.domain!r} does not allow null")
-            elif targets is not None:  # a link
-                if not isinstance(value, RowId):
-                    raise ValueTypeMismatch(
-                        f"{fn.name!r} on {fn.domain!r} is a link to {fn.codomain!r},"
-                        f" got {type(value).__name__}"
-                    )
-                if value.set_name != fn.codomain:
-                    raise ValueTypeMismatch(
-                        f"{fn.name!r} on {fn.domain!r} links to {fn.codomain!r},"
-                        f" got row of {value.set_name!r}"
-                    )
-                self.counter.rows_inspected += 1
-                if _slot(targets, value.x) is None:
-                    raise DanglingReference(
-                        f"{fn.name!r} on {fn.domain!r} references missing {value!r}"
-                    )
-            elif fn.codomain is _TEXT:
-                if not isinstance(value, str):
-                    raise ValueTypeMismatch(
-                        f"{fn.name!r} on {fn.domain!r} holds text, got {type(value).__name__}"
-                    )
-            elif isinstance(value, bool) or not isinstance(value, int):
-                raise ValueTypeMismatch(
-                    f"{fn.name!r} on {fn.domain!r} holds integers, got {type(value).__name__}"
-                )
-            elif not INT_MIN <= value <= INT_MAX:
-                raise ValueTypeMismatch(
-                    f"{fn.name!r} on {fn.domain!r} holds 64-bit integers, got one out of range"
-                )
-            normalized[name] = value
-        return normalized
-
 
 def _slot(slots: list, x: int):
     """slots[x] when x is a row id, from 1 to the last; None otherwise."""
@@ -459,3 +441,192 @@ def _slot(slots: list, x: int):
         return slots[x] if x > 0 and x is not True else None
     except (IndexError, TypeError):
         return None
+
+
+# ---------------------------------------------------------------------------
+# Writers: one per statement shape, generated once and bound per store
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _writer_binder(insert: bool, kinds: tuple, shape: tuple[int, int, bool] | None):
+    """The binder of a writer: an insert's (`insert`) or an update's, of
+    one value per item of `kinds`, each (kind, nullable) where the kind is
+    "link", "text" or "integer", or None for an unknown function, the last
+    item then; `shape` is a whole insert's (links into its set, functions
+    it leaves unbound, whether one of those is required).
+
+    bind(C, I, S, F0 K0 [X0 Y0 T0].., N0.., P0.., U0.., Z0.., [Q]) takes
+    the counter, the set's ids and name; for each value its function and
+    column, and for a link its reverse index, its target set's ids and
+    that set's name (an unknown function's name alone); then the names
+    bound; and a whole insert's reverse indexes into the set, each unbound
+    function's column, their names and the first required one's.
+    write(v0.., W=1), or an update's write(row, v0.., W=1), validates the
+    values in order and writes them; W=0 only validates. After an unknown
+    function's value it takes the rest unread. Reads of
+    non-nullable links, an update's image (W) and the write are counted
+    as one sum at each exit; a nullable link counts its read where it
+    makes it.
+    """
+    update = not insert
+    fields = ["C", "I", "S"]
+    values = [f"v{i}" for i in range(len(kinds))]
+    body = ["x = row[1]", "if _slot(I, x) is None:", "    _no_row(row)"] if update else []
+    pending = 0  # reads made and not yet counted
+
+    def counted(line: str, indent: str, extra: int = 0, image: bool = update) -> list[str]:
+        """`line`, once every read made is counted, and an update's image."""
+        terms = ["W"] * image + [str(pending + extra)] * bool(pending + extra)
+        count = [f"{indent}C.rows_inspected += {' + '.join(terms)}"] if terms else []
+        return [*count, f"{indent}{line}"]
+
+    for i, kind in enumerate(kinds):
+        v = values[i]
+        if kind is None:
+            fields.append(f"F{i}")
+            body += counted(f"_unknown(S, F{i})", "")
+            break
+        what, nullable = kind
+        fields += [f"F{i}", f"K{i}", *(f"{c}{i}" for c in "XYT" if what == "link")]
+        if what == "link":
+            tests = [
+                (f"not isinstance({v}, RowId)", f"_not_a_row(F{i}, {v})"),
+                (f"{v}[0] != T{i}", f"_other_set(F{i}, {v})"),
+            ]
+        elif what == "text":
+            tests = [(f"not isinstance({v}, str)", f"_not_text(F{i}, {v})")]
+        else:
+            tests = [
+                (f"type({v}) is not int and (isinstance({v}, bool) or not isinstance({v}, int))",
+                 f"_not_integer(F{i}, {v})"),
+                (f"not INT_MIN <= {v} <= INT_MAX", f"_out_of_range(F{i})"),
+            ]
+        if nullable:
+            body.append(f"if {v} is not None:")
+        else:
+            body += [f"if {v} is None:", *counted(f"_not_null(F{i})", "    ")]
+        indent = "    " * nullable
+        for test, refusal in tests:
+            body += [f"{indent}if {test}:", *counted(refusal, indent + "    ")]
+        if what == "link":
+            body += [f"{indent}C.rows_inspected += 1"] * nullable
+            body.append(f"{indent}if _slot(Y{i}, {v}[1]) is None:")
+            body += counted(f"_dangling(F{i}, {v})", indent + "    ", 1 - nullable)
+            pending += 1 - nullable
+    else:
+        names = [f"N{i}" for i in range(len(kinds))]
+        fields += names
+        if update:
+            image = ", ".join(map("{}: {}".format, names, values))
+            body += ["if not W:", *counted(f"return {{{image}}}", "    ", image=False)]
+            body.append(f"C.rows_inspected += {pending + 2}")
+            for i, (what, nullable) in enumerate(kinds):
+                body.append(f"o{i} = K{i}[x]")
+                if what == "link":
+                    body += _unindex(f"o{i}", f"X{i}", nullable)
+                    body += _index(f"v{i}", f"X{i}", nullable)
+                body.append(f"K{i}[x] = v{i}")
+            before = ", ".join(f"{n}: o{i}" for i, n in enumerate(names))
+            body.append(f"return {{{before}}}")
+        else:
+            into, unbound, missing = shape
+            fields += [f"P{j}" for j in range(into)]
+            fields += [f"U{j}" for j in range(unbound)]
+            nulls = [f"Z{j}" for j in range(unbound)]
+            fields += nulls + ["Q"] * missing
+            if missing:
+                body += counted("_missing(S, Q)", "")
+            row = map("{}: {}".format, names + nulls, values + ["None"] * unbound)
+            body += ["if not W:", *counted(f"return {{{', '.join(row)}}}", "    ")]
+            body += ["x = len(I)", "row = _new(RowId, (S, x))", "I.append(row)"]
+            body += [f"P{j}.append(())" for j in range(into)]
+            body.append(f"C.rows_inspected += {pending + 1}")
+            for i, (what, nullable) in enumerate(kinds):
+                body.append(f"K{i}.append(v{i})")
+                if what == "link":
+                    body += _index(f"v{i}", f"X{i}", nullable)
+            body += [f"U{j}.append(None)" for j in range(unbound)]
+            body.append("return row")
+    rest = ["*_"] * (kinds[-1:] == (None,))  # the values after an unknown function
+    signature = ", ".join(["row"] * update + values + rest + ["W=1"])
+    return compile_binder(fields, signature, body, "write", globals())
+
+
+def _index(value: str, index: str, nullable: bool) -> list[str]:
+    """Writer lines that add row x to the sources of the row `value` links to."""
+    indent = "    " * nullable
+    cell = f"{index}[{value}[1]]"
+    lines = [f"s = {cell}", "if s:", "    s.add(x)", "else:", f"    {cell} = {{x}}"]
+    return [f"if {value} is not None:"] * nullable + [indent + line for line in lines]
+
+
+def _unindex(value: str, index: str, nullable: bool) -> list[str]:
+    """Writer lines that take row x from the sources of the row `value` links to."""
+    indent = "    " * nullable
+    cell = f"{index}[{value}[1]]"
+    lines = [f"s = {cell}", "s.discard(x)", "if not s:", f"    {cell} = ()"]
+    return [f"if {value} is not None:"] * nullable + [indent + line for line in lines]
+
+
+def compile_binder(bound: list[str], signature: str, body: list[str], name: str, scope: dict):
+    """bind(*bound), which returns the function `name`(signature) running
+    `body`. Both read `scope` as their globals, so a generated function
+    calls the helpers its module holds when it runs."""
+    lines = "".join(f"        {line}\n" for line in body)
+    head = f"def bind({', '.join(bound)}):\n    def {name}({signature}):\n"
+    source = f"{head}{lines}    return {name}\n"
+    namespace: dict = {}
+    exec(compile(source, f"<funcdiag {name}>", "exec"), scope, namespace)
+    return namespace["bind"]
+
+
+_new = tuple.__new__  # builds a RowId without NamedTuple's Python __new__
+
+
+def _no_row(row: RowId) -> NoReturn:
+    raise UnknownRow(f"no row {row!r}")
+
+
+def _unknown(set_name: str, name: str) -> NoReturn:
+    raise UnknownFunction(f"no function {name!r} on {set_name!r}")
+
+
+def _missing(set_name: str, name: str) -> NoReturn:
+    raise MissingRequired(f"insert into {set_name!r} misses required {name!r}")
+
+
+def _not_null(fn: FunctionDef) -> NoReturn:
+    raise MissingRequired(f"{fn.name!r} on {fn.domain!r} does not allow null")
+
+
+def _not_a_row(fn: FunctionDef, value: object) -> NoReturn:
+    raise ValueTypeMismatch(
+        f"{fn.name!r} on {fn.domain!r} is a link to {fn.codomain!r}, got {type(value).__name__}"
+    )
+
+
+def _other_set(fn: FunctionDef, value: RowId) -> NoReturn:
+    raise ValueTypeMismatch(
+        f"{fn.name!r} on {fn.domain!r} links to {fn.codomain!r}, got row of {value.set_name!r}"
+    )
+
+
+def _dangling(fn: FunctionDef, value: RowId) -> NoReturn:
+    raise DanglingReference(f"{fn.name!r} on {fn.domain!r} references missing {value!r}")
+
+
+def _not_text(fn: FunctionDef, value: object) -> NoReturn:
+    raise ValueTypeMismatch(f"{fn.name!r} on {fn.domain!r} holds text, got {type(value).__name__}")
+
+
+def _not_integer(fn: FunctionDef, value: object) -> NoReturn:
+    raise ValueTypeMismatch(
+        f"{fn.name!r} on {fn.domain!r} holds integers, got {type(value).__name__}"
+    )
+
+
+def _out_of_range(fn: FunctionDef) -> NoReturn:
+    raise ValueTypeMismatch(
+        f"{fn.name!r} on {fn.domain!r} holds 64-bit integers, got one out of range"
+    )

@@ -12,23 +12,31 @@ or would read the wrong object. On every live row and every value its
 function may take, in a few seeded states, each link kernel must give the
 reference's violations, in its witness order, and count the same
 rows_inspected; each domain kernel must agree with the oracle's judge.
+The store's writers and the engine's statement handlers are generated
+the same way: every kernel, writer and handler bound for these schemas
+and the two fixtures must hold only generated names and no string
+constant but its qualified name, and its source must parse as Python
+3.10; a clone binds its own of each.
 """
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 import types
 
 import pytest
 
-from funcdiag.dsl import parse_schema
-from funcdiag.engine import check_domain_row, check_link_update, dispatch
+from funcdiag import engine, store
+from funcdiag.dsl import Action, Binding, Mutation, parse_schema
+from funcdiag.engine import apply_mutation, check_domain_row, check_link_update, dispatch
 from funcdiag.model import ConstraintKind, Side
 from funcdiag.oracle import judge_row
 from funcdiag.store import Database
 
 import rowwise_engine
+from test_differential import FIXTURE_SCRIPTS, _fixture_start
 
 # Keywords and the kernels' own names as sets, functions and constraints:
 # set `rows` reaches set `lambda` through its function `rows`, and both
@@ -143,24 +151,84 @@ def test_domain_kernels_match_the_oracles_judge(name, seed):
 
 
 def test_kernels_are_bound_per_store_and_the_clones_start_empty():
+    """A clone starts with no kernels, writers or handlers and binds its
+    own; a statement written on the clone reaches none of the original's
+    lists or reverse indexes."""
     db = _seeded(KEYWORDS, 0)
     [occ, *_] = dispatch(db.schema)[("class", "C")]
     r = db.rows("class")[0]
     check_link_update(db, occ, r, db.rows("T")[0])
+    insert = Mutation(
+        Action.INSERT, "class", bindings=(Binding("C", db.rows("T")[1]), Binding("Label", "new"))
+    )
+    update = Mutation(Action.UPDATE, row_ref=r, bindings=(Binding("C", db.rows("T")[2]),))
+    for m in (insert, update):
+        apply_mutation(db, m)
     twin = db.clone()
-    assert twin.kernels == {} and set(db.kernels) == {id(occ)}
+    assert twin.kernels == twin.writers == twin.handlers == {}
+    assert id(occ) in db.kernels and db.writers and db.handlers
+    before = db.snapshot()
     check_link_update(twin, occ, r, db.rows("T")[0])
-    assert twin.kernels[id(occ)] is not db.kernels[id(occ)]
+    assert apply_mutation(twin, insert).applied  # into a set no constraint reads
+    apply_mutation(twin, update)
+    assert db.snapshot() == before != twin.snapshot()
+    for table in ("kernels", "writers", "handlers"):
+        mine, theirs = getattr(db, table), getattr(twin, table)
+        assert theirs and set(theirs) <= set(mine)
+        assert not any(theirs[key] is mine[key] for key in theirs), table
 
 
-# Names a kernel's code may hold: the generated ones, Python's, and the
-# engine helpers it calls. Schema names reach a kernel as bound objects.
-GENERATED = re.compile(r"[HRIAB]\d+|F\d*|[CDLOSranbx]|head|rows|values|equal|mask")
+# Names generated code may hold: the generated ones, Python's, and the
+# helpers it calls. Schema names reach it as bound objects.
+GENERATED = re.compile(
+    r"[HRIABKLNFXYTPUZvbcro]\d+|F\d*|[CDLOSWQIranbxhsem_]"
+    r"|head|rows|values|equal|mask|row|before|handles"
+)
 KNOWN = {
     "list", "map", "len", "sorted", "lookup", "rows_inspected", "sort", "count",
     "chain", "from_iterable", "__getitem__", "compress", "repeat", "eq", "ne", "_X",
     "_drop_nulls", "_link_violations", "_constraint_violation", "_not_in_domain",
+    # writers
+    "isinstance", "type", "int", "str", "bool", "RowId", "INT_MIN", "INT_MAX", "_new", "_slot",
+    "append", "add", "discard", "_no_row", "_unknown", "_missing", "_not_null", "_not_a_row",
+    "_other_set", "_dangling", "_not_text", "_not_integer", "_out_of_range",
+    # handlers
+    "bindings", "value", "name", "get", "handle", "HandleRef", "_unbound", "_REFUSALS",
+    "_refused", "_reject", "Verdict", "_APPLIED",
 }
+BINDERS = (engine._domain_binder, engine._link_binder, engine._handler_binder, store._writer_binder)
+
+
+STARTS = {
+    **{name: lambda name=name: _seeded(SCHEMAS[name], 0) for name in SCHEMAS},
+    **{name: lambda name=name: _fixture_start(name) for name in FIXTURE_SCRIPTS},
+}
+
+
+def _every_shape(db: Database) -> None:
+    """Bind every kernel, and write statements of many shapes: on every
+    set an insert binding all its functions backwards, one binding one of
+    them twice, and an update of each function alone, of all of them, and
+    of an unknown one."""
+    for constraint in db.schema.constraints:
+        for x in db.rows(constraint.domain_set):
+            check_domain_row(db, constraint, x)
+        for occ in constraint.occurrences:
+            if occ.reverse:
+                check_link_update(db, occ, db.rows(occ.set_name)[0], None)
+    for set_def in db.schema.sets:
+        row = db.rows(set_def.name)[0]
+        image = db.read_row(row)
+        bindings = [Binding(name, value) for name, value in image.items()]
+        statements = [
+            Mutation(Action.INSERT, set_def.name, bindings=tuple(bindings[::-1])),
+            Mutation(Action.INSERT, set_def.name, bindings=(*bindings, bindings[0])),
+            Mutation(Action.UPDATE, row_ref=row, bindings=tuple(bindings)),
+            Mutation(Action.UPDATE, row_ref=row, bindings=(Binding("Missing", 1), *bindings)),
+            *(Mutation(Action.UPDATE, row_ref=row, bindings=(b,)) for b in bindings),
+        ]
+        for m in statements:
+            apply_mutation(db, m)
 
 
 def _names_and_texts(code: types.CodeType) -> tuple[set[str], set[str]]:
@@ -179,16 +247,37 @@ def _names_and_texts(code: types.CodeType) -> tuple[set[str], set[str]]:
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_kernel_code_holds_only_generated_names(name):
+    """Every bound kernel, writer and handler holds only generated names
+    and no string constant but its qualified name."""
     db = _seeded(SCHEMAS[name], 0)
-    for constraint in db.schema.constraints:
-        for x in db.rows(constraint.domain_set):
-            check_domain_row(db, constraint, x)
-        for occ in constraint.occurrences:
-            if occ.reverse:
-                check_link_update(db, occ, db.rows(occ.set_name)[0], None)
+    _every_shape(db)
     links = [occ for c in db.schema.constraints for occ in c.occurrences if occ.reverse]
     assert len(db.kernels) == len(db.schema.constraints) + len(links)
-    for kernel in db.kernels.values():
-        names, texts = _names_and_texts(kernel.__code__)
+    assert len(db.handlers) >= 4 * len(db.schema.sets)
+    functions = [*db.kernels.values(), *db.writers.values(), *db.handlers.values()]
+    for function in functions:
+        names, texts = _names_and_texts(function.__code__)
         assert {n for n in names if n not in KNOWN and not GENERATED.fullmatch(n)} == set()
-        assert texts <= {"bind.<locals>.check"}
+        assert texts <= {function.__qualname__}
+
+
+@pytest.mark.parametrize("name", sorted(STARTS))
+def test_generated_sources_parse_as_python_3_10(name, monkeypatch):
+    """tests/test_syntax_floor.py reads the files; this parses the source
+    of every kernel, writer and handler generated for the schema, each
+    generator's cache emptied first so that every shape is generated."""
+    sources = []
+
+    def recording(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(store, "compile", recording, raising=False)
+    for binder in BINDERS:
+        binder.cache_clear()
+    db = STARTS[name]()
+    _every_shape(db)
+    kinds = {source.split("def ")[2].split("(")[0] for source in sources}
+    assert kinds == {"check", "write", "handle"}
+    for source in sources:
+        ast.parse(source, feature_version=(3, 10))

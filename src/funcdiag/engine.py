@@ -118,7 +118,7 @@ from .model import (
     Schema,
     Side,
 )
-from .store import Database, RowId, StoreError, UnknownRow, Value, compile_binder
+from .store import Database, RowId, StoreError, UnknownRow, UnknownSet, Value, compile_binder
 
 
 class Outcome(Enum):
@@ -358,7 +358,7 @@ def _domain_binder(lefts: int, rights: int, commutative: bool):
     body += _accept_if(f"b is None or a {'==' if commutative else '!='} b")
     body.append("return [_constraint_violation(O, x, a, b, None)]")
     columns = [*(f"A{i}" for i in range(lefts)), *(f"B{j}" for j in range(rights))]
-    return _compile(["C", "O", "F", "S", *columns], "D, x", body)
+    return compile_binder(["C", "O", "F", "S", *columns], "D, x", body, "check", globals())
 
 
 @lru_cache(maxsize=1024)
@@ -425,7 +425,7 @@ def _link_binder(
         *(f"I{i}" for i in range(len(nullable))),
         "L",
     ]
-    return _compile(["C", "O", *columns], "D, r, head", body)
+    return compile_binder(["C", "O", *columns], "D, r, head", body, "check", globals())
 
 
 def _accept_if(test: str, counted: int | str = 0) -> list[str]:
@@ -433,13 +433,6 @@ def _accept_if(test: str, counted: int | str = 0) -> list[str]:
     `counted`, the rows read so far."""
     count = [f"    C.rows_inspected += {counted}"] if counted else []
     return [f"if {test}:", *count, "    return []"]
-
-
-def _compile(bound: list[str], arguments: str, body: list[str], name: str = "check"):
-    """bind(*bound), which returns `name`(arguments) running `body`. Both
-    read this module's globals, so the helpers a kernel or handler calls
-    are the ones a tracer may have wrapped."""
-    return compile_binder(bound, arguments, body, name, globals())
 
 
 def _link_violations(
@@ -563,13 +556,13 @@ def apply_mutation(
     elif action is _UPDATE:
         if type(row) is HandleRef:
             row = handles.get(row.name)
-        set_name = row[0] if isinstance(row, RowId) else None
+        if not isinstance(row, RowId):  # an unbound handle, or no row named
+            return _one_path(db, m, handles)
+        set_name = row[0]
     else:
         return _one_path(db, m, handles)
     key = (action, set_name, *map(_FUNCTION, m.bindings))
     handler = db.handlers.get(key) or _bind_handler(db, key)
-    if handler is None:
-        return _one_path(db, m, handles)
     return handler(db, m, handles, row)
 
 
@@ -586,18 +579,24 @@ def _one_path(db: Database, m: Mutation, handles: Mapping[str, RowId]) -> Verdic
     return Verdict(_APPLIED, (), row)
 
 
+def _unknown_set(db: Database, m: Mutation, handles: Mapping[str, RowId], row) -> Verdict:
+    """The handler of every shape on an unknown set: the one path refuses it."""
+    return _one_path(db, m, handles)
+
+
 def _bind_handler(db: Database, key: tuple):
     """The handler of the statement shape `key`, (action, set, bound names
-    in binding order), bound to `db` and kept in db.handlers; None for an
-    unknown set."""
+    in binding order), bound to `db` and kept in db.handlers; for an
+    unknown set, _unknown_set."""
     action, set_name, *names = key
     bound = list(dict.fromkeys(names))  # a name bound twice: first position, last value
     lasts = tuple(len(names) - 1 - names[::-1].index(name) for name in bound)
     insert = action is _INSERT
     try:
         write = db.writer(set_name, tuple(bound), insert)
-    except StoreError:
-        return None
+    except UnknownSet:
+        handler = db.handlers[key] = _unknown_set
+        return handler
     schema = db.schema
     domain, triggers = [], []
     for constraint in schema.constraints_on(set_name):
@@ -675,7 +674,7 @@ def _handler_binder(
         *(f"L{k}" for k in range(len(positions))),
         *names.values(),
     ]
-    return _compile(bound, "D, m, handles, row", body, "handle")
+    return compile_binder(bound, "D, m, handles, row", body, "handle", globals())
 
 
 def _tested(triggers: tuple, positions: tuple[int, ...]) -> list[int]:

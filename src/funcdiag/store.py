@@ -17,7 +17,9 @@ schema name or value is ever spliced into its source. It validates the
 values in binding order, with the errors and counts written out below;
 then an insert's appends and indexes the row in one pass, so a refused
 insert grows no list, and an update's writes the row in place, moves its
-reverse-index entries and returns the before-image. insert_row,
+reverse-index entries and returns the before-image. A writer has
+written, indexed and counted all of it when it returns, so no work is
+left past the engine's apply_mutation either. insert_row,
 set_values, validate_insert and validate_update each run the writer of
 their shape, the last two with W=0, which validates alone. undo_write
 takes back the latest insert or update and, trusting the pre-write
